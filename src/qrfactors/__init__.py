@@ -49,6 +49,7 @@ from .forecast_eval import (
     rmse,
     rmse_conventional,
     forecast_error,
+    fit_method,
     rolling_eval,
 )
 from .simgen import (
@@ -75,7 +76,7 @@ __all__ = [
     "fit_evd", "ic_p", "fit_pca",
     "ArModel", "ForecastReport", "WindowRecord", "yule_walker",
     "forecast_one_step", "rmse", "rmse_conventional", "forecast_error",
-    "rolling_eval",
+    "fit_method", "rolling_eval",
     "SimConfig", "SimDataset", "gen_sim1", "gen_sim2", "hurst_cov",
     "subspace_error", "monte_carlo",
     "__version__",

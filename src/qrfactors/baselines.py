@@ -16,8 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import sample_autocov
-from .factor_rrqr import FactorModelFit, _DEFAULT_RANK_CAP
+from .factor_rrqr import FactorModelFit, ModelOrderScan, RankCandidate, _rank_cap
 from .tsdata import TimeSeries, demean
+
+# Default information-criterion search limit for fit_pca.
+_PCA_SEARCH_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -104,26 +107,33 @@ def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
 
     The rank comes from eigen_ratio_order unless p_override pins it;
     the cap defaults to the same value the pivoted-QR scan uses so the
-    two methods search the same range.
+    two methods search the same range. The eigenvalue-ratio curve over
+    that range is returned as scan (epsilon 0), also under p_override;
+    a single series has no curve.
     """
     spectrum = evd_spectrum(ts, lag_lo, lag_hi)
-    if p_override is not None:
-        if not 1 <= p_override <= ts.K:
-            raise ValueError(f"p_override must be in [1, {ts.K}], got {p_override}")
-        p_hat = int(p_override)
-    else:
-        cap = min(ts.K - 1, _DEFAULT_RANK_CAP) if p_cap is None else p_cap
-        p_hat = eigen_ratio_order(spectrum.eigenvalues, cap)
+    lam = spectrum.eigenvalues
+    if p_override is not None and not 1 <= p_override <= ts.K:
+        raise ValueError(f"p_override must be in [1, {ts.K}], got {p_override}")
+    scan = None
+    if p_override is None or ts.K > 1:
+        cap = _rank_cap(p_cap, ts.K - 1)
+        candidates = tuple(
+            RankCandidate(index=i, gamma=float(lam[i - 1]),
+                          gamma_next=float(lam[i]), ratio=float(ratio))
+            for i, ratio in enumerate(spectrum.ratios[:cap], start=1))
+        scan = ModelOrderScan(candidates=candidates, epsilon=0.0,
+                              p_hat=eigen_ratio_order(lam, cap), p_cap=cap)
+    p_hat = scan.p_hat if p_override is None else int(p_override)
     q_hat = spectrum.eigenvectors[:, :p_hat]
     centered = demean(ts)
-    lam = spectrum.eigenvalues
     diagnostics = {
         "lambda_top": float(lam[0]),
         "lambda_tail": float(lam[p_hat]) if p_hat < lam.size else 0.0,
     }
     return FactorModelFit(method="EVD", p_hat=p_hat, q_hat=q_hat,
                           factors=q_hat.T @ centered.values,
-                          diagnostics=diagnostics)
+                          scan=scan, diagnostics=diagnostics)
 
 
 def _lag0_spectrum(ts: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
@@ -164,12 +174,6 @@ def fit_pca(ts: TimeSeries, p_max: int | None = None,
     average).
     """
     limit = min(ts.K, ts.N)
-    if p_max is None:
-        # Stay below min(K, N): at the full rank the residual is exactly
-        # zero and its -inf criterion would win unconditionally.
-        p_max = min(limit - 1, 40)
-    if not 1 <= p_max <= limit:
-        raise ValueError(f"p_max must be in [1, {limit}], got {p_max}")
     lam, u = _lag0_spectrum(ts)
     if p_override is not None:
         if not 1 <= p_override <= limit:
@@ -177,6 +181,11 @@ def fit_pca(ts: TimeSeries, p_max: int | None = None,
         p_hat = int(p_override)
         ic_at_p = _ic_from_eigs(lam, p_hat, ts.K, ts.N)
     else:
+        # Stay below min(K, N): at the full rank the residual is exactly
+        # zero and its -inf criterion would win unconditionally.
+        p_max = _rank_cap(p_max, limit - 1, default=_PCA_SEARCH_LIMIT)
+        if not 1 <= p_max <= limit:
+            raise ValueError(f"p_max must be in [1, {limit}], got {p_max}")
         scores = [_ic_from_eigs(lam, p, ts.K, ts.N) for p in range(1, p_max + 1)]
         p_hat = int(np.argmin(scores)) + 1
         ic_at_p = scores[p_hat - 1]

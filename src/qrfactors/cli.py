@@ -26,9 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import fit_evd, fit_pca
-from .factor_rrqr import FactorModelFit, fit_rrqr, scan_model_order
-from .forecast_eval import rolling_eval
+from .factor_rrqr import FactorModelFit, scan_model_order
+from .forecast_eval import fit_method, rolling_eval
 from .rrqr import gs_qr, hybrid1, hybrid2, hybrid3, qr_cp, singular_values, stewart2
 from .simgen import SimConfig, monte_carlo
 from .tsdata import load_csv
@@ -197,12 +196,8 @@ def _cmd_fit(args) -> int:
     ts = load_csv(args.data, orientation=args.orientation,
                   has_header=args.header)
     lag_lo, lag_hi = _lag_range(args)
-    if args.method == "rrqr":
-        fit = fit_rrqr(ts, lag_lo, lag_hi, p_override=args.p, p_cap=args.p_cap)
-    elif args.method == "evd":
-        fit = fit_evd(ts, lag_lo, lag_hi, p_override=args.p, p_cap=args.p_cap)
-    else:
-        fit = fit_pca(ts, p_max=args.p_cap, p_override=args.p)
+    fit = fit_method(args.method, ts, lag_lo, lag_hi, p_override=args.p,
+                     p_cap=args.p_cap)
     payload = {
         "manifest": _manifest("fit", {
             "data": str(args.data), "method": args.method,
@@ -229,12 +224,10 @@ def _cmd_fit(args) -> int:
 
 def _cmd_rankscan(args) -> int:
     mat = _read_matrix(args.matrix)
-    limit = min(mat.shape) - 1
-    p_cap = args.p_cap if args.p_cap is not None else min(limit, 15)
-    scan = scan_model_order(mat, p_cap, n=args.n, k=mat.shape[0])
+    scan = scan_model_order(mat, args.p_cap, n=args.n, k=mat.shape[0])
     payload = {
         "manifest": _manifest("rankscan", {
-            "matrix": str(args.matrix), "n": args.n, "p_cap": p_cap,
+            "matrix": str(args.matrix), "n": args.n, "p_cap": scan.p_cap,
         }, None),
         "scan": {
             "epsilon": scan.epsilon,
@@ -272,60 +265,52 @@ def _cmd_rrqr(args) -> int:
     rank = args.rank
     if args.alg != "gsqr" and rank is None:
         raise SystemExit2(f"--rank is required for --alg {args.alg}")
+    sv = singular_values(mat)
     if args.alg == "gsqr":
         factors = gs_qr(mat)
         perm = list(range(mat.shape[1]))
         block = rank if rank is not None else min(mat.shape)
-        r = factors.r
         summary = {"algorithm": "gsqr"}
+    elif args.alg == "stewart2":
+        factors, total = stewart2(gs_qr(mat), None, rank)
+        perm = list(total.order)
+        block = rank
+        r22 = factors.r[rank:, rank:]
+        summary = {
+            "algorithm": "stewart2",
+            "sigma_min_r11": float(singular_values(factors.r[:rank, :rank])[-1]),
+            "sigma_max_r22": float(singular_values(r22)[0]) if r22.size else 0.0,
+        }
     else:
-        if args.alg == "qrcp":
-            res = qr_cp(mat, rank)
-        elif args.alg == "stewart2":
-            res_factors, res_perm = stewart2(gs_qr(mat), None, rank)
-            res = None
-            factors, perm, block, r = (res_factors, list(res_perm.order),
-                                       rank, res_factors.r)
-            summary = {
-                "algorithm": "stewart2",
-                "sigma_min_r11": float(singular_values(r[:rank, :rank])[-1]),
-                "sigma_max_r22": float(singular_values(r[rank:, rank:])[0])
-                if r[rank:, rank:].size else 0.0,
-            }
-        elif args.alg == "hybrid1":
-            res = hybrid1(mat, rank)
-        elif args.alg == "hybrid2":
-            res = hybrid2(mat, rank)
-        else:
-            res = hybrid3(mat, rank)
-        if res is not None:
-            factors = res.factors
-            perm = list(res.perm.order)
-            block = rank
-            r = factors.r
-            sv = singular_values(mat)
-            n = mat.shape[1]
-            summary = {
-                "algorithm": args.alg,
-                "sigma_min_r11": res.r11_min_sv,
-                "sigma_max_r22": res.r22_max_sv,
-                "passes": res.passes,
-            }
-            if args.alg in ("hybrid1", "hybrid3") and rank <= sv.size:
-                bound = float(sv[rank - 1]) / np.sqrt(rank * (n - rank + 1))
-                summary["r11_lower_bound"] = bound
-                summary["r11_bound_slack"] = (res.r11_min_sv / bound
-                                              if bound > 0 else float("inf"))
-            if args.alg in ("hybrid2", "hybrid3") and rank < sv.size:
-                bound = float(sv[rank]) * np.sqrt((rank + 1) * (n - rank))
-                summary["r22_upper_bound"] = bound
-                summary["r22_bound_slack"] = (bound / res.r22_max_sv
-                                              if res.r22_max_sv > 0
-                                              else float("inf"))
+        pivoting = {"qrcp": qr_cp, "hybrid1": hybrid1, "hybrid2": hybrid2,
+                    "hybrid3": hybrid3}[args.alg]
+        res = pivoting(mat, rank)
+        factors = res.factors
+        perm = list(res.perm.order)
+        block = rank
+        n = mat.shape[1]
+        summary = {
+            "algorithm": args.alg,
+            "sigma_min_r11": res.r11_min_sv,
+            "sigma_max_r22": res.r22_max_sv,
+            "passes": res.passes,
+        }
+        if args.alg in ("hybrid1", "hybrid3") and rank <= sv.size:
+            bound = float(sv[rank - 1]) / np.sqrt(rank * (n - rank + 1))
+            summary["r11_lower_bound"] = bound
+            summary["r11_bound_slack"] = (res.r11_min_sv / bound
+                                          if bound > 0 else float("inf"))
+        if args.alg in ("hybrid2", "hybrid3") and rank < sv.size:
+            bound = float(sv[rank]) * np.sqrt((rank + 1) * (n - rank))
+            summary["r22_upper_bound"] = bound
+            summary["r22_bound_slack"] = (bound / res.r22_max_sv
+                                          if res.r22_max_sv > 0
+                                          else float("inf"))
+    r = factors.r
     trailing = r[block:, block:]
     summary["r22_max_abs_entry"] = (float(np.abs(trailing).max())
                                     if trailing.size else 0.0)
-    summary["sigma_top"] = float(singular_values(mat)[0])
+    summary["sigma_top"] = float(sv[0])
     payload = {
         "manifest": _manifest("rrqr", {
             "matrix": str(args.matrix), "algorithm": args.alg, "rank": rank,

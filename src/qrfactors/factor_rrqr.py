@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import AugmentedCov, build_augmented
-from .rrqr import Permutation, hybrid1, hybrid3
+from .rrqr import Permutation, _as_matrix, hybrid1, hybrid3
 from .tsdata import TimeSeries, demean
 
 # Widest rank scanned when the caller does not say; generous for factor
@@ -24,9 +24,26 @@ from .tsdata import TimeSeries, demean
 _DEFAULT_RANK_CAP = 15
 
 
+def _rank_cap(p_cap: int | None, limit: int,
+             default: int = _DEFAULT_RANK_CAP) -> int:
+    """The caller's cap, or `default` clipped to `limit`, the largest
+    candidate rank. With no candidate rank (a single series) the factor
+    count cannot be chosen, so the caller must pin it."""
+    if p_cap is not None:
+        return p_cap
+    if limit < 1:
+        raise ValueError(
+            "no candidate rank to choose from (a single series has none); "
+            "pin the factor count with p_override (qrfactors fit --p, "
+            "sim --p-override)"
+        )
+    return min(limit, default)
+
+
 @dataclass(frozen=True)
 class RankCandidate:
-    """One row of the rank scan: diagonal pair and their padded ratio."""
+    """One row of the rank scan: diagonal pair and their padded ratio
+    (for the EVD curve: eigenvalue pair and their plain ratio)."""
 
     index: int
     gamma: float
@@ -41,7 +58,8 @@ class ModelOrderScan:
     epsilon pads both numerator and denominator so that ratios of
     noise-floor diagonals stay near 1 instead of blowing up; it is the
     leading diagonal entry scaled by 1/sqrt(K*N), evaluated once on the
-    rank-1 decomposition and reused for every candidate.
+    rank-1 decomposition and reused for every candidate. The EVD
+    fitter's eigenvalue-ratio curve uses the same record with epsilon 0.
     """
 
     candidates: tuple[RankCandidate, ...]
@@ -88,15 +106,10 @@ class FactorModelFit:
 def _scan_matrix(m_tilde) -> np.ndarray:
     if isinstance(m_tilde, AugmentedCov):
         return np.asarray(m_tilde.matrix, dtype=float)
-    mat = np.asarray(m_tilde, dtype=float)
-    if mat.ndim != 2 or mat.size == 0:
-        raise ValueError(f"expected a nonempty 2-D matrix, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValueError("matrix contains NaN or Inf")
-    return mat
+    return _as_matrix(m_tilde)
 
 
-def scan_model_order(m_tilde, p_cap: int, n: int | None = None,
+def scan_model_order(m_tilde, p_cap: int | None = None, n: int | None = None,
                      k: int | None = None) -> ModelOrderScan:
     """Estimate numerical rank from the ratio curve of R diagonals.
 
@@ -115,8 +128,9 @@ def scan_model_order(m_tilde, p_cap: int, n: int | None = None,
     m_tilde : AugmentedCov or array-like
         The stacked lag-covariance matrix (or any K x n matrix to
         rank-scan).
-    p_cap : int
-        Largest candidate rank, at most min(K, n) - 1.
+    p_cap : int, optional
+        Largest candidate rank, at most min(K, n) - 1; _rank_cap's
+        default when omitted.
     n : int, optional
         Sample count behind the matrix, used only to scale eps. Taken
         from the AugmentedCov when omitted.
@@ -131,6 +145,7 @@ def scan_model_order(m_tilde, p_cap: int, n: int | None = None,
         n = m_tilde.N if isinstance(m_tilde, AugmentedCov) else 0
     if n <= 0:
         raise ValueError("sample count n is required to scale the ratio floor")
+    p_cap = _rank_cap(p_cap, min(rows, cols) - 1)
     if not 1 <= p_cap <= min(rows, cols) - 1:
         raise ValueError(
             f"p_cap must be in [1, {min(rows, cols) - 1}], got {p_cap}"
@@ -179,8 +194,7 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
             )
         p_hat = int(p_override)
     else:
-        cap = min(ts.K - 1, _DEFAULT_RANK_CAP) if p_cap is None else p_cap
-        scan = scan_model_order(aug, cap)
+        scan = scan_model_order(aug, p_cap)
         p_hat = scan.p_hat
     res = hybrid1(mat, p_hat)
     q_hat = res.factors.q[:, :p_hat]

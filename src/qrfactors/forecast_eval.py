@@ -166,15 +166,20 @@ def forecast_error(predictions, actuals) -> float:
     return float(norms.mean() / math.sqrt(k))
 
 
-def _fit_window(values: np.ndarray, method: str, lag_lo: int, lag_hi: int,
-                p_cap: int | None) -> FactorModelFit:
-    ts = TimeSeries(values=values)
+def fit_method(method: str, ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
+               p_override: int | None = None,
+               p_cap: int | None = None) -> FactorModelFit:
+    """Fit `ts` with the named method: rrqr, evd or pca.
+
+    For pca, p_cap is the information criterion's search limit and the
+    lag range is unused.
+    """
     if method == "rrqr":
-        return fit_rrqr(ts, lag_lo, lag_hi, p_cap=p_cap)
+        return fit_rrqr(ts, lag_lo, lag_hi, p_override=p_override, p_cap=p_cap)
     if method == "evd":
-        return fit_evd(ts, lag_lo, lag_hi, p_cap=p_cap)
+        return fit_evd(ts, lag_lo, lag_hi, p_override=p_override, p_cap=p_cap)
     if method == "pca":
-        return fit_pca(ts, p_max=p_cap)
+        return fit_pca(ts, p_max=p_cap, p_override=p_override)
     raise ValueError(f"unknown method {method!r}; expected rrqr, evd, or pca")
 
 
@@ -210,7 +215,8 @@ def rolling_eval(ts: TimeSeries, method: str, window: int = 500,
     records = []
     for block_start in range(first_target, ts.N, refit_stride):
         w0 = block_start - window
-        fit = _fit_window(values[:, w0:block_start], method, lag_lo, lag_hi, p_cap)
+        fit = fit_method(method, TimeSeries(values=values[:, w0:block_start]),
+                         lag_lo, lag_hi, p_cap=p_cap)
         wmean = values[:, w0:block_start].mean(axis=1, keepdims=True)
         ar_models = [yule_walker(fit.factors[i], ar_order)
                      for i in range(fit.p_hat)]

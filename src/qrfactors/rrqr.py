@@ -18,9 +18,8 @@ Four pivoting strategies over one Gram-Schmidt engine:
 
 The orthogonalization is modified Gram-Schmidt with one classical
 reorthogonalization pass per promoted column. Every exchange is followed
-by refactorization of the permuted matrix; the incremental engine below
-produces bit-identical results to a from-scratch refactorization because
-an eliminated column never interacts with its trailing peers.
+by a from-scratch refactorization of the permuted matrix; Q and R are
+never updated in place.
 
 Diagonal entries of R are kept non-negative (they are residual norms).
 A numerically zero pivot deflates: its diagonal entry becomes exactly 0
@@ -420,8 +419,7 @@ def hybrid1(a, p: int, init: Permutation | None = None) -> RrqrResult:
         raise ValueError(f"p must be in [1, {min(k, n)}], got {p}")
     tol = _deflation_tol(mat)
     order = _init_order(mat, p, init, tol)
-    swaps, passes = _hybrid_sweeps(mat, order, p, tol,
-                                   cap=_PASS_CAP_FACTOR * n)
+    _, passes = _hybrid_sweeps(mat, order, p, tol, cap=_PASS_CAP_FACTOR * n)
     return _blocked_result(mat, order, p, passes, tol)
 
 
@@ -440,8 +438,8 @@ def hybrid2(a, p: int, init: Permutation | None = None) -> RrqrResult:
         raise ValueError(f"p must be in [1, {min(k, n) - 1}], got {p}")
     tol = _deflation_tol(mat)
     order = _init_order(mat, p + 1, init, tol)
-    swaps, passes = _hybrid_sweeps(mat, order, p + 1, tol,
-                                   cap=_PASS_CAP_FACTOR * n)
+    _, passes = _hybrid_sweeps(mat, order, p + 1, tol,
+                               cap=_PASS_CAP_FACTOR * n)
     return _blocked_result(mat, order, p, passes, tol)
 
 
@@ -473,12 +471,7 @@ def hybrid3(a, p: int, init: Permutation | None = None) -> RrqrResult:
 
 
 def singular_values(a) -> np.ndarray:
-    """Descending singular values via the smaller Gram matrix's eigenvalues.
-
-    Accurate to about 1e-8 relative to the largest value, which is all the
-    bound checks here need; values whose squares fall below the eigenvalue
-    noise floor come back as small positives or zeros.
-    """
+    """Descending singular values (LAPACK SVD, no singular vectors)."""
     mat = np.asarray(a, dtype=float)
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {mat.shape}")
@@ -486,9 +479,4 @@ def singular_values(a) -> np.ndarray:
         return np.zeros(min(mat.shape))
     if not np.isfinite(mat).all():
         raise ValueError("matrix contains NaN or Inf")
-    if mat.shape[0] <= mat.shape[1]:
-        gram = mat @ mat.T
-    else:
-        gram = mat.T @ mat
-    eigs = np.linalg.eigvalsh((gram + gram.T) / 2.0)
-    return np.sqrt(np.clip(eigs, 0.0, None))[::-1]
+    return np.linalg.svd(mat, compute_uv=False)

@@ -24,9 +24,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.signal import lfilter
 
-from .baselines import evd_spectrum, fit_evd, fit_pca
-from .factor_rrqr import _DEFAULT_RANK_CAP, FactorModelFit, fit_rrqr
-from .forecast_eval import forecast_one_step, rmse, rmse_conventional, yule_walker
+from .factor_rrqr import FactorModelFit
+from .forecast_eval import (fit_method, forecast_one_step, rmse,
+                            rmse_conventional, yule_walker)
 from .tsdata import TimeSeries
 
 _SIM1_AR_COEFF = 0.9
@@ -257,19 +257,6 @@ def _insample_forecast_error(fit: FactorModelFit, ts: TimeSeries) -> float:
     return float(np.linalg.norm(resid, axis=0).mean() / math.sqrt(ts.K))
 
 
-def _fit_method(method: str, ts: TimeSeries, config: SimConfig,
-                p_override: int | None, p_cap: int | None) -> FactorModelFit:
-    if method == "rrqr":
-        return fit_rrqr(ts, config.lag_lo, config.lag_hi,
-                        p_override=p_override, p_cap=p_cap)
-    if method == "evd":
-        return fit_evd(ts, config.lag_lo, config.lag_hi,
-                       p_override=p_override, p_cap=p_cap)
-    if method == "pca":
-        return fit_pca(ts, p_max=p_cap, p_override=p_override)
-    raise ValueError(f"unknown method {method!r}; expected rrqr, evd, or pca")
-
-
 def _run_trial(config: SimConfig, trial: int, methods: tuple[str, ...],
                outputs: frozenset, p_override: int | None,
                p_cap: int | None) -> dict:
@@ -280,7 +267,8 @@ def _run_trial(config: SimConfig, trial: int, methods: tuple[str, ...],
     out: dict = {"trial": trial, "methods": {}, "failures": []}
     for method in methods:
         try:
-            fit = _fit_method(method, ts, config, p_override, p_cap)
+            fit = fit_method(method, ts, config.lag_lo, config.lag_hi,
+                             p_override=p_override, p_cap=p_cap)
             cell: dict = {"p_hat": fit.p_hat}
             if "errors" in outputs:
                 if fit.p_hat == dataset.p == 1:
@@ -288,15 +276,8 @@ def _run_trial(config: SimConfig, trial: int, methods: tuple[str, ...],
                 else:
                     err = subspace_error(fit.q_hat, q_true, "projector")
                 cell["error"] = err
-            if "ratios" in outputs:
-                cap = p_cap if p_cap is not None else min(ts.K - 1,
-                                                          _DEFAULT_RANK_CAP)
-                if method == "rrqr" and fit.scan is not None:
-                    cell["ratios"] = fit.scan.ratios().tolist()
-                elif method == "evd":
-                    spec_ratios = evd_spectrum(
-                        ts, config.lag_lo, config.lag_hi).ratios
-                    cell["ratios"] = spec_ratios[:cap].tolist()
+            if "ratios" in outputs and fit.scan is not None:
+                cell["ratios"] = fit.scan.ratios().tolist()
             if "rmse" in outputs:
                 cell["rmse"] = rmse(fit, dataset.h, dataset.x)
                 cell["rmse_conventional"] = rmse_conventional(

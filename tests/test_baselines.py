@@ -95,6 +95,20 @@ def test_fit_evd_contract():
     assert fit_evd(data.y, p_override=2).p_hat == 2
 
 
+@pytest.mark.parametrize("p_override", [None, 2])
+@pytest.mark.parametrize("p_cap", [None, 4])
+def test_fit_evd_carries_its_ratio_curve(p_override, p_cap):
+    data = gen_sim1(k=12, n=300, seed=108)
+    fit = fit_evd(data.y, 1, 3, p_override=p_override, p_cap=p_cap)
+    cap = 11 if p_cap is None else p_cap
+    spectrum = evd_spectrum(data.y, 1, 3)
+    assert fit.scan.p_cap == cap
+    assert fit.scan.epsilon == 0.0
+    assert_allclose(fit.scan.ratios(), spectrum.ratios[:cap], rtol=0, atol=0)
+    assert fit.scan.p_hat == eigen_ratio_order(spectrum.eigenvalues, cap)
+    assert fit.p_hat == (fit.scan.p_hat if p_override is None else p_override)
+
+
 def test_fit_evd_scale_invariance():
     data = gen_sim1(k=10, n=250, seed=107)
     base = fit_evd(data.y)

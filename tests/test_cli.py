@@ -139,6 +139,16 @@ def test_fit_rank_override(tmp_path):
     assert payload["fit"]["p_hat"] == 3
 
 
+def test_fit_evd_reports_its_ratio_curve(tmp_path):
+    data = _write_panel_csv(tmp_path / "panel.csv", k=6, n=150, seed=12)
+    assert main(["fit", "--data", str(data), "--method", "evd",
+                 "--outdir", str(tmp_path)]) == 0
+    scan = _read_json(tmp_path / "fit_report.json")["fit"]["scan"]
+    assert scan["p_cap"] == 5
+    assert scan["epsilon"] == 0.0
+    assert [c["i"] for c in scan["candidates"]] == [1, 2, 3, 4, 5]
+
+
 def test_fit_pca_accepts_p_max_spelling(tmp_path):
     data = _write_panel_csv(tmp_path / "panel.csv", k=6, n=150, seed=11)
     assert main(["fit", "--data", str(data), "--method", "pca",

@@ -5,11 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qrfactors.factor_rrqr import FactorModelFit, fit_rrqr
-from qrfactors.forecast_eval import (ArModel, forecast_error,
+from qrfactors.forecast_eval import (ArModel, fit_method, forecast_error,
                                      forecast_one_step, rmse,
                                      rmse_conventional, rolling_eval,
                                      yule_walker)
-from qrfactors.simgen import gen_sim1
+from qrfactors.simgen import SimConfig, gen_sim1, monte_carlo
 from qrfactors.tsdata import TimeSeries
 
 from oracles import brute_series_autocov
@@ -228,6 +228,27 @@ def test_rolling_eval_rejects_unknown_method():
     data = gen_sim1(k=5, n=900, seed=210)
     with pytest.raises(ValueError, match="method"):
         rolling_eval(data.y, "arima", window=500, eval_len=400)
+
+
+def test_unknown_method_fails_alike_in_rolling_eval_and_monte_carlo():
+    data = gen_sim1(k=5, n=900, seed=210)
+    with pytest.raises(ValueError) as info:
+        rolling_eval(data.y, "arima", window=500, eval_len=400)
+    assert "unknown method 'arima'" in str(info.value)
+    report = monte_carlo(SimConfig(scenario="sim1", k=5, n=120, seed=211), 1,
+                         methods=("arima",))
+    assert report["failures"] == [
+        {"trial": 0, "method": "arima", "message": str(info.value)}]
+
+
+@pytest.mark.parametrize("method", ["rrqr", "evd", "pca"])
+def test_single_series_needs_a_pinned_rank(method):
+    ts = TimeSeries(np.random.default_rng(212).standard_normal((1, 200)))
+    with pytest.raises(ValueError, match=r"p_override \(qrfactors fit --p"):
+        fit_method(method, ts)
+    fit = fit_method(method, ts, p_override=1)
+    assert fit.p_hat == 1
+    assert fit.q_hat.shape == (1, 1)
 
 
 def test_rolling_eval_constant_series_errors():

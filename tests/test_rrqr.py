@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from qrfactors.rrqr import (Permutation, RrqrIterationError, gs_qr, hybrid1,
-                            hybrid2, hybrid3, qr_cp, singular_values, stewart2)
+from qrfactors.rrqr import (Permutation, QrFactors, RrqrIterationError, gs_qr,
+                            hybrid1, hybrid2, hybrid3, qr_cp, singular_values,
+                            stewart2)
 
 from oracles import (abs_r_diag, interlacing_holds, matrix_with_spectrum,
                      naive_pivot_order, svd2_closed)
@@ -155,6 +156,19 @@ def test_stewart2_rejects_singular_leading_block():
     a = matrix_with_spectrum(rng, 5, 5, [2.0, 1.0])   # rank 2 of 5
     with pytest.raises(ValueError, match="singular"):
         stewart2(gs_qr(a), None, 2)
+
+
+def test_stewart2_rejects_leading_block_singular_below_diagonal():
+    # sigma_8 / sigma_1 = 1e-15 with no tiny diagonal entry in R; the
+    # guard must see the true ratio, not the 1e-8 noise floor of a
+    # Gram-matrix route.
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        a = matrix_with_spectrum(rng, 8, 8, [1.0] * 7 + [1e-15])
+        q, r = np.linalg.qr(a)
+        factors = QrFactors(q=q, r=r, diag=np.abs(np.diagonal(r)))
+        with pytest.raises(ValueError, match="singular"):
+            stewart2(factors, None, 4)
 
 
 def test_stewart2_rank_bounds():
