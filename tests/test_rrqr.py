@@ -76,6 +76,30 @@ def test_qr_cp_matches_naive_refactorizing_pivoter(shape, seed):
                     abs_r_diag(a, want)[:steps], rtol=1e-10)
 
 
+def _duplicated_before_rank():
+    # column 4 repeats column 2, the runner-up behind column 0: the two
+    # tie exactly at step 1, and the copy's residual is round-off after
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((7, 6))
+    a[:, 0] *= 10.0
+    a[:, 2] *= 5.0
+    a[:, 4] = a[:, 2]
+    return a
+
+
+@pytest.mark.parametrize("a,rank,lead", [
+    (np.eye(4), 4, [0, 1, 2, 3]),
+    (np.diag([1.0, 2.0, 2.0, 1.0]), 4, [1, 2, 0, 3]),
+    (_duplicated_before_rank(), 5, [0, 2]),
+], ids=["eye", "diag1221", "duplicated"])
+def test_qr_cp_exact_ties_keep_lowest_index(a, rank, lead):
+    # only the pivots up to the numerical rank are pinned; past it every
+    # residual is round-off
+    order = list(qr_cp(a, rank).perm.order)
+    assert order[:len(lead)] == lead
+    assert order[:rank] == naive_pivot_order(a, rank)[:rank]
+
+
 def test_qr_cp_reconstructs_permuted_matrix():
     rng = np.random.default_rng(21)
     a = rng.standard_normal((6, 9))
