@@ -21,6 +21,9 @@ from .tsdata import TimeSeries, demean
 
 # Default information-criterion search limit for fit_pca.
 _PCA_SEARCH_LIMIT = 40
+# Smallest covariance entry whose square, times machine epsilon, is
+# still a normal float.
+_SQUARE_FLOOR = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -75,13 +78,24 @@ def evd_s_matrix(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2) -> np.ndarray
 
     Equals the Gram matrix of the horizontally stacked lag covariances,
     so its eigenvalues are the squared singular values the pivoted-QR
-    route works from.
+    route works from. The products must stay in float range: the sum must
+    be finite, and the largest squared covariance entry must keep even
+    its eigensolver error (machine epsilon times it) a normal number.
+    Otherwise the panel's scale is the problem, and ValueError says so.
     """
     k = ts.K
     s = np.zeros((k, k))
-    for lag in range(lag_lo, lag_hi + 1):
-        cov = sample_autocov(ts, lag).matrix
-        s += cov @ cov.T
+    top = 0.0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for lag in range(lag_lo, lag_hi + 1):
+            cov = sample_autocov(ts, lag).matrix
+            top = max(top, float(np.abs(cov).max()))
+            s += cov @ cov.T
+    if not np.isfinite(s).all() or 0.0 < top < _SQUARE_FLOOR:
+        raise ValueError(
+            f"lag covariances overflow or underflow when squared (largest "
+            f"entry {top:.3e}); divide the panel by a constant near its scale"
+        )
     return (s + s.T) / 2.0
 
 

@@ -70,5 +70,10 @@ def build_augmented(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 5) -> Augment
             f"lag_hi={lag_hi} too large for N={ts.N} (max {ts.N - 2})"
         )
     blocks = [sample_autocov(ts, l).matrix for l in range(lag_lo, lag_hi + 1)]
-    return AugmentedCov(lag_lo=lag_lo, lag_hi=lag_hi,
-                        matrix=np.hstack(blocks), N=ts.N)
+    matrix = np.hstack(blocks)
+    if not np.isfinite(matrix).all():
+        raise ValueError(
+            "lag autocovariances overflow the float range; divide the panel "
+            "by a constant near its scale"
+        )
+    return AugmentedCov(lag_lo=lag_lo, lag_hi=lag_hi, matrix=matrix, N=ts.N)

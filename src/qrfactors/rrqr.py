@@ -1,10 +1,12 @@
 """Rank-revealing QR kernels.
 
-Four pivoting strategies over one Gram-Schmidt engine:
+Four pivoting strategies over one Householder QR (LAPACK, through
+``scipy.linalg.qr``):
 
 * ``qr_cp``   -- classical column pivoting (Golub): at each step the
   trailing column of largest 2-norm moves to the front of the
-  unprocessed block.
+  unprocessed block. The pivots are LAPACK's ``dgeqp3``
+  (Quintana-Orti, Sun and Bischof).
 * ``stewart2`` -- Stewart's reverse variant: the weakest column of the
   leading triangle, judged by the row norms of its inverse, moves to the
   back, shrinking the block one column per round.
@@ -16,14 +18,15 @@ Four pivoting strategies over one Gram-Schmidt engine:
 * ``hybrid3`` -- repeats hybrid1 then hybrid2 until neither permutes,
   so both families of singular-value bounds hold at once.
 
-The orthogonalization is modified Gram-Schmidt with one classical
-reorthogonalization pass per promoted column. Every exchange is followed
-by a from-scratch refactorization of the permuted matrix; Q and R are
-never updated in place.
+Every exchange is followed by a from-scratch factorization of the
+permuted columns it reads; Q and R are never updated in place.
 
-Diagonal entries of R are kept non-negative (they are residual norms).
-A numerically zero pivot deflates: its diagonal entry becomes exactly 0
-and the Q column is filled with a deterministic orthonormal completion.
+Diagonal entries of R are kept non-negative by flipping the matching
+columns of Q. A pivot at or below the deflation tolerance deflates: its
+diagonal entry becomes exactly 0. Q is orthonormal for any input, so a
+deflated pivot needs no completion. Column norms are taken with
+power-of-two scaling, so the pivot decisions do not change with the
+matrix's scale until its entries near the ends of the float range.
 """
 
 from __future__ import annotations
@@ -31,19 +34,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr, solve_triangular
 
 # A swap happens only when the challenger beats the incumbent by this
 # relative margin; equal-norm columns would otherwise trade places forever.
 _SWAP_RTOL = 1e-12
 # Residual norms at or below _DEFL_RTOL times the largest input column norm
-# are treated as exact rank deficiency: _promote deflates such a pivot, and
-# the hybrid column-pivot exchange reads such a trailing norm as exactly 0,
+# are treated as exact rank deficiency: _qr deflates such a pivot, and the
+# hybrid column-pivot exchange reads such a trailing norm as exactly 0,
 # so round-off past the numerical rank can never win an exchange.
 _DEFL_RTOL = 1e-12
 # Hybrid loops get 10*n full passes before giving up; termination is
 # expected long before that on any float input.
 _PASS_CAP_FACTOR = 10
+# Column norms in this range are safe to take by squaring the entries as
+# they are; others are retaken after an exact power-of-two rescaling.
+_SAFE_NORMS = (2.0 ** -400, 2.0 ** 400)
 
 
 class RrqrIterationError(RuntimeError):
@@ -113,60 +119,48 @@ def _as_matrix(a) -> np.ndarray:
     return mat
 
 
-def _deflation_tol(a: np.ndarray) -> float:
-    colscale = float(np.linalg.norm(a, axis=0).max()) if a.size else 0.0
-    return _DEFL_RTOL * colscale
+def _col_norms(a: np.ndarray) -> np.ndarray:
+    """Column 2-norms whose squares neither overflow nor underflow.
 
-
-def _completion_vector(q: np.ndarray, ncols: int) -> np.ndarray:
-    """Lowest-index standard basis vector orthogonalized against q[:, :ncols].
-
-    Some basis vector always sticks out of a proper subspace by at least
-    1/sqrt(K) in norm, so the 0.5/sqrt(K) cutoff cannot reject all of them.
+    Norms inside _SAFE_NORMS are np.linalg.norm's, bit for bit. Any other
+    column (zero, overflowed or tiny) is scaled by the power of two that
+    brings its largest entry into [0.5, 1), which is exact, and its norm
+    is scaled back after.
     """
-    k = q.shape[0]
-    qprev = q[:, :ncols]
-    cutoff = 0.5 / np.sqrt(k)
-    for idx in range(k):
-        v = np.zeros(k)
-        v[idx] = 1.0
-        if ncols:
-            v -= qprev @ (qprev.T @ v)
-            v -= qprev @ (qprev.T @ v)
-        norm = np.linalg.norm(v)
-        if norm > cutoff:
-            return v / norm
-    raise RuntimeError("orthonormal completion not found")  # pragma: no cover
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a, axis=0)
+    lo, hi = _SAFE_NORMS
+    redo = ~((norms >= lo) & (norms <= hi))
+    if redo.any():
+        cols = a[:, redo]
+        _, exp = np.frexp(np.abs(cols).max(axis=0))
+        norms[redo] = np.ldexp(np.linalg.norm(np.ldexp(cols, -exp), axis=0),
+                               exp)
+    return norms
 
 
-def _promote(q, r, work, i, n, defl_tol):
-    """Turn work column i into q column i (reorthogonalized), eliminate it
-    from the trailing columns, and record row i of R."""
-    v = work[:, i].copy()
-    if i:
-        qprev = q[:, :i]
-        c = qprev.T @ v
-        v -= qprev @ c
-        r[:i, i] += c
-    gamma = np.linalg.norm(v)
-    if gamma <= defl_tol:
-        qcol = _completion_vector(q, i)
-        r[i, i] = 0.0
-    else:
-        qcol = v / gamma
-        r[i, i] = gamma
-    q[:, i] = qcol
-    if i + 1 < n:
-        coef = qcol @ work[:, i + 1:]
-        r[i, i + 1:] = coef
-        work[:, i + 1:] -= np.outer(qcol, coef)
-    work[:, i] = 0.0
+def _deflation_tol(a: np.ndarray) -> float:
+    return _DEFL_RTOL * float(_col_norms(a).max())
 
 
-def _swap(order, work, r, i, j):
-    order[i], order[j] = order[j], order[i]
-    work[:, [i, j]] = work[:, [j, i]]
-    r[:, [i, j]] = r[:, [j, i]]
+def _qr(a, cols, mode, defl_tol):
+    """Householder QR of a[:, cols] as (q, r); q is None in mode "r".
+
+    mode is "full" (K x K Q), "economic" or "r". R's diagonal is made
+    non-negative by flipping the matching rows of R and columns of Q, and
+    diagonal entries at or below defl_tol become exactly 0.
+    """
+    out = qr(a[:, cols], mode=mode, overwrite_a=True, check_finite=False)
+    q = None if mode == "r" else out[0]
+    r = out[-1]
+    sign = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    m = sign.size
+    r[:m] *= sign[:, None]
+    if q is not None:
+        q[:, :m] *= sign
+    idx = np.flatnonzero(np.diagonal(r) <= defl_tol)
+    r[idx, idx] = 0.0
+    return q, r
 
 
 def _pick_challenger(scores: np.ndarray, incumbent: int) -> int:
@@ -188,52 +182,10 @@ def _pick_challenger(scores: np.ndarray, incumbent: int) -> int:
     return j
 
 
-def _factor(a, order, steps, defl_tol, pivot=False, snap=None):
-    """Partial Gram-Schmidt sweep of a[:, order] over the first `steps` columns.
-
-    pivot=True applies the largest-trailing-norm exchange before each
-    promotion (mutating `order` in place). snap=s additionally captures the
-    trailing-column 2-norms right after s eliminations.
-
-    Returns (q, r, work, snap_norms): K x steps orthonormal columns, the
-    first `steps` rows of R in permuted order, the residual matrix after
-    `steps` eliminations, and the requested norm snapshot (or None).
-    """
-    k, n = a.shape
-    work = np.array(a[:, order], dtype=float)
-    q = np.zeros((k, steps))
-    r = np.zeros((steps, n))
-    snap_norms = None
-    for i in range(steps):
-        if snap is not None and i == snap:
-            snap_norms = np.linalg.norm(work[:, snap:], axis=0)
-        if pivot:
-            norms = np.linalg.norm(work[:, i:], axis=0)
-            j = _pick_challenger(norms, 0)
-            if j:
-                _swap(order, work, r, i, i + j)
-        _promote(q, r, work, i, n, defl_tol)
-    if snap is not None and snap == steps:
-        snap_norms = np.linalg.norm(work[:, snap:], axis=0)
-    return q, r, work, snap_norms
-
-
 def _full_factors(a, order, defl_tol) -> QrFactors:
-    """Complete decomposition of a[:, order] with Q padded to K x K."""
-    k, n = a.shape
-    steps = min(k, n)
-    q, r, _, _ = _factor(a, order, steps, defl_tol)
-    if steps < k:
-        qfull = np.zeros((k, k))
-        qfull[:, :steps] = q
-        for extra in range(steps, k):
-            qfull[:, extra] = _completion_vector(qfull, extra)
-        q = qfull
-    if steps < k:
-        rfull = np.zeros((k, n))
-        rfull[:steps] = r
-        r = rfull
-    return QrFactors(q=q, r=r, diag=np.diagonal(r)[:steps].copy())
+    """Complete decomposition of a[:, order] with a K x K Q."""
+    q, r = _qr(a, order, "full", defl_tol)
+    return QrFactors(q=q, r=r, diag=np.diagonal(r))
 
 
 def _inverse_row_norms(r11: np.ndarray) -> np.ndarray:
@@ -246,25 +198,50 @@ def _inverse_row_norms(r11: np.ndarray) -> np.ndarray:
         return out
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         inv_t = solve_triangular(r11, np.eye(b), trans="T", lower=False)
-        norms = np.linalg.norm(inv_t, axis=0)
+        norms = _col_norms(inv_t)
     return np.nan_to_num(norms, nan=np.inf, posinf=np.inf)
+
+
+def _strong_exchange(a, order, boundary, defl_tol) -> bool:
+    """Column-pivot exchange at a block boundary.
+
+    Trailing norms are the residuals of a[:, order[boundary-1:]] after
+    projecting out the first boundary-1 columns. The strongest one moves
+    into position boundary-1 if it beats the column there. Norms at or
+    below defl_tol count as exactly 0, the rule _qr uses to deflate: past
+    the numerical rank every trailing norm is round-off whose ordering
+    changes with each refactorization, and without the rule those values
+    keep trading places and the loop never reaches a fixed point.
+    Returns whether `order` changed.
+    """
+    i = boundary - 1
+    rest = a[:, order[i:]]
+    if i:
+        q, _ = _qr(a, order[:i], "economic", defl_tol)
+        rest = rest - q @ (q.T @ rest)
+    trail = _col_norms(rest)
+    trail[trail <= defl_tol] = 0.0
+    j = _pick_challenger(trail, 0)
+    order[i], order[i + j] = order[i + j], order[i]
+    return j != 0
+
+
+def _weak_exchange(a, order, b, defl_tol) -> bool:
+    """Inverse-row-norm exchange: the weakest column of the leading b x b
+    triangle of a[:, order] moves into position b-1. Returns whether
+    `order` changed."""
+    _, r = _qr(a, order[:b], "r", defl_tol)
+    j = _pick_challenger(_inverse_row_norms(r[:b, :b]), b - 1)
+    order[j], order[b - 1] = order[b - 1], order[j]
+    return j != b - 1
 
 
 def _hybrid_sweeps(a, order, boundary, defl_tol, cap):
     """Drive the two-exchange loop at a fixed block boundary to a fixed point.
 
-    Each pass (a) moves the strongest trailing column into the boundary
-    position if it beats the one there, refactorizing, then (b) moves the
-    weakest leading-block column to the boundary position. Returns
-    (swap count, pass count); `order` is permuted in place.
-
-    Trailing norms at or below defl_tol count as exactly 0 in exchange (a),
-    the rule _promote uses to deflate. Past the numerical rank every
-    trailing norm is round-off whose ordering changes with each
-    refactorization; without the rule those values keep trading places and
-    the loop never reaches a fixed point. With it, a column the engine
-    would deflate cannot win an exchange and an all-zero tail keeps its
-    incumbent. Above the tolerance the comparison is unchanged.
+    Each pass runs the column-pivot exchange, then the inverse-row-norm
+    exchange on the refactorized leading block. Returns (swap count, pass
+    count); `order` is permuted in place.
     """
     swaps = 0
     passes = 0
@@ -274,32 +251,22 @@ def _hybrid_sweeps(a, order, boundary, defl_tol, cap):
             raise RrqrIterationError(
                 f"no fixed point after {cap} passes at boundary {boundary}"
             )
-        changed = False
-        # Column-pivot exchange: trailing norms after boundary-1 eliminations.
-        _, _, _, trail = _factor(a, order, boundary - 1, defl_tol,
-                                 snap=boundary - 1)
-        trail[trail <= defl_tol] = 0.0
-        j = _pick_challenger(trail, 0)
-        if j:
-            i = boundary - 1
-            order[i], order[i + j] = order[i + j], order[i]
-            changed = True
-            swaps += 1
-        # Inverse-row-norm exchange on the refactorized leading block.
-        _, r, _, _ = _factor(a, order, boundary, defl_tol)
-        weak = _inverse_row_norms(r[:boundary, :boundary])
-        j2 = _pick_challenger(weak, boundary - 1)
-        if j2 != boundary - 1:
-            order[j2], order[boundary - 1] = order[boundary - 1], order[j2]
-            changed = True
-            swaps += 1
-        if not changed:
+        moved = (_strong_exchange(a, order, boundary, defl_tol)
+                 + _weak_exchange(a, order, boundary, defl_tol))
+        if not moved:
             return swaps, passes
+        swaps += moved
 
 
-def _qr_cp_order(a, steps, defl_tol) -> list[int]:
+def _qr_cp_order(a, steps) -> list[int]:
+    """The first `steps` pivots of dgeqp3, replayed as swaps on the
+    identity order, so the columns past `steps` sit where a `steps`-step
+    greedy loop leaves them."""
+    _, piv = qr(a, mode="r", pivoting=True, check_finite=False)
     order = list(range(a.shape[1]))
-    _factor(a, order, steps, defl_tol, pivot=True)
+    for i, col in enumerate(piv[:steps]):
+        j = order.index(col)
+        order[i], order[j] = order[j], order[i]
     return order
 
 
@@ -315,9 +282,9 @@ def _blocked_result(a, order, p, passes, defl_tol) -> RrqrResult:
                       r22_max_sv=r22_max, passes=passes)
 
 
-def _init_order(a, p, init, defl_tol) -> list[int]:
+def _init_order(a, p, init) -> list[int]:
     if init is None:
-        return _qr_cp_order(a, p, defl_tol)
+        return _qr_cp_order(a, p)
     if isinstance(init, Permutation):
         order = list(init.order)
     else:
@@ -330,16 +297,32 @@ def _init_order(a, p, init, defl_tol) -> list[int]:
     return order
 
 
+def _hybrid_start(a, p, init, spare, seed):
+    """Checked matrix, starting order, deflation tolerance and pass cap.
+
+    p must leave `spare` columns of the leading triangle past it; without
+    init the order is qr_cp's after `seed` steps.
+    """
+    mat = _as_matrix(a)
+    k, n = mat.shape
+    top = min(k, n) - spare
+    if not 1 <= p <= top:
+        raise ValueError(f"p must be in [1, {top}], got {p}")
+    return (mat, _init_order(mat, seed, init), _deflation_tol(mat),
+            _PASS_CAP_FACTOR * n)
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
 
 def gs_qr(a) -> QrFactors:
-    """Gram-Schmidt QR with one reorthogonalization pass per column.
+    """Unpivoted Householder QR (LAPACK dgeqrf).
 
-    Q is always K x K; rank-deficient inputs deflate (gamma_i = 0) and the
-    missing directions are filled with basis-vector completions, so the
-    block segmentations downstream always see a full orthonormal frame.
+    The name is kept for the API and the CLI's ``--alg gsqr``. Q is always
+    K x K and orthonormal; rank-deficient inputs deflate (gamma_i = 0),
+    so the block segmentations downstream always see a full orthonormal
+    frame.
     """
     mat = _as_matrix(a)
     return _full_factors(mat, list(range(mat.shape[1])), _deflation_tol(mat))
@@ -349,7 +332,11 @@ def qr_cp(a, max_steps: int) -> RrqrResult:
     """QR with column pivoting, run for `max_steps` greedy steps.
 
     At step s the trailing column of largest residual 2-norm is exchanged
-    into position s (ties keep the lowest index) before elimination.
+    into position s before elimination; exact ties keep the lowest
+    index. The pivots come from LAPACK dgeqp3, whose choice between
+    near-ties (within 1e-12 relative) is a strict argmax of its updated
+    norms, as in the naive refactorizing oracle; columns past `max_steps`
+    are left where the greedy loop's swaps put them.
     """
     mat = _as_matrix(a)
     k, n = mat.shape
@@ -357,9 +344,9 @@ def qr_cp(a, max_steps: int) -> RrqrResult:
         raise ValueError(
             f"max_steps must be in [1, {min(k, n)}], got {max_steps}"
         )
-    tol = _deflation_tol(mat)
-    order = _qr_cp_order(mat, max_steps, tol)
-    return _blocked_result(mat, order, max_steps, passes=max_steps, defl_tol=tol)
+    order = _qr_cp_order(mat, max_steps)
+    return _blocked_result(mat, order, max_steps, passes=max_steps,
+                           defl_tol=_deflation_tol(mat))
 
 
 def stewart2(factors: QrFactors, perm: Permutation | None, rank: int
@@ -389,13 +376,8 @@ def stewart2(factors: QrFactors, perm: Permutation | None, rank: int
     permuted = factors.q @ factors.r
     tol = _deflation_tol(permuted)
     order = list(range(n))
-    for s in range(size - rank):
-        b = size - s
-        _, r, _, _ = _factor(permuted, order, b, tol)
-        weak = _inverse_row_norms(r[:b, :b])
-        j = _pick_challenger(weak, b - 1)
-        if j != b - 1:
-            order[j], order[b - 1] = order[b - 1], order[j]
+    for b in range(size, rank, -1):
+        _weak_exchange(permuted, order, b, tol)
     out = _full_factors(permuted, order, tol)
     total = Permutation(tuple(perm.order[t] for t in order))
     return out, total
@@ -413,13 +395,8 @@ def hybrid1(a, p: int, init: Permutation | None = None) -> RrqrResult:
 
     with R11 = R[:p, :p] and R22 = R[p:, p:].
     """
-    mat = _as_matrix(a)
-    k, n = mat.shape
-    if not 1 <= p <= min(k, n):
-        raise ValueError(f"p must be in [1, {min(k, n)}], got {p}")
-    tol = _deflation_tol(mat)
-    order = _init_order(mat, p, init, tol)
-    _, passes = _hybrid_sweeps(mat, order, p, tol, cap=_PASS_CAP_FACTOR * n)
+    mat, order, tol, cap = _hybrid_start(a, p, init, spare=0, seed=p)
+    _, passes = _hybrid_sweeps(mat, order, p, tol, cap)
     return _blocked_result(mat, order, p, passes, tol)
 
 
@@ -432,14 +409,8 @@ def hybrid2(a, p: int, init: Permutation | None = None) -> RrqrResult:
         sigma_max(R22) <= sigma_{p+1}(A) * sqrt((p+1)(n-p))
         sigma_min(R11) >= sigma_max(R22) / sqrt((p+1)(n-p))
     """
-    mat = _as_matrix(a)
-    k, n = mat.shape
-    if not 1 <= p <= min(k, n) - 1:
-        raise ValueError(f"p must be in [1, {min(k, n) - 1}], got {p}")
-    tol = _deflation_tol(mat)
-    order = _init_order(mat, p + 1, init, tol)
-    _, passes = _hybrid_sweeps(mat, order, p + 1, tol,
-                               cap=_PASS_CAP_FACTOR * n)
+    mat, order, tol, cap = _hybrid_start(a, p, init, spare=1, seed=p + 1)
+    _, passes = _hybrid_sweeps(mat, order, p + 1, tol, cap)
     return _blocked_result(mat, order, p, passes, tol)
 
 
@@ -451,13 +422,7 @@ def hybrid3(a, p: int, init: Permutation | None = None) -> RrqrResult:
         sigma_max(R22) <= sigma_{p+1}(A) * sqrt((p+1)(n-p))
         sigma_min(R11) >= sigma_p(A) / sqrt(p(n-p+1))
     """
-    mat = _as_matrix(a)
-    k, n = mat.shape
-    if not 1 <= p <= min(k, n) - 1:
-        raise ValueError(f"p must be in [1, {min(k, n) - 1}], got {p}")
-    tol = _deflation_tol(mat)
-    order = _init_order(mat, p, init, tol)
-    cap = _PASS_CAP_FACTOR * n
+    mat, order, tol, cap = _hybrid_start(a, p, init, spare=1, seed=p)
     total_passes = 0
     for _ in range(cap):
         s1, p1 = _hybrid_sweeps(mat, order, p, tol, cap)

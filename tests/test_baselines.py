@@ -118,6 +118,16 @@ def test_fit_evd_scale_invariance():
         assert_allclose(scaled.q_hat, base.q_hat, atol=1e-8)
 
 
+@pytest.mark.parametrize("k,n", [(20, 200), (180, 500)])
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_fit_evd_rejects_out_of_range_scales(k, n, scale):
+    # the lag covariances squared under- or overflow; an arbitrary
+    # loading or a LAPACK convergence error would hide that
+    ts = TimeSeries(scale * gen_sim1(k=k, n=n, seed=0).y.values)
+    with pytest.raises(ValueError, match="divide the panel by a constant"):
+        fit_evd(ts, lag_lo=1, lag_hi=5)
+
+
 # ------------------------------------------------------------------
 # information-criterion PCA
 

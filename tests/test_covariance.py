@@ -75,3 +75,10 @@ def test_augmented_lag_range_rejected(lo, hi):
     ts = TimeSeries(np.random.default_rng(3).standard_normal((2, 12)))
     with pytest.raises(ValueError):
         build_augmented(ts, lag_lo=lo, lag_hi=hi)
+
+
+def test_augmented_overflow_says_to_rescale():
+    ts = TimeSeries(1e160 * np.random.default_rng(4).standard_normal((3, 40)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="divide the panel"):
+            build_augmented(ts, lag_lo=1, lag_hi=2)

@@ -150,6 +150,15 @@ def test_fit_is_deterministic():
     assert one.p_hat == two.p_hat
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_fit_is_scale_invariant_at_extreme_scales(scale):
+    data = gen_sim1(k=20, n=200, seed=0)
+    base = fit_rrqr(data.y, lag_lo=1, lag_hi=5)
+    fit = fit_rrqr(TimeSeries(scale * data.y.values), lag_lo=1, lag_hi=5)
+    assert fit.p_hat == base.p_hat
+    assert subspace_error(fit.q_hat, base.q_hat) <= 1e-10
+
+
 def test_fit_result_arrays_are_frozen():
     data = gen_sim1(k=8, n=200, seed=86)
     fit = fit_rrqr(data.y)

@@ -19,7 +19,7 @@ def _ortho_defect(q):
 
 
 # ------------------------------------------------------------------
-# plain Gram-Schmidt
+# unpivoted QR
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -41,7 +41,7 @@ def test_gs_qr_deflates_rank_deficient_columns():
     a = matrix_with_spectrum(rng, 5, 7, [3.0, 1.0])   # exact rank 2
     out = gs_qr(a)
     assert_array_equal(out.diag[2:], 0.0)
-    assert _ortho_defect(out.q) <= 1e-10     # completion keeps the frame
+    assert _ortho_defect(out.q) <= 1e-10     # Q stays a full frame
     assert np.linalg.norm(a - out.q @ out.r) <= 1e-10 * np.linalg.norm(a)
 
 
