@@ -47,9 +47,6 @@ _DEFL_RTOL = 1e-12
 # Hybrid loops get 10*n full passes before giving up; termination is
 # expected long before that on any float input.
 _PASS_CAP_FACTOR = 10
-# Column norms in this range are safe to take by squaring the entries as
-# they are; others are retaken after an exact power-of-two rescaling.
-_SAFE_NORMS = (2.0 ** -400, 2.0 ** 400)
 
 
 class RrqrIterationError(RuntimeError):
@@ -122,21 +119,12 @@ def _as_matrix(a) -> np.ndarray:
 def _col_norms(a: np.ndarray) -> np.ndarray:
     """Column 2-norms whose squares neither overflow nor underflow.
 
-    Norms inside _SAFE_NORMS are np.linalg.norm's, bit for bit. Any other
-    column (zero, overflowed or tiny) is scaled by the power of two that
-    brings its largest entry into [0.5, 1), which is exact, and its norm
-    is scaled back after.
+    Each column is scaled by the power of two that brings its largest
+    entry into [0.5, 1) and its norm is scaled back after. Both scalings
+    are exact, so in-range norms are np.linalg.norm's bit for bit.
     """
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(a, axis=0)
-    lo, hi = _SAFE_NORMS
-    redo = ~((norms >= lo) & (norms <= hi))
-    if redo.any():
-        cols = a[:, redo]
-        _, exp = np.frexp(np.abs(cols).max(axis=0))
-        norms[redo] = np.ldexp(np.linalg.norm(np.ldexp(cols, -exp), axis=0),
-                               exp)
-    return norms
+    _, exp = np.frexp(np.abs(a).max(axis=0))
+    return np.ldexp(np.linalg.norm(np.ldexp(a, -exp), axis=0), exp)
 
 
 def _deflation_tol(a: np.ndarray) -> float:

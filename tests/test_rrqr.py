@@ -329,6 +329,17 @@ def test_hybrid_terminates_with_boundary_past_exact_rank(variant):
             assert res.r22_max_sv <= 1e-10 * top, (seed, fn.__name__, p)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_pivots_do_not_depend_on_scale(scale):
+    # column norms are taken with power-of-two scaling, so squaring the
+    # entries can neither overflow nor underflow
+    for seed in range(5):
+        a = np.random.default_rng(seed).standard_normal((8, 16))
+        for fn, p in ((qr_cp, 8), (hybrid1, 4), (hybrid2, 4), (hybrid3, 4)):
+            assert fn(a * scale, p).perm.order == fn(a, p).perm.order, \
+                (seed, fn.__name__)
+
+
 def test_hybrid_runs_are_deterministic():
     rng = np.random.default_rng(47)
     a = rng.standard_normal((7, 10))

@@ -1,8 +1,8 @@
 """Property tests for the pivoted-QR kernels on awkward inputs.
 
 Inputs have exact rank deficiency, duplicated (exactly tied) columns,
-orthogonal columns of equal norm, zero columns, and scales of 1e-150,
-1 and 1e150. Every kernel must return, reproduce its permuted input,
+orthogonal columns of equal norm, zero columns, and scales from 1e-200
+to 1e200. Every kernel must return, reproduce its permuted input,
 keep Q orthonormal and R's diagonal non-negative, and leave no more
 nonzero pivots on that diagonal than the input has rank: a pivoted
 kernel's leading pivots up to the rank are positive and every later
@@ -18,22 +18,26 @@ from qrfactors.rrqr import gs_qr, hybrid1, hybrid2, hybrid3, qr_cp, stewart2
 # Deterministic and bounded, so the suite's run time barely moves.
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                      database=None)
-_SCALES = [1e-150, 1.0, 1e150]
+_SCALES = [1e-200, 1e-150, 1.0, 1e150, 1e200]
 
 
 @st.composite
-def awkward(draw, full_rank=False):
-    """(matrix, rank): a K x n matrix and its exact rank."""
+def awkward(draw, full_rank=False, deficient=False):
+    """(matrix, rank): a K x n matrix and its exact rank.
+
+    full_rank keeps the rank at min(K, n); deficient keeps it below.
+    """
     k = draw(st.integers(2, 7))
     n = draw(st.integers(2, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    if not deficient and draw(st.booleans()):
         # orthogonal columns of one norm: every pivot choice is a tie
         a = np.zeros((k, n))
         cols = rng.permutation(n)[:min(k, n)]
         a[np.arange(cols.size), cols] = 3.0
     else:
-        r = min(k, n) if full_rank else draw(st.integers(1, min(k, n)))
+        top = min(k, n) - 1 if deficient else min(k, n)
+        r = min(k, n) if full_rank else draw(st.integers(1, top))
         a = rng.standard_normal((k, r)) @ rng.standard_normal((r, n))
     if not full_rank:
         if draw(st.booleans()):
@@ -122,12 +126,11 @@ def test_stewart2_properties(case, data):
 
 
 @_SETTINGS
-@given(awkward())
+@given(awkward(deficient=True))
 def test_stewart2_rejects_rank_deficient_triangles(case):
     a, rank = case
+    assert rank < min(a.shape)
     factors = gs_qr(a)
-    if rank == min(a.shape):
-        return
     try:
         stewart2(factors, None, 1)
     except ValueError as err:
