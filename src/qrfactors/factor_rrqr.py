@@ -4,8 +4,10 @@ The estimator treats the horizontal stack of lag-autocovariance matrices
 as a noisy low-rank matrix: its numerical rank is the number of latent
 factors, and the orthonormal basis of its pivoted column space is the
 loading matrix. Rank is read off a ratio curve over the R diagonal of
-hybrid rank-revealing decompositions; the loading basis comes from a
-hybrid decomposition at the chosen rank.
+hybrid rank-revealing decompositions, one per candidate rank, each
+warm-started from the previous one; the scan builds only R for each, not
+its orthonormal factor or block singular values. The loading basis comes
+from a full hybrid decomposition at the chosen rank.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import AugmentedCov, build_augmented
-from .rrqr import Permutation, _as_matrix, hybrid1, hybrid3
+from .rrqr import _as_matrix, _scan_orders, hybrid1
+# bench/reference.py patches factor_rrqr.hybrid3 to count the scan's passes;
+# the scan no longer calls it, but the name stays until that script changes.
+from .rrqr import hybrid3  # noqa: F401
 from .tsdata import TimeSeries, demean
 
 # Widest rank scanned when the caller does not say; generous for factor
@@ -58,14 +63,17 @@ class ModelOrderScan:
     epsilon pads both numerator and denominator so that ratios of
     noise-floor diagonals stay near 1 instead of blowing up; it is the
     leading diagonal entry scaled by 1/sqrt(K*N), evaluated once on the
-    rank-1 decomposition and reused for every candidate. The EVD
-    fitter's eigenvalue-ratio curve uses the same record with epsilon 0.
+    rank-1 decomposition and reused for every candidate. passes holds
+    the hybrid sweep passes spent at each candidate rank. The EVD
+    fitter's eigenvalue-ratio curve uses the same record with epsilon 0
+    and no passes.
     """
 
     candidates: tuple[RankCandidate, ...]
     epsilon: float
     p_hat: int
     p_cap: int
+    passes: tuple[int, ...] = ()
 
     def ratios(self) -> np.ndarray:
         return np.array([c.ratio for c in self.candidates])
@@ -103,21 +111,16 @@ class FactorModelFit:
         object.__setattr__(self, "factors", f)
 
 
-def _scan_matrix(m_tilde) -> np.ndarray:
-    if isinstance(m_tilde, AugmentedCov):
-        return np.asarray(m_tilde.matrix, dtype=float)
-    return _as_matrix(m_tilde)
-
-
 def scan_model_order(m_tilde, p_cap: int | None = None, n: int | None = None,
                      k: int | None = None) -> ModelOrderScan:
     """Estimate numerical rank from the ratio curve of R diagonals.
 
-    For each candidate rank i in 1..p_cap a hybrid decomposition blocked
+    For every candidate rank i in 1..p_cap a hybrid decomposition blocked
     at i is computed, each seeded with the previous candidate's
-    permutation so the swap loops start near their fixed point. The i-th
-    and (i+1)-th diagonal entries gamma_i, gamma_{i+1} of that
-    decomposition feed the ratio
+    permutation so the swap loops start at a fixed point of one of their
+    two boundaries (rrqr._scan_orders). The i-th and (i+1)-th diagonal
+    entries gamma_i, gamma_{i+1} of that decomposition, read from an
+    R-only QR, feed the ratio
 
         r_i = (gamma_i + eps) / (gamma_{i+1} + eps)
 
@@ -137,7 +140,8 @@ def scan_model_order(m_tilde, p_cap: int | None = None, n: int | None = None,
     k : int, optional
         Series count; defaults to the row count.
     """
-    mat = _scan_matrix(m_tilde)
+    mat = _as_matrix(m_tilde.matrix if isinstance(m_tilde, AugmentedCov)
+                     else m_tilde)
     rows, cols = mat.shape
     if k is None:
         k = m_tilde.K if isinstance(m_tilde, AugmentedCov) else rows
@@ -150,25 +154,18 @@ def scan_model_order(m_tilde, p_cap: int | None = None, n: int | None = None,
         raise ValueError(
             f"p_cap must be in [1, {min(rows, cols) - 1}], got {p_cap}"
         )
-    perm: Permutation | None = None
-    epsilon = 0.0
-    candidates = []
-    for i in range(1, p_cap + 1):
-        res = hybrid3(mat, i, init=perm)
-        perm = res.perm
-        diag = res.factors.diag
-        if i == 1:
-            if diag[0] <= 0.0:
-                raise ValueError("matrix is numerically zero; no rank to reveal")
-            epsilon = float(diag[0]) / math.sqrt(k * n)
-        gamma = float(diag[i - 1])
-        gamma_next = float(diag[i])
-        ratio = (gamma + epsilon) / (gamma_next + epsilon)
-        candidates.append(RankCandidate(index=i, gamma=gamma,
-                                        gamma_next=gamma_next, ratio=ratio))
+    per_rank = _scan_orders(mat, p_cap)
+    if per_rank[0][0] <= 0.0:
+        raise ValueError("matrix is numerically zero; no rank to reveal")
+    epsilon = per_rank[0][0] / math.sqrt(k * n)
+    candidates = tuple(
+        RankCandidate(index=i, gamma=gamma, gamma_next=gamma_next,
+                      ratio=(gamma + epsilon) / (gamma_next + epsilon))
+        for i, (gamma, gamma_next, _) in enumerate(per_rank, start=1))
     best = int(np.argmax([c.ratio for c in candidates]))
-    return ModelOrderScan(candidates=tuple(candidates), epsilon=epsilon,
-                          p_hat=best + 1, p_cap=p_cap)
+    return ModelOrderScan(candidates=candidates, epsilon=epsilon,
+                          p_hat=best + 1, p_cap=p_cap,
+                          passes=tuple(passes for *_, passes in per_rank))
 
 
 def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,

@@ -16,7 +16,15 @@ Four pivoting strategies over one Householder QR (LAPACK, through
   style hybrid). hybrid2 runs the same loop one column further out, so
   hybrid2 at rank p is hybrid1 at rank p+1.
 * ``hybrid3`` -- repeats hybrid1 then hybrid2 until neither permutes,
-  so both families of singular-value bounds hold at once.
+  so both families of singular-value bounds hold at once. A sweep at a
+  boundary where the order is already known to be a fixed point is
+  skipped, since it could only cost a pass.
+
+The rank scan (``_scan_orders``) runs hybrid3's loop at ranks 1, 2, ...,
+each warm-started from the previous rank's order, and reads the two
+diagonal entries of R it needs from an R-only QR; the full frame (K x K
+Q and block singular values) is built only for a result a caller
+receives.
 
 Every exchange is followed by a from-scratch factorization of the
 permuted columns it reads; Q and R are never updated in place.
@@ -121,10 +129,13 @@ def _col_norms(a: np.ndarray) -> np.ndarray:
 
     Each column is scaled by the power of two that brings its largest
     entry into [0.5, 1) and its norm is scaled back after. Both scalings
-    are exact, so in-range norms are np.linalg.norm's bit for bit.
+    are exact and the squares are summed down each column as
+    np.linalg.norm sums them, so in-range norms are its bit for bit.
     """
     _, exp = np.frexp(np.abs(a).max(axis=0))
-    return np.ldexp(np.linalg.norm(np.ldexp(a, -exp), axis=0), exp)
+    scaled = np.ldexp(a, -exp)
+    scaled *= scaled
+    return np.ldexp(np.sqrt(np.add.reduce(scaled, axis=0)), exp)
 
 
 def _deflation_tol(a: np.ndarray) -> float:
@@ -206,7 +217,11 @@ def _strong_exchange(a, order, boundary, defl_tol) -> bool:
     rest = a[:, order[i:]]
     if i:
         q, _ = _qr(a, order[:i], "economic", defl_tol)
-        rest = rest - q @ (q.T @ rest)
+        # The gather above is column-major and the projection row-major;
+        # subtracting from a row-major gather keeps the difference's
+        # values and layout without a strided pass over both.
+        proj = q @ (q.T @ rest)
+        rest = np.subtract(a.take(order[i:], axis=1), proj, out=proj)
     trail = _col_norms(rest)
     trail[trail <= defl_tol] = 0.0
     j = _pick_challenger(trail, 0)
@@ -244,6 +259,40 @@ def _hybrid_sweeps(a, order, boundary, defl_tol, cap):
         if not moved:
             return swaps, passes
         swaps += moved
+
+
+def _fixed_point(a, order, p, defl_tol, cap, fixed_at_p=False) -> int:
+    """Alternate hybrid sweeps at boundaries p and p+1 until neither permutes.
+
+    A sweep ends at a fixed point of its boundary. No sweep runs at a
+    boundary where `order` is already known to be fixed, since it could
+    only cost a pass: at p when fixed_at_p, at the other boundary after a
+    sweep that made no swap, and at p after a sweep at p+1 that left the
+    first p columns in place. Boundary p's exchanges read only those
+    columns and the set of the columns behind them, each column's norm
+    being computed alike wherever it sits. Every order visited is one the
+    plain alternation visits, so the final order is the same. Returns the
+    pass count; `order` is permuted in place.
+    """
+    boundary = p + 1 if fixed_at_p else p
+    other_fixed = fixed_at_p
+    passes = 0
+    for _ in range(2 * cap):
+        head = order[:p]
+        try:
+            swaps, used = _hybrid_sweeps(a, order, boundary, defl_tol, cap)
+        except RrqrIterationError:
+            passes += cap
+            break
+        passes += used
+        if other_fixed and (not swaps or (boundary > p and order[:p] == head)):
+            return passes
+        other_fixed = True
+        boundary = 2 * p + 1 - boundary
+    raise RrqrIterationError(
+        f"no fixed point at rank {p} (boundaries {p} and {p + 1}) after "
+        f"{passes} passes, the last sweep at boundary {boundary}"
+    )
 
 
 def _qr_cp_order(a, steps) -> list[int]:
@@ -298,6 +347,30 @@ def _hybrid_start(a, p, init, spare, seed):
         raise ValueError(f"p must be in [1, {top}], got {p}")
     return (mat, _init_order(mat, seed, init), _deflation_tol(mat),
             _PASS_CAP_FACTOR * n)
+
+
+def _scan_orders(mat, p_cap) -> list[tuple[float, float, int]]:
+    """The rank scan's hybrid3 runs at ranks 1..p_cap, each warm-started.
+
+    Rank 1 starts from qr_cp's first pivot, as hybrid3(mat, 1) does; rank
+    i from rank i-1's final order, which is already a fixed point at
+    boundary i, so its loop opens at boundary i+1. gamma_i and gamma_{i+1}
+    come from an R-only QR, so no Q and no singular value is built. It
+    spans every column although gamma_{i+1} depends only on the first
+    i+1: LAPACK's blocking and the BLAS kernels round a column differently
+    at another matrix width, and the full width keeps gamma bit for bit
+    that of the full decomposition. mat must already be checked
+    (_as_matrix). Returns (gamma_i, gamma_{i+1}, passes) per rank.
+    """
+    tol = _deflation_tol(mat)
+    cap = _PASS_CAP_FACTOR * mat.shape[1]
+    order = _qr_cp_order(mat, 1)
+    rows = []
+    for i in range(1, p_cap + 1):
+        passes = _fixed_point(mat, order, i, tol, cap, fixed_at_p=i > 1)
+        _, r = _qr(mat, order, "r", tol)
+        rows.append((float(r[i - 1, i - 1]), float(r[i, i]), passes))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -409,18 +482,17 @@ def hybrid3(a, p: int, init: Permutation | None = None) -> RrqrResult:
 
         sigma_max(R22) <= sigma_{p+1}(A) * sqrt((p+1)(n-p))
         sigma_min(R11) >= sigma_p(A) / sqrt(p(n-p+1))
+
+    No sweep runs whose outcome is already known: the loop stops at the
+    first zero-swap sweep after a sweep at the other boundary, and after
+    a sweep at p+1 that left the first p columns in place (boundary p
+    then still holds). `passes` counts only the sweeps run, so it can be
+    lower than a loop confirming both boundaries in a last round; the
+    permutation and factors are the same.
     """
     mat, order, tol, cap = _hybrid_start(a, p, init, spare=1, seed=p)
-    total_passes = 0
-    for _ in range(cap):
-        s1, p1 = _hybrid_sweeps(mat, order, p, tol, cap)
-        s2, p2 = _hybrid_sweeps(mat, order, p + 1, tol, cap)
-        total_passes += p1 + p2
-        if s1 == 0 and s2 == 0:
-            return _blocked_result(mat, order, p, total_passes, tol)
-    raise RrqrIterationError(
-        f"hybrid3 made {cap} rounds at rank {p} without converging"
-    )
+    passes = _fixed_point(mat, order, p, tol, cap)
+    return _blocked_result(mat, order, p, passes, tol)
 
 
 def singular_values(a) -> np.ndarray:

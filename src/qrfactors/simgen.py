@@ -17,9 +17,12 @@ numpy's default PCG64 generator is the named RNG.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from multiprocessing import get_context
 
 import numpy as np
 from scipy.signal import lfilter
@@ -34,6 +37,9 @@ _SIM1_NOISE_STD = 2.0
 _SIM1_BURN_IN = 1000
 _LOADING_HALF_WIDTH = 4.0  # loadings are U(-4, 4)
 _FE_AR_ORDER = 10
+# Read by the BLAS libraries numpy may load, once, when they load.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -294,6 +300,31 @@ def _mc_worker(args) -> dict:
     return _run_trial(*args)
 
 
+@contextmanager
+def _single_thread_blas_pool(workers: int):
+    """Process pool whose workers each run BLAS on one thread.
+
+    Workers are spawned, not forked, so each starts a fresh interpreter
+    that loads BLAS under the environment it inherits; the thread
+    variables are set to 1 for the pool's lifetime and restored after.
+    The parent's BLAS is loaded already and keeps its threads. Without
+    this every worker starts BLAS's default thread count and the workers
+    oversubscribe the cores.
+    """
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def _aggregate(trial_rows: list[dict], methods: tuple[str, ...],
                outputs: frozenset) -> dict:
     report: dict = {"per_method": {}, "failures": []}
@@ -345,9 +376,10 @@ def monte_carlo(config: SimConfig, trials: int,
     (mean one-step factor-forecast error). Individual trial failures are
     recorded in the report, not raised.
 
-    threads > 1 distributes trials across processes; aggregation always
-    happens in trial order, so the report does not depend on the worker
-    count.
+    threads > 1 distributes trials across that many worker processes,
+    each with single-threaded BLAS (_single_thread_blas_pool); aggregation
+    always happens in trial order, so the report does not depend on the
+    worker count.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -359,7 +391,7 @@ def monte_carlo(config: SimConfig, trials: int,
     jobs = [(config, t, methods, outputs, p_override, p_cap)
             for t in range(trials)]
     if threads is not None and threads > 1 and trials > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with _single_thread_blas_pool(threads) as pool:
             rows = list(pool.map(_mc_worker, jobs, chunksize=max(1, trials // (4 * threads))))
     else:
         rows = [_run_trial(*job) for job in jobs]

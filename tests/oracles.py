@@ -1,13 +1,16 @@
 """Hand-rolled reference implementations the tests trust.
 
 Everything here is deliberately naive: scalar double loops, full
-refactorization after every pivot step, closed forms. The package is
-checked against these, never the other way around.
+refactorization after every pivot step, closed forms, and loops the
+package has since replaced, kept as they were. The package is checked
+against these, never the other way around.
 """
 
 import math
 
 import numpy as np
+
+from qrfactors import rrqr
 
 
 def brute_autocov(values, lag):
@@ -131,3 +134,41 @@ def matrix_with_spectrum(rng, rows, cols, spectrum):
     u = random_orthonormal(rng, rows, min(rows, spectrum.size))
     v = random_orthonormal(rng, cols, min(cols, spectrum.size))
     return (u * spectrum[: u.shape[1]]) @ v.T
+
+
+def old_hybrid3(a, p, init=None):
+    """hybrid3 as it was before it skipped no-op sweeps: hybrid1's and
+    hybrid2's sweeps alternate in rounds until a whole round makes no
+    swap, each round counting its passes."""
+    mat, order, tol, cap = rrqr._hybrid_start(a, p, init, spare=1, seed=p)
+    passes = 0
+    for _ in range(cap):
+        s1, p1 = rrqr._hybrid_sweeps(mat, order, p, tol, cap)
+        s2, p2 = rrqr._hybrid_sweeps(mat, order, p + 1, tol, cap)
+        passes += p1 + p2
+        if s1 == 0 and s2 == 0:
+            return rrqr._blocked_result(mat, order, p, passes, tol)
+    raise rrqr.RrqrIterationError(f"old hybrid3 made {cap} rounds at rank {p}")
+
+
+def old_scan(mat, p_cap, n, k=None):
+    """The rank scan as it was: old_hybrid3 once per rank, seeded with the
+    previous rank's permutation, ratios read off the full R diagonal.
+
+    Returns (p_hat, epsilon, ratios, summed hybrid3 passes).
+    """
+    k = mat.shape[0] if k is None else k
+    perm = None
+    epsilon = 0.0
+    ratios = []
+    passes = 0
+    for i in range(1, p_cap + 1):
+        res = old_hybrid3(mat, i, init=perm)
+        perm = res.perm
+        passes += res.passes
+        diag = res.factors.diag
+        if i == 1:
+            epsilon = float(diag[0]) / math.sqrt(k * n)
+        ratios.append((float(diag[i - 1]) + epsilon)
+                      / (float(diag[i]) + epsilon))
+    return int(np.argmax(ratios)) + 1, epsilon, np.array(ratios), passes

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from qrfactors import rrqr
 from qrfactors.covariance import build_augmented
 from qrfactors.factor_rrqr import FactorModelFit, fit_rrqr, scan_model_order
-from qrfactors.simgen import gen_sim1, subspace_error
+from qrfactors.rrqr import RrqrIterationError, hybrid3
+from qrfactors.simgen import SimConfig, gen_sim1, gen_sim2, subspace_error
 from qrfactors.tsdata import TimeSeries, demean
 
-from oracles import matrix_with_spectrum, random_orthonormal
+from oracles import matrix_with_spectrum, old_scan, random_orthonormal
 
 
 def test_diag_18_5_08_worked_example():
@@ -47,17 +49,25 @@ def test_scan_exact_rank_one():
     assert scan.candidates[0].ratio > 50.0
 
 
-def test_scan_finds_planted_rank_across_spectra():
+_PLANTED_N = 20_000
+
+
+def _planted_rank_spectra():
     # one dominant gap after p, tail below the ratio floor
     rng = np.random.default_rng(72)
-    k, cols, n = 8, 16, 20_000
+    k, cols, n = 8, 16, _PLANTED_N
     for trial in range(30):
         p = int(rng.integers(1, 4))
         lead = np.sort(rng.uniform(1.0, 2.0, size=p))[::-1]
         tail_scale = lead[0] / (2.0 * math.sqrt(k * n))
         tail = rng.uniform(0.2, 1.0, size=5 - p) * tail_scale
         m = matrix_with_spectrum(rng, k, cols, np.concatenate([lead, tail]))
-        scan = scan_model_order(m, p_cap=5, n=n)
+        yield trial, p, m
+
+
+def test_scan_finds_planted_rank_across_spectra():
+    for trial, p, m in _planted_rank_spectra():
+        scan = scan_model_order(m, p_cap=5, n=_PLANTED_N)
         assert scan.p_hat == p, f"trial {trial}: expected {p}, got {scan.p_hat}"
 
 
@@ -84,6 +94,70 @@ def test_scan_p_cap_bounds():
         scan_model_order(m, p_cap=0, n=100)
     with pytest.raises(ValueError, match="p_cap"):
         scan_model_order(m, p_cap=3, n=100)   # needs gamma_{p+1}
+
+
+def _assert_scan_matches_old_loop(mat, p_cap, n):
+    """The scan against the old loop: hybrid3 per rank, full R diagonal.
+
+    The permutations are the same and the R-only QR spans the same
+    columns as the full decomposition, so the ratios agree bit for bit.
+    """
+    scan = scan_model_order(mat, p_cap=p_cap, n=n)
+    p_hat, epsilon, ratios, old_passes = old_scan(mat, p_cap, n)
+    assert scan.p_hat == p_hat
+    assert scan.epsilon == epsilon
+    assert_array_equal(scan.ratios(), ratios)
+    assert len(scan.passes) == p_cap and min(scan.passes) >= 1
+    return scan, old_passes
+
+
+def _scan_panel(kind, seed):
+    if kind == "sim1":
+        return gen_sim1(k=20, n=200, seed=seed).y
+    if kind == "sim2 hurst":
+        return gen_sim2(SimConfig(scenario="sim2", k=30, n=200, seed=seed,
+                                  noise_kind="hurst")).y
+    return _noiseless_two_factor(seed, k=20, n=200)[0]
+
+
+@pytest.mark.parametrize("kind", ["sim1", "sim2 hurst", "exact rank"])
+def test_scan_matches_old_loop(kind):
+    for seed in range(5):
+        aug = build_augmented(_scan_panel(kind, seed), lag_lo=1, lag_hi=5)
+        _assert_scan_matches_old_loop(np.asarray(aug.matrix), 10, aug.N)
+
+
+def test_scan_matches_old_loop_on_planted_spectra():
+    for _, _, m in _planted_rank_spectra():
+        _assert_scan_matches_old_loop(m, 5, _PLANTED_N)
+
+
+def test_scan_spends_fewer_passes_than_old_loop():
+    # the paper's largest cell: K=180, N=500, lags 1..5, default cap
+    aug = build_augmented(gen_sim1(k=180, n=500, seed=0).y, lag_lo=1,
+                          lag_hi=5)
+    scan, old_passes = _assert_scan_matches_old_loop(
+        np.asarray(aug.matrix), 15, aug.N)
+    assert sum(scan.passes) < old_passes
+
+
+def test_scan_iteration_error_names_rank_boundaries_and_passes(monkeypatch):
+    # an exchange that keeps claiming a swap at boundary 3 never settles;
+    # the 4x4 matrix gets 10 * 4 passes a sweep
+    real = rrqr._strong_exchange
+
+    def stuck(a, order, boundary, defl_tol):
+        return boundary == 3 or real(a, order, boundary, defl_tol)
+
+    monkeypatch.setattr(rrqr, "_strong_exchange", stuck)
+    m = np.diag([4.0, 2.0, 1.0, 0.5])
+    want = (r"rank 2 \(boundaries 2 and 3\) after 40 passes, "
+            r"the last sweep at boundary 3")
+    with pytest.raises(RrqrIterationError, match=want):
+        scan_model_order(m, p_cap=3, n=100)
+    # hybrid3 sweeps boundary 2 first (one pass) before getting stuck
+    with pytest.raises(RrqrIterationError, match=want.replace("40", "41")):
+        hybrid3(m, 2)
 
 
 # ------------------------------------------------------------------

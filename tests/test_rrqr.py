@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from qrfactors import rrqr
 from qrfactors.rrqr import (Permutation, QrFactors, RrqrIterationError, gs_qr,
                             hybrid1, hybrid2, hybrid3, qr_cp, singular_values,
                             stewart2)
 
 from oracles import (abs_r_diag, interlacing_holds, matrix_with_spectrum,
-                     naive_pivot_order, svd2_closed)
+                     naive_pivot_order, old_hybrid3, svd2_closed)
 
 SHAPES = [(9, 4), (6, 6), (4, 10), (5, 8)]
 
@@ -327,6 +328,48 @@ def test_hybrid_terminates_with_boundary_past_exact_rank(variant):
             assert np.linalg.norm(permuted - res.factors.q @ res.factors.r) \
                 <= 1e-10 * np.linalg.norm(a), (seed, fn.__name__, p)
             assert res.r22_max_sv <= 1e-10 * top, (seed, fn.__name__, p)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_col_norms_match_numpy_bit_for_bit(layout):
+    # in range, the power-of-two scaling and the in-place squaring change
+    # no bit of np.linalg.norm's result, in either memory layout
+    rng = np.random.default_rng(48)
+    a = rng.standard_normal((37, 50)) * np.logspace(-100, 100, 50)
+    a[:, 7] = 0.0
+    a = np.asarray(a, order=layout)
+    assert_array_equal(rrqr._col_norms(a), np.linalg.norm(a, axis=0))
+
+
+def _assert_same_as_old_hybrid3(a, p, init=None):
+    new, old = hybrid3(a, p, init=init), old_hybrid3(a, p, init=init)
+    assert new.perm == old.perm
+    assert_array_equal(new.factors.r, old.factors.r)
+    assert_array_equal(new.factors.q, old.factors.q)
+    # only sweeps whose outcome was already known are skipped
+    assert new.passes <= old.passes
+    return new
+
+
+@pytest.mark.parametrize("shape,p", [((6, 9), 2), ((8, 8), 3), ((5, 12), 1)])
+def test_hybrid3_matches_old_loop(shape, p):
+    # the seeded cases of test_hybrid3_satisfies_both_bounds, cold and
+    # warm-started one rank up
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        a = _bound_case(rng, *shape, p)
+        res = _assert_same_as_old_hybrid3(a, p)
+        if p + 1 < min(shape):
+            _assert_same_as_old_hybrid3(a, p + 1, init=res.perm)
+
+
+@pytest.mark.parametrize("variant", ["plain", "duplicated", "zeroed",
+                                     "scaled up", "scaled down"])
+def test_hybrid3_matches_old_loop_past_exact_rank(variant):
+    for seed in range(12):
+        a = _rank_five_variant(seed, variant)
+        for p in (5, 6, 7):
+            _assert_same_as_old_hybrid3(a, p)
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])

@@ -1,11 +1,14 @@
 """Scenario generators, the subspace metric, and the trial harness."""
 
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from qrfactors.simgen import (SimConfig, gen_sim1, gen_sim2, hurst_cov,
-                              monte_carlo, subspace_error)
+from qrfactors.simgen import (_BLAS_THREAD_VARS, SimConfig,
+                              _single_thread_blas_pool, gen_sim1, gen_sim2,
+                              hurst_cov, monte_carlo, subspace_error)
 
 from oracles import ar1_variance, brute_series_autocov, ma_gap_autocov
 
@@ -251,6 +254,19 @@ def test_monte_carlo_worker_count_does_not_change_results():
     serial = monte_carlo(cfg, trials=6, threads=1)
     pooled = monte_carlo(cfg, trials=6, threads=3)
     assert serial == pooled
+
+
+def test_monte_carlo_workers_run_single_thread_blas(monkeypatch):
+    # workers see 1 in every BLAS thread variable; the parent's own
+    # settings, set or unset, come back unchanged
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    with _single_thread_blas_pool(2) as pool:
+        seen = [pool.submit(os.getenv, var).result()
+                for var in _BLAS_THREAD_VARS]
+    assert seen == ["1"] * len(_BLAS_THREAD_VARS)
+    assert dict(os.environ) == before
 
 
 def test_monte_carlo_repeats_bitwise():
