@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import sample_autocov
-from .factor_rrqr import FactorModelFit, ModelOrderScan, RankCandidate, _rank_cap
+from .factor_rrqr import (FactorModelFit, ModelOrderScan, RankCandidate,
+                          _rank_cap, _require_variation)
 from .tsdata import TimeSeries, demean
 
 # Default information-criterion search limit for fit_pca.
@@ -119,12 +120,14 @@ def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
             p_cap: int | None = None) -> FactorModelFit:
     """Fit the factor model from the top eigenvectors of evd_s_matrix.
 
-    The rank comes from eigen_ratio_order unless p_override pins it;
-    the cap defaults to the same value the pivoted-QR scan uses so the
-    two methods search the same range. The eigenvalue-ratio curve over
-    that range is returned as scan (epsilon 0), also under p_override;
-    a single series has no curve.
+    The rank is the argmax of the eigenvalue ratios over 1..p_cap (the
+    eigen_ratio_order rule) unless p_override pins it; the cap defaults
+    to the same value the pivoted-QR scan uses so the two methods search
+    the same range. The eigenvalue-ratio curve over that range is
+    returned as scan (epsilon 0), also under p_override; a single series
+    has no curve. A panel of constant series is rejected.
     """
+    _require_variation(ts)
     spectrum = evd_spectrum(ts, lag_lo, lag_hi)
     lam = spectrum.eigenvalues
     if p_override is not None and not 1 <= p_override <= ts.K:
@@ -136,8 +139,9 @@ def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
             RankCandidate(index=i, gamma=float(lam[i - 1]),
                           gamma_next=float(lam[i]), ratio=float(ratio))
             for i, ratio in enumerate(spectrum.ratios[:cap], start=1))
-        scan = ModelOrderScan(candidates=candidates, epsilon=0.0,
-                              p_hat=eigen_ratio_order(lam, cap), p_cap=cap)
+        scan = ModelOrderScan(
+            candidates=candidates, epsilon=0.0,
+            p_hat=int(np.argmax(spectrum.ratios[:cap])) + 1, p_cap=cap)
     p_hat = scan.p_hat if p_override is None else int(p_override)
     q_hat = spectrum.eigenvectors[:, :p_hat]
     centered = demean(ts)
@@ -183,10 +187,14 @@ def fit_pca(ts: TimeSeries, p_max: int | None = None,
 
     Eigendecomposes the lag-0 covariance, picks the rank minimizing the
     information criterion over 1..p_max (lowest rank on ties), and takes
-    the top eigenvectors as loadings. The sigma2_hat diagnostic is the
-    plain sum of the trailing eigenvalues (a total, not a per-coordinate
-    average).
+    the top eigenvectors as loadings. The demeaned panel has rank at
+    most min(K, N-1), where the residual is exactly zero and its -inf
+    criterion would win unconditionally, so p_max is at most
+    min(K, N-1) - 1. The sigma2_hat diagnostic is the plain sum of the
+    trailing eigenvalues (a total, not a per-coordinate average). A
+    panel of constant series is rejected.
     """
+    _require_variation(ts)
     limit = min(ts.K, ts.N)
     lam, u = _lag0_spectrum(ts)
     if p_override is not None:
@@ -195,11 +203,8 @@ def fit_pca(ts: TimeSeries, p_max: int | None = None,
         p_hat = int(p_override)
         ic_at_p = _ic_from_eigs(lam, p_hat, ts.K, ts.N)
     else:
-        # Stay below min(K, N): at the full rank the residual is exactly
-        # zero and its -inf criterion would win unconditionally.
-        p_max = _rank_cap(p_max, limit - 1, default=_PCA_SEARCH_LIMIT)
-        if not 1 <= p_max <= limit:
-            raise ValueError(f"p_max must be in [1, {limit}], got {p_max}")
+        p_max = _rank_cap(p_max, min(ts.K, ts.N - 1) - 1,
+                          default=_PCA_SEARCH_LIMIT, name="p_max")
         scores = [_ic_from_eigs(lam, p, ts.K, ts.N) for p in range(1, p_max + 1)]
         p_hat = int(np.argmin(scores)) + 1
         ic_at_p = scores[p_hat - 1]

@@ -6,8 +6,10 @@ factors, and the orthonormal basis of its pivoted column space is the
 loading matrix. Rank is read off a ratio curve over the R diagonal of
 hybrid rank-revealing decompositions, one per candidate rank, each
 warm-started from the previous one; the scan builds only R for each, not
-its orthonormal factor or block singular values. The loading basis comes
-from a full hybrid decomposition at the chosen rank.
+its orthonormal factor or block singular values. One RRQR serves both
+jobs: the scan keeps each rank's final order, and the loading basis is
+the orthonormal factor of the order at the chosen rank, which hybrid1
+confirms as its fixed point in one pass.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import AugmentedCov, build_augmented
-from .rrqr import _as_matrix, _scan_orders, hybrid1
+from .rrqr import Permutation, _as_matrix, _scan_orders, hybrid1
 # bench/reference.py patches factor_rrqr.hybrid3 to count the scan's passes;
 # the scan no longer calls it, but the name stays until that script changes.
 from .rrqr import hybrid3  # noqa: F401
@@ -30,19 +32,34 @@ _DEFAULT_RANK_CAP = 15
 
 
 def _rank_cap(p_cap: int | None, limit: int,
-             default: int = _DEFAULT_RANK_CAP) -> int:
-    """The caller's cap, or `default` clipped to `limit`, the largest
-    candidate rank. With no candidate rank (a single series) the factor
-    count cannot be chosen, so the caller must pin it."""
-    if p_cap is not None:
-        return p_cap
+              default: int = _DEFAULT_RANK_CAP, name: str = "p_cap") -> int:
+    """The caller's cap, checked to lie in [1, limit], or `default`
+    clipped to `limit`, the largest candidate rank. With no candidate
+    rank (a single series) the factor count cannot be chosen, so the
+    caller must pin it. `name` is the cap's parameter name in messages."""
     if limit < 1:
         raise ValueError(
             "no candidate rank to choose from (a single series has none); "
             "pin the factor count with p_override (qrfactors fit --p, "
             "sim --p-override)"
         )
-    return min(limit, default)
+    if p_cap is None:
+        return min(limit, default)
+    if not 1 <= p_cap <= limit:
+        raise ValueError(f"{name} must be in [1, {limit}], got {p_cap}")
+    return p_cap
+
+
+def _require_variation(ts: TimeSeries) -> None:
+    """Reject a panel in which every series is constant: its demeaned
+    values and every covariance are zero, so no factor and no loading
+    can be read from it, and any basis a fitter returned would be
+    arbitrary."""
+    if not np.ptp(ts.values, axis=1).any():
+        raise ValueError(
+            "every series in the panel is constant, so there is no factor "
+            "to estimate; pass a panel in which at least one series varies"
+        )
 
 
 @dataclass(frozen=True)
@@ -64,9 +81,11 @@ class ModelOrderScan:
     noise-floor diagonals stay near 1 instead of blowing up; it is the
     leading diagonal entry scaled by 1/sqrt(K*N), evaluated once on the
     rank-1 decomposition and reused for every candidate. passes holds
-    the hybrid sweep passes spent at each candidate rank. The EVD
-    fitter's eigenvalue-ratio curve uses the same record with epsilon 0
-    and no passes.
+    the hybrid sweep passes spent at each candidate rank, and orders the
+    column order each rank's loop settled on, a fixed point of both of
+    its boundaries; fit_rrqr takes its loading basis from
+    orders[p_hat - 1]. The EVD fitter's eigenvalue-ratio curve uses the
+    same record with epsilon 0 and neither passes nor orders.
     """
 
     candidates: tuple[RankCandidate, ...]
@@ -74,6 +93,7 @@ class ModelOrderScan:
     p_hat: int
     p_cap: int
     passes: tuple[int, ...] = ()
+    orders: tuple[Permutation, ...] = ()
 
     def ratios(self) -> np.ndarray:
         return np.array([c.ratio for c in self.candidates])
@@ -85,8 +105,12 @@ class FactorModelFit:
 
     factors holds q_hat.T applied to the demeaned observations, so
     q_hat @ factors is the model's reconstruction of the centered data.
-    diagnostics carries method-specific scalars (block singular values for
-    the pivoted fit, eigenvalues or residual variance for the baselines).
+    diagnostics carries method-specific scalars: for the pivoted fit the
+    block singular values sigma_min(R11) and sigma_max(R22) of the
+    decomposition behind q_hat, the hybrid sweep passes it took (1 after
+    a scan, which hands it an order already at its fixed point), and the
+    ratio floor epsilon; eigenvalues or residual variance for the
+    baselines.
     """
 
     method: str
@@ -150,22 +174,19 @@ def scan_model_order(m_tilde, p_cap: int | None = None, n: int | None = None,
     if n <= 0:
         raise ValueError("sample count n is required to scale the ratio floor")
     p_cap = _rank_cap(p_cap, min(rows, cols) - 1)
-    if not 1 <= p_cap <= min(rows, cols) - 1:
-        raise ValueError(
-            f"p_cap must be in [1, {min(rows, cols) - 1}], got {p_cap}"
-        )
-    per_rank = _scan_orders(mat, p_cap)
-    if per_rank[0][0] <= 0.0:
+    gammas, gammas_next, passes, orders = zip(*_scan_orders(mat, p_cap))
+    if gammas[0] <= 0.0:
         raise ValueError("matrix is numerically zero; no rank to reveal")
-    epsilon = per_rank[0][0] / math.sqrt(k * n)
+    epsilon = gammas[0] / math.sqrt(k * n)
     candidates = tuple(
         RankCandidate(index=i, gamma=gamma, gamma_next=gamma_next,
                       ratio=(gamma + epsilon) / (gamma_next + epsilon))
-        for i, (gamma, gamma_next, _) in enumerate(per_rank, start=1))
+        for i, (gamma, gamma_next) in enumerate(zip(gammas, gammas_next),
+                                                start=1))
     best = int(np.argmax([c.ratio for c in candidates]))
     return ModelOrderScan(candidates=candidates, epsilon=epsilon,
-                          p_hat=best + 1, p_cap=p_cap,
-                          passes=tuple(passes for *_, passes in per_rank))
+                          p_hat=best + 1, p_cap=p_cap, passes=passes,
+                          orders=orders)
 
 
 def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
@@ -174,12 +195,18 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     """Fit the factor model by pivoted QR of the stacked lag covariances.
 
     Demeans the series, stacks the sample autocovariances for lags
-    lag_lo..lag_hi, estimates the factor count by scan_model_order
-    (unless p_override pins it), then takes the loading basis from a
-    hybrid decomposition at that rank: the first p_hat columns of its
-    orthonormal factor. Factor paths are the basis applied to the
-    centered observations.
+    lag_lo..lag_hi and estimates the factor count by scan_model_order.
+    The loading basis is the first p_hat columns of the orthonormal
+    factor of hybrid1 at p_hat, started from the scan's own order at
+    that rank: one RRQR both reveals the rank and gives the basis, and
+    hybrid1 only confirms the order (one pass) and builds Q. When
+    p_override pins the rank there is no scan, and hybrid1 starts from
+    qr_cp's pivots; p_override may be min(K, n), where hybrid3, and so
+    the scan's loop, is undefined. Factor paths are the basis applied
+    to the centered observations. A panel of constant series is
+    rejected.
     """
+    _require_variation(ts)
     aug = build_augmented(ts, lag_lo, lag_hi)
     mat = np.asarray(aug.matrix)
     rank_limit = min(mat.shape)
@@ -193,7 +220,8 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     else:
         scan = scan_model_order(aug, p_cap)
         p_hat = scan.p_hat
-    res = hybrid1(mat, p_hat)
+    init = None if scan is None else scan.orders[p_hat - 1]
+    res = hybrid1(mat, p_hat, init=init)
     q_hat = res.factors.q[:, :p_hat]
     centered = demean(ts)
     diagnostics = {

@@ -24,7 +24,9 @@ The rank scan (``_scan_orders``) runs hybrid3's loop at ranks 1, 2, ...,
 each warm-started from the previous rank's order, and reads the two
 diagonal entries of R it needs from an R-only QR; the full frame (K x K
 Q and block singular values) is built only for a result a caller
-receives.
+receives. It hands back each rank's final order, so a caller can build
+that frame at one rank by ``hybrid1(a, p, init=order)`` without a second
+pivot search.
 
 Every exchange is followed by a from-scratch factorization of the
 permuted columns it reads; Q and R are never updated in place.
@@ -349,7 +351,7 @@ def _hybrid_start(a, p, init, spare, seed):
             _PASS_CAP_FACTOR * n)
 
 
-def _scan_orders(mat, p_cap) -> list[tuple[float, float, int]]:
+def _scan_orders(mat, p_cap) -> list[tuple[float, float, int, Permutation]]:
     """The rank scan's hybrid3 runs at ranks 1..p_cap, each warm-started.
 
     Rank 1 starts from qr_cp's first pivot, as hybrid3(mat, 1) does; rank
@@ -360,7 +362,8 @@ def _scan_orders(mat, p_cap) -> list[tuple[float, float, int]]:
     i+1: LAPACK's blocking and the BLAS kernels round a column differently
     at another matrix width, and the full width keeps gamma bit for bit
     that of the full decomposition. mat must already be checked
-    (_as_matrix). Returns (gamma_i, gamma_{i+1}, passes) per rank.
+    (_as_matrix). Returns (gamma_i, gamma_{i+1}, passes, final order) per
+    rank; each order is a fixed point of both of its rank's boundaries.
     """
     tol = _deflation_tol(mat)
     cap = _PASS_CAP_FACTOR * mat.shape[1]
@@ -369,7 +372,8 @@ def _scan_orders(mat, p_cap) -> list[tuple[float, float, int]]:
     for i in range(1, p_cap + 1):
         passes = _fixed_point(mat, order, i, tol, cap, fixed_at_p=i > 1)
         _, r = _qr(mat, order, "r", tol)
-        rows.append((float(r[i - 1, i - 1]), float(r[i, i]), passes))
+        rows.append((float(r[i - 1, i - 1]), float(r[i, i]), passes,
+                     Permutation(tuple(order))))
     return rows
 
 

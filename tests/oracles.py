@@ -155,20 +155,22 @@ def old_scan(mat, p_cap, n, k=None):
     """The rank scan as it was: old_hybrid3 once per rank, seeded with the
     previous rank's permutation, ratios read off the full R diagonal.
 
-    Returns (p_hat, epsilon, ratios, summed hybrid3 passes).
+    Returns (p_hat, epsilon, ratios, summed hybrid3 passes, per-rank
+    hybrid3 permutations).
     """
     k = mat.shape[0] if k is None else k
-    perm = None
+    perms = []
     epsilon = 0.0
     ratios = []
     passes = 0
     for i in range(1, p_cap + 1):
-        res = old_hybrid3(mat, i, init=perm)
-        perm = res.perm
+        res = old_hybrid3(mat, i, init=perms[-1] if perms else None)
+        perms.append(res.perm)
         passes += res.passes
         diag = res.factors.diag
         if i == 1:
             epsilon = float(diag[0]) / math.sqrt(k * n)
         ratios.append((float(diag[i - 1]) + epsilon)
                       / (float(diag[i]) + epsilon))
-    return int(np.argmax(ratios)) + 1, epsilon, np.array(ratios), passes
+    return (int(np.argmax(ratios)) + 1, epsilon, np.array(ratios), passes,
+            tuple(perms))

@@ -164,9 +164,13 @@ def test_fit_pca_sigma2_is_trailing_eigen_sum():
 
 
 def test_fit_pca_default_cap_stays_below_full_rank():
-    # at full rank the criterion is -inf and would win unconditionally
+    # at full rank the criterion is -inf and would win unconditionally;
+    # the demeaned panel's rank is at most min(K, N-1)
     ts = _panel(112, k=5, n=30)
     assert fit_pca(ts).p_hat <= 4
+    fit = fit_pca(_panel(112, k=50, n=20))
+    assert fit.p_hat <= 18
+    assert math.isfinite(fit.diagnostics["ic"])
 
 
 def test_fit_pca_strong_factor():
@@ -185,6 +189,8 @@ def test_fit_pca_override_and_validation():
     assert fit_pca(ts, p_override=3).p_hat == 3
     with pytest.raises(ValueError):
         fit_pca(ts, p_max=0)
+    with pytest.raises(ValueError):
+        fit_pca(ts, p_max=6)
     with pytest.raises(ValueError):
         fit_pca(ts, p_max=7)
     with pytest.raises(ValueError):

@@ -48,6 +48,16 @@ def test_missing_data_file_exits_one(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["rrqr", "evd", "pca"])
+def test_constant_panel_exits_one(tmp_path, capsys, method):
+    panel = tmp_path / "panel.csv"
+    np.savetxt(panel, np.full((4, 200), 2.5), delimiter=",")
+    code = main(["fit", "--data", str(panel), "--method", method,
+                 "--outdir", str(tmp_path)])
+    assert code == 1
+    assert "at least one series varies" in capsys.readouterr().err
+
+
 def test_bad_matrix_file_exits_one(tmp_path, capsys):
     bad = tmp_path / "m.csv"
     bad.write_text("1,2\n3,potato\n")

@@ -99,14 +99,16 @@ def test_scan_p_cap_bounds():
 def _assert_scan_matches_old_loop(mat, p_cap, n):
     """The scan against the old loop: hybrid3 per rank, full R diagonal.
 
-    The permutations are the same and the R-only QR spans the same
-    columns as the full decomposition, so the ratios agree bit for bit.
+    The scan hands back the same permutations, and the R-only QR spans
+    the same columns as the full decomposition, so the ratios agree bit
+    for bit.
     """
     scan = scan_model_order(mat, p_cap=p_cap, n=n)
-    p_hat, epsilon, ratios, old_passes = old_scan(mat, p_cap, n)
+    p_hat, epsilon, ratios, old_passes, orders = old_scan(mat, p_cap, n)
     assert scan.p_hat == p_hat
     assert scan.epsilon == epsilon
     assert_array_equal(scan.ratios(), ratios)
+    assert scan.orders == orders
     assert len(scan.passes) == p_cap and min(scan.passes) >= 1
     return scan, old_passes
 
@@ -196,6 +198,37 @@ def test_fit_output_contract():
     assert fit.scan is not None and fit.scan.p_hat == 1
     for key in ("r11_min_sv", "r22_max_sv", "passes", "epsilon"):
         assert key in fit.diagnostics
+
+
+def test_fit_takes_its_basis_from_the_scan_order(monkeypatch):
+    # one dgeqp3 (the scan's rank-1 seed) per fit, and hybrid1 only
+    # confirms the scan's order at p_hat; on this panel a cold hybrid1
+    # settles on another order with a weaker R11 and a stronger R22
+    calls = []
+    real = rrqr._qr_cp_order
+
+    def counted(a, steps):
+        calls.append(steps)
+        return real(a, steps)
+
+    monkeypatch.setattr(rrqr, "_qr_cp_order", counted)
+    ts = gen_sim2(SimConfig(scenario="sim2", k=30, n=200, seed=9,
+                            noise_kind="hurst")).y
+    fit = fit_rrqr(ts, lag_lo=1, lag_hi=5)
+    assert calls == [1]
+    assert fit.diagnostics["passes"] == 1
+    p = fit.p_hat
+    mat = np.asarray(build_augmented(ts, lag_lo=1, lag_hi=5).matrix)
+    n = mat.shape[1]
+    svs = np.linalg.svd(mat, compute_uv=False)
+    r11 = fit.diagnostics["r11_min_sv"]
+    r22 = fit.diagnostics["r22_max_sv"]
+    scale1 = np.sqrt(p * (n - p + 1))
+    scale2 = np.sqrt((p + 1) * (n - p))
+    assert r11 >= svs[p - 1] / scale1 * (1 - 1e-9)
+    assert r22 <= r11 * scale1 * (1 + 1e-9)
+    assert r22 <= svs[p] * scale2 * (1 + 1e-9)
+    assert r11 >= r22 / scale2 * (1 - 1e-9)
 
 
 def test_fit_p_override_skips_scan():

@@ -246,9 +246,20 @@ def test_single_series_needs_a_pinned_rank(method):
     ts = TimeSeries(np.random.default_rng(212).standard_normal((1, 200)))
     with pytest.raises(ValueError, match=r"p_override \(qrfactors fit --p"):
         fit_method(method, ts)
+    with pytest.raises(ValueError, match=r"p_override \(qrfactors fit --p"):
+        fit_method(method, ts, p_cap=1)
     fit = fit_method(method, ts, p_override=1)
     assert fit.p_hat == 1
     assert fit.q_hat.shape == (1, 1)
+
+
+@pytest.mark.parametrize("p_override", [None, 1])
+@pytest.mark.parametrize("method", ["rrqr", "evd", "pca"])
+def test_constant_panel_is_rejected(method, p_override):
+    # every covariance is zero, so any loading returned would be arbitrary
+    ts = TimeSeries(np.full((4, 200), 0.1))
+    with pytest.raises(ValueError, match="at least one series varies"):
+        fit_method(method, ts, p_override=p_override)
 
 
 def test_rolling_eval_constant_series_errors():
