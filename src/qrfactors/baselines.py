@@ -15,16 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import sample_autocov
+from .covariance import _TINY, _require_float_range, sample_autocov
 from .factor_rrqr import (FactorModelFit, ModelOrderScan, RankCandidate,
                           _rank_cap, _require_variation)
 from .tsdata import TimeSeries, demean
 
 # Default information-criterion search limit for fit_pca.
 _PCA_SEARCH_LIMIT = 40
-# Smallest covariance entry whose square, times machine epsilon, is
-# still a normal float.
-_SQUARE_FLOOR = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+# Smallest entry of evd_s_matrix whose eigensolver error, machine
+# epsilon times it, is still a normal float.
+_S_FLOOR = _TINY / float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -80,23 +80,17 @@ def evd_s_matrix(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2) -> np.ndarray
     Equals the Gram matrix of the horizontally stacked lag covariances,
     so its eigenvalues are the squared singular values the pivoted-QR
     route works from. The products must stay in float range: the sum must
-    be finite, and the largest squared covariance entry must keep even
-    its eigensolver error (machine epsilon times it) a normal number.
-    Otherwise the panel's scale is the problem, and ValueError says so.
+    be finite, and its largest entry must keep even its eigensolver error
+    (machine epsilon times it) a normal number. Otherwise the panel's
+    scale is the problem, and ValueError says so.
     """
     k = ts.K
     s = np.zeros((k, k))
-    top = 0.0
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for lag in range(lag_lo, lag_hi + 1):
             cov = sample_autocov(ts, lag).matrix
-            top = max(top, float(np.abs(cov).max()))
             s += cov @ cov.T
-    if not np.isfinite(s).all() or 0.0 < top < _SQUARE_FLOOR:
-        raise ValueError(
-            f"lag covariances overflow or underflow when squared (largest "
-            f"entry {top:.3e}); divide the panel by a constant near its scale"
-        )
+    _require_float_range(s, _S_FLOOR, "squared lag covariances")
     return (s + s.T) / 2.0
 
 
@@ -123,18 +117,20 @@ def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     The rank is the argmax of the eigenvalue ratios over 1..p_cap (the
     eigen_ratio_order rule) unless p_override pins it; the cap defaults
     to the same value the pivoted-QR scan uses so the two methods search
-    the same range. The eigenvalue-ratio curve over that range is
+    the same range. The sample matrix has rank at most min(K, N-1),
+    past which a ratio x/0 = inf would always win, so p_cap is at most
+    min(K, N-1) - 1. The eigenvalue-ratio curve over that range is
     returned as scan (epsilon 0), also under p_override; a single series
     has no curve. A panel of constant series is rejected.
     """
     _require_variation(ts)
     spectrum = evd_spectrum(ts, lag_lo, lag_hi)
     lam = spectrum.eigenvalues
-    if p_override is not None and not 1 <= p_override <= ts.K:
-        raise ValueError(f"p_override must be in [1, {ts.K}], got {p_override}")
+    if p_override is not None:
+        _rank_cap(p_override, ts.K, name="p_override")
     scan = None
     if p_override is None or ts.K > 1:
-        cap = _rank_cap(p_cap, ts.K - 1)
+        cap = _rank_cap(p_cap, min(ts.K, ts.N - 1) - 1)
         candidates = tuple(
             RankCandidate(index=i, gamma=float(lam[i - 1]),
                           gamma_next=float(lam[i]), ratio=float(ratio))
@@ -155,7 +151,9 @@ def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
 
 
 def _lag0_spectrum(ts: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
-    return _sym_eig_desc(sample_autocov(ts, 0).matrix)
+    cov = sample_autocov(ts, 0).matrix
+    _require_float_range(cov, _TINY, "lag-0 covariances")
+    return _sym_eig_desc(cov)
 
 
 def _ic_from_eigs(lam: np.ndarray, p: int, k: int, n: int) -> float:
@@ -195,12 +193,9 @@ def fit_pca(ts: TimeSeries, p_max: int | None = None,
     panel of constant series is rejected.
     """
     _require_variation(ts)
-    limit = min(ts.K, ts.N)
     lam, u = _lag0_spectrum(ts)
     if p_override is not None:
-        if not 1 <= p_override <= limit:
-            raise ValueError(f"p_override must be in [1, {limit}], got {p_override}")
-        p_hat = int(p_override)
+        p_hat = _rank_cap(p_override, min(ts.K, ts.N), name="p_override")
         ic_at_p = _ic_from_eigs(lam, p_hat, ts.K, ts.N)
     else:
         p_max = _rank_cap(p_max, min(ts.K, ts.N - 1) - 1,

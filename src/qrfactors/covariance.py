@@ -19,6 +19,26 @@ import numpy as np
 
 from .tsdata import TimeSeries, _frozen
 
+# Smallest normal float. When a matrix's largest entry is at least this,
+# underflow in its other entries costs at most machine epsilon times it.
+_TINY = float(np.finfo(float).tiny)
+
+
+def _require_float_range(matrix: np.ndarray, floor: float, what: str) -> None:
+    """Raise ValueError, advising to rescale the panel, unless every entry
+    of `matrix` is finite and its largest magnitude is at least `floor`.
+
+    Each caller passes the floor its solver needs. A panel scaled far
+    enough down makes every entry underflow to 0, and a fit of that would
+    be arbitrary; scaled far enough up, entries overflow to inf or nan.
+    """
+    top = float(np.abs(matrix).max())
+    if not floor <= top < np.inf:
+        raise ValueError(
+            f"{what} leave the float range (largest magnitude {top:.3e}); "
+            "divide the panel by a constant near its scale"
+        )
+
 
 @dataclass(frozen=True)
 class LagCovariance:
@@ -71,9 +91,5 @@ def build_augmented(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 5) -> Augment
         )
     blocks = [sample_autocov(ts, l).matrix for l in range(lag_lo, lag_hi + 1)]
     matrix = np.hstack(blocks)
-    if not np.isfinite(matrix).all():
-        raise ValueError(
-            "lag autocovariances overflow the float range; divide the panel "
-            "by a constant near its scale"
-        )
+    _require_float_range(matrix, _TINY, "lag autocovariances")
     return AugmentedCov(lag_lo=lag_lo, lag_hi=lag_hi, matrix=matrix, N=ts.N)

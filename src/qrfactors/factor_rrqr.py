@@ -36,7 +36,8 @@ def _rank_cap(p_cap: int | None, limit: int,
     """The caller's cap, checked to lie in [1, limit], or `default`
     clipped to `limit`, the largest candidate rank. With no candidate
     rank (a single series) the factor count cannot be chosen, so the
-    caller must pin it. `name` is the cap's parameter name in messages."""
+    caller must pin it. `name` is the cap's parameter name in messages;
+    the fitters check a pinned rank here too, as name="p_override"."""
     if limit < 1:
         raise ValueError(
             "no candidate rank to choose from (a single series has none); "
@@ -47,7 +48,7 @@ def _rank_cap(p_cap: int | None, limit: int,
         return min(limit, default)
     if not 1 <= p_cap <= limit:
         raise ValueError(f"{name} must be in [1, {limit}], got {p_cap}")
-    return p_cap
+    return int(p_cap)
 
 
 def _require_variation(ts: TimeSeries) -> None:
@@ -209,14 +210,9 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     _require_variation(ts)
     aug = build_augmented(ts, lag_lo, lag_hi)
     mat = np.asarray(aug.matrix)
-    rank_limit = min(mat.shape)
     scan = None
     if p_override is not None:
-        if not 1 <= p_override <= rank_limit:
-            raise ValueError(
-                f"p_override must be in [1, {rank_limit}], got {p_override}"
-            )
-        p_hat = int(p_override)
+        p_hat = _rank_cap(p_override, min(mat.shape), name="p_override")
     else:
         scan = scan_model_order(aug, p_cap)
         p_hat = scan.p_hat

@@ -3,9 +3,10 @@ error metrics, and a rolling out-of-sample protocol.
 
 Factors extracted by any of the fitters are forecast one step ahead with
 per-factor univariate AR models fit by Yule-Walker, and observation
-forecasts are the loading basis applied to the factor forecasts. The
-rolling evaluation refits on a sliding window every few days and scores
-the one-step predictions against the realized values.
+forecasts are the loading basis applied to the factor forecasts, which
+one block predictor, _ar_steps, makes. The rolling evaluation refits on
+a sliding window every few days, projects each refit's span once, and
+scores the one-step predictions against the realized values.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_toeplitz
 
 from .baselines import fit_evd, fit_pca
@@ -109,16 +111,22 @@ def forecast_one_step(fit: FactorModelFit, ar: list[ArModel],
         )
     if len(ar) != fit.p_hat:
         raise ValueError(f"need {fit.p_hat} AR models, got {len(ar)}")
-    f_next = np.empty(fit.p_hat)
+    order = max(model.order for model in ar)
+    if hist.shape[1] < order:
+        raise ValueError(
+            f"history length {hist.shape[1]} is shorter than AR order {order}")
+    return fit.q_hat @ _ar_steps(ar, hist, hist.shape[1])[:, 0]
+
+
+def _ar_steps(ar: list[ArModel], paths: np.ndarray, start: int) -> np.ndarray:
+    """Row i, column j: ar[i]'s prediction of paths[i] at position
+    start + j from the values before it, up to the step after the last
+    value. start must be at least every model's order."""
+    steps = np.empty((len(ar), paths.shape[1] + 1 - start))
     for i, model in enumerate(ar):
-        if hist.shape[1] < model.order:
-            raise ValueError(
-                f"history length {hist.shape[1]} is shorter than AR order "
-                f"{model.order}"
-            )
-        recent = hist[i, hist.shape[1] - model.order:][::-1]
-        f_next[i] = float(np.dot(model.coeffs, recent))
-    return fit.q_hat @ f_next
+        lags = sliding_window_view(paths[i, start - model.order:], model.order)
+        steps[i] = lags @ np.asarray(model.coeffs)[::-1]
+    return steps
 
 
 def _check_against(fit: FactorModelFit, loading, factors) -> tuple[np.ndarray, np.ndarray]:
@@ -166,6 +174,17 @@ def forecast_error(predictions, actuals) -> float:
     return float(norms.mean() / math.sqrt(k))
 
 
+def _insample_forecast_error(fit: FactorModelFit, ts: TimeSeries,
+                             ar_order: int) -> float:
+    """forecast_error of AR(ar_order) forecasts of the fit's own factor
+    paths, at every sample from 2 * ar_order on, plus the panel mean."""
+    ar_models = [yule_walker(row, ar_order) for row in fit.factors]
+    start = 2 * ar_order
+    steps = _ar_steps(ar_models, fit.factors[:, :-1], start)
+    mean = ts.values.mean(axis=1, keepdims=True)
+    return forecast_error(fit.q_hat @ steps + mean, ts.values[:, start:])
+
+
 def fit_method(method: str, ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
                p_override: int | None = None,
                p_cap: int | None = None) -> FactorModelFit:
@@ -192,9 +211,10 @@ def rolling_eval(ts: TimeSeries, method: str, window: int = 500,
     The model is fit on the `window` observations preceding the first
     target, per-factor AR models are fit on the window's factor paths,
     and each of the next refit_stride targets is forecast one step ahead
-    using realized observations as they arrive. Then the window slides
-    forward refit_stride points and everything refits. Forecasts carry
-    each window's own mean, which is added back before scoring.
+    using realized observations as they arrive, from one projection of
+    the window and block. Then the window slides forward refit_stride
+    points and everything refits. Forecasts carry each window's own
+    mean, which is added back before scoring.
 
     For the PCA method p_cap is passed through as the information
     criterion's search limit.
@@ -218,17 +238,14 @@ def rolling_eval(ts: TimeSeries, method: str, window: int = 500,
         fit = fit_method(method, TimeSeries(values=values[:, w0:block_start]),
                          lag_lo, lag_hi, p_cap=p_cap)
         wmean = values[:, w0:block_start].mean(axis=1, keepdims=True)
-        ar_models = [yule_walker(fit.factors[i], ar_order)
-                     for i in range(fit.p_hat)]
+        ar_models = [yule_walker(row, ar_order) for row in fit.factors]
         resid = (values[:, w0:block_start] - wmean) - fit.q_hat @ fit.factors
         recon_rmse = float(np.linalg.norm(resid)) / math.sqrt(fit.factors.shape[1] * ts.K)
         records.append(WindowRecord(start=w0, p_hat=fit.p_hat, rmse=recon_rmse))
         block_end = min(block_start + refit_stride, ts.N)
-        for t in range(block_start, block_end):
-            hist = fit.q_hat.T @ (values[:, w0:t] - wmean)
-            preds[:, t - first_target] = (
-                forecast_one_step(fit, ar_models, hist) + wmean[:, 0]
-            )
+        paths = fit.q_hat.T @ (values[:, w0:block_end - 1] - wmean)
+        preds[:, block_start - first_target:block_end - first_target] = (
+            fit.q_hat @ _ar_steps(ar_models, paths, window) + wmean)
     fe = forecast_error(preds, values[:, first_target:])
     return ForecastReport(
         method=method,

@@ -16,7 +16,6 @@ numpy's default PCG64 generator is the named RNG.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -27,9 +26,8 @@ from multiprocessing import get_context
 import numpy as np
 from scipy.signal import lfilter
 
-from .factor_rrqr import FactorModelFit
-from .forecast_eval import (fit_method, forecast_one_step, rmse,
-                            rmse_conventional, yule_walker)
+from .forecast_eval import (_insample_forecast_error, fit_method, rmse,
+                            rmse_conventional)
 from .tsdata import TimeSeries
 
 _SIM1_AR_COEFF = 0.9
@@ -248,21 +246,6 @@ def _true_basis(dataset: SimDataset) -> np.ndarray:
     return q
 
 
-def _insample_forecast_error(fit: FactorModelFit, ts: TimeSeries) -> float:
-    """Mean scaled one-step error of AR(10) factor forecasts over the
-    sample, scoring each prediction against the realized observation."""
-    ar_models = [yule_walker(fit.factors[i], _FE_AR_ORDER)
-                 for i in range(fit.p_hat)]
-    mean = ts.values.mean(axis=1, keepdims=True)
-    start = 2 * _FE_AR_ORDER
-    preds = np.empty((ts.K, ts.N - start))
-    for t in range(start, ts.N):
-        hist = fit.factors[:, :t]
-        preds[:, t - start] = forecast_one_step(fit, ar_models, hist) + mean[:, 0]
-    resid = preds - ts.values[:, start:]
-    return float(np.linalg.norm(resid, axis=0).mean() / math.sqrt(ts.K))
-
-
 def _run_trial(config: SimConfig, trial: int, methods: tuple[str, ...],
                outputs: frozenset, p_override: int | None,
                p_cap: int | None) -> dict:
@@ -289,7 +272,7 @@ def _run_trial(config: SimConfig, trial: int, methods: tuple[str, ...],
                 cell["rmse_conventional"] = rmse_conventional(
                     fit, dataset.h, dataset.x)
             if "forecast" in outputs:
-                cell["fe"] = _insample_forecast_error(fit, ts)
+                cell["fe"] = _insample_forecast_error(fit, ts, _FE_AR_ORDER)
             out["methods"][method] = cell
         except Exception as exc:  # noqa: BLE001 - per-trial isolation
             out["failures"].append({"method": method, "message": str(exc)})
@@ -373,8 +356,8 @@ def monte_carlo(config: SimConfig, trials: int,
     (subspace distance to the true loading span), "ratios" (the
     rank-scan or eigenvalue ratio curve), "rmse" (reconstruction error
     against the true common component, both definitions), "forecast"
-    (mean one-step factor-forecast error). Individual trial failures are
-    recorded in the report, not raised.
+    (mean one-step factor-forecast error, which needs n > 20). Individual
+    trial failures are recorded in the report, not raised.
 
     threads > 1 distributes trials across that many worker processes,
     each with single-threaded BLAS (_single_thread_blas_pool); aggregation
@@ -388,6 +371,12 @@ def monte_carlo(config: SimConfig, trials: int,
     known = {"errors", "ratios", "rmse", "forecast"}
     if not outputs <= known:
         raise ValueError(f"unknown outputs: {sorted(outputs - known)}")
+    if "forecast" in outputs and config.n <= 2 * _FE_AR_ORDER:
+        raise ValueError(
+            f"the forecast output scores AR({_FE_AR_ORDER}) forecasts from "
+            f"sample {2 * _FE_AR_ORDER} on, so it needs n > "
+            f"{2 * _FE_AR_ORDER}, got n={config.n}"
+        )
     jobs = [(config, t, methods, outputs, p_override, p_cap)
             for t in range(trials)]
     if threads is not None and threads > 1 and trials > 1:

@@ -11,6 +11,8 @@ import math
 import numpy as np
 
 from qrfactors import rrqr
+from qrfactors.forecast_eval import fit_method, yule_walker
+from qrfactors.tsdata import TimeSeries
 
 
 def brute_autocov(values, lag):
@@ -174,3 +176,47 @@ def old_scan(mat, p_cap, n, k=None):
                       / (float(diag[i]) + epsilon))
     return (int(np.argmax(ratios)) + 1, epsilon, np.array(ratios), passes,
             tuple(perms))
+
+
+def _old_one_step(fit, ar, hist):
+    """forecast_one_step as it was: one dot product per factor, newest
+    value first, mapped through the loading basis."""
+    f_next = np.empty(fit.p_hat)
+    for i, model in enumerate(ar):
+        recent = hist[i, hist.shape[1] - model.order:][::-1]
+        f_next[i] = float(np.dot(model.coeffs, recent))
+    return fit.q_hat @ f_next
+
+
+def old_rolling_fe(ts, method, window, refit_stride, ar_order, eval_len,
+                   lag_lo=1, lag_hi=2, p_cap=None):
+    """rolling_eval's forecast error as it was: every target re-projects
+    the window up to itself and is forecast on its own."""
+    values = ts.values
+    first_target = ts.N - eval_len
+    preds = np.empty((ts.K, eval_len))
+    for block_start in range(first_target, ts.N, refit_stride):
+        w0 = block_start - window
+        fit = fit_method(method, TimeSeries(values=values[:, w0:block_start]),
+                         lag_lo, lag_hi, p_cap=p_cap)
+        wmean = values[:, w0:block_start].mean(axis=1, keepdims=True)
+        ar = [yule_walker(fit.factors[i], ar_order) for i in range(fit.p_hat)]
+        for t in range(block_start, min(block_start + refit_stride, ts.N)):
+            hist = fit.q_hat.T @ (values[:, w0:t] - wmean)
+            preds[:, t - first_target] = _old_one_step(fit, ar, hist) + wmean[:, 0]
+    resid = preds - values[:, first_target:]
+    return float(np.linalg.norm(resid, axis=0).mean() / math.sqrt(ts.K))
+
+
+def old_insample_fe(fit, ts, ar_order):
+    """The Monte-Carlo in-sample forecast error as it was: one target at
+    a time from the fitted factor paths before it."""
+    ar = [yule_walker(fit.factors[i], ar_order) for i in range(fit.p_hat)]
+    mean = ts.values.mean(axis=1, keepdims=True)
+    start = 2 * ar_order
+    preds = np.empty((ts.K, ts.N - start))
+    for t in range(start, ts.N):
+        preds[:, t - start] = (_old_one_step(fit, ar, fit.factors[:, :t])
+                               + mean[:, 0])
+    resid = preds - ts.values[:, start:]
+    return float(np.linalg.norm(resid, axis=0).mean() / math.sqrt(ts.K))

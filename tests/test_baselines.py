@@ -118,11 +118,24 @@ def test_fit_evd_scale_invariance():
         assert_allclose(scaled.q_hat, base.q_hat, atol=1e-8)
 
 
+def test_fit_evd_default_cap_stays_below_full_rank():
+    # the sample matrix has rank at most min(K, N-1) = 11 here; the
+    # ratio past it is x/0 = inf and would win unconditionally
+    ts = _panel(0, k=30, n=12)
+    fit = fit_evd(ts, 1, 2)
+    assert fit.scan.p_cap == 10
+    assert fit.p_hat <= 10
+    assert np.isfinite(fit.scan.ratios()).all()
+    with pytest.raises(ValueError, match=r"p_cap must be in \[1, 10\]"):
+        fit_evd(ts, 1, 2, p_cap=11)
+
+
 @pytest.mark.parametrize("k,n", [(20, 200), (180, 500)])
-@pytest.mark.parametrize("scale", [1e-100, 1e100])
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100])
 def test_fit_evd_rejects_out_of_range_scales(k, n, scale):
-    # the lag covariances squared under- or overflow; an arbitrary
-    # loading or a LAPACK convergence error would hide that
+    # the lag covariances squared under- or overflow (at 1e-200 every
+    # one is exactly 0); an arbitrary loading or a LAPACK convergence
+    # error would hide that
     ts = TimeSeries(scale * gen_sim1(k=k, n=n, seed=0).y.values)
     with pytest.raises(ValueError, match="divide the panel by a constant"):
         fit_evd(ts, lag_lo=1, lag_hi=5)
@@ -171,6 +184,25 @@ def test_fit_pca_default_cap_stays_below_full_rank():
     fit = fit_pca(_panel(112, k=50, n=20))
     assert fit.p_hat <= 18
     assert math.isfinite(fit.diagnostics["ic"])
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e160])
+def test_fit_pca_rejects_out_of_range_scales(scale):
+    # at 1e-200 the lag-0 covariance underflows to 0 (p_hat 1 against
+    # 19), at 1e160 it overflows and the eigensolver fails to converge
+    ts = TimeSeries(scale * gen_sim1(k=20, n=200, seed=0).y.values)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="divide the panel by a constant"):
+        fit_pca(ts)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_fit_pca_fits_at_extreme_scales(scale):
+    values = gen_sim1(k=20, n=200, seed=0).y.values
+    base = fit_pca(TimeSeries(values))
+    fit = fit_pca(TimeSeries(scale * values))
+    assert fit.p_hat == base.p_hat
+    assert subspace_error(fit.q_hat, base.q_hat) <= 1e-10
 
 
 def test_fit_pca_strong_factor():

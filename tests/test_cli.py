@@ -85,6 +85,15 @@ def test_sim_writes_report(tmp_path):
     assert payload["report"]["per_method"]["rrqr"]["p_hat_counts"] == {"1": 2}
 
 
+def test_sim_forecast_without_targets_exits_one(tmp_path, capsys):
+    code = main(["sim", "--scenario", "sim1", "--k", "6", "--n", "20",
+                 "--trials", "3", "--outputs", "forecast",
+                 "--outdir", str(tmp_path)])
+    assert code == 1
+    assert "needs n > 20" in capsys.readouterr().err
+    assert not (tmp_path / "sim_report.json").exists()
+
+
 def test_sim_ratio_curves_csv(tmp_path):
     assert _run_sim(tmp_path, ["--outputs", "errors,ratios"]) == 0
     with open(tmp_path / "ratio_curves.csv", newline="") as fh:

@@ -266,6 +266,13 @@ def test_fit_is_scale_invariant_at_extreme_scales(scale):
     assert subspace_error(fit.q_hat, base.q_hat) <= 1e-10
 
 
+def test_fit_rejects_underflowing_scale():
+    # every lag covariance underflows to exactly 0
+    data = gen_sim1(k=20, n=200, seed=0)
+    with pytest.raises(ValueError, match="divide the panel by a constant"):
+        fit_rrqr(TimeSeries(1e-200 * data.y.values), lag_lo=1, lag_hi=5)
+
+
 def test_fit_result_arrays_are_frozen():
     data = gen_sim1(k=8, n=200, seed=86)
     fit = fit_rrqr(data.y)

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qrfactors.factor_rrqr import FactorModelFit, fit_rrqr
-from qrfactors.forecast_eval import (ArModel, fit_method, forecast_error,
+from qrfactors.factor_rrqr import FactorModelFit
+from qrfactors.forecast_eval import (ArModel, _insample_forecast_error,
+                                     fit_method, forecast_error,
                                      forecast_one_step, rmse,
                                      rmse_conventional, rolling_eval,
                                      yule_walker)
-from qrfactors.simgen import SimConfig, gen_sim1, monte_carlo
+from qrfactors.simgen import SimConfig, gen_sim1, gen_sim2, monte_carlo
 from qrfactors.tsdata import TimeSeries
 
-from oracles import brute_series_autocov
+from oracles import brute_series_autocov, old_insample_fe, old_rolling_fe
 
 
 # ------------------------------------------------------------------
@@ -85,6 +86,16 @@ def test_forecast_one_step_hand_arithmetic():
     # newest first: 0.5 * 4 + 0.25 * 3 = 2.75, mapped through q
     got = forecast_one_step(fit, ar, hist)
     assert_allclose(got, [2.75, 0.0, 0.0, 0.0], atol=1e-14)
+    # two factors of different orders, each advanced by its own model:
+    # 0.5 * 4 = 2 and 0.1 * 40 + 0.2 * 30 + 0.3 * 20 = 16
+    q = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    fit = FactorModelFit(method="RRQR", p_hat=2, q_hat=q,
+                         factors=np.zeros((2, 10)))
+    ar = [ArModel(order=1, coeffs=(0.5,), noise_var=1.0),
+          ArModel(order=3, coeffs=(0.1, 0.2, 0.3), noise_var=1.0)]
+    hist = np.array([[1.0, 2.0, 3.0, 4.0], [10.0, 20.0, 30.0, 40.0]])
+    assert_allclose(forecast_one_step(fit, ar, hist), [2.0, 16.0, 18.0],
+                    rtol=1e-14)
 
 
 def test_forecast_rank_zero_warns_and_returns_zero():
@@ -182,27 +193,37 @@ def test_forecast_error_rejects_empty_and_mismatched():
 # rolling evaluation
 
 
-def test_rolling_eval_single_refit_matches_manual_composition():
-    # stride >= eval_len collapses the loop to one fitted window
+@pytest.mark.parametrize("refit_stride,eval_len,ar_order",
+                         [(7, 30, 3), (1, 12, 2), (150, 150, 5)])
+def test_rolling_eval_matches_per_target_loop(refit_stride, eval_len,
+                                              ar_order):
+    # several refits with a ragged last block, one refit per target, and
+    # one refit for the whole span (stride >= eval_len), against
+    # forecasting one target at a time from a fresh projection of the
+    # window up to it
     data = gen_sim1(k=6, n=450, seed=207)
-    window, eval_len, ar_order = 300, 150, 5
-    report = rolling_eval(data.y, "rrqr", window=window, refit_stride=eval_len,
-                          ar_order=ar_order, eval_len=eval_len)
-    assert len(report.per_window) == 1
-    assert report.p_hat_mean == report.per_window[0].p_hat
+    window = 300
+    report = rolling_eval(data.y, "rrqr", window=window,
+                          refit_stride=refit_stride, ar_order=ar_order,
+                          eval_len=eval_len)
+    assert len(report.per_window) == -(-eval_len // refit_stride)
+    want = old_rolling_fe(data.y, "rrqr", window, refit_stride, ar_order,
+                          eval_len)
+    assert_allclose(report.fe, want, rtol=1e-12)
 
-    vals = data.y.values
-    w0 = data.y.N - eval_len - window
-    wvals = vals[:, w0:w0 + window]
-    wmean = wvals.mean(axis=1, keepdims=True)
-    fit = fit_rrqr(TimeSeries(wvals))
-    ar = [yule_walker(row, ar_order) for row in fit.factors]
-    preds = []
-    for t in range(w0 + window, data.y.N):
-        hist = fit.q_hat.T @ (vals[:, w0:t] - wmean)
-        preds.append(forecast_one_step(fit, ar, hist) + wmean[:, 0])
-    fe = forecast_error(np.column_stack(preds), vals[:, w0 + window:])
-    assert_allclose(report.fe, fe, rtol=1e-12)
+
+@pytest.mark.parametrize("method", ["rrqr", "evd"])
+@pytest.mark.parametrize("scenario,p", [("sim1", 1), ("sim2", 2)])
+def test_insample_forecast_error_matches_per_target_loop(scenario, p, method):
+    if scenario == "sim1":
+        data = gen_sim1(k=12, n=120, seed=213)
+    else:
+        data = gen_sim2(SimConfig(scenario="sim2", k=16, n=120, seed=213,
+                                  noise_kind="hurst"))
+    fit = fit_method(method, data.y, 1, 5)
+    assert fit.p_hat == p
+    assert_allclose(_insample_forecast_error(fit, data.y, 10),
+                    old_insample_fe(fit, data.y, 10), rtol=1e-12)
 
 
 def test_rolling_eval_methods_and_records():

@@ -6,9 +6,15 @@ are compared without the manifest timestamp, CSV files cell by cell.
 Keys and their order, ints and strings must match exactly; floats must
 agree to 1e-12 relative.
 
+To list every float that differs from the golden files, writing
+nothing (file, key path or cell, golden value, new value, relative
+difference):
+
+    PYTHONPATH=src python tests/test_golden_reports.py --diff [case ...]
+
 To regenerate after an intended report change:
 
-    PYTHONPATH=src python tests/test_golden_reports.py
+    PYTHONPATH=src python tests/test_golden_reports.py [case ...]
 """
 
 import csv
@@ -75,40 +81,59 @@ def _cell(text: str):
     return text
 
 
-def _assert_same(got, want, where: str) -> None:
+def _differing(got, want, where: str):
+    """Yield (where, got, want) for every leaf of `got` that differs from
+    `want`, where being its key path or cell. Types, keys and their
+    order, and lengths must match."""
     assert type(got) is type(want), f"{where}: {got!r} vs {want!r}"
     if isinstance(want, dict):
         assert list(got) == list(want), f"{where}: keys {list(got)} vs {list(want)}"
         for key in want:
-            _assert_same(got[key], want[key], f"{where}.{key}")
+            yield from _differing(got[key], want[key], f"{where}.{key}")
     elif isinstance(want, list):
         assert len(got) == len(want), f"{where}: length {len(got)} vs {len(want)}"
         for i, (g, w) in enumerate(zip(got, want)):
-            _assert_same(g, w, f"{where}[{i}]")
-    elif isinstance(want, float):
-        assert got == want or math.isclose(got, want, rel_tol=_RTOL, abs_tol=0.0), (
-            f"{where}: {got!r} vs {want!r}")
-    else:
-        assert got == want, f"{where}: {got!r} vs {want!r}"
+            yield from _differing(g, w, f"{where}[{i}]")
+    elif got != want:
+        yield where, got, want
+
+
+def _case_leaves(case: str, out: Path):
+    """Differing leaves of every file a case wrote in `out`, each where
+    prefixed by its file."""
+    want_dir = GOLDEN / case
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        p.name for p in want_dir.iterdir())
+    for want in sorted(want_dir.iterdir()):
+        yield from _differing(_load(out / want.name), _load(want),
+                              f"{case}/{want.name}")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_matches_golden(case, tmp_path, monkeypatch):
     out = _run(case, tmp_path, monkeypatch)
-    want_dir = GOLDEN / case
-    assert sorted(p.name for p in out.iterdir()) == sorted(
-        p.name for p in want_dir.iterdir())
-    for want in want_dir.iterdir():
-        _assert_same(_load(out / want.name), _load(want), f"{case}/{want.name}")
+    for where, got, want in _case_leaves(case, out):
+        assert isinstance(want, float) and math.isclose(
+            got, want, rel_tol=_RTOL, abs_tol=0.0), f"{where}: {got!r} vs {want!r}"
 
 
 if __name__ == "__main__":
+    import contextlib
+    import io
     import tempfile
 
-    for name in sys.argv[1:] or sorted(CASES):
+    diff = sys.argv[1:2] == ["--diff"]
+    for name in sys.argv[1 + diff:] or sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp, \
                 pytest.MonkeyPatch.context() as mp:
-            written = _run(name, Path(tmp), mp)
+            with contextlib.redirect_stdout(io.StringIO()):
+                written = _run(name, Path(tmp), mp)
+            if diff:
+                for where, got, want in _case_leaves(name, written):
+                    rel = (f"{abs(got - want) / abs(want):.3e}"
+                           if isinstance(want, float) and want else "-")
+                    print(f"{where}\t{want!r}\t{got!r}\t{rel}")
+                continue
             shutil.rmtree(GOLDEN / name, ignore_errors=True)
             shutil.copytree(written, GOLDEN / name)
         print(GOLDEN / name)

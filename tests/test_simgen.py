@@ -279,14 +279,27 @@ def test_monte_carlo_repeats_bitwise():
 
 
 def test_monte_carlo_records_per_trial_failures():
-    # n too short for the in-sample forecast span: every trial fails
-    cfg = SimConfig(scenario="sim1", k=8, n=12, seed=35)
-    rep = monte_carlo(cfg, trials=2, methods=("rrqr",), outputs=("forecast",))
+    # lag range too wide for n: every trial's fit fails
+    cfg = SimConfig(scenario="sim1", k=8, n=12, seed=35, lag_hi=11)
+    rep = monte_carlo(cfg, trials=2, methods=("rrqr",), outputs=("errors",))
     assert len(rep["failures"]) == 2
     assert rep["per_method"]["rrqr"]["trials_ok"] == 0
     for failure in rep["failures"]:
         assert failure["method"] == "rrqr"
         assert failure["message"]
+
+
+def test_monte_carlo_rejects_forecast_without_targets():
+    # AR(10) forecasts are scored from sample 20 on: no target up to n=20
+    for n in (12, 20):
+        cfg = SimConfig(scenario="sim1", k=6, n=n, seed=37)
+        with pytest.raises(ValueError, match="needs n > 20"):
+            monte_carlo(cfg, trials=2, outputs=("errors", "forecast"))
+        assert monte_carlo(cfg, trials=2)["per_method"]["rrqr"]["trials_ok"] == 2
+    rep = monte_carlo(SimConfig(scenario="sim1", k=6, n=21, seed=37),
+                      trials=2, outputs=("forecast",))
+    assert rep["failures"] == []
+    assert np.isfinite(rep["per_method"]["rrqr"]["fe_mean"])
 
 
 def test_monte_carlo_rejects_bad_arguments():
