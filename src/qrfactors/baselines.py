@@ -15,16 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import _TINY, _require_float_range, sample_autocov
+from .covariance import _autocov, _lag_covs, _normalized, _rescaled
 from .factor_rrqr import (FactorModelFit, ModelOrderScan, RankCandidate,
-                          _rank_cap, _require_variation)
-from .tsdata import TimeSeries, demean
+                          _rank_cap)
+from .tsdata import TimeSeries
 
 # Default information-criterion search limit for fit_pca.
 _PCA_SEARCH_LIMIT = 40
-# Smallest entry of evd_s_matrix whose eigensolver error, machine
-# epsilon times it, is still a normal float.
-_S_FLOOR = _TINY / float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -74,30 +71,33 @@ def _eig_ratios(lam: np.ndarray) -> np.ndarray:
     return np.nan_to_num(ratios, nan=0.0, posinf=np.inf)
 
 
+def _evd_sum(z: np.ndarray, lag_lo: int, lag_hi: int) -> np.ndarray:
+    """evd_s_matrix of the normalized panel z."""
+    s = sum(cov @ cov.T for cov in _lag_covs(z, lag_lo, lag_hi))
+    return (s + s.T) / 2.0
+
+
+def _evd(z: np.ndarray, e: int, lag_lo: int, lag_hi: int) -> EvdSpectrum:
+    """evd_spectrum of the normalized panel z; eigenvalues mapped back."""
+    lam, u = _sym_eig_desc(_evd_sum(z, lag_lo, lag_hi))
+    return EvdSpectrum(eigenvalues=_rescaled(lam, 4 * e), eigenvectors=u,
+                       ratios=_eig_ratios(lam))
+
+
 def evd_s_matrix(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2) -> np.ndarray:
     """Sum over the lag range of autocov(l) @ autocov(l).T, symmetrized.
 
     Equals the Gram matrix of the horizontally stacked lag covariances,
     so its eigenvalues are the squared singular values the pivoted-QR
-    route works from. The products must stay in float range: the sum must
-    be finite, and its largest entry must keep even its eigensolver error
-    (machine epsilon times it) a normal number. Otherwise the panel's
-    scale is the problem, and ValueError says so.
+    route works from.
     """
-    k = ts.K
-    s = np.zeros((k, k))
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for lag in range(lag_lo, lag_hi + 1):
-            cov = sample_autocov(ts, lag).matrix
-            s += cov @ cov.T
-    _require_float_range(s, _S_FLOOR, "squared lag covariances")
-    return (s + s.T) / 2.0
+    z, e = _normalized(ts)
+    return _rescaled(_evd_sum(z, lag_lo, lag_hi), 4 * e)
 
 
 def evd_spectrum(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2) -> EvdSpectrum:
     """Eigendecomposition of evd_s_matrix with the ratio curve attached."""
-    lam, u = _sym_eig_desc(evd_s_matrix(ts, lag_lo, lag_hi))
-    return EvdSpectrum(eigenvalues=lam, eigenvectors=u, ratios=_eig_ratios(lam))
+    return _evd(*_normalized(ts), lag_lo, lag_hi)
 
 
 def eigen_ratio_order(eigenvalues, p_cap: int) -> int:
@@ -121,10 +121,11 @@ def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     past which a ratio x/0 = inf would always win, so p_cap is at most
     min(K, N-1) - 1. The eigenvalue-ratio curve over that range is
     returned as scan (epsilon 0), also under p_override; a single series
-    has no curve. A panel of constant series is rejected.
+    has no curve. p_hat, q_hat and the ratios do not depend on the
+    panel's scale. A panel of constant series is rejected.
     """
-    _require_variation(ts)
-    spectrum = evd_spectrum(ts, lag_lo, lag_hi)
+    z, e = _normalized(ts)
+    spectrum = _evd(z, e, lag_lo, lag_hi)
     lam = spectrum.eigenvalues
     if p_override is not None:
         _rank_cap(p_override, ts.K, name="p_override")
@@ -140,43 +141,38 @@ def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
             p_hat=int(np.argmax(spectrum.ratios[:cap])) + 1, p_cap=cap)
     p_hat = scan.p_hat if p_override is None else int(p_override)
     q_hat = spectrum.eigenvectors[:, :p_hat]
-    centered = demean(ts)
     diagnostics = {
         "lambda_top": float(lam[0]),
         "lambda_tail": float(lam[p_hat]) if p_hat < lam.size else 0.0,
     }
     return FactorModelFit(method="EVD", p_hat=p_hat, q_hat=q_hat,
-                          factors=q_hat.T @ centered.values,
+                          factors=_rescaled(q_hat.T @ z, e),
                           scan=scan, diagnostics=diagnostics)
 
 
-def _lag0_spectrum(ts: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
-    cov = sample_autocov(ts, 0).matrix
-    _require_float_range(cov, _TINY, "lag-0 covariances")
-    return _sym_eig_desc(cov)
-
-
-def _ic_from_eigs(lam: np.ndarray, p: int, k: int, n: int) -> float:
-    """Information criterion at rank p from lag-0 eigenvalues.
+def _ic_from_eigs(lam: np.ndarray, e: int, p: int, k: int, n: int) -> float:
+    """Information criterion at rank p from the lag-0 eigenvalues of
+    the panel normalized by 2^-e.
 
     The mean squared residual of the best rank-p projection is the mean
-    of the trailing eigenvalues; a resolved-to-zero residual makes the
-    log -inf, a distinguished "perfect fit" value that argmin treats as
-    an automatic winner.
+    of the trailing eigenvalues, v * 2^2e at the panel's scale; a
+    resolved-to-zero residual makes the log -inf, a distinguished
+    "perfect fit" value that argmin treats as an automatic winner.
     """
     v = float(lam[p:].sum()) / k
     penalty = p * ((k + n) / (k * n)) * math.log(k * n / (k + n))
     if v <= 0.0:
         return float("-inf")
-    return math.log(v) + penalty
+    return math.log(v) + 2 * e * math.log(2.0) + penalty
 
 
 def ic_p(ts: TimeSeries, p: int) -> float:
     """Penalized log-residual of the rank-p PCA fit."""
     if not 1 <= p <= min(ts.K, ts.N):
         raise ValueError(f"p must be in [1, {min(ts.K, ts.N)}], got {p}")
-    lam, _ = _lag0_spectrum(ts)
-    return _ic_from_eigs(lam, p, ts.K, ts.N)
+    z, e = _normalized(ts)
+    lam, _ = _sym_eig_desc(_autocov(z, 0))
+    return _ic_from_eigs(lam, e, p, ts.K, ts.N)
 
 
 def fit_pca(ts: TimeSeries, p_max: int | None = None,
@@ -189,26 +185,27 @@ def fit_pca(ts: TimeSeries, p_max: int | None = None,
     most min(K, N-1), where the residual is exactly zero and its -inf
     criterion would win unconditionally, so p_max is at most
     min(K, N-1) - 1. The sigma2_hat diagnostic is the plain sum of the
-    trailing eigenvalues (a total, not a per-coordinate average). A
-    panel of constant series is rejected.
+    trailing eigenvalues (a total, not a per-coordinate average). p_hat
+    and q_hat do not depend on the panel's scale. A panel of constant
+    series is rejected.
     """
-    _require_variation(ts)
-    lam, u = _lag0_spectrum(ts)
+    z, e = _normalized(ts)
+    lam, u = _sym_eig_desc(_autocov(z, 0))
     if p_override is not None:
         p_hat = _rank_cap(p_override, min(ts.K, ts.N), name="p_override")
-        ic_at_p = _ic_from_eigs(lam, p_hat, ts.K, ts.N)
+        ic_at_p = _ic_from_eigs(lam, e, p_hat, ts.K, ts.N)
     else:
         p_max = _rank_cap(p_max, min(ts.K, ts.N - 1) - 1,
                           default=_PCA_SEARCH_LIMIT, name="p_max")
-        scores = [_ic_from_eigs(lam, p, ts.K, ts.N) for p in range(1, p_max + 1)]
+        scores = [_ic_from_eigs(lam, e, p, ts.K, ts.N)
+                  for p in range(1, p_max + 1)]
         p_hat = int(np.argmin(scores)) + 1
         ic_at_p = scores[p_hat - 1]
     q_hat = u[:, :p_hat]
-    centered = demean(ts)
     diagnostics = {
-        "sigma2_hat": float(lam[p_hat:].sum()),
+        "sigma2_hat": float(_rescaled(lam[p_hat:].sum(), 2 * e)),
         "ic": ic_at_p,
     }
     return FactorModelFit(method="PCA", p_hat=p_hat, q_hat=q_hat,
-                          factors=q_hat.T @ centered.values,
+                          factors=_rescaled(q_hat.T @ z, e),
                           diagnostics=diagnostics)

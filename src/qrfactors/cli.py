@@ -132,7 +132,6 @@ def _cmd_sim(args) -> int:
     config = SimConfig(
         scenario=args.scenario, k=args.k, n=args.n, seed=args.seed,
         lag_lo=lag_lo, lag_hi=lag_hi, alpha1=args.alpha1, alpha2=args.alpha2,
-        delta1=args.delta1, delta2=args.delta2,
         noise_kind="hurst" if args.noise == "hurst" else "iid_identity",
         hurst_w=args.w, noise_scale=args.noise_scale,
         half_support=args.half_support,
@@ -411,8 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--noise-scale", type=float, default=0.1)
     sim.add_argument("--alpha1", type=float, default=0.5)
     sim.add_argument("--alpha2", type=float, default=0.5)
-    sim.add_argument("--delta1", type=float, default=0.0)
-    sim.add_argument("--delta2", type=float, default=0.5)
     sim.add_argument("--half-support", action="store_true")
     sim.add_argument("--p-override", type=_positive("--p-override"), default=None)
     sim.add_argument("--p-cap", type=_positive("--p-cap"), default=None)

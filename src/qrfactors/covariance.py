@@ -9,35 +9,60 @@ normalization (not 1/N) and the single shared mean for both terms.
 The augmented matrix stacks C(a), ..., C(b) side by side into a
 K x (b-a+1)K block row, which carries the factor column space while lagged
 white noise averages out.
+
+Every covariance is read from the panel centered and scaled by an exact
+power of two (_normalized), so nothing read from it depends on the
+panel's scale; scale-bearing results map back exactly with _rescaled.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tsdata import TimeSeries, _frozen
 
-# Smallest normal float. When a matrix's largest entry is at least this,
-# underflow in its other entries costs at most machine epsilon times it.
-_TINY = float(np.finfo(float).tiny)
 
-
-def _require_float_range(matrix: np.ndarray, floor: float, what: str) -> None:
-    """Raise ValueError, advising to rescale the panel, unless every entry
-    of `matrix` is finite and its largest magnitude is at least `floor`.
-
-    Each caller passes the floor its solver needs. A panel scaled far
-    enough down makes every entry underflow to 0, and a fit of that would
-    be arbitrary; scaled far enough up, entries overflow to inf or nan.
-    """
-    top = float(np.abs(matrix).max())
-    if not floor <= top < np.inf:
+def _normalized(ts: TimeSeries) -> tuple[np.ndarray, int]:
+    """The centered panel times 2^-e, and e, where 2^e is the power of
+    two above the widest series range: 2^k * y gives the same array and
+    e + k. A panel of constant series has no factor and is rejected."""
+    values = ts.values
+    hi, lo = values.max(axis=1), values.min(axis=1)
+    if (hi == lo).all():
         raise ValueError(
-            f"{what} leave the float range (largest magnitude {top:.3e}); "
-            "divide the panel by a constant near its scale"
+            "every series in the panel is constant, so there is no factor "
+            "to estimate; pass a panel in which at least one series varies"
         )
+    # halves keep a range near the float limit finite
+    e = math.frexp(float((hi / 2 - lo / 2).max()))[1] + 1
+    z = np.ldexp(values, -e)
+    z -= z.mean(axis=1, keepdims=True)
+    return z, e
+
+
+def _rescaled(x, exp: int):
+    """x * 2^exp, saturating to 0 or inf where it leaves the float range."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, exp)
+
+
+def _autocov(z: np.ndarray, lag: int) -> np.ndarray:
+    """The one autocovariance kernel: lag `lag` of the centered panel z."""
+    n = z.shape[1]
+    return z[:, lag:] @ z[:, :n - lag].T / (n - lag)
+
+
+def _lag_covs(z: np.ndarray, lag_lo: int, lag_hi: int) -> list[np.ndarray]:
+    """C(lag_lo) ... C(lag_hi) of z."""
+    n = z.shape[1]
+    if not 1 <= lag_lo <= lag_hi:
+        raise ValueError(f"need 1 <= lag_lo <= lag_hi, got {lag_lo}..{lag_hi}")
+    if lag_hi > n - 2:
+        raise ValueError(f"lag_hi={lag_hi} too large for N={n} (max {n - 2})")
+    return [_autocov(z, lag) for lag in range(lag_lo, lag_hi + 1)]
 
 
 @dataclass(frozen=True)
@@ -76,20 +101,13 @@ def sample_autocov(ts: TimeSeries, lag: int) -> LagCovariance:
         raise ValueError(
             f"lag must be in [0, {n - 2}] for N={n}, got {lag}"
         )
-    centered = ts.values - ts.values.mean(axis=1, keepdims=True)
-    mat = centered[:, lag:] @ centered[:, :n - lag].T / (n - lag)
-    return LagCovariance(lag=lag, matrix=mat)
+    z, e = _normalized(ts)
+    return LagCovariance(lag=lag, matrix=_rescaled(_autocov(z, lag), 2 * e))
 
 
 def build_augmented(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 5) -> AugmentedCov:
     """Stack sample autocovariances for lags lag_lo..lag_hi horizontally."""
-    if not 1 <= lag_lo <= lag_hi:
-        raise ValueError(f"need 1 <= lag_lo <= lag_hi, got {lag_lo}..{lag_hi}")
-    if lag_hi > ts.N - 2:
-        raise ValueError(
-            f"lag_hi={lag_hi} too large for N={ts.N} (max {ts.N - 2})"
-        )
-    blocks = [sample_autocov(ts, l).matrix for l in range(lag_lo, lag_hi + 1)]
-    matrix = np.hstack(blocks)
-    _require_float_range(matrix, _TINY, "lag autocovariances")
-    return AugmentedCov(lag_lo=lag_lo, lag_hi=lag_hi, matrix=matrix, N=ts.N)
+    z, e = _normalized(ts)
+    matrix = np.hstack(_lag_covs(z, lag_lo, lag_hi))
+    return AugmentedCov(lag_lo=lag_lo, lag_hi=lag_hi,
+                        matrix=_rescaled(matrix, 2 * e), N=ts.N)

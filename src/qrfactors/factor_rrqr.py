@@ -15,16 +15,16 @@ confirms as its fixed point in one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .covariance import AugmentedCov, build_augmented
+from .covariance import AugmentedCov, _lag_covs, _normalized, _rescaled
 from .rrqr import Permutation, _as_matrix, _scan_orders, hybrid1
 # bench/reference.py patches factor_rrqr.hybrid3 to count the scan's passes;
 # the scan no longer calls it, but the name stays until that script changes.
 from .rrqr import hybrid3  # noqa: F401
-from .tsdata import TimeSeries, demean
+from .tsdata import TimeSeries
 
 # Widest rank scanned when the caller does not say; generous for factor
 # counts seen in practice while keeping the scan loop cheap.
@@ -49,18 +49,6 @@ def _rank_cap(p_cap: int | None, limit: int,
     if not 1 <= p_cap <= limit:
         raise ValueError(f"{name} must be in [1, {limit}], got {p_cap}")
     return int(p_cap)
-
-
-def _require_variation(ts: TimeSeries) -> None:
-    """Reject a panel in which every series is constant: its demeaned
-    values and every covariance are zero, so no factor and no loading
-    can be read from it, and any basis a fitter returned would be
-    arbitrary."""
-    if not np.ptp(ts.values, axis=1).any():
-        raise ValueError(
-            "every series in the panel is constant, so there is no factor "
-            "to estimate; pass a panel in which at least one series varies"
-        )
 
 
 @dataclass(frozen=True)
@@ -195,38 +183,43 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
              p_cap: int | None = None) -> FactorModelFit:
     """Fit the factor model by pivoted QR of the stacked lag covariances.
 
-    Demeans the series, stacks the sample autocovariances for lags
-    lag_lo..lag_hi and estimates the factor count by scan_model_order.
-    The loading basis is the first p_hat columns of the orthonormal
-    factor of hybrid1 at p_hat, started from the scan's own order at
-    that rank: one RRQR both reveals the rank and gives the basis, and
-    hybrid1 only confirms the order (one pass) and builds Q. When
-    p_override pins the rank there is no scan, and hybrid1 starts from
-    qr_cp's pivots; p_override may be min(K, n), where hybrid3, and so
-    the scan's loop, is undefined. Factor paths are the basis applied
-    to the centered observations. A panel of constant series is
-    rejected.
+    Stacks the sample autocovariances for lags lag_lo..lag_hi of the
+    normalized panel and estimates the factor count by
+    scan_model_order. The loading basis is the first p_hat columns of
+    the orthonormal factor of hybrid1 at p_hat, started from the scan's
+    own order at that rank: one RRQR both reveals the rank and gives the
+    basis, and hybrid1 only confirms the order (one pass) and builds Q.
+    When p_override pins the rank there is no scan, and hybrid1 starts
+    from qr_cp's pivots; p_override may be min(K, n), where hybrid3, and
+    so the scan's loop, is undefined. p_hat, q_hat and the ratio curve
+    do not depend on the panel's scale; factor paths, gammas, epsilon
+    and the block singular values are mapped back to it. A panel of
+    constant series is rejected.
     """
-    _require_variation(ts)
-    aug = build_augmented(ts, lag_lo, lag_hi)
-    mat = np.asarray(aug.matrix)
+    z, e = _normalized(ts)
+    mat = np.hstack(_lag_covs(z, lag_lo, lag_hi))
     scan = None
     if p_override is not None:
         p_hat = _rank_cap(p_override, min(mat.shape), name="p_override")
     else:
-        scan = scan_model_order(aug, p_cap)
+        scan = scan_model_order(mat, p_cap, n=ts.N)
         p_hat = scan.p_hat
     init = None if scan is None else scan.orders[p_hat - 1]
     res = hybrid1(mat, p_hat, init=init)
     q_hat = res.factors.q[:, :p_hat]
-    centered = demean(ts)
     diagnostics = {
-        "r11_min_sv": res.r11_min_sv,
-        "r22_max_sv": res.r22_max_sv,
+        "r11_min_sv": float(_rescaled(res.r11_min_sv, 2 * e)),
+        "r22_max_sv": float(_rescaled(res.r22_max_sv, 2 * e)),
         "passes": float(res.passes),
     }
     if scan is not None:
+        scan = replace(
+            scan, epsilon=float(_rescaled(scan.epsilon, 2 * e)),
+            candidates=tuple(
+                replace(c, gamma=float(_rescaled(c.gamma, 2 * e)),
+                        gamma_next=float(_rescaled(c.gamma_next, 2 * e)))
+                for c in scan.candidates))
         diagnostics["epsilon"] = scan.epsilon
     return FactorModelFit(method="RRQR", p_hat=p_hat, q_hat=q_hat,
-                          factors=q_hat.T @ centered.values,
+                          factors=_rescaled(q_hat.T @ z, e),
                           scan=scan, diagnostics=diagnostics)

@@ -70,10 +70,10 @@ class Permutation:
     order: tuple[int, ...]
 
     def __post_init__(self):
-        order = tuple(int(i) for i in self.order)
-        if sorted(order) != list(range(len(order))):
+        order = np.asarray(self.order, dtype=np.intp)
+        if not np.array_equal(np.sort(order), np.arange(order.size)):
             raise ValueError("order is not a bijection on 0..n-1")
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order", tuple(order.tolist()))
 
     def as_matrix(self) -> np.ndarray:
         n = len(self.order)

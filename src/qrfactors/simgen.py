@@ -45,8 +45,7 @@ class SimConfig:
     """Everything a scenario needs to produce one dataset.
 
     alpha1/alpha2 are the MA coefficients of the two scenario-2 factors;
-    delta1/delta2 are their nominal strength exponents (delta2 = 0.5 is
-    realized by supporting the second loading on only half the series).
+    the second is weaker, its loading supported on only half the series.
     noise_scale multiplies the scenario-2 correlated-noise covariance.
     half_support zeroes the lower half of scenario 1's loading column.
     """
@@ -59,8 +58,6 @@ class SimConfig:
     lag_hi: int = 2
     alpha1: float = 0.5
     alpha2: float = 0.5
-    delta1: float = 0.0
-    delta2: float = 0.5
     noise_kind: str = "iid_identity"
     hurst_w: float = 0.6
     noise_scale: float = 0.1
@@ -80,11 +77,6 @@ class SimConfig:
         if not 1 <= self.lag_lo <= self.lag_hi:
             raise ValueError(
                 f"bad lag range [{self.lag_lo}, {self.lag_hi}]"
-            )
-        if not 0.0 <= self.delta1 < self.delta2 <= 1.0:
-            raise ValueError(
-                "factor strengths must satisfy 0 <= delta1 < delta2 <= 1, "
-                f"got {self.delta1}, {self.delta2}"
             )
         if self.noise_kind not in ("iid_identity", "hurst"):
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")

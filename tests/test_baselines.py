@@ -132,13 +132,17 @@ def test_fit_evd_default_cap_stays_below_full_rank():
 
 @pytest.mark.parametrize("k,n", [(20, 200), (180, 500)])
 @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100])
-def test_fit_evd_rejects_out_of_range_scales(k, n, scale):
-    # the lag covariances squared under- or overflow (at 1e-200 every
-    # one is exactly 0); an arbitrary loading or a LAPACK convergence
-    # error would hide that
-    ts = TimeSeries(scale * gen_sim1(k=k, n=n, seed=0).y.values)
-    with pytest.raises(ValueError, match="divide the panel by a constant"):
-        fit_evd(ts, lag_lo=1, lag_hi=5)
+def test_fit_evd_fits_at_out_of_range_scales(k, n, scale):
+    # the raw lag covariances squared under- or overflow (at 1e-200 every
+    # one is exactly 0); the fit reads the normalized panel, and only the
+    # eigenvalues, whose true values leave the float range, saturate
+    values = gen_sim1(k=k, n=n, seed=0).y.values
+    base = fit_evd(TimeSeries(values), lag_lo=1, lag_hi=5)
+    fit = fit_evd(TimeSeries(scale * values), lag_lo=1, lag_hi=5)
+    assert fit.p_hat == base.p_hat
+    assert subspace_error(fit.q_hat, base.q_hat) <= 1e-10
+    assert_allclose(fit.scan.ratios(), base.scan.ratios(), rtol=1e-10)
+    assert fit.diagnostics["lambda_top"] == (0.0 if scale < 1 else math.inf)
 
 
 # ------------------------------------------------------------------
@@ -187,22 +191,18 @@ def test_fit_pca_default_cap_stays_below_full_rank():
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e160])
-def test_fit_pca_rejects_out_of_range_scales(scale):
-    # at 1e-200 the lag-0 covariance underflows to 0 (p_hat 1 against
-    # 19), at 1e160 it overflows and the eigensolver fails to converge
-    ts = TimeSeries(scale * gen_sim1(k=20, n=200, seed=0).y.values)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="divide the panel by a constant"):
-        fit_pca(ts)
-
-
-@pytest.mark.parametrize("scale", [1e-150, 1e150])
-def test_fit_pca_fits_at_extreme_scales(scale):
+def test_fit_pca_fits_at_out_of_range_scales(scale):
+    # the raw lag-0 covariance under- or overflows here; the fit reads the
+    # normalized panel, sigma2_hat saturates with its true value, and the
+    # criterion moves by exactly the log of the squared scale
     values = gen_sim1(k=20, n=200, seed=0).y.values
     base = fit_pca(TimeSeries(values))
     fit = fit_pca(TimeSeries(scale * values))
     assert fit.p_hat == base.p_hat
     assert subspace_error(fit.q_hat, base.q_hat) <= 1e-10
+    assert fit.diagnostics["sigma2_hat"] == (0.0 if scale < 1 else math.inf)
+    assert_allclose(fit.diagnostics["ic"],
+                    base.diagnostics["ic"] + 2 * math.log(scale), atol=1e-9)
 
 
 def test_fit_pca_strong_factor():

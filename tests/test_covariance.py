@@ -5,6 +5,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qrfactors.covariance import build_augmented, sample_autocov
+from qrfactors.factor_rrqr import fit_rrqr
+from qrfactors.simgen import subspace_error
 from qrfactors.tsdata import TimeSeries
 
 from oracles import brute_autocov
@@ -77,8 +79,19 @@ def test_augmented_lag_range_rejected(lo, hi):
         build_augmented(ts, lag_lo=lo, lag_hi=hi)
 
 
-def test_augmented_overflow_says_to_rescale():
-    ts = TimeSeries(1e160 * np.random.default_rng(4).standard_normal((3, 40)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="divide the panel"):
-            build_augmented(ts, lag_lo=1, lag_hi=2)
+def test_augmented_saturates_where_covariances_overflow():
+    # at 1e160 every lag covariance is near 1e320: the stacked matrix
+    # saturates to inf with the unit-scale signs, never NaN, and the fit,
+    # which reads the normalized panel, is the unit-scale one
+    values = np.random.default_rng(4).standard_normal((3, 40))
+    ts = TimeSeries(1e160 * values)
+    base = build_augmented(TimeSeries(values), lag_lo=1, lag_hi=2).matrix
+    aug = build_augmented(ts, lag_lo=1, lag_hi=2).matrix
+    assert np.isinf(aug).all()
+    assert_array_equal(np.sign(aug), np.sign(base))
+    fit, unit = fit_rrqr(ts, 1, 2), fit_rrqr(TimeSeries(values), 1, 2)
+    assert fit.p_hat == unit.p_hat
+    assert subspace_error(fit.q_hat, unit.q_hat) <= 1e-10
+    # within the float range a power of two maps back exactly
+    shifted = build_augmented(TimeSeries(np.ldexp(values, 300)), 1, 2).matrix
+    assert_array_equal(shifted, np.ldexp(base, 600))

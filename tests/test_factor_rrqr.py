@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from qrfactors import rrqr
 from qrfactors.covariance import build_augmented
 from qrfactors.factor_rrqr import FactorModelFit, fit_rrqr, scan_model_order
+from qrfactors.forecast_eval import fit_method
 from qrfactors.rrqr import RrqrIterationError, hybrid3
 from qrfactors.simgen import SimConfig, gen_sim1, gen_sim2, subspace_error
 from qrfactors.tsdata import TimeSeries, demean
@@ -257,20 +258,50 @@ def test_fit_is_deterministic():
     assert one.p_hat == two.p_hat
 
 
-@pytest.mark.parametrize("scale", [1e-100, 1e100])
-def test_fit_is_scale_invariant_at_extreme_scales(scale):
+def _assert_same_fit(fit, base, shift):
+    """Same rank, loadings and ratio curve bit for bit; factor paths
+    scaled by exactly 2^shift, saturating where they leave the range."""
+    assert fit.p_hat == base.p_hat
+    assert_array_equal(fit.q_hat, base.q_hat)
+    if base.scan is not None:
+        assert_array_equal(fit.scan.ratios(), base.scan.ratios())
+    with np.errstate(over="ignore"):
+        assert_array_equal(fit.factors, np.ldexp(base.factors, shift))
+
+
+@pytest.mark.parametrize("method", ["rrqr", "evd", "pca"])
+def test_fit_is_scale_invariant_at_extreme_scales(method):
+    values = gen_sim1(k=20, n=200, seed=0).y.values
+
+    def fit(v):
+        return fit_method(method, TimeSeries(v), lag_lo=1, lag_hi=5)
+
+    base = fit(values)
+    # a power of two rescales every entry exactly
+    for k in (-1000, 1000):
+        _assert_same_fit(fit(np.ldexp(values, k)), base, k)
+    # any other factor rounds every entry, which moves only round-off
+    for c in (1e-300, 1e300):
+        scaled = fit(c * values)
+        assert scaled.p_hat == base.p_hat
+        assert subspace_error(scaled.q_hat, base.q_hat) <= 1e-10
+    # entries reach +-1.7e308, so the widest series range overflows
+    top = values * (1.7e308 / np.abs(values).max())
+    _assert_same_fit(fit(top), fit(np.ldexp(top, -2000)), 2000)
+
+
+def test_fit_fits_at_underflowing_scale():
+    # every raw lag covariance underflows to exactly 0 here; the fit reads
+    # the normalized panel, and only epsilon, at about 1e-400, saturates
     data = gen_sim1(k=20, n=200, seed=0)
     base = fit_rrqr(data.y, lag_lo=1, lag_hi=5)
-    fit = fit_rrqr(TimeSeries(scale * data.y.values), lag_lo=1, lag_hi=5)
+    fit = fit_rrqr(TimeSeries(1e-200 * data.y.values), lag_lo=1, lag_hi=5)
     assert fit.p_hat == base.p_hat
     assert subspace_error(fit.q_hat, base.q_hat) <= 1e-10
-
-
-def test_fit_rejects_underflowing_scale():
-    # every lag covariance underflows to exactly 0
-    data = gen_sim1(k=20, n=200, seed=0)
-    with pytest.raises(ValueError, match="divide the panel by a constant"):
-        fit_rrqr(TimeSeries(1e-200 * data.y.values), lag_lo=1, lag_hi=5)
+    assert_allclose(fit.scan.ratios(), base.scan.ratios(), rtol=1e-10)
+    assert fit.scan.epsilon == 0.0
+    assert_allclose(fit.factors, 1e-200 * base.factors, rtol=1e-10,
+                    atol=1e-210)
 
 
 def test_fit_result_arrays_are_frozen():

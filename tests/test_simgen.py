@@ -167,7 +167,7 @@ def test_hurst_cov_rejects_bad_exponent(w):
     {"n": 5},
     {"lag_lo": 0},
     {"lag_lo": 3, "lag_hi": 2},
-    {"delta1": 0.5, "delta2": 0.5},        # must be strictly ordered
+    {"k": 1},
     {"noise_kind": "pink"},
     {"hurst_w": 1.0},
     {"noise_scale": 0.0},
