@@ -205,6 +205,15 @@ def test_fit_pca_fits_at_out_of_range_scales(scale):
                     base.diagnostics["ic"] + 2 * math.log(scale), atol=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_fit_pca_fits_at_extreme_scales(scale):
+    values = gen_sim1(k=20, n=200, seed=0).y.values
+    base = fit_pca(TimeSeries(values))
+    fit = fit_pca(TimeSeries(scale * values))
+    assert fit.p_hat == base.p_hat
+    assert subspace_error(fit.q_hat, base.q_hat) <= 1e-10
+
+
 def test_fit_pca_strong_factor():
     # factor variance dwarfs the noise so the top eigenvector pins the span
     rng = np.random.default_rng(113)

@@ -269,8 +269,17 @@ def _assert_same_fit(fit, base, shift):
         assert_array_equal(fit.factors, np.ldexp(base.factors, shift))
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_fit_is_scale_invariant_at_extreme_scales(scale):
+    data = gen_sim1(k=20, n=200, seed=0)
+    base = fit_rrqr(data.y, lag_lo=1, lag_hi=5)
+    fit = fit_rrqr(TimeSeries(scale * data.y.values), lag_lo=1, lag_hi=5)
+    assert fit.p_hat == base.p_hat
+    assert subspace_error(fit.q_hat, base.q_hat) <= 1e-10
+
+
 @pytest.mark.parametrize("method", ["rrqr", "evd", "pca"])
-def test_fit_is_scale_invariant_at_extreme_scales(method):
+def test_fitters_are_scale_invariant_at_extreme_scales(method):
     values = gen_sim1(k=20, n=200, seed=0).y.values
 
     def fit(v):
