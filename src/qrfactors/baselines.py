@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import _autocov, _lag_covs, _normalized, _rescaled
+from .covariance import _lag_covs, _rescaled, sample_autocov
 from .factor_rrqr import (FactorModelFit, ModelOrderScan, RankCandidate,
                           _rank_cap)
 from .tsdata import TimeSeries
@@ -71,17 +71,11 @@ def _eig_ratios(lam: np.ndarray) -> np.ndarray:
     return np.nan_to_num(ratios, nan=0.0, posinf=np.inf)
 
 
-def _evd_sum(z: np.ndarray, lag_lo: int, lag_hi: int) -> np.ndarray:
-    """evd_s_matrix of the normalized panel z."""
-    s = sum(cov @ cov.T for cov in _lag_covs(z, lag_lo, lag_hi))
-    return (s + s.T) / 2.0
-
-
-def _evd(z: np.ndarray, e: int, lag_lo: int, lag_hi: int) -> EvdSpectrum:
-    """evd_spectrum of the normalized panel z; eigenvalues mapped back."""
-    lam, u = _sym_eig_desc(_evd_sum(z, lag_lo, lag_hi))
-    return EvdSpectrum(eigenvalues=_rescaled(lam, 4 * e), eigenvectors=u,
-                       ratios=_eig_ratios(lam))
+def _evd_sum(ts: TimeSeries, lag_lo: int, lag_hi: int) -> tuple[np.ndarray, int]:
+    """evd_s_matrix of the normalized panel, and its exponent."""
+    covs = _lag_covs(ts, lag_lo, lag_hi)
+    s = sum(cov.scaled @ cov.scaled.T for cov in covs)
+    return (s + s.T) / 2.0, 2 * covs[0].exponent
 
 
 def evd_s_matrix(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2) -> np.ndarray:
@@ -91,13 +85,16 @@ def evd_s_matrix(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2) -> np.ndarray
     so its eigenvalues are the squared singular values the pivoted-QR
     route works from.
     """
-    z, e = _normalized(ts)
-    return _rescaled(_evd_sum(z, lag_lo, lag_hi), 4 * e)
+    return _rescaled(*_evd_sum(ts, lag_lo, lag_hi))
 
 
 def evd_spectrum(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2) -> EvdSpectrum:
-    """Eigendecomposition of evd_s_matrix with the ratio curve attached."""
-    return _evd(*_normalized(ts), lag_lo, lag_hi)
+    """Eigendecomposition of evd_s_matrix with the ratio curve attached;
+    only the eigenvalues depend on the panel's scale."""
+    s, exp = _evd_sum(ts, lag_lo, lag_hi)
+    lam, u = _sym_eig_desc(s)
+    return EvdSpectrum(eigenvalues=_rescaled(lam, exp), eigenvectors=u,
+                       ratios=_eig_ratios(lam))
 
 
 def eigen_ratio_order(eigenvalues, p_cap: int) -> int:
@@ -124,8 +121,7 @@ def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     has no curve. p_hat, q_hat and the ratios do not depend on the
     panel's scale. A panel of constant series is rejected.
     """
-    z, e = _normalized(ts)
-    spectrum = _evd(z, e, lag_lo, lag_hi)
+    spectrum = evd_spectrum(ts, lag_lo, lag_hi)
     lam = spectrum.eigenvalues
     if p_override is not None:
         _rank_cap(p_override, ts.K, name="p_override")
@@ -141,6 +137,7 @@ def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
             p_hat=int(np.argmax(spectrum.ratios[:cap])) + 1, p_cap=cap)
     p_hat = scan.p_hat if p_override is None else int(p_override)
     q_hat = spectrum.eigenvectors[:, :p_hat]
+    z, e = ts._normalized
     diagnostics = {
         "lambda_top": float(lam[0]),
         "lambda_tail": float(lam[p_hat]) if p_hat < lam.size else 0.0,
@@ -150,29 +147,28 @@ def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
                           scan=scan, diagnostics=diagnostics)
 
 
-def _ic_from_eigs(lam: np.ndarray, e: int, p: int, k: int, n: int) -> float:
-    """Information criterion at rank p from the lag-0 eigenvalues of
-    the panel normalized by 2^-e.
+def _ic_from_eigs(lam: np.ndarray, p: int, k: int, n: int) -> float:
+    """Information criterion at rank p from lag-0 eigenvalues.
 
     The mean squared residual of the best rank-p projection is the mean
-    of the trailing eigenvalues, v * 2^2e at the panel's scale; a
-    resolved-to-zero residual makes the log -inf, a distinguished
-    "perfect fit" value that argmin treats as an automatic winner.
+    of the trailing eigenvalues; a resolved-to-zero residual makes the
+    log -inf, a distinguished "perfect fit" value that argmin treats as
+    an automatic winner. Eigenvalues times 2^x shift it by x ln 2.
     """
     v = float(lam[p:].sum()) / k
     penalty = p * ((k + n) / (k * n)) * math.log(k * n / (k + n))
     if v <= 0.0:
         return float("-inf")
-    return math.log(v) + 2 * e * math.log(2.0) + penalty
+    return math.log(v) + penalty
 
 
 def ic_p(ts: TimeSeries, p: int) -> float:
     """Penalized log-residual of the rank-p PCA fit."""
     if not 1 <= p <= min(ts.K, ts.N):
         raise ValueError(f"p must be in [1, {min(ts.K, ts.N)}], got {p}")
-    z, e = _normalized(ts)
-    lam, _ = _sym_eig_desc(_autocov(z, 0))
-    return _ic_from_eigs(lam, e, p, ts.K, ts.N)
+    cov = sample_autocov(ts, 0)
+    lam, _ = _sym_eig_desc(cov.scaled)
+    return _ic_from_eigs(lam, p, ts.K, ts.N) + cov.exponent * math.log(2.0)
 
 
 def fit_pca(ts: TimeSeries, p_max: int | None = None,
@@ -189,22 +185,22 @@ def fit_pca(ts: TimeSeries, p_max: int | None = None,
     and q_hat do not depend on the panel's scale. A panel of constant
     series is rejected.
     """
-    z, e = _normalized(ts)
-    lam, u = _sym_eig_desc(_autocov(z, 0))
+    cov = sample_autocov(ts, 0)
+    lam, u = _sym_eig_desc(cov.scaled)
     if p_override is not None:
         p_hat = _rank_cap(p_override, min(ts.K, ts.N), name="p_override")
-        ic_at_p = _ic_from_eigs(lam, e, p_hat, ts.K, ts.N)
+        ic_at_p = _ic_from_eigs(lam, p_hat, ts.K, ts.N)
     else:
         p_max = _rank_cap(p_max, min(ts.K, ts.N - 1) - 1,
                           default=_PCA_SEARCH_LIMIT, name="p_max")
-        scores = [_ic_from_eigs(lam, e, p, ts.K, ts.N)
-                  for p in range(1, p_max + 1)]
+        scores = [_ic_from_eigs(lam, p, ts.K, ts.N) for p in range(1, p_max + 1)]
         p_hat = int(np.argmin(scores)) + 1
         ic_at_p = scores[p_hat - 1]
     q_hat = u[:, :p_hat]
+    z, e = ts._normalized
     diagnostics = {
-        "sigma2_hat": float(_rescaled(lam[p_hat:].sum(), 2 * e)),
-        "ic": ic_at_p,
+        "sigma2_hat": float(_rescaled(lam[p_hat:].sum(), cov.exponent)),
+        "ic": ic_at_p + cov.exponent * math.log(2.0),
     }
     return FactorModelFit(method="PCA", p_hat=p_hat, q_hat=q_hat,
                           factors=_rescaled(q_hat.T @ z, e),

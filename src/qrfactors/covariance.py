@@ -11,36 +11,19 @@ K x (b-a+1)K block row, which carries the factor column space while lagged
 white noise averages out.
 
 Every covariance is read from the panel centered and scaled by an exact
-power of two (_normalized), so nothing read from it depends on the
-panel's scale; scale-bearing results map back exactly with _rescaled.
+power of two (TimeSeries._normalized), so nothing a fit reads from it
+depends on the panel's scale; each result also holds the exponent that
+maps it back exactly.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .tsdata import TimeSeries, _frozen
-
-
-def _normalized(ts: TimeSeries) -> tuple[np.ndarray, int]:
-    """The centered panel times 2^-e, and e, where 2^e is the power of
-    two above the widest series range: 2^k * y gives the same array and
-    e + k. A panel of constant series has no factor and is rejected."""
-    values = ts.values
-    hi, lo = values.max(axis=1), values.min(axis=1)
-    if (hi == lo).all():
-        raise ValueError(
-            "every series in the panel is constant, so there is no factor "
-            "to estimate; pass a panel in which at least one series varies"
-        )
-    # halves keep a range near the float limit finite
-    e = math.frexp(float((hi / 2 - lo / 2).max()))[1] + 1
-    z = np.ldexp(values, -e)
-    z -= z.mean(axis=1, keepdims=True)
-    return z, e
 
 
 def _rescaled(x, exp: int):
@@ -49,44 +32,39 @@ def _rescaled(x, exp: int):
         return np.ldexp(x, exp)
 
 
-def _autocov(z: np.ndarray, lag: int) -> np.ndarray:
-    """The one autocovariance kernel: lag `lag` of the centered panel z."""
-    n = z.shape[1]
-    return z[:, lag:] @ z[:, :n - lag].T / (n - lag)
-
-
-def _lag_covs(z: np.ndarray, lag_lo: int, lag_hi: int) -> list[np.ndarray]:
-    """C(lag_lo) ... C(lag_hi) of z."""
-    n = z.shape[1]
-    if not 1 <= lag_lo <= lag_hi:
-        raise ValueError(f"need 1 <= lag_lo <= lag_hi, got {lag_lo}..{lag_hi}")
-    if lag_hi > n - 2:
-        raise ValueError(f"lag_hi={lag_hi} too large for N={n} (max {n - 2})")
-    return [_autocov(z, lag) for lag in range(lag_lo, lag_hi + 1)]
-
-
-@dataclass(frozen=True)
-class LagCovariance:
-    lag: int
-    matrix: np.ndarray
+class _Scaled:
+    """A covariance held as `scaled`, read from the normalized panel, and
+    `exponent`: matrix == scaled * 2^exponent, at the panel's own scale
+    and saturating to 0 or inf where it leaves the float range."""
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
+        object.__setattr__(self, "scaled", _frozen(self.scaled))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _frozen(_rescaled(self.scaled, self.exponent))
 
 
 @dataclass(frozen=True)
-class AugmentedCov:
+class LagCovariance(_Scaled):
+    lag: int
+    scaled: np.ndarray
+    exponent: int
+
+
+@dataclass(frozen=True)
+class AugmentedCov(_Scaled):
     """Side-by-side lag autocovariances C(lag_lo) ... C(lag_hi)."""
 
     lag_lo: int
     lag_hi: int
-    matrix: np.ndarray
-    K: int = field(init=False)
+    scaled: np.ndarray
+    exponent: int
     N: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
-        object.__setattr__(self, "K", self.matrix.shape[0])
+    @property
+    def K(self) -> int:
+        return self.scaled.shape[0]
 
     def block(self, j: int) -> np.ndarray:
         """The j-th K x K block (0-indexed), i.e. the lag lag_lo+j term."""
@@ -98,16 +76,25 @@ def sample_autocov(ts: TimeSeries, lag: int) -> LagCovariance:
     """Sample autocovariance at the given lag (0 <= lag <= N-2)."""
     n = ts.N
     if not 0 <= lag <= n - 2:
-        raise ValueError(
-            f"lag must be in [0, {n - 2}] for N={n}, got {lag}"
-        )
-    z, e = _normalized(ts)
-    return LagCovariance(lag=lag, matrix=_rescaled(_autocov(z, lag), 2 * e))
+        raise ValueError(f"lag must be in [0, {n - 2}] for N={n}, got {lag}")
+    z, e = ts._normalized
+    return LagCovariance(lag=lag, scaled=z[:, lag:] @ z[:, :n - lag].T / (n - lag),
+                         exponent=2 * e)
+
+
+def _lag_covs(ts: TimeSeries, lag_lo: int, lag_hi: int) -> list[LagCovariance]:
+    """C(lag_lo) ... C(lag_hi), for 1 <= lag_lo <= lag_hi <= N-2."""
+    n = ts.N
+    if not 1 <= lag_lo <= lag_hi:
+        raise ValueError(f"need 1 <= lag_lo <= lag_hi, got {lag_lo}..{lag_hi}")
+    if lag_hi > n - 2:
+        raise ValueError(f"lag_hi={lag_hi} too large for N={n} (max {n - 2})")
+    return [sample_autocov(ts, lag) for lag in range(lag_lo, lag_hi + 1)]
 
 
 def build_augmented(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 5) -> AugmentedCov:
     """Stack sample autocovariances for lags lag_lo..lag_hi horizontally."""
-    z, e = _normalized(ts)
-    matrix = np.hstack(_lag_covs(z, lag_lo, lag_hi))
+    covs = _lag_covs(ts, lag_lo, lag_hi)
     return AugmentedCov(lag_lo=lag_lo, lag_hi=lag_hi,
-                        matrix=_rescaled(matrix, 2 * e), N=ts.N)
+                        scaled=np.hstack([c.scaled for c in covs]),
+                        exponent=covs[0].exponent, N=ts.N)

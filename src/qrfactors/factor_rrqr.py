@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .covariance import AugmentedCov, _lag_covs, _normalized, _rescaled
+from .covariance import _rescaled, build_augmented
 from .rrqr import Permutation, _as_matrix, _scan_orders, hybrid1
 # bench/reference.py patches factor_rrqr.hybrid3 to count the scan's passes;
 # the scan no longer calls it, but the name stays until that script changes.
@@ -141,32 +141,26 @@ def scan_model_order(m_tilde, p_cap: int | None = None, n: int | None = None,
 
     Parameters
     ----------
-    m_tilde : AugmentedCov or array-like
+    m_tilde : array-like
         The stacked lag-covariance matrix (or any K x n matrix to
         rank-scan).
     p_cap : int, optional
         Largest candidate rank, at most min(K, n) - 1; _rank_cap's
         default when omitted.
-    n : int, optional
-        Sample count behind the matrix, used only to scale eps. Taken
-        from the AugmentedCov when omitted.
+    n : int
+        Sample count behind the matrix, used only to scale eps.
     k : int, optional
         Series count; defaults to the row count.
     """
-    mat = _as_matrix(m_tilde.matrix if isinstance(m_tilde, AugmentedCov)
-                     else m_tilde)
+    mat = _as_matrix(m_tilde)
     rows, cols = mat.shape
-    if k is None:
-        k = m_tilde.K if isinstance(m_tilde, AugmentedCov) else rows
-    if n is None:
-        n = m_tilde.N if isinstance(m_tilde, AugmentedCov) else 0
-    if n <= 0:
+    if n is None or n <= 0:
         raise ValueError("sample count n is required to scale the ratio floor")
     p_cap = _rank_cap(p_cap, min(rows, cols) - 1)
     gammas, gammas_next, passes, orders = zip(*_scan_orders(mat, p_cap))
     if gammas[0] <= 0.0:
         raise ValueError("matrix is numerically zero; no rank to reveal")
-    epsilon = gammas[0] / math.sqrt(k * n)
+    epsilon = gammas[0] / math.sqrt((rows if k is None else k) * n)
     candidates = tuple(
         RankCandidate(index=i, gamma=gamma, gamma_next=gamma_next,
                       ratio=(gamma + epsilon) / (gamma_next + epsilon))
@@ -196,8 +190,8 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     and the block singular values are mapped back to it. A panel of
     constant series is rejected.
     """
-    z, e = _normalized(ts)
-    mat = np.hstack(_lag_covs(z, lag_lo, lag_hi))
+    aug = build_augmented(ts, lag_lo, lag_hi)
+    mat, exp = aug.scaled, aug.exponent
     scan = None
     if p_override is not None:
         p_hat = _rank_cap(p_override, min(mat.shape), name="p_override")
@@ -208,18 +202,19 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     res = hybrid1(mat, p_hat, init=init)
     q_hat = res.factors.q[:, :p_hat]
     diagnostics = {
-        "r11_min_sv": float(_rescaled(res.r11_min_sv, 2 * e)),
-        "r22_max_sv": float(_rescaled(res.r22_max_sv, 2 * e)),
+        "r11_min_sv": float(_rescaled(res.r11_min_sv, exp)),
+        "r22_max_sv": float(_rescaled(res.r22_max_sv, exp)),
         "passes": float(res.passes),
     }
     if scan is not None:
         scan = replace(
-            scan, epsilon=float(_rescaled(scan.epsilon, 2 * e)),
+            scan, epsilon=float(_rescaled(scan.epsilon, exp)),
             candidates=tuple(
-                replace(c, gamma=float(_rescaled(c.gamma, 2 * e)),
-                        gamma_next=float(_rescaled(c.gamma_next, 2 * e)))
+                replace(c, gamma=float(_rescaled(c.gamma, exp)),
+                        gamma_next=float(_rescaled(c.gamma_next, exp)))
                 for c in scan.candidates))
         diagnostics["epsilon"] = scan.epsilon
+    z, e = ts._normalized
     return FactorModelFit(method="RRQR", p_hat=p_hat, q_hat=q_hat,
                           factors=_rescaled(q_hat.T @ z, e),
                           scan=scan, diagnostics=diagnostics)

@@ -8,7 +8,9 @@ array is frozen so instances can be shared between threads.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +51,27 @@ class TimeSeries:
             object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "K", k)
         object.__setattr__(self, "N", n)
+
+    @cached_property
+    def _normalized(self) -> tuple[np.ndarray, int]:
+        """The centered panel times 2^-e, and e, with 2^e the power of two
+        above the widest series range (2^k * values gives the same array
+        and e + k). A constant series is exactly 0 in it; a panel of
+        constant series has no factor and is rejected."""
+        hi, lo = self.values.max(axis=1), self.values.min(axis=1)
+        if (hi == lo).all():
+            raise ValueError(
+                "every series in the panel is constant, so there is no factor "
+                "to estimate; pass a panel in which at least one series varies"
+            )
+        # halves keep a range near the float limit finite
+        e = math.frexp(float((hi / 2 - lo / 2).max()))[1] + 1
+        with np.errstate(over="ignore"):
+            z = np.ldexp(self.values, -e)
+        z[hi == lo] = 0.0
+        z -= z.mean(axis=1, keepdims=True)
+        z.setflags(write=False)
+        return z, e
 
 
 def load_csv(path, orientation: str = "rows-are-series",

@@ -75,7 +75,7 @@ def test_scan_finds_planted_rank_across_spectra():
 def test_scan_accepts_augmented_cov():
     data = gen_sim1(k=12, n=300, seed=7)
     aug = build_augmented(data.y, lag_lo=1, lag_hi=2)
-    scan = scan_model_order(aug, p_cap=5)
+    scan = scan_model_order(aug.matrix, p_cap=5, n=aug.N)
     assert scan.p_hat == 1
 
 
@@ -297,6 +297,24 @@ def test_fitters_are_scale_invariant_at_extreme_scales(method):
     # entries reach +-1.7e308, so the widest series range overflows
     top = values * (1.7e308 / np.abs(values).max())
     _assert_same_fit(fit(top), fit(np.ldexp(top, -2000)), 2000)
+
+
+@pytest.mark.parametrize("method", ["rrqr", "evd", "pca"])
+def test_constant_series_far_above_the_others_drops_out(method):
+    # scaled to the varying series' range, the constant 1e300 series
+    # overflows; it still centers to exactly 0 and adds nothing to the fit
+    varying = 1e-20 * gen_sim1(k=3, n=200, seed=0).y.values
+    values = np.vstack([np.full(200, 1e300), varying])
+
+    def fit(v):
+        return fit_method(method, TimeSeries(v), lag_lo=1, lag_hi=2, p_cap=2)
+
+    full, alone = fit(values), fit(varying)
+    assert full.p_hat == alone.p_hat
+    padded = np.vstack([np.zeros((1, alone.p_hat)), alone.q_hat])
+    assert subspace_error(full.q_hat, padded) <= 1e-10
+    assert_allclose(full.q_hat @ full.factors, padded @ alone.factors,
+                    rtol=1e-10, atol=1e-30)
 
 
 def test_fit_fits_at_underflowing_scale():
