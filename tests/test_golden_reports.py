@@ -49,6 +49,11 @@ CASES = {
     "roll_evd": [*_ROLL, "--method", "evd"],
     "roll_pca": [*_ROLL, "--method", "pca"],
     "rankscan": ["rankscan", "--matrix", "matrix.csv", "--n", "200"],
+    "fit_rrqr": ["fit", "--data", "panel.csv"],
+    "fit_evd_p2": ["fit", "--data", "panel.csv", "--method", "evd",
+                   "--p", "2"],
+    "rrqr_hybrid3": ["rrqr", "--matrix", "matrix.csv", "--alg", "hybrid3",
+                     "--rank", "3"],
 }
 
 
