@@ -5,11 +5,14 @@ a CSV panel), ``rankscan`` (rank-ratio table of a matrix file), ``rrqr``
 (matrix decomposition with a chosen pivoting strategy), ``roll``
 (rolling one-step forecast evaluation).
 
-Every JSON report embeds a manifest with the resolved configuration and
-the seed, so a report is a complete recipe for its own reproduction.
-Report bodies are deterministic for a fixed seed; only the manifest
-timestamp varies run to run. Exit codes: 0 success, 2 bad usage, 1
-runtime failure.
+Every subcommand ends in one writer, _emit: it resolves the output
+directory (--outdir, else $QRFACTORS_OUTDIR, else .), writes
+<subcommand>_report.json and one CSV file per table, and prints every
+path it wrote. Every JSON report embeds a manifest with the resolved
+configuration and the seed, so a report is a complete recipe for its
+own reproduction. Report bodies are deterministic for a fixed seed; only
+the manifest timestamp varies run to run. Exit codes: 0 success, 2 bad
+usage, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -19,46 +22,25 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .factor_rrqr import FactorModelFit, scan_model_order
-from .forecast_eval import fit_method, rolling_eval
+from .factor_rrqr import ModelOrderScan, scan_model_order
+from .forecast_eval import METHODS, fit_method, rolling_eval
 from .rrqr import gs_qr, hybrid1, hybrid2, hybrid3, qr_cp, singular_values, stewart2
 from .simgen import SimConfig, monte_carlo
 from .tsdata import load_csv
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility header embedded in every report."""
-
-    subcommand: str
-    config: dict
-    seed: int | None
-    version: str
-    created_utc: str
-
-
 def _manifest(subcommand: str, config: dict, seed: int | None) -> dict:
-    return asdict(RunManifest(
-        subcommand=subcommand,
-        config=config,
-        seed=seed,
-        version=__version__,
-        created_utc=datetime.now(timezone.utc).isoformat(),
-    ))
-
-
-def _outdir(args) -> Path:
-    base = args.outdir or os.environ.get("QRFACTORS_OUTDIR") or "."
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """Reproducibility header embedded in every report."""
+    return {"subcommand": subcommand, "config": config, "seed": seed,
+            "version": __version__,
+            "created_utc": datetime.now(timezone.utc).isoformat()}
 
 
 def _sanitize(obj):
@@ -72,31 +54,58 @@ def _sanitize(obj):
     return obj
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _emit(args, report_name: str, payload: dict, tables: dict) -> int:
+    """Write <report_name>.json and, for each table (a list of rows),
+    <name>.csv to the output directory; print every path; return 0."""
+    outdir = Path(args.outdir or os.environ.get("QRFACTORS_OUTDIR") or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
+    paths = [outdir / f"{report_name}.json"]
     # json round-trips Python floats through their shortest exact repr,
     # which preserves all 17 significant digits.
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(paths[0], "w", encoding="utf-8") as fh:
         json.dump(_sanitize(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
+    for name, rows in tables.items():
+        paths.append(outdir / f"{name}.csv")
+        with open(paths[-1], "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+    for path in paths:
+        print(path)
+    return 0
 
 
-def _write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in np.atleast_2d(matrix):
-            writer.writerow([repr(float(v)) for v in row])
+def _matrix_rows(matrix: np.ndarray) -> list:
+    return [[repr(float(v)) for v in row] for row in np.atleast_2d(matrix)]
+
+
+def _scan_dict(scan: ModelOrderScan, selected: bool) -> dict:
+    return {
+        "epsilon": scan.epsilon,
+        "p_hat": scan.p_hat,
+        "p_cap": scan.p_cap,
+        "candidates": [
+            {"i": c.index, "gamma": c.gamma,
+             "gamma_next": c.gamma_next, "ratio": c.ratio,
+             **({"selected": c.index == scan.p_hat} if selected else {})}
+            for c in scan.candidates
+        ],
+    }
 
 
 def _read_matrix(path: str) -> np.ndarray:
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for line in csv.reader(fh):
+        for i, line in enumerate(csv.reader(fh), start=1):
             if not line or all(c.strip() == "" for c in line):
                 continue
-            try:
-                rows.append([float(c) for c in line])
-            except ValueError as exc:
-                raise ValueError(f"{path}: non-numeric cell ({exc})") from exc
+            rows.append([])
+            for j, cell in enumerate(line, start=1):
+                try:
+                    rows[-1].append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: cell at row {i}, column {j} is not "
+                        f"numeric: {cell.strip()!r}") from None
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
     widths = {len(r) for r in rows}
@@ -106,25 +115,13 @@ def _read_matrix(path: str) -> np.ndarray:
 
 
 def _lag_range(args) -> tuple[int, int]:
-    if getattr(args, "m", None) is not None:
+    if args.m is not None:
         return 1, args.m
     return args.lag_lo, args.lag_hi
 
 
-def _add_lag_flags(sub) -> None:
-    sub.add_argument("--m", type=int, default=None,
-                     help="shorthand for lags 1..m")
-    sub.add_argument("--lag-lo", type=int, default=1)
-    sub.add_argument("--lag-hi", type=int, default=2)
-
-
-def _add_outdir_flag(sub) -> None:
-    sub.add_argument("--outdir", default=None,
-                     help="output directory (default: $QRFACTORS_OUTDIR or .)")
-
-
 # ---------------------------------------------------------------------------
-# sim
+# subcommands
 
 
 def _cmd_sim(args) -> int:
@@ -141,54 +138,20 @@ def _cmd_sim(args) -> int:
     report = monte_carlo(config, args.trials, methods=methods,
                          outputs=outputs, p_override=args.p_override,
                          p_cap=args.p_cap, threads=args.threads)
-    payload = {
+    tables = {}
+    if "ratios" in outputs:
+        tables["ratio_curves"] = [["i", "mean_r", "std_r", "method"]] + [
+            [i, repr(mean_r), repr(std_r), method]
+            for method, agg in report["per_method"].items()
+            for i, (mean_r, std_r) in enumerate(
+                zip(agg.get("ratio_mean", []), agg.get("ratio_std", [])),
+                start=1)]
+    return _emit(args, "sim_report", {
         "manifest": _manifest("sim", {**asdict(config), "trials": args.trials,
                                       "methods": methods, "outputs": outputs},
                               config.seed),
         "report": report,
-    }
-    outdir = _outdir(args)
-    report_path = outdir / "sim_report.json"
-    _write_json(report_path, payload)
-    written = [report_path]
-    if "ratios" in outputs:
-        curve_path = outdir / "ratio_curves.csv"
-        with open(curve_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "mean_r", "std_r", "method"])
-            for method, agg in report["per_method"].items():
-                for i, (mean_r, std_r) in enumerate(
-                        zip(agg.get("ratio_mean", []),
-                            agg.get("ratio_std", [])), start=1):
-                    writer.writerow([i, repr(mean_r), repr(std_r), method])
-        written.append(curve_path)
-    for path in written:
-        print(path)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# fit
-
-
-def _serialize_fit(fit: FactorModelFit) -> dict:
-    out = {
-        "method": fit.method,
-        "p_hat": fit.p_hat,
-        "diagnostics": {k: float(v) for k, v in fit.diagnostics.items()},
-    }
-    if fit.scan is not None:
-        out["scan"] = {
-            "epsilon": fit.scan.epsilon,
-            "p_hat": fit.scan.p_hat,
-            "p_cap": fit.scan.p_cap,
-            "candidates": [
-                {"i": c.index, "gamma": c.gamma,
-                 "gamma_next": c.gamma_next, "ratio": c.ratio}
-                for c in fit.scan.candidates
-            ],
-        }
-    return out
+    }, tables)
 
 
 def _cmd_fit(args) -> int:
@@ -197,73 +160,41 @@ def _cmd_fit(args) -> int:
     lag_lo, lag_hi = _lag_range(args)
     fit = fit_method(args.method, ts, lag_lo, lag_hi, p_override=args.p,
                      p_cap=args.p_cap)
-    payload = {
+    body = {
+        "method": fit.method,
+        "p_hat": fit.p_hat,
+        "diagnostics": {k: float(v) for k, v in fit.diagnostics.items()},
+    }
+    if fit.scan is not None:
+        body["scan"] = _scan_dict(fit.scan, selected=False)
+    return _emit(args, "fit_report", {
         "manifest": _manifest("fit", {
             "data": str(args.data), "method": args.method,
             "lag_lo": lag_lo, "lag_hi": lag_hi,
             "p_override": args.p, "p_cap": args.p_cap,
         }, None),
-        "fit": _serialize_fit(fit),
-    }
-    outdir = _outdir(args)
-    report_path = outdir / "fit_report.json"
-    _write_json(report_path, payload)
-    q_path = outdir / "q_hat.csv"
-    f_path = outdir / "factors.csv"
-    _write_matrix_csv(q_path, fit.q_hat)
-    _write_matrix_csv(f_path, fit.factors)
-    for path in (report_path, q_path, f_path):
-        print(path)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# rankscan
+        "fit": body,
+    }, {"q_hat": _matrix_rows(fit.q_hat), "factors": _matrix_rows(fit.factors)})
 
 
 def _cmd_rankscan(args) -> int:
     mat = _read_matrix(args.matrix)
-    scan = scan_model_order(mat, args.p_cap, n=args.n, k=mat.shape[0])
-    payload = {
+    scan = scan_model_order(mat, args.p_cap, n=args.n)
+    return _emit(args, "rankscan_report", {
         "manifest": _manifest("rankscan", {
             "matrix": str(args.matrix), "n": args.n, "p_cap": scan.p_cap,
         }, None),
-        "scan": {
-            "epsilon": scan.epsilon,
-            "p_hat": scan.p_hat,
-            "p_cap": scan.p_cap,
-            "candidates": [
-                {"i": c.index, "gamma": c.gamma,
-                 "gamma_next": c.gamma_next, "ratio": c.ratio,
-                 "selected": c.index == scan.p_hat}
-                for c in scan.candidates
-            ],
-        },
-    }
-    outdir = _outdir(args)
-    report_path = outdir / "rankscan_report.json"
-    _write_json(report_path, payload)
-    table_path = outdir / "rankscan_table.csv"
-    with open(table_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "gamma", "gamma_next", "ratio", "selected"])
-        for c in scan.candidates:
-            writer.writerow([c.index, repr(c.gamma), repr(c.gamma_next),
-                             repr(c.ratio), int(c.index == scan.p_hat)])
-    for path in (report_path, table_path):
-        print(path)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# rrqr
+        "scan": _scan_dict(scan, selected=True),
+    }, {"rankscan_table": [["i", "gamma", "gamma_next", "ratio", "selected"]] + [
+        [c.index, repr(c.gamma), repr(c.gamma_next), repr(c.ratio),
+         int(c.index == scan.p_hat)] for c in scan.candidates]})
 
 
 def _cmd_rrqr(args) -> int:
     mat = _read_matrix(args.matrix)
     rank = args.rank
     if args.alg != "gsqr" and rank is None:
-        raise SystemExit2(f"--rank is required for --alg {args.alg}")
+        args.usage_error(f"--rank is required for --alg {args.alg}")
     sv = singular_values(mat)
     if args.alg == "gsqr":
         factors = gs_qr(mat)
@@ -310,29 +241,12 @@ def _cmd_rrqr(args) -> int:
     summary["r22_max_abs_entry"] = (float(np.abs(trailing).max())
                                     if trailing.size else 0.0)
     summary["sigma_top"] = float(sv[0])
-    payload = {
+    return _emit(args, "rrqr_report", {
         "manifest": _manifest("rrqr", {
             "matrix": str(args.matrix), "algorithm": args.alg, "rank": rank,
         }, None),
         "summary": summary,
-    }
-    outdir = _outdir(args)
-    report_path = outdir / "rrqr_report.json"
-    _write_json(report_path, payload)
-    perm_path = outdir / "perm.csv"
-    with open(perm_path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(perm)
-    r_path = outdir / "r.csv"
-    q_path = outdir / "q.csv"
-    _write_matrix_csv(r_path, r)
-    _write_matrix_csv(q_path, factors.q)
-    for path in (report_path, perm_path, r_path, q_path):
-        print(path)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# roll
+    }, {"perm": [perm], "r": _matrix_rows(r), "q": _matrix_rows(factors.q)})
 
 
 def _cmd_roll(args) -> int:
@@ -343,7 +257,7 @@ def _cmd_roll(args) -> int:
                           refit_stride=args.stride, ar_order=args.ar,
                           eval_len=args.eval_len, lag_lo=lag_lo,
                           lag_hi=lag_hi, p_cap=args.p_cap)
-    payload = {
+    return _emit(args, "roll_report", {
         "manifest": _manifest("roll", {
             "data": str(args.data), "method": args.method,
             "window": args.window, "stride": args.stride, "ar": args.ar,
@@ -356,27 +270,12 @@ def _cmd_roll(args) -> int:
             "rmse_mean": report.rmse_mean,
             "fe": report.fe,
         },
-    }
-    outdir = _outdir(args)
-    report_path = outdir / "roll_report.json"
-    _write_json(report_path, payload)
-    window_path = outdir / "per_window.csv"
-    with open(window_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["start", "p_hat", "rmse"])
-        for rec in report.per_window:
-            writer.writerow([rec.start, rec.p_hat, repr(rec.rmse)])
-    for path in (report_path, window_path):
-        print(path)
-    return 0
+    }, {"per_window": [["start", "p_hat", "rmse"]] + [
+        [rec.start, rec.p_hat, repr(rec.rmse)] for rec in report.per_window]})
 
 
 # ---------------------------------------------------------------------------
 # parser plumbing
-
-
-class SystemExit2(Exception):
-    """Usage error discovered after argparse (maps to exit code 2)."""
 
 
 def _positive(name):
@@ -386,6 +285,30 @@ def _positive(name):
             raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {value}")
         return value
     return convert
+
+
+def _add_lag_flags(sub) -> None:
+    sub.add_argument("--m", type=_positive("--m"), default=None,
+                     help="shorthand for lags 1..m")
+    sub.add_argument("--lag-lo", type=_positive("--lag-lo"), default=1)
+    sub.add_argument("--lag-hi", type=_positive("--lag-hi"), default=2)
+
+
+def _add_outdir_flag(sub) -> None:
+    sub.add_argument("--outdir", default=None,
+                     help="output directory (default: $QRFACTORS_OUTDIR or .)")
+
+
+def _add_panel_flags(sub) -> None:
+    """Flags shared by the subcommands that fit a CSV panel."""
+    sub.add_argument("--data", required=True)
+    sub.add_argument("--orientation", default="rows-are-series")
+    sub.add_argument("--header", action="store_true")
+    sub.add_argument("--method", choices=METHODS, default="rrqr")
+    sub.add_argument("--p-cap", "--p-max", dest="p_cap",
+                     type=_positive("--p-cap"), default=None)
+    _add_lag_flags(sub)
+    _add_outdir_flag(sub)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -420,15 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_sim)
 
     fit = subs.add_parser("fit", help="fit a factor model to a CSV panel")
-    fit.add_argument("--data", required=True)
-    fit.add_argument("--orientation", default="rows-are-series")
-    fit.add_argument("--header", action="store_true")
-    fit.add_argument("--method", choices=["rrqr", "evd", "pca"], default="rrqr")
+    _add_panel_flags(fit)
     fit.add_argument("--p", type=_positive("--p"), default=None)
-    fit.add_argument("--p-cap", "--p-max", dest="p_cap",
-                     type=_positive("--p-cap"), default=None)
-    _add_lag_flags(fit)
-    _add_outdir_flag(fit)
     fit.set_defaults(func=_cmd_fit)
 
     scan = subs.add_parser("rankscan", help="rank-ratio table of a matrix file")
@@ -446,37 +362,25 @@ def _build_parser() -> argparse.ArgumentParser:
                       default="hybrid3")
     rrqr.add_argument("--rank", type=_positive("--rank"), default=None)
     _add_outdir_flag(rrqr)
-    rrqr.set_defaults(func=_cmd_rrqr)
+    rrqr.set_defaults(func=_cmd_rrqr, usage_error=rrqr.error)
 
     roll = subs.add_parser("roll", help="rolling one-step forecast evaluation")
-    roll.add_argument("--data", required=True)
-    roll.add_argument("--orientation", default="rows-are-series")
-    roll.add_argument("--header", action="store_true")
-    roll.add_argument("--method", choices=["rrqr", "evd", "pca"], default="rrqr")
+    _add_panel_flags(roll)
     roll.add_argument("--window", type=_positive("--window"), default=500)
     roll.add_argument("--stride", type=_positive("--stride"), default=10)
     roll.add_argument("--ar", type=_positive("--ar"), default=10)
     roll.add_argument("--eval-len", type=_positive("--eval-len"), default=400)
-    roll.add_argument("--p-cap", "--p-max", dest="p_cap",
-                      type=_positive("--p-cap"), default=None)
-    _add_lag_flags(roll)
-    _add_outdir_flag(roll)
     roll.set_defaults(func=_cmd_roll)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through.
         return int(exc.code) if exc.code is not None else 0
-    try:
-        return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -124,8 +124,8 @@ class FactorModelFit:
         object.__setattr__(self, "factors", f)
 
 
-def scan_model_order(m_tilde, p_cap: int | None = None, n: int | None = None,
-                     k: int | None = None) -> ModelOrderScan:
+def scan_model_order(m_tilde, p_cap: int | None = None,
+                     n: int | None = None) -> ModelOrderScan:
     """Estimate numerical rank from the ratio curve of R diagonals.
 
     For every candidate rank i in 1..p_cap a hybrid decomposition blocked
@@ -149,8 +149,6 @@ def scan_model_order(m_tilde, p_cap: int | None = None, n: int | None = None,
         default when omitted.
     n : int
         Sample count behind the matrix, used only to scale eps.
-    k : int, optional
-        Series count; defaults to the row count.
     """
     mat = _as_matrix(m_tilde)
     rows, cols = mat.shape
@@ -160,7 +158,7 @@ def scan_model_order(m_tilde, p_cap: int | None = None, n: int | None = None,
     gammas, gammas_next, passes, orders = zip(*_scan_orders(mat, p_cap))
     if gammas[0] <= 0.0:
         raise ValueError("matrix is numerically zero; no rank to reveal")
-    epsilon = gammas[0] / math.sqrt((rows if k is None else k) * n)
+    epsilon = gammas[0] / math.sqrt(rows * n)
     candidates = tuple(
         RankCandidate(index=i, gamma=gamma, gamma_next=gamma_next,
                       ratio=(gamma + epsilon) / (gamma_next + epsilon))

@@ -185,21 +185,32 @@ def _insample_forecast_error(fit: FactorModelFit, ts: TimeSeries,
     return forecast_error(fit.q_hat @ steps + mean, ts.values[:, start:])
 
 
+METHODS = ("rrqr", "evd", "pca")
+
+
+def check_methods(methods) -> None:
+    """Reject an empty method list, or one naming a method fit_method
+    does not know, with fit_method's message."""
+    for method in methods or ("",):
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; expected "
+                             f"{', '.join(METHODS[:-1])}, or {METHODS[-1]}")
+
+
 def fit_method(method: str, ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
                p_override: int | None = None,
                p_cap: int | None = None) -> FactorModelFit:
-    """Fit `ts` with the named method: rrqr, evd or pca.
+    """Fit `ts` with the named method, one of METHODS.
 
     For pca, p_cap is the information criterion's search limit and the
     lag range is unused.
     """
+    check_methods((method,))
     if method == "rrqr":
         return fit_rrqr(ts, lag_lo, lag_hi, p_override=p_override, p_cap=p_cap)
     if method == "evd":
         return fit_evd(ts, lag_lo, lag_hi, p_override=p_override, p_cap=p_cap)
-    if method == "pca":
-        return fit_pca(ts, p_max=p_cap, p_override=p_override)
-    raise ValueError(f"unknown method {method!r}; expected rrqr, evd, or pca")
+    return fit_pca(ts, p_max=p_cap, p_override=p_override)
 
 
 def rolling_eval(ts: TimeSeries, method: str, window: int = 500,

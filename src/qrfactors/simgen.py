@@ -26,8 +26,8 @@ from multiprocessing import get_context
 import numpy as np
 from scipy.signal import lfilter
 
-from .forecast_eval import (_insample_forecast_error, fit_method, rmse,
-                            rmse_conventional)
+from .forecast_eval import (_insample_forecast_error, check_methods,
+                            fit_method, rmse, rmse_conventional)
 from .tsdata import TimeSeries
 
 _SIM1_AR_COEFF = 0.9
@@ -348,7 +348,8 @@ def monte_carlo(config: SimConfig, trials: int,
     (subspace distance to the true loading span), "ratios" (the
     rank-scan or eigenvalue ratio curve), "rmse" (reconstruction error
     against the true common component, both definitions), "forecast"
-    (mean one-step factor-forecast error, which needs n > 20). Individual
+    (mean one-step factor-forecast error, which needs n > 20). An empty
+    or unknown method list raises before any trial runs; individual
     trial failures are recorded in the report, not raised.
 
     threads > 1 distributes trials across that many worker processes,
@@ -359,6 +360,7 @@ def monte_carlo(config: SimConfig, trials: int,
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     methods = tuple(m.lower() for m in methods)
+    check_methods(methods)
     outputs = frozenset(outputs)
     known = {"errors", "ratios", "rmse", "forecast"}
     if not outputs <= known:

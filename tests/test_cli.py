@@ -35,10 +35,15 @@ def test_missing_required_flag_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_nonpositive_count_is_a_usage_error(capsys):
-    code = main(["sim", "--scenario", "sim1", "--k", "0", "--n", "100"])
-    assert code == 2
-    capsys.readouterr()
+def test_nonpositive_count_is_a_usage_error(tmp_path, capsys):
+    data = _write_panel_csv(tmp_path / "panel.csv", k=4, n=60, seed=8)
+    sim = ["sim", "--scenario", "sim1", "--k", "5", "--n", "100"]
+    fit = ["fit", "--data", str(data), "--outdir", str(tmp_path)]
+    for base, flag, value in [(sim, "--k", "0"), (sim, "--m", "-1"),
+                              (fit, "--m", "0"), (fit, "--lag-lo", "0"),
+                              (sim, "--lag-hi", "0")]:
+        assert main([*base, flag, value]) == 2
+        assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
 
 
 def test_missing_data_file_exits_one(tmp_path, capsys):
@@ -64,7 +69,8 @@ def test_bad_matrix_file_exits_one(tmp_path, capsys):
     code = main(["rankscan", "--matrix", str(bad), "--n", "100",
                  "--outdir", str(tmp_path)])
     assert code == 1
-    capsys.readouterr()
+    assert (f"{bad}: cell at row 2, column 2 is not numeric: 'potato'"
+            in capsys.readouterr().err)
 
 
 # ------------------------------------------------------------------
@@ -249,7 +255,9 @@ def test_rrqr_pivoted_algorithms_demand_a_rank(tmp_path, capsys):
     np.savetxt(mat, np.eye(4), delimiter=",")
     assert main(["rrqr", "--matrix", str(mat), "--alg", "hybrid1",
                  "--outdir", str(tmp_path)]) == 2
-    assert "--rank" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qrfactors rrqr")
+    assert "error: --rank is required for --alg hybrid1" in err
 
 
 def test_rrqr_rejects_zero_rank(tmp_path, capsys):

@@ -256,10 +256,10 @@ def test_unknown_method_fails_alike_in_rolling_eval_and_monte_carlo():
     with pytest.raises(ValueError) as info:
         rolling_eval(data.y, "arima", window=500, eval_len=400)
     assert "unknown method 'arima'" in str(info.value)
-    report = monte_carlo(SimConfig(scenario="sim1", k=5, n=120, seed=211), 1,
-                         methods=("arima",))
-    assert report["failures"] == [
-        {"trial": 0, "method": "arima", "message": str(info.value)}]
+    with pytest.raises(ValueError) as mc_info:
+        monte_carlo(SimConfig(scenario="sim1", k=5, n=120, seed=211), 1,
+                    methods=("rrqr", "arima"))
+    assert str(mc_info.value) == str(info.value)
 
 
 @pytest.mark.parametrize("method", ["rrqr", "evd", "pca"])

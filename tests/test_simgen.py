@@ -308,5 +308,6 @@ def test_monte_carlo_rejects_bad_arguments():
         monte_carlo(cfg, trials=0)
     with pytest.raises(ValueError):
         monte_carlo(cfg, trials=2, outputs=("errors", "volatility"))
-    rep = monte_carlo(cfg, trials=1, methods=("svd",))
-    assert rep["per_method"]["svd"]["trials_ok"] == 0   # recorded, not raised
+    for methods in [("svd",), ("rrqr", "pcaa"), ()]:
+        with pytest.raises(ValueError, match="unknown method"):
+            monte_carlo(cfg, trials=1, methods=methods)
