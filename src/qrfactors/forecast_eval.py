@@ -188,24 +188,29 @@ def _insample_forecast_error(fit: FactorModelFit, ts: TimeSeries,
 METHODS = ("rrqr", "evd", "pca")
 
 
-def check_methods(methods) -> None:
-    """Reject an empty method list, or one naming a method fit_method
-    does not know, with fit_method's message."""
+def check_methods(methods) -> tuple[str, ...]:
+    """The method names lower-cased, the one place names are matched.
+
+    Rejects an empty method list, or one naming a method fit_method does
+    not know, with fit_method's message.
+    """
+    methods = tuple(methods)
     for method in methods or ("",):
-        if method not in METHODS:
+        if method.lower() not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected "
                              f"{', '.join(METHODS[:-1])}, or {METHODS[-1]}")
+    return tuple(method.lower() for method in methods)
 
 
 def fit_method(method: str, ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
                p_override: int | None = None,
                p_cap: int | None = None) -> FactorModelFit:
-    """Fit `ts` with the named method, one of METHODS.
+    """Fit `ts` with the named method, one of METHODS in any case.
 
     For pca, p_cap is the information criterion's search limit and the
     lag range is unused.
     """
-    check_methods((method,))
+    (method,) = check_methods((method,))
     if method == "rrqr":
         return fit_rrqr(ts, lag_lo, lag_hi, p_override=p_override, p_cap=p_cap)
     if method == "evd":
@@ -230,7 +235,7 @@ def rolling_eval(ts: TimeSeries, method: str, window: int = 500,
     For the PCA method p_cap is passed through as the information
     criterion's search limit.
     """
-    method = method.lower()
+    (method,) = check_methods((method,))
     if window < 3:
         raise ValueError(f"window must be at least 3, got {window}")
     if refit_stride < 1 or eval_len < 1:

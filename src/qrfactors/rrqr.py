@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
+from scipy.linalg.blas import dnrm2
 
 # A swap happens only when the challenger beats the incumbent by this
 # relative margin; equal-norm columns would otherwise trade places forever.
@@ -57,6 +58,17 @@ _DEFL_RTOL = 1e-12
 # Hybrid loops get 10*n full passes before giving up; termination is
 # expected long before that on any float input.
 _PASS_CAP_FACTOR = 10
+# (width, last rank): while i+1 <= 16 the scan reads gamma_i and
+# gamma_{i+1} from an R-only QR of the first 32 columns of its order,
+# past that from all of them; either way the bits are those of the full
+# decomposition. 32 is dgeqrf's block size: at min(K, n) >= 128 the
+# full-width QR factors its first 32 columns with dgeqr2 alone, exactly
+# as a 32-column QR does. Below that the full width runs unblocked
+# dgeqr2 over every column, and the BLAS dgemv rounds the last few
+# columns of a narrow call differently: on sim1 panels at K = 30, 50 and
+# 100, gamma_30 to gamma_32 moved by up to 3e-12 relative while gamma_1
+# to gamma_29 matched, so the panel stops well short of its last columns.
+_GAMMA_PANEL = (32, 16)
 
 
 class RrqrIterationError(RuntimeError):
@@ -203,28 +215,43 @@ def _inverse_row_norms(r11: np.ndarray) -> np.ndarray:
     return np.nan_to_num(norms, nan=np.inf, posinf=np.inf)
 
 
+def _trailing_norms(a, order, i, defl_tol) -> np.ndarray:
+    """Column norms of a[:, order[i:]] after projecting out a[:, order[:i]].
+
+    The whole matrix is projected in its own column order and the
+    trailing norms are read out of its column norms, so nothing is
+    gathered and each column's norm is the same bit for bit wherever the
+    order puts it, the premise of _fixed_point's third skip. The
+    products of a gather round a few columns differently with each
+    order, by an ulp or so.
+    """
+    if i:
+        q, _ = _qr(a, order[:i], "economic", defl_tol)
+        proj = q @ (q.T @ a)
+        resid = np.subtract(a, proj, out=proj)
+    else:
+        # Nothing to project out. Summed down contiguous columns, which
+        # numpy does pairwise, these are a column gather's norms bit for
+        # bit, the ones the rank-1 pivots have always been taken with; a
+        # row-major sum can differ in the last bit.
+        resid = np.asfortranarray(a)
+    return _col_norms(resid)[order[i:]]
+
+
 def _strong_exchange(a, order, boundary, defl_tol) -> bool:
     """Column-pivot exchange at a block boundary.
 
     Trailing norms are the residuals of a[:, order[boundary-1:]] after
-    projecting out the first boundary-1 columns. The strongest one moves
-    into position boundary-1 if it beats the column there. Norms at or
-    below defl_tol count as exactly 0, the rule _qr uses to deflate: past
-    the numerical rank every trailing norm is round-off whose ordering
-    changes with each refactorization, and without the rule those values
-    keep trading places and the loop never reaches a fixed point.
-    Returns whether `order` changed.
+    projecting out the first boundary-1 columns (_trailing_norms). The
+    strongest one moves into position boundary-1 if it beats the column
+    there. Norms at or below defl_tol count as exactly 0, the rule _qr
+    uses to deflate: past the numerical rank every trailing norm is
+    round-off whose ordering changes with each refactorization, and
+    without the rule those values keep trading places and the loop
+    never reaches a fixed point. Returns whether `order` changed.
     """
     i = boundary - 1
-    rest = a[:, order[i:]]
-    if i:
-        q, _ = _qr(a, order[:i], "economic", defl_tol)
-        # The gather above is column-major and the projection row-major;
-        # subtracting from a row-major gather keeps the difference's
-        # values and layout without a strided pass over both.
-        proj = q @ (q.T @ rest)
-        rest = np.subtract(a.take(order[i:], axis=1), proj, out=proj)
-    trail = _col_norms(rest)
+    trail = _trailing_norms(a, order, i, defl_tol)
     trail[trail <= defl_tol] = 0.0
     j = _pick_challenger(trail, 0)
     order[i], order[i + j] = order[i + j], order[i]
@@ -300,8 +327,16 @@ def _fixed_point(a, order, p, defl_tol, cap, fixed_at_p=False) -> int:
 def _qr_cp_order(a, steps) -> list[int]:
     """The first `steps` pivots of dgeqp3, replayed as swaps on the
     identity order, so the columns past `steps` sit where a `steps`-step
-    greedy loop leaves them."""
-    _, piv = qr(a, mode="r", pivoting=True, check_finite=False)
+    greedy loop leaves them.
+
+    dgeqp3's first pivot is the first column of largest dnrm2 (it picks
+    with idamax), so one step takes those norms from the same BLAS
+    routine and runs no factorization.
+    """
+    if steps == 1:
+        piv = [int(np.argmax([dnrm2(col) for col in np.asfortranarray(a).T]))]
+    else:
+        _, piv = qr(a, mode="r", pivoting=True, check_finite=False)
     order = list(range(a.shape[1]))
     for i, col in enumerate(piv[:steps]):
         j = order.index(col)
@@ -357,21 +392,24 @@ def _scan_orders(mat, p_cap) -> list[tuple[float, float, int, Permutation]]:
     Rank 1 starts from qr_cp's first pivot, as hybrid3(mat, 1) does; rank
     i from rank i-1's final order, which is already a fixed point at
     boundary i, so its loop opens at boundary i+1. gamma_i and gamma_{i+1}
-    come from an R-only QR, so no Q and no singular value is built. It
-    spans every column although gamma_{i+1} depends only on the first
-    i+1: LAPACK's blocking and the BLAS kernels round a column differently
-    at another matrix width, and the full width keeps gamma bit for bit
-    that of the full decomposition. mat must already be checked
-    (_as_matrix). Returns (gamma_i, gamma_{i+1}, passes, final order) per
-    rank; each order is a fixed point of both of its rank's boundaries.
+    come from an R-only QR, so no Q and no singular value is built.
+    gamma_{i+1} depends only on the first i+1 columns, but LAPACK's
+    blocking and the BLAS kernels round a column differently at another
+    matrix width. So while i+1 <= 16 the QR spans the first 32 columns,
+    LAPACK's first panel, and past that every column; both keep gamma bit
+    for bit that of the full decomposition (_GAMMA_PANEL). mat must
+    already be checked (_as_matrix). Returns (gamma_i, gamma_{i+1},
+    passes, final order) per rank; each order is a fixed point of both of
+    its rank's boundaries.
     """
     tol = _deflation_tol(mat)
     cap = _PASS_CAP_FACTOR * mat.shape[1]
+    width, last = _GAMMA_PANEL
     order = _qr_cp_order(mat, 1)
     rows = []
     for i in range(1, p_cap + 1):
         passes = _fixed_point(mat, order, i, tol, cap, fixed_at_p=i > 1)
-        _, r = _qr(mat, order, "r", tol)
+        _, r = _qr(mat, order[:width] if i + 1 <= last else order, "r", tol)
         rows.append((float(r[i - 1, i - 1]), float(r[i, i]), passes,
                      Permutation(tuple(order))))
     return rows
@@ -400,8 +438,9 @@ def qr_cp(a, max_steps: int) -> RrqrResult:
     into position s before elimination; exact ties keep the lowest
     index. The pivots come from LAPACK dgeqp3, whose choice between
     near-ties (within 1e-12 relative) is a strict argmax of its updated
-    norms, as in the naive refactorizing oracle; columns past `max_steps`
-    are left where the greedy loop's swaps put them.
+    norms, as in the naive refactorizing oracle (one step reads only its
+    first pivot, from the column norms); columns past `max_steps` are
+    left where the greedy loop's swaps put them.
     """
     mat = _as_matrix(a)
     k, n = mat.shape

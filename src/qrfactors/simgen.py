@@ -359,8 +359,7 @@ def monte_carlo(config: SimConfig, trials: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    methods = tuple(m.lower() for m in methods)
-    check_methods(methods)
+    methods = check_methods(methods)
     outputs = frozenset(outputs)
     known = {"errors", "ratios", "rmse", "forecast"}
     if not outputs <= known:

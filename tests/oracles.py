@@ -153,6 +153,21 @@ def old_hybrid3(a, p, init=None):
     raise rrqr.RrqrIterationError(f"old hybrid3 made {cap} rounds at rank {p}")
 
 
+def gathered_strong_exchange(a, order, boundary, defl_tol):
+    """The column-pivot exchange as it was: the trailing columns gathered
+    in their current order, projected and normed on every pass."""
+    i = boundary - 1
+    rest = a[:, order[i:]]
+    if i:
+        q, _ = rrqr._qr(a, order[:i], "economic", defl_tol)
+        rest = rest - q @ (q.T @ rest)
+    trail = rrqr._col_norms(rest)
+    trail[trail <= defl_tol] = 0.0
+    j = rrqr._pick_challenger(trail, 0)
+    order[i], order[i + j] = order[i + j], order[i]
+    return j != 0
+
+
 def old_scan(mat, p_cap, n, k=None):
     """The rank scan as it was: old_hybrid3 once per rank, seeded with the
     previous rank's permutation, ratios read off the full R diagonal.

@@ -202,9 +202,10 @@ def test_fit_output_contract():
 
 
 def test_fit_takes_its_basis_from_the_scan_order(monkeypatch):
-    # one dgeqp3 (the scan's rank-1 seed) per fit, and hybrid1 only
-    # confirms the scan's order at p_hat; on this panel a cold hybrid1
-    # settles on another order with a weaker R11 and a stronger R22
+    # one qr_cp seed per fit, the scan's rank-1 pivot (read from dnrm2,
+    # no dgeqp3), and hybrid1 only confirms the scan's order at p_hat; on
+    # this panel a cold hybrid1 settles on another order with a weaker
+    # R11 and a stronger R22
     calls = []
     real = rrqr._qr_cp_order
 

@@ -262,6 +262,15 @@ def test_unknown_method_fails_alike_in_rolling_eval_and_monte_carlo():
     assert str(mc_info.value) == str(info.value)
 
 
+def test_method_names_match_in_any_case():
+    ts = gen_sim1(k=5, n=900, seed=210).y
+    upper, lower = fit_method("RRQR", ts), fit_method("rrqr", ts)
+    assert upper.p_hat == lower.p_hat
+    np.testing.assert_array_equal(upper.q_hat, lower.q_hat)
+    np.testing.assert_array_equal(upper.factors, lower.factors)
+    assert rolling_eval(ts, "Evd", window=500, eval_len=400).method == "evd"
+
+
 @pytest.mark.parametrize("method", ["rrqr", "evd", "pca"])
 def test_single_series_needs_a_pinned_rank(method):
     ts = TimeSeries(np.random.default_rng(212).standard_normal((1, 200)))

@@ -1,16 +1,22 @@
 """Pivoted-QR engine against naive refactorizing references."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import qr
 
 from qrfactors import rrqr
+from qrfactors.covariance import build_augmented
 from qrfactors.rrqr import (Permutation, QrFactors, RrqrIterationError, gs_qr,
                             hybrid1, hybrid2, hybrid3, qr_cp, singular_values,
                             stewart2)
+from qrfactors.simgen import SimConfig, gen_sim1, gen_sim2
 
-from oracles import (abs_r_diag, interlacing_holds, matrix_with_spectrum,
-                     naive_pivot_order, old_hybrid3, svd2_closed)
+from oracles import (abs_r_diag, gathered_strong_exchange, interlacing_holds,
+                     matrix_with_spectrum, naive_pivot_order, old_hybrid3,
+                     svd2_closed)
 
 SHAPES = [(9, 4), (6, 6), (4, 10), (5, 8)]
 
@@ -390,6 +396,114 @@ def test_hybrid_runs_are_deterministic():
     assert one.perm.order == two.perm.order
     assert_array_equal(one.factors.q, two.factors.q)
     assert_array_equal(one.factors.r, two.factors.r)
+
+
+# ------------------------------------------------------------------
+# the rank scan's shortcuts give LAPACK's own bits; on a LAPACK/BLAS
+# build where one stops being exact these fail at once
+
+GOLDEN_MATRIX = Path(__file__).resolve().parent / "golden" / "inputs" / "matrix.csv"
+SCAN_PANELS = ["golden", "paper cell", "K < 128"]
+
+
+def _scan_panel(case):
+    if case == "golden":
+        return np.loadtxt(GOLDEN_MATRIX, delimiter=",")
+    if case == "paper cell":    # 180 x 900: dgeqrf factors blocks of 32
+        ts = gen_sim1(180, 500, 0).y
+    else:                       # 100 x 500: dgeqr2 runs over every column
+        ts = gen_sim2(SimConfig(scenario="sim2", k=100, n=200, seed=3,
+                                noise_kind="hurst")).y
+    return np.asarray(build_augmented(ts, 1, 5).scaled)
+
+
+@pytest.mark.parametrize("case", SCAN_PANELS)
+def test_scan_panel_gamma_is_the_full_width_gamma(case):
+    mat = _scan_panel(case)
+    width, last = rrqr._GAMMA_PANEL
+    tol = rrqr._deflation_tol(mat)
+    rows = rrqr._scan_orders(mat, min(last, min(mat.shape)) - 1)
+    for i, (gamma, gamma_next, _, perm) in enumerate(rows, start=1):
+        order = list(perm.order)
+        _, full = rrqr._qr(mat, order, "r", tol)
+        _, panel = rrqr._qr(mat, order[:width], "r", tol)
+        assert (gamma, gamma_next) == (full[i - 1, i - 1], full[i, i]), i
+        assert_array_equal(np.diagonal(panel)[:last],
+                           np.diagonal(full)[:last])
+
+
+def _seed_case(case):
+    if case == "tied":
+        return np.diag([1.0, 2.0, 2.0, 1.0])
+    if case == "zero matrix":
+        return np.zeros((4, 6))
+    if case in SCAN_PANELS:
+        return _scan_panel(case)
+    rng = np.random.default_rng(62)
+    if case == "reordered":
+        # one vector's entries in 40 orders: equal norms, which a sum in
+        # another order than dnrm2's splits into several values
+        base = rng.standard_normal(200)
+        return np.stack([rng.permutation(base) for _ in range(40)], axis=1)
+    a = rng.standard_normal((9, 14))
+    a[:, 2] *= 5.0
+    if case == "duplicated":
+        a[:, 7] = a[:, 2]
+    elif case == "zero columns":
+        a[:, :2] = 0.0
+        a[:, 9] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("case,first", [
+    ("tied", 1), ("duplicated", 2), ("reordered", None),
+    ("zero columns", 2), ("zero matrix", 0), ("golden", None),
+    ("paper cell", None),
+])
+def test_rank_one_seed_is_dgeqp3s_first_pivot(case, first):
+    a = _seed_case(case)
+    _, piv = qr(a, mode="r", pivoting=True)
+    expected = list(range(a.shape[1]))
+    expected[0], expected[piv[0]] = piv[0], 0
+    assert rrqr._qr_cp_order(a, 1) == expected
+    if first is not None:
+        assert piv[0] == first
+
+
+@pytest.mark.parametrize("case", SCAN_PANELS)
+def test_trailing_norms_are_a_gathers_wherever_a_column_sits(case):
+    # each column's norm is computed at its own position, so reordering
+    # the trailing columns changes no bit; against a gather, whose rounding
+    # moves with the order, boundary 1 is exact and the others agree to
+    # the last bit or two
+    mat = _scan_panel(case)
+    tol = rrqr._deflation_tol(mat)
+    rng = np.random.default_rng(63)
+    for i in (0, 1, 2, 7):
+        order = rng.permutation(mat.shape[1]).tolist()
+        norms = rrqr._trailing_norms(mat, order, i, tol)
+        shuffled = order[:i] + rng.permutation(order[i:]).tolist()
+        by_col = dict(zip(order[i:], norms))
+        assert_array_equal(rrqr._trailing_norms(mat, shuffled, i, tol),
+                           [by_col[c] for c in shuffled[i:]])
+        rest = mat[:, order[i:]]
+        if i:
+            q, _ = rrqr._qr(mat, order[:i], "economic", tol)
+            rest = rest - q @ (q.T @ rest)
+        gathered = rrqr._col_norms(rest)
+        if i == 0:
+            assert_array_equal(norms, gathered)
+        assert_allclose(norms, gathered, rtol=4 * np.finfo(float).eps,
+                        atol=tol)
+
+
+@pytest.mark.parametrize("case", SCAN_PANELS)
+def test_scan_is_the_gathering_scans(case, monkeypatch):
+    mat = _scan_panel(case)
+    p_cap = min(15, min(mat.shape) - 1)
+    rows = rrqr._scan_orders(mat, p_cap)
+    monkeypatch.setattr(rrqr, "_strong_exchange", gathered_strong_exchange)
+    assert rrqr._scan_orders(mat, p_cap) == rows
 
 
 # ------------------------------------------------------------------
