@@ -8,8 +8,8 @@ hybrid rank-revealing decompositions, one per candidate rank, each
 warm-started from the previous one; the scan builds only R for each, not
 its orthonormal factor or block singular values. One RRQR serves both
 jobs: the scan keeps each rank's final order, and the loading basis is
-the orthonormal factor of the order at the chosen rank, which hybrid1
-confirms as its fixed point in one pass.
+the orthonormal factor of the order at the chosen rank, confirmed by
+hybrid1's sweep in one pass and read from one QR of LAPACK's first panel.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .covariance import _rescaled, build_augmented
-from .rrqr import Permutation, _as_matrix, _scan_orders, hybrid1
+from .rrqr import Permutation, _as_matrix, _loading_basis, _scan_orders
 # bench/reference.py patches factor_rrqr.hybrid3 to count the scan's passes;
 # the scan no longer calls it, but the name stays until that script changes.
 from .rrqr import hybrid3  # noqa: F401
@@ -96,8 +96,8 @@ class FactorModelFit:
     q_hat @ factors is the model's reconstruction of the centered data.
     diagnostics carries method-specific scalars: for the pivoted fit the
     block singular values sigma_min(R11) and sigma_max(R22) of the
-    decomposition behind q_hat, the hybrid sweep passes it took (1 after
-    a scan, which hands it an order already at its fixed point), and the
+    decomposition behind q_hat (R22's from the projected trailing
+    columns), the sweep passes it took (1 after a scan), and the
     ratio floor epsilon; eigenvalues or residual variance for the
     baselines.
     """
@@ -180,8 +180,9 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     scan_model_order. The loading basis is the first p_hat columns of
     the orthonormal factor of hybrid1 at p_hat, started from the scan's
     own order at that rank: one RRQR both reveals the rank and gives the
-    basis, and hybrid1 only confirms the order (one pass) and builds Q.
-    When p_override pins the rank there is no scan, and hybrid1 starts
+    basis. hybrid1's sweep only confirms the order (one pass), and Q
+    comes from one QR of LAPACK's first panel (rrqr._loading_basis).
+    When p_override pins the rank there is no scan, and the sweep starts
     from qr_cp's pivots; p_override may be min(K, n), where hybrid3, and
     so the scan's loop, is undefined. p_hat, q_hat and the ratio curve
     do not depend on the panel's scale; factor paths, gammas, epsilon
@@ -197,12 +198,11 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
         scan = scan_model_order(mat, p_cap, n=ts.N)
         p_hat = scan.p_hat
     init = None if scan is None else scan.orders[p_hat - 1]
-    res = hybrid1(mat, p_hat, init=init)
-    q_hat = res.factors.q[:, :p_hat]
+    q_hat, r11_min, r22_max, passes = _loading_basis(mat, p_hat, init)
     diagnostics = {
-        "r11_min_sv": float(_rescaled(res.r11_min_sv, exp)),
-        "r22_max_sv": float(_rescaled(res.r22_max_sv, exp)),
-        "passes": float(res.passes),
+        "r11_min_sv": float(_rescaled(r11_min, exp)),
+        "r22_max_sv": float(_rescaled(r22_max, exp)),
+        "passes": float(passes),
     }
     if scan is not None:
         scan = replace(

@@ -23,10 +23,10 @@ Four pivoting strategies over one Householder QR (LAPACK, through
 The rank scan (``_scan_orders``) runs hybrid3's loop at ranks 1, 2, ...,
 each warm-started from the previous rank's order, and reads the two
 diagonal entries of R it needs from an R-only QR; the full frame (K x K
-Q and block singular values) is built only for a result a caller
-receives. It hands back each rank's final order, so a caller can build
-that frame at one rank by ``hybrid1(a, p, init=order)`` without a second
-pivot search.
+Q and block singular values) is built only for a returned RrqrResult.
+It hands back each rank's final order, so ``_loading_basis`` can
+confirm one by hybrid1's sweep and read Q[:, :p] from one QR of LAPACK's
+first panel (p <= 16), with no second pivot search.
 
 Every exchange is followed by a from-scratch factorization of the
 permuted columns it reads; Q and R are never updated in place.
@@ -34,13 +34,14 @@ permuted columns it reads; Q and R are never updated in place.
 Diagonal entries of R are kept non-negative by flipping the matching
 columns of Q. A pivot at or below the deflation tolerance deflates: its
 diagonal entry becomes exactly 0. Q is orthonormal for any input, so a
-deflated pivot needs no completion. Column norms are taken with
-power-of-two scaling, so the pivot decisions do not change with the
-matrix's scale until its entries near the ends of the float range.
+deflated pivot needs no completion. The pivot search runs on the matrix
+scaled once by a power of two (``_unit_scaled``), so its column norms
+are plain sums; only norms that can leave the float range are scaled.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +157,15 @@ def _deflation_tol(a: np.ndarray) -> float:
     return _DEFL_RTOL * float(_col_norms(a).max())
 
 
+def _unit_scaled(a):
+    """(a * 2^-e, _deflation_tol(a) * 2^-e, e), 2^e the power of two above
+    a's largest column norm: exact, so R and every pivot decision on the
+    copy are a's, scaled, bit for bit."""
+    top = float(_col_norms(a).max())
+    e = math.frexp(top)[1]
+    return np.ldexp(a, -e), math.ldexp(_DEFL_RTOL * top, -e), e
+
+
 def _qr(a, cols, mode, defl_tol):
     """Householder QR of a[:, cols] as (q, r); q is None in mode "r".
 
@@ -223,19 +233,20 @@ def _trailing_norms(a, order, i, defl_tol) -> np.ndarray:
     gathered and each column's norm is the same bit for bit wherever the
     order puts it, the premise of _fixed_point's third skip. The
     products of a gather round a few columns differently with each
-    order, by an ulp or so.
+    order, by an ulp or so. a is unit-scaled (_unit_scaled), so a square
+    can underflow only far below defl_tol, where the exchange reads 0.
     """
-    if i:
-        q, _ = _qr(a, order[:i], "economic", defl_tol)
-        proj = q @ (q.T @ a)
-        resid = np.subtract(a, proj, out=proj)
-    else:
+    if not i:
         # Nothing to project out. Summed down contiguous columns, which
         # numpy does pairwise, these are a column gather's norms bit for
         # bit, the ones the rank-1 pivots have always been taken with; a
         # row-major sum can differ in the last bit.
-        resid = np.asfortranarray(a)
-    return _col_norms(resid)[order[i:]]
+        return _col_norms(np.asfortranarray(a))[order]
+    q, _ = _qr(a, order[:i], "economic", defl_tol)
+    proj = q @ (q.T @ a)
+    resid = np.subtract(a, proj, out=proj)
+    resid *= resid
+    return np.sqrt(np.add.reduce(resid, axis=0))[order[i:]]
 
 
 def _strong_exchange(a, order, boundary, defl_tol) -> bool:
@@ -346,33 +357,17 @@ def _qr_cp_order(a, steps) -> list[int]:
 
 def _blocked_result(a, order, p, passes, defl_tol) -> RrqrResult:
     factors = _full_factors(a, order, defl_tol)
-    r = factors.r
-    r11 = r[:p, :p]
-    r22 = r[p:, p:]
-    r11_min = float(singular_values(r11)[-1]) if r11.size else 0.0
-    r22_max = float(singular_values(r22)[0]) if r22.size else 0.0
-    return RrqrResult(perm=Permutation(tuple(order)), factors=factors,
-                      assumed_rank=p, r11_min_sv=r11_min,
-                      r22_max_sv=r22_max, passes=passes)
-
-
-def _init_order(a, p, init) -> list[int]:
-    if init is None:
-        return _qr_cp_order(a, p)
-    if isinstance(init, Permutation):
-        order = list(init.order)
-    else:
-        order = list(Permutation(tuple(init)).order)
-    if len(order) != a.shape[1]:
-        raise ValueError(
-            f"init permutation has length {len(order)}, matrix has "
-            f"{a.shape[1]} columns"
-        )
-    return order
+    r22 = factors.r[p:, p:]
+    return RrqrResult(
+        perm=Permutation(tuple(order)), factors=factors, assumed_rank=p,
+        r11_min_sv=float(singular_values(factors.r[:p, :p])[-1]),
+        r22_max_sv=float(singular_values(r22)[0]) if r22.size else 0.0,
+        passes=passes)
 
 
 def _hybrid_start(a, p, init, spare, seed):
-    """Checked matrix, starting order, deflation tolerance and pass cap.
+    """Checked matrix and deflation tolerance, the unit-scaled copy the
+    pivot search runs on and its tolerance, starting order and pass cap.
 
     p must leave `spare` columns of the leading triangle past it; without
     init the order is qr_cp's after `seed` steps.
@@ -382,7 +377,15 @@ def _hybrid_start(a, p, init, spare, seed):
     top = min(k, n) - spare
     if not 1 <= p <= top:
         raise ValueError(f"p must be in [1, {top}], got {p}")
-    return (mat, _init_order(mat, seed, init), _deflation_tol(mat),
+    if init is None:
+        order = _qr_cp_order(mat, seed)
+    else:
+        order = list(Permutation(tuple(getattr(init, "order", init))).order)
+        if len(order) != n:
+            raise ValueError(f"init permutation has length {len(order)}, "
+                             f"matrix has {n} columns")
+    unit, unit_tol, e = _unit_scaled(mat)
+    return (mat, math.ldexp(unit_tol, e), unit, unit_tol, order,
             _PASS_CAP_FACTOR * n)
 
 
@@ -392,27 +395,44 @@ def _scan_orders(mat, p_cap) -> list[tuple[float, float, int, Permutation]]:
     Rank 1 starts from qr_cp's first pivot, as hybrid3(mat, 1) does; rank
     i from rank i-1's final order, which is already a fixed point at
     boundary i, so its loop opens at boundary i+1. gamma_i and gamma_{i+1}
-    come from an R-only QR, so no Q and no singular value is built.
-    gamma_{i+1} depends only on the first i+1 columns, but LAPACK's
-    blocking and the BLAS kernels round a column differently at another
-    matrix width. So while i+1 <= 16 the QR spans the first 32 columns,
-    LAPACK's first panel, and past that every column; both keep gamma bit
-    for bit that of the full decomposition (_GAMMA_PANEL). mat must
-    already be checked (_as_matrix). Returns (gamma_i, gamma_{i+1},
-    passes, final order) per rank; each order is a fixed point of both of
-    its rank's boundaries.
+    come from an R-only QR of the first 32 columns while i+1 <= 16, else
+    of every column, the full decomposition's bits either way
+    (_GAMMA_PANEL); no Q and no singular value is built. The loops and
+    the QR run on mat's unit-scaled copy, and gamma is mapped back with
+    ldexp. mat must already be checked (_as_matrix). Returns (gamma_i,
+    gamma_{i+1}, passes, final order) per rank; each order is a fixed
+    point of both of its rank's boundaries.
     """
-    tol = _deflation_tol(mat)
+    unit, tol, e = _unit_scaled(mat)
     cap = _PASS_CAP_FACTOR * mat.shape[1]
     width, last = _GAMMA_PANEL
     order = _qr_cp_order(mat, 1)
     rows = []
     for i in range(1, p_cap + 1):
-        passes = _fixed_point(mat, order, i, tol, cap, fixed_at_p=i > 1)
-        _, r = _qr(mat, order[:width] if i + 1 <= last else order, "r", tol)
-        rows.append((float(r[i - 1, i - 1]), float(r[i, i]), passes,
-                     Permutation(tuple(order))))
+        passes = _fixed_point(unit, order, i, tol, cap, fixed_at_p=i > 1)
+        _, r = _qr(unit, order[:width] if i + 1 <= last else order, "r", tol)
+        rows.append((math.ldexp(r[i - 1, i - 1], e), math.ldexp(r[i, i], e),
+                     passes, Permutation(tuple(order))))
     return rows
+
+
+def _loading_basis(a, p, init):
+    """(Q[:, :p], sigma_min(R11), sigma_max(R22), passes) of hybrid1(a, p,
+    init) without its full frame. After hybrid1's sweep, Q[:, :p] and R11
+    come from an economic QR of the first 32 columns while p <= 16, else
+    of every column, the full QR's bits either way (_GAMMA_PANEL); R22's
+    are those of the trailing columns less their projection on Q[:, :p],
+    from the Gram matrix on its smaller side."""
+    mat, tol, unit, unit_tol, order, cap = _hybrid_start(a, p, init, 0, p)
+    _, passes = _hybrid_sweeps(unit, order, p, unit_tol, cap)
+    width, last = _GAMMA_PANEL
+    q, r = _qr(mat, order[:width] if p <= last else order, "economic", tol)
+    q1, rest = q[:, :p], mat[:, order[p:]]
+    rest -= q1 @ (q1.T @ rest)
+    gram = rest @ rest.T if len(rest) <= rest.shape[1] else rest.T @ rest
+    top = np.linalg.eigvalsh(gram)[-1] if p < min(mat.shape) else 0.0
+    return (q1, float(singular_values(r[:p, :p])[-1]),
+            math.sqrt(max(top, 0.0)), passes)
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +519,8 @@ def hybrid1(a, p: int, init: Permutation | None = None) -> RrqrResult:
 
     with R11 = R[:p, :p] and R22 = R[p:, p:].
     """
-    mat, order, tol, cap = _hybrid_start(a, p, init, spare=0, seed=p)
-    _, passes = _hybrid_sweeps(mat, order, p, tol, cap)
+    mat, tol, unit, unit_tol, order, cap = _hybrid_start(a, p, init, 0, p)
+    _, passes = _hybrid_sweeps(unit, order, p, unit_tol, cap)
     return _blocked_result(mat, order, p, passes, tol)
 
 
@@ -513,8 +533,8 @@ def hybrid2(a, p: int, init: Permutation | None = None) -> RrqrResult:
         sigma_max(R22) <= sigma_{p+1}(A) * sqrt((p+1)(n-p))
         sigma_min(R11) >= sigma_max(R22) / sqrt((p+1)(n-p))
     """
-    mat, order, tol, cap = _hybrid_start(a, p, init, spare=1, seed=p + 1)
-    _, passes = _hybrid_sweeps(mat, order, p + 1, tol, cap)
+    mat, tol, unit, unit_tol, order, cap = _hybrid_start(a, p, init, 1, p + 1)
+    _, passes = _hybrid_sweeps(unit, order, p + 1, unit_tol, cap)
     return _blocked_result(mat, order, p, passes, tol)
 
 
@@ -533,8 +553,8 @@ def hybrid3(a, p: int, init: Permutation | None = None) -> RrqrResult:
     lower than a loop confirming both boundaries in a last round; the
     permutation and factors are the same.
     """
-    mat, order, tol, cap = _hybrid_start(a, p, init, spare=1, seed=p)
-    passes = _fixed_point(mat, order, p, tol, cap)
+    mat, tol, unit, unit_tol, order, cap = _hybrid_start(a, p, init, 1, p)
+    passes = _fixed_point(unit, order, p, unit_tol, cap)
     return _blocked_result(mat, order, p, passes, tol)
 
 

@@ -141,12 +141,14 @@ def matrix_with_spectrum(rng, rows, cols, spectrum):
 def old_hybrid3(a, p, init=None):
     """hybrid3 as it was before it skipped no-op sweeps: hybrid1's and
     hybrid2's sweeps alternate in rounds until a whole round makes no
-    swap, each round counting its passes."""
-    mat, order, tol, cap = rrqr._hybrid_start(a, p, init, spare=1, seed=p)
+    swap, each round counting its passes. The sweeps run on the
+    unit-scaled copy, as hybrid3's do."""
+    mat, tol, unit, unit_tol, order, cap = rrqr._hybrid_start(
+        a, p, init, spare=1, seed=p)
     passes = 0
     for _ in range(cap):
-        s1, p1 = rrqr._hybrid_sweeps(mat, order, p, tol, cap)
-        s2, p2 = rrqr._hybrid_sweeps(mat, order, p + 1, tol, cap)
+        s1, p1 = rrqr._hybrid_sweeps(unit, order, p, unit_tol, cap)
+        s2, p2 = rrqr._hybrid_sweeps(unit, order, p + 1, unit_tol, cap)
         passes += p1 + p2
         if s1 == 0 and s2 == 0:
             return rrqr._blocked_result(mat, order, p, passes, tol)

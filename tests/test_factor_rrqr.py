@@ -10,7 +10,7 @@ from qrfactors import rrqr
 from qrfactors.covariance import build_augmented
 from qrfactors.factor_rrqr import FactorModelFit, fit_rrqr, scan_model_order
 from qrfactors.forecast_eval import fit_method
-from qrfactors.rrqr import RrqrIterationError, hybrid3
+from qrfactors.rrqr import RrqrIterationError, hybrid1, hybrid3
 from qrfactors.simgen import SimConfig, gen_sim1, gen_sim2, subspace_error
 from qrfactors.tsdata import TimeSeries, demean
 
@@ -203,9 +203,9 @@ def test_fit_output_contract():
 
 def test_fit_takes_its_basis_from_the_scan_order(monkeypatch):
     # one qr_cp seed per fit, the scan's rank-1 pivot (read from dnrm2,
-    # no dgeqp3), and hybrid1 only confirms the scan's order at p_hat; on
-    # this panel a cold hybrid1 settles on another order with a weaker
-    # R11 and a stronger R22
+    # no dgeqp3), and hybrid1's sweep only confirms the scan's order at
+    # p_hat; on this panel a cold hybrid1 settles on another order with a
+    # weaker R11 and a stronger R22
     calls = []
     real = rrqr._qr_cp_order
 
@@ -231,6 +231,44 @@ def test_fit_takes_its_basis_from_the_scan_order(monkeypatch):
     assert r22 <= r11 * scale1 * (1 + 1e-9)
     assert r22 <= svs[p] * scale2 * (1 + 1e-9)
     assert r11 >= r22 / scale2 * (1 - 1e-9)
+
+
+def _exact_rank_three(seed, k=30, n=300):
+    rng = np.random.default_rng(seed)
+    x = np.zeros((3, n))
+    innov = rng.standard_normal((3, n))
+    for t in range(1, n):
+        x[:, t] = np.array([0.8, -0.5, 0.3]) * x[:, t - 1] + innov[:, t]
+    return TimeSeries(rng.uniform(-2.0, 2.0, size=(k, 3)) @ x)
+
+
+@pytest.mark.parametrize("kind", ["sim1", "sim2 hurst"])
+def test_fit_block_singular_values_are_hybrid1s(kind):
+    # sigma_min(R11) bit for bit, sigma_max(R22) within 1e-13 relative of
+    # the SVD of R22 from hybrid1's full decomposition at the same order
+    for seed in range(4):
+        ts = _scan_panel(kind, seed)
+        fit = fit_rrqr(ts, lag_lo=1, lag_hi=5)
+        aug = build_augmented(ts, lag_lo=1, lag_hi=5)
+        res = hybrid1(aug.scaled, fit.p_hat,
+                      init=fit.scan.orders[fit.p_hat - 1])
+        assert fit.diagnostics["r11_min_sv"] == np.ldexp(res.r11_min_sv,
+                                                         aug.exponent)
+        assert_allclose(fit.diagnostics["r22_max_sv"],
+                        np.ldexp(res.r22_max_sv, aug.exponent), rtol=1e-13)
+
+
+def test_fit_r22_vanishes_at_exact_rank_and_full_rank():
+    for seed in range(4):
+        ts = _exact_rank_three(seed)
+        top = np.linalg.svd(build_augmented(ts, 1, 2).matrix,
+                            compute_uv=False)[0]
+        fit = fit_rrqr(ts, lag_lo=1, lag_hi=2)
+        assert fit.p_hat == 3
+        assert fit.diagnostics["r22_max_sv"] <= 1e-10 * top
+        # no trailing block at all: R22 is 0 x (n - K)
+        full = fit_rrqr(ts, lag_lo=1, lag_hi=2, p_override=ts.K)
+        assert full.diagnostics["r22_max_sv"] == 0.0
 
 
 def test_fit_p_override_skips_scan():

@@ -507,6 +507,98 @@ def test_scan_is_the_gathering_scans(case, monkeypatch):
 
 
 # ------------------------------------------------------------------
+# the loading basis reads LAPACK's first panel; on a build where that cut
+# stops being exact the first test fails at once
+
+BASIS_PANELS = ["golden", "paper cell", "K = 50"]
+
+
+def _basis_panel(case):
+    if case == "K = 50":    # 50 x 250: dgeqr2 runs over every column
+        return np.asarray(build_augmented(gen_sim1(50, 500, 0).y, 1, 5).scaled)
+    return _scan_panel(case)
+
+
+def _basis_orders(mat):
+    """(p, order) at p in 1, 2, 3 and 16 (the widest rank when there are
+    fewer): the scan's order at p; and past 16, where the basis QR spans
+    every column, at p = 20 hybrid1's order from the scan's at 16."""
+    top = min(16, min(mat.shape) - 1)
+    scanned = [row[3].order for row in rrqr._scan_orders(mat, top)]
+    out = [(p, scanned[p - 1]) for p in (1, 2, 3, top)]
+    if min(mat.shape) > 20:
+        out.append((20, hybrid1(mat, 20, init=scanned[-1]).perm.order))
+    return out
+
+
+@pytest.mark.parametrize("case", BASIS_PANELS)
+def test_basis_panel_q_and_r11_are_the_full_qrs(case):
+    mat = _basis_panel(case)
+    tol = rrqr._deflation_tol(mat)
+    width, last = rrqr._GAMMA_PANEL
+    for p, order in _basis_orders(mat):
+        q, r = rrqr._qr(mat, order[:width] if p <= last else order,
+                        "economic", tol)
+        full_q, full_r = rrqr._qr(mat, order, "full", tol)
+        assert_array_equal(q[:, :p], full_q[:, :p]), p
+        assert_array_equal(r[:p, :p], full_r[:p, :p]), p
+
+
+@pytest.mark.parametrize("case", BASIS_PANELS)
+def test_loading_basis_is_hybrid1s(case):
+    # Q[:, :p], sigma_min(R11) and passes bit for bit; sigma_max(R22) from
+    # the projected trailing columns within 1e-13 of R22's SVD, relative
+    # on the noisy panels; the golden matrix has a planted gap of 2.7e-4
+    # below sigma_3, so there both agree only to round-off in sigma_1
+    mat = _basis_panel(case)
+    top = singular_values(mat)[0]
+    for p, order in _basis_orders(mat):
+        q1, r11_min, r22_max, passes = rrqr._loading_basis(mat, p, order)
+        res = hybrid1(mat, p, init=order)
+        assert_array_equal(q1, res.factors.q[:, :p]), p
+        assert q1.flags.f_contiguous == res.factors.q[:, :p].flags.f_contiguous
+        assert (r11_min, passes) == (res.r11_min_sv, res.passes), p
+        scale = top if case == "golden" else res.r22_max_sv
+        assert abs(r22_max - res.r22_max_sv) <= 1e-13 * scale, p
+
+
+def test_loading_basis_r22_is_zero_without_a_trailing_block():
+    # R22 is (K - p) x (n - p): empty at p = min(K, n), tall or wide
+    rng = np.random.default_rng(64)
+    for shape in [(9, 4), (6, 6), (4, 10)]:
+        a, p = rng.standard_normal(shape), min(shape)
+        _, _, r22_max, _ = rrqr._loading_basis(a, p, None)
+        assert r22_max == 0.0 == hybrid1(a, p).r22_max_sv, shape
+
+
+PLAIN_NORM_SHAPES = {
+    "sim1 180 x 500": lambda seed: (gen_sim1(180, 500, seed).y, 5),
+    "sim1 20 x 200": lambda seed: (gen_sim1(20, 200, seed).y, 5),
+    "sim1 50 x 500": lambda seed: (gen_sim1(50, 500, seed).y, 5),
+    "sim2 hurst 100 x 200": lambda seed: (gen_sim2(SimConfig(
+        scenario="sim2", k=100, n=200, seed=seed, noise_kind="hurst")).y, 2),
+}
+
+
+@pytest.mark.parametrize("shape", PLAIN_NORM_SHAPES)
+def test_plain_trailing_norms_are_the_scaled_ones(shape):
+    # on the unit-scaled copy of M~ the residual's squares neither
+    # overflow nor underflow, so summing them plainly gives _col_norms'
+    # bits, at every boundary the scan reads
+    for seed in range(8):
+        ts, lag_hi = PLAIN_NORM_SHAPES[shape](seed)
+        unit, tol, _ = rrqr._unit_scaled(
+            np.asarray(build_augmented(ts, 1, lag_hi).scaled))
+        for i, row in enumerate(rrqr._scan_orders(unit, 15), start=1):
+            order = list(row[3].order)
+            q, _ = rrqr._qr(unit, order[:i], "economic", tol)
+            resid = unit - q @ (q.T @ unit)
+            assert resid.flags.c_contiguous
+            assert_array_equal(rrqr._trailing_norms(unit, order, i, tol),
+                               rrqr._col_norms(resid)[order[i:]]), (seed, i)
+
+
+# ------------------------------------------------------------------
 # permutations
 
 
