@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .covariance import _rescaled, build_augmented
-from .rrqr import Permutation, _as_matrix, _loading_basis, _scan_orders
+from .rrqr import Permutation, _loading_basis, _PivotSearch, _scan_orders
 # bench/reference.py patches factor_rrqr.hybrid3 to count the scan's passes;
 # the scan no longer calls it, but the name stays until that script changes.
 from .rrqr import hybrid3  # noqa: F401
@@ -150,12 +150,17 @@ def scan_model_order(m_tilde, p_cap: int | None = None,
     n : int
         Sample count behind the matrix, used only to scale eps.
     """
-    mat = _as_matrix(m_tilde)
-    rows, cols = mat.shape
+    return _scan(_PivotSearch(m_tilde), p_cap, n)
+
+
+def _scan(search, p_cap, n) -> ModelOrderScan:
+    """scan_model_order on a pivot search (rrqr._PivotSearch), which
+    fit_rrqr then hands on to its basis sweep."""
+    rows, cols = search.mat.shape
     if n is None or n <= 0:
         raise ValueError("sample count n is required to scale the ratio floor")
     p_cap = _rank_cap(p_cap, min(rows, cols) - 1)
-    gammas, gammas_next, passes, orders = zip(*_scan_orders(mat, p_cap))
+    gammas, gammas_next, passes, orders = zip(*_scan_orders(search, p_cap))
     if gammas[0] <= 0.0:
         raise ValueError("matrix is numerically zero; no rank to reveal")
     epsilon = gammas[0] / math.sqrt(rows * n)
@@ -180,8 +185,9 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     scan_model_order. The loading basis is the first p_hat columns of
     the orthonormal factor of hybrid1 at p_hat, started from the scan's
     own order at that rank: one RRQR both reveals the rank and gives the
-    basis. hybrid1's sweep only confirms the order (one pass), and Q
-    comes from one QR of LAPACK's first panel (rrqr._loading_basis).
+    basis. hybrid1's sweep only confirms the order (one pass), on the
+    scan's own unit-scaled matrix and sums, and Q comes from one QR of
+    LAPACK's first panel (rrqr._loading_basis).
     When p_override pins the rank there is no scan, and the sweep starts
     from qr_cp's pivots; p_override may be min(K, n), where hybrid3, and
     so the scan's loop, is undefined. p_hat, q_hat and the ratio curve
@@ -190,15 +196,17 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     constant series is rejected.
     """
     aug = build_augmented(ts, lag_lo, lag_hi)
-    mat, exp = aug.scaled, aug.exponent
+    exp = aug.exponent
+    search = _PivotSearch(aug.scaled)
     scan = None
     if p_override is not None:
-        p_hat = _rank_cap(p_override, min(mat.shape), name="p_override")
+        p_hat = _rank_cap(p_override, min(search.mat.shape), name="p_override")
     else:
-        scan = scan_model_order(mat, p_cap, n=ts.N)
+        scan = _scan(search, p_cap, ts.N)
         p_hat = scan.p_hat
     init = None if scan is None else scan.orders[p_hat - 1]
-    q_hat, r11_min, r22_max, passes = _loading_basis(mat, p_hat, init)
+    q_hat, r11_min, r22_max, passes = _loading_basis(search, p_hat, init)
+    del search  # its unit-scaled copy is not needed past the basis
     diagnostics = {
         "r11_min_sv": float(_rescaled(r11_min, exp)),
         "r22_max_sv": float(_rescaled(r22_max, exp)),

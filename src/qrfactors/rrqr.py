@@ -1,7 +1,7 @@
 """Rank-revealing QR kernels.
 
-Four pivoting strategies over one Householder QR (LAPACK, through
-``scipy.linalg.qr``):
+Four pivoting strategies over one Householder QR (LAPACK dgeqrf and
+dorgqr, called as ``scipy.linalg.qr`` calls them):
 
 * ``qr_cp``   -- classical column pivoting (Golub): at each step the
   trailing column of largest 2-norm moves to the front of the
@@ -29,13 +29,20 @@ confirm one by hybrid1's sweep and read Q[:, :p] from one QR of LAPACK's
 first panel (p <= 16), with no second pivot search.
 
 Every exchange is followed by a from-scratch factorization of the
-permuted columns it reads; Q and R are never updated in place.
+permuted columns it reads; Q and R are never updated in place. The
+column-pivot exchange downdates the column sums of squares by the
+leading columns' projection, brackets each result with a rigorous
+rounding bound, and projects the whole matrix only when the brackets
+cannot settle its pick (``_strong_exchange``, ``_downdated_pick``):
+every pick is the one the projected norms make, so every order is.
+The QRs and the triangular solves call LAPACK directly, with the
+arguments and workspace ``scipy.linalg`` would pass them.
 
 Diagonal entries of R are kept non-negative by flipping the matching
 columns of Q. A pivot at or below the deflation tolerance deflates: its
 diagonal entry becomes exactly 0. Q is orthonormal for any input, so a
 deflated pivot needs no completion. The pivot search runs on the matrix
-scaled once by a power of two (``_unit_scaled``), so its column norms
+scaled once by a power of two (``_PivotSearch``), so its column norms
 are plain sums; only norms that can leave the float range are scaled.
 """
 
@@ -43,10 +50,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import qr
 from scipy.linalg.blas import dnrm2
+from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
 
 # A swap happens only when the challenger beats the incumbent by this
 # relative margin; equal-norm columns would otherwise trade places forever.
@@ -70,6 +79,8 @@ _PASS_CAP_FACTOR = 10
 # 100, gamma_30 to gamma_32 moved by up to 3e-12 relative while gamma_1
 # to gamma_29 matched, so the panel stops well short of its last columns.
 _GAMMA_PANEL = (32, 16)
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 class RrqrIterationError(RuntimeError):
@@ -157,25 +168,70 @@ def _deflation_tol(a: np.ndarray) -> float:
     return _DEFL_RTOL * float(_col_norms(a).max())
 
 
-def _unit_scaled(a):
-    """(a * 2^-e, _deflation_tol(a) * 2^-e, e), 2^e the power of two above
-    a's largest column norm: exact, so R and every pivot decision on the
-    copy are a's, scaled, bit for bit."""
-    top = float(_col_norms(a).max())
-    e = math.frexp(top)[1]
-    return np.ldexp(a, -e), math.ldexp(_DEFL_RTOL * top, -e), e
+class _PivotSearch:
+    """A checked matrix and what one pivot search reads of it.
+
+    `a` is the matrix times 2^-exp, 2^exp the power of two above its
+    largest column norm, and `tol` its deflation tolerance scaled alike:
+    exact, so R and every pivot decision on the copy are the matrix's,
+    scaled, bit for bit. `sums` (column sums of squares) and `lead`
+    (column norms, as the rank-1 exchange reads them) are computed on
+    first use and live as long as the search: one scan and the basis
+    sweep after it, or one hybrid call.
+    """
+
+    def __init__(self, a):
+        self.mat = _as_matrix(a)
+        top = float(_col_norms(self.mat).max())
+        self.exp = math.frexp(top)[1]
+        self.mat_tol = _DEFL_RTOL * top
+        self.a = np.ldexp(self.mat, -self.exp)
+        self.tol = math.ldexp(self.mat_tol, -self.exp)
+
+    @cached_property
+    def sums(self) -> np.ndarray:
+        return np.einsum("ij,ij->j", self.a, self.a)
+
+    @cached_property
+    def lead(self) -> np.ndarray:
+        # Summed down contiguous columns, which numpy does pairwise, these
+        # are a column gather's norms bit for bit, the ones the rank-1
+        # pivots have always been taken with; a row-major sum can differ
+        # in the last bit.
+        return _col_norms(np.asfortranarray(self.a))
+
+
+def _lapack(routine, a, *args):
+    """routine(a, *args), overwriting a, with the workspace size LAPACK
+    asks for, as scipy.linalg's safecall passes it: dgeqrf's and dorgqr's
+    blocking follow that size, and so do their bits."""
+    lwork = int(routine(a, *args, lwork=-1)[-2][0])
+    *out, _, info = routine(a, *args, lwork=lwork, overwrite_a=1)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of a LAPACK QR")
+    return out
 
 
 def _qr(a, cols, mode, defl_tol):
     """Householder QR of a[:, cols] as (q, r); q is None in mode "r".
 
-    mode is "full" (K x K Q), "economic" or "r". R's diagonal is made
-    non-negative by flipping the matching rows of R and columns of Q, and
-    diagonal entries at or below defl_tol become exactly 0.
+    mode is "full" (K x K Q), "economic" or "r"; the shapes, layouts and
+    bits are scipy.linalg.qr's, whose dgeqrf and dorgqr calls this makes
+    without its wrapper. R's diagonal is made non-negative by flipping
+    the matching rows of R and columns of Q, and diagonal entries at or
+    below defl_tol become exactly 0.
     """
-    out = qr(a[:, cols], mode=mode, overwrite_a=True, check_finite=False)
-    q = None if mode == "r" else out[0]
-    r = out[-1]
+    k, m = a.shape[0], len(cols)
+    packed, tau = _lapack(dgeqrf, a.T[cols, :].T)
+    r = np.triu(packed[:m] if mode == "economic" and k >= m else packed)
+    q = None
+    if mode != "r":
+        if k < m or mode == "economic":
+            q = _lapack(dorgqr, packed[:, :min(k, m)], tau)[0]
+        else:
+            full = np.empty((k, k), order="F")
+            full[:, :m] = packed
+            q = _lapack(dorgqr, full, tau)[0]
     sign = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     m = sign.size
     r[:m] *= sign[:, None]
@@ -186,23 +242,37 @@ def _qr(a, cols, mode, defl_tol):
     return q, r
 
 
+def _unsigned_q(a, cols):
+    """Q of the economic QR of a[:, cols] (K >= len(cols)), with the
+    column signs LAPACK leaves: _qr's Q with some columns negated. The
+    column-pivot exchange needs no more, since negating a column of Q
+    negates its products exactly, and no projection or norm moves."""
+    packed, tau = _lapack(dgeqrf, a.T[cols, :].T)
+    return _lapack(dorgqr, packed, tau)[0]
+
+
+def _beats(best: float, inc: float) -> bool:
+    """Whether a challenger scoring `best` displaces an incumbent scoring
+    `inc`: it must beat it by the relative swap tolerance, and an infinite
+    score (inverse of a deflated pivot) beats any finite one. For
+    non-negative scores the outcome can only turn from keep to swap as
+    `best` grows or `inc` falls."""
+    if best == inc:
+        return False
+    return (math.isinf(best)
+            or best > inc + _SWAP_RTOL * max(abs(best), abs(inc)))
+
+
 def _pick_challenger(scores: np.ndarray, incumbent: int) -> int:
     """Index whose score strictly beats the incumbent's, favoring low indices.
 
     Exact ties keep the incumbent; so do challengers within the relative
-    swap tolerance. Infinite scores (inverse of a deflated pivot) always win
-    over finite ones.
+    swap tolerance (_beats).
     """
     j = int(np.argmax(scores))
-    best = float(scores[j])
-    inc = float(scores[incumbent])
-    if j == incumbent or best == inc:
-        return incumbent
-    if np.isinf(best):
+    if j != incumbent and _beats(float(scores[j]), float(scores[incumbent])):
         return j
-    if best <= inc + _SWAP_RTOL * max(abs(best), abs(inc)):
-        return incumbent
-    return j
+    return incumbent
 
 
 def _full_factors(a, order, defl_tol) -> QrFactors:
@@ -212,61 +282,153 @@ def _full_factors(a, order, defl_tol) -> QrFactors:
 
 
 def _inverse_row_norms(r11: np.ndarray) -> np.ndarray:
-    """2-norms of the rows of r11^{-1}; deflated (zero) pivots map to inf."""
+    """2-norms of the rows of r11^{-1}; deflated (zero) pivots map to inf.
+
+    r11^{-T} comes from LAPACK dtrtrs, called as scipy.linalg's
+    solve_triangular(r11, I, trans="T") calls it for r11's layout.
+    """
     b = r11.shape[0]
     diag = np.diagonal(r11)
     if (diag == 0.0).any():
         out = np.zeros(b)
         out[diag == 0.0] = np.inf
         return out
+    eye = np.eye(b, order="F")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        inv_t = solve_triangular(r11, np.eye(b), trans="T", lower=False)
+        if r11.flags.f_contiguous:
+            inv_t, info = dtrtrs(r11, eye, trans=1, overwrite_b=1)
+        else:
+            inv_t, info = dtrtrs(r11.T, eye, lower=1, overwrite_b=1)
+        if info:
+            raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
         norms = _col_norms(inv_t)
     return np.nan_to_num(norms, nan=np.inf, posinf=np.inf)
 
 
-def _trailing_norms(a, order, i, defl_tol) -> np.ndarray:
-    """Column norms of a[:, order[i:]] after projecting out a[:, order[:i]].
+def _residual_norms(a, q, c) -> np.ndarray:
+    """Column norms of a - q @ c, with c = q.T @ a: a's columns less their
+    projection on q's span.
 
-    The whole matrix is projected in its own column order and the
-    trailing norms are read out of its column norms, so nothing is
-    gathered and each column's norm is the same bit for bit wherever the
-    order puts it, the premise of _fixed_point's third skip. The
-    products of a gather round a few columns differently with each
-    order, by an ulp or so. a is unit-scaled (_unit_scaled), so a square
-    can underflow only far below defl_tol, where the exchange reads 0.
+    The whole matrix is projected in its own column order, so nothing is
+    gathered and each column's norm is the same bit for bit wherever an
+    order puts it, the premise of _fixed_point's third skip; a gather's
+    products round a few columns differently with each order, by an ulp
+    or so. The squares are summed plainly: a is unit-scaled
+    (_PivotSearch), so one can underflow only far below the deflation
+    tolerance, where the exchange reads 0.
     """
-    if not i:
-        # Nothing to project out. Summed down contiguous columns, which
-        # numpy does pairwise, these are a column gather's norms bit for
-        # bit, the ones the rank-1 pivots have always been taken with; a
-        # row-major sum can differ in the last bit.
-        return _col_norms(np.asfortranarray(a))[order]
-    q, _ = _qr(a, order[:i], "economic", defl_tol)
-    proj = q @ (q.T @ a)
+    proj = q @ c
     resid = np.subtract(a, proj, out=proj)
     resid *= resid
-    return np.sqrt(np.add.reduce(resid, axis=0))[order[i:]]
+    return np.sqrt(np.add.reduce(resid, axis=0))
 
 
-def _strong_exchange(a, order, boundary, defl_tol) -> bool:
+def _downdated_pick(search, order, i, q, c):
+    """The column-pivot exchange's pick at boundary i+1 (an offset into
+    order[i:], 0 for the incumbent) when downdated norms make it certain,
+    else None.
+
+    With Q1 = q (K x i) and c = fl(Q1^T a), the exact path's squared
+    trailing norm x_j = fl(||fl(a_j - fl(Q1 c_j))||^2) and the downdate
+    t_j = fl(s_j - ||c_j||^2), s_j = fl(||a_j||^2) (search.sums), differ
+    by rounding alone. With F = Q1^T Q1 - I and d_j = c_j - Q1^T a_j,
+    exactly ||a_j - Q1 c_j||^2 = s_j - ||c_j||^2 + 2 c_j^T d_j
+    + c_j^T F c_j, so to first order in u = eps/2:
+
+    * the dot products of length K: |d_j| <= K u |Q1|^T |a_j|, and
+      |2 c_j^T d_j| <= 2 sqrt(i) K u s_j, as ||Q1||_F ~ sqrt(i);
+    * Q1's non-orthogonality: |c_j^T F c_j| <= ||F|| s_j, where
+      ||F|| <= ||fl(Q1^T Q1) - I||_F + K i u, measured here, not assumed;
+    * the exact path's product Q1 c_j, difference and sum of K squares:
+      (K + 2 i^1.5 + 2) u s_j;
+    * the downdate's sums and difference: (K + i + 1) u s_j.
+
+    Their sum is at most half of
+
+        E_j = 2 (||fl(Q1^T Q1) - I||_F + (i + sqrt(i) + 1)(K + i) eps) s_j,
+
+    so in E_j = C (K + i) eps s_j, plus the measured term, C is
+    2(i + sqrt(i) + 1): no fixed C covers the 2 sqrt(i) K term at every
+    i. The other half covers second-order terms and the rounding of
+    t_j +- E_j itself. A subnormal square's absolute error is
+    covered by adding the smallest normal float. So x_j lies in
+    [t_j - E_j, t_j + E_j], and since sqrt, the deflation rule (norms at
+    or below tol read 0) and _beats are all monotone, the exact path's
+    norm of column j lies in [lo_j, hi_j], the square roots of those
+    ends. The pick is certain, and equal to the exact path's, when the
+    argmax j* of t clears the deflation threshold (lo_j* > tol), every
+    other column's hi lies below lo_j*, and the swap test against the
+    incumbent has one outcome at both corners of the two intervals.
+    Exact ties, norms within the swap tolerance and trailing norms past
+    the numerical rank, which are round-off, never pass.
+    """
+    k = q.shape[0]
+    gram = q.T @ q
+    gram.flat[::i + 1] -= 1.0
+    defect = math.sqrt(np.vdot(gram, gram))
+    rel = 2.0 * (defect + (i + math.sqrt(i) + 1) * (k + i) * _EPS)
+    # Every column at once, in the matrix's own order; the leading ones,
+    # projected out, can neither win nor block.
+    trail = search.sums - np.einsum("ij,ij->j", c, c)
+    err = rel * search.sums + _TINY
+    hi = np.sqrt(trail + err)
+    trail[order[:i]] = -np.inf
+    hi[order[:i]] = 0.0
+    best = int(np.argmax(trail))
+    best_lo = math.sqrt(max(trail[best] - err[best], 0.0))
+    if best_lo <= search.tol or np.count_nonzero(hi >= best_lo) > 1:
+        return None
+    inc = order[i]
+    if best == inc:
+        return 0
+    inc_lo = math.sqrt(max(trail[inc] - err[inc], 0.0))
+    inc_lo, inc_hi = (x if x > search.tol else 0.0
+                      for x in (inc_lo, float(hi[inc])))
+    swap = _beats(best_lo, inc_hi)
+    if swap != _beats(float(hi[best]), inc_lo):
+        return None
+    return order.index(best, i) - i if swap else 0
+
+
+def _strong_exchange(search, order, boundary) -> bool:
     """Column-pivot exchange at a block boundary.
 
-    Trailing norms are the residuals of a[:, order[boundary-1:]] after
-    projecting out the first boundary-1 columns (_trailing_norms). The
-    strongest one moves into position boundary-1 if it beats the column
-    there. Norms at or below defl_tol count as exactly 0, the rule _qr
-    uses to deflate: past the numerical rank every trailing norm is
-    round-off whose ordering changes with each refactorization, and
-    without the rule those values keep trading places and the loop
-    never reaches a fixed point. Returns whether `order` changed.
+    Trailing norms are those of search.a[:, order[boundary-1:]] less
+    their projection on the first boundary-1 columns. The strongest one
+    moves into position boundary-1 if it beats the column there. Norms
+    at or below search.tol count as exactly 0, the rule _qr uses to
+    deflate: past the numerical rank every trailing norm is round-off
+    whose ordering changes with each refactorization, and without the
+    rule those values keep trading places and the loop never reaches a
+    fixed point. Returns whether `order` changed.
+
+    The pick is first tried on downdated norms ||a_j||^2 - ||c_j||^2,
+    from c = Q1^T a alone, Q1 the economic Q of the leading columns.
+    Each is within E_j = 2(||Q1^T Q1 - I||_F + (i + sqrt(i) + 1)(K + i)
+    eps) ||a_j||^2 of the squared norm the projection computes
+    (_downdated_pick derives it), and the pick stands only where those
+    brackets make it certain. Otherwise the whole matrix is projected
+    with the same Q1 and c (_residual_norms), as the exchange always
+    did. Both routes make the projected norms' pick, so every order is
+    theirs, and _fixed_point's skips, which rest on those norms not
+    depending on where a column sits, still hold. Boundary 1 projects
+    nothing and reads the search's rank-1 norms.
     """
     i = boundary - 1
-    trail = _trailing_norms(a, order, i, defl_tol)
-    trail[trail <= defl_tol] = 0.0
-    j = _pick_challenger(trail, 0)
-    order[i], order[i + j] = order[i + j], order[i]
-    return j != 0
+    pick = None
+    if not i:
+        trail = search.lead[order]
+    else:
+        q = _unsigned_q(search.a, order[:i])
+        c = q.T @ search.a
+        pick = _downdated_pick(search, order, i, q, c)
+        if pick is None:
+            trail = _residual_norms(search.a, q, c)[order[i:]]
+    if pick is None:
+        trail[trail <= search.tol] = 0.0
+        pick = _pick_challenger(trail, 0)
+    order[i], order[i + pick] = order[i + pick], order[i]
+    return pick != 0
 
 
 def _weak_exchange(a, order, b, defl_tol) -> bool:
@@ -279,7 +441,7 @@ def _weak_exchange(a, order, b, defl_tol) -> bool:
     return j != b - 1
 
 
-def _hybrid_sweeps(a, order, boundary, defl_tol, cap):
+def _hybrid_sweeps(search, order, boundary, cap):
     """Drive the two-exchange loop at a fixed block boundary to a fixed point.
 
     Each pass runs the column-pivot exchange, then the inverse-row-norm
@@ -294,14 +456,14 @@ def _hybrid_sweeps(a, order, boundary, defl_tol, cap):
             raise RrqrIterationError(
                 f"no fixed point after {cap} passes at boundary {boundary}"
             )
-        moved = (_strong_exchange(a, order, boundary, defl_tol)
-                 + _weak_exchange(a, order, boundary, defl_tol))
+        moved = (_strong_exchange(search, order, boundary)
+                 + _weak_exchange(search.a, order, boundary, search.tol))
         if not moved:
             return swaps, passes
         swaps += moved
 
 
-def _fixed_point(a, order, p, defl_tol, cap, fixed_at_p=False) -> int:
+def _fixed_point(search, order, p, cap, fixed_at_p=False) -> int:
     """Alternate hybrid sweeps at boundaries p and p+1 until neither permutes.
 
     A sweep ends at a fixed point of its boundary. No sweep runs at a
@@ -309,10 +471,11 @@ def _fixed_point(a, order, p, defl_tol, cap, fixed_at_p=False) -> int:
     only cost a pass: at p when fixed_at_p, at the other boundary after a
     sweep that made no swap, and at p after a sweep at p+1 that left the
     first p columns in place. Boundary p's exchanges read only those
-    columns and the set of the columns behind them, each column's norm
-    being computed alike wherever it sits. Every order visited is one the
-    plain alternation visits, so the final order is the same. Returns the
-    pass count; `order` is permuted in place.
+    columns and the set of the columns behind them, each column's
+    projected norm being computed alike wherever it sits, and the
+    exchange's picks are those norms' picks. Every order visited is one
+    the plain alternation visits, so the final order is the same.
+    Returns the pass count; `order` is permuted in place.
     """
     boundary = p + 1 if fixed_at_p else p
     other_fixed = fixed_at_p
@@ -320,7 +483,7 @@ def _fixed_point(a, order, p, defl_tol, cap, fixed_at_p=False) -> int:
     for _ in range(2 * cap):
         head = order[:p]
         try:
-            swaps, used = _hybrid_sweeps(a, order, boundary, defl_tol, cap)
+            swaps, used = _hybrid_sweeps(search, order, boundary, cap)
         except RrqrIterationError:
             passes += cap
             break
@@ -365,31 +528,27 @@ def _blocked_result(a, order, p, passes, defl_tol) -> RrqrResult:
         passes=passes)
 
 
-def _hybrid_start(a, p, init, spare, seed):
-    """Checked matrix and deflation tolerance, the unit-scaled copy the
-    pivot search runs on and its tolerance, starting order and pass cap.
+def _hybrid_start(search, p, init, spare, seed):
+    """Starting order and pass cap of a hybrid loop on search's matrix.
 
     p must leave `spare` columns of the leading triangle past it; without
     init the order is qr_cp's after `seed` steps.
     """
-    mat = _as_matrix(a)
-    k, n = mat.shape
+    k, n = search.mat.shape
     top = min(k, n) - spare
     if not 1 <= p <= top:
         raise ValueError(f"p must be in [1, {top}], got {p}")
     if init is None:
-        order = _qr_cp_order(mat, seed)
+        order = _qr_cp_order(search.mat, seed)
     else:
         order = list(Permutation(tuple(getattr(init, "order", init))).order)
         if len(order) != n:
             raise ValueError(f"init permutation has length {len(order)}, "
                              f"matrix has {n} columns")
-    unit, unit_tol, e = _unit_scaled(mat)
-    return (mat, math.ldexp(unit_tol, e), unit, unit_tol, order,
-            _PASS_CAP_FACTOR * n)
+    return order, _PASS_CAP_FACTOR * n
 
 
-def _scan_orders(mat, p_cap) -> list[tuple[float, float, int, Permutation]]:
+def _scan_orders(search, p_cap) -> list[tuple[float, float, int, Permutation]]:
     """The rank scan's hybrid3 runs at ranks 1..p_cap, each warm-started.
 
     Rank 1 starts from qr_cp's first pivot, as hybrid3(mat, 1) does; rank
@@ -398,35 +557,38 @@ def _scan_orders(mat, p_cap) -> list[tuple[float, float, int, Permutation]]:
     come from an R-only QR of the first 32 columns while i+1 <= 16, else
     of every column, the full decomposition's bits either way
     (_GAMMA_PANEL); no Q and no singular value is built. The loops and
-    the QR run on mat's unit-scaled copy, and gamma is mapped back with
-    ldexp. mat must already be checked (_as_matrix). Returns (gamma_i,
-    gamma_{i+1}, passes, final order) per rank; each order is a fixed
-    point of both of its rank's boundaries.
+    the QR run on the search's unit-scaled copy, and gamma is mapped back
+    with ldexp. Returns (gamma_i, gamma_{i+1}, passes, final order) per
+    rank; each order is a fixed point of both of its rank's boundaries.
     """
-    unit, tol, e = _unit_scaled(mat)
-    cap = _PASS_CAP_FACTOR * mat.shape[1]
+    cap = _PASS_CAP_FACTOR * search.mat.shape[1]
     width, last = _GAMMA_PANEL
-    order = _qr_cp_order(mat, 1)
+    order = _qr_cp_order(search.mat, 1)
     rows = []
     for i in range(1, p_cap + 1):
-        passes = _fixed_point(unit, order, i, tol, cap, fixed_at_p=i > 1)
-        _, r = _qr(unit, order[:width] if i + 1 <= last else order, "r", tol)
-        rows.append((math.ldexp(r[i - 1, i - 1], e), math.ldexp(r[i, i], e),
+        passes = _fixed_point(search, order, i, cap, fixed_at_p=i > 1)
+        _, r = _qr(search.a, order[:width] if i + 1 <= last else order, "r",
+                   search.tol)
+        rows.append((math.ldexp(r[i - 1, i - 1], search.exp),
+                     math.ldexp(r[i, i], search.exp),
                      passes, Permutation(tuple(order))))
     return rows
 
 
-def _loading_basis(a, p, init):
-    """(Q[:, :p], sigma_min(R11), sigma_max(R22), passes) of hybrid1(a, p,
-    init) without its full frame. After hybrid1's sweep, Q[:, :p] and R11
-    come from an economic QR of the first 32 columns while p <= 16, else
-    of every column, the full QR's bits either way (_GAMMA_PANEL); R22's
-    are those of the trailing columns less their projection on Q[:, :p],
-    from the Gram matrix on its smaller side."""
-    mat, tol, unit, unit_tol, order, cap = _hybrid_start(a, p, init, 0, p)
-    _, passes = _hybrid_sweeps(unit, order, p, unit_tol, cap)
+def _loading_basis(search, p, init):
+    """(Q[:, :p], sigma_min(R11), sigma_max(R22), passes) of
+    hybrid1(search.mat, p, init) without its full frame. The sweep runs
+    on the search it is given, the scan's in a scanned fit. After it,
+    Q[:, :p] and R11 come from an economic QR of the first 32 columns
+    while p <= 16, else of every column, the full QR's bits either way
+    (_GAMMA_PANEL); R22's are those of the trailing columns less their
+    projection on Q[:, :p], from the Gram matrix on its smaller side."""
+    order, cap = _hybrid_start(search, p, init, 0, p)
+    _, passes = _hybrid_sweeps(search, order, p, cap)
     width, last = _GAMMA_PANEL
-    q, r = _qr(mat, order[:width] if p <= last else order, "economic", tol)
+    mat = search.mat
+    q, r = _qr(mat, order[:width] if p <= last else order, "economic",
+               search.mat_tol)
     q1, rest = q[:, :p], mat[:, order[p:]]
     rest -= q1 @ (q1.T @ rest)
     gram = rest @ rest.T if len(rest) <= rest.shape[1] else rest.T @ rest
@@ -519,9 +681,10 @@ def hybrid1(a, p: int, init: Permutation | None = None) -> RrqrResult:
 
     with R11 = R[:p, :p] and R22 = R[p:, p:].
     """
-    mat, tol, unit, unit_tol, order, cap = _hybrid_start(a, p, init, 0, p)
-    _, passes = _hybrid_sweeps(unit, order, p, unit_tol, cap)
-    return _blocked_result(mat, order, p, passes, tol)
+    search = _PivotSearch(a)
+    order, cap = _hybrid_start(search, p, init, 0, p)
+    _, passes = _hybrid_sweeps(search, order, p, cap)
+    return _blocked_result(search.mat, order, p, passes, search.mat_tol)
 
 
 def hybrid2(a, p: int, init: Permutation | None = None) -> RrqrResult:
@@ -533,9 +696,10 @@ def hybrid2(a, p: int, init: Permutation | None = None) -> RrqrResult:
         sigma_max(R22) <= sigma_{p+1}(A) * sqrt((p+1)(n-p))
         sigma_min(R11) >= sigma_max(R22) / sqrt((p+1)(n-p))
     """
-    mat, tol, unit, unit_tol, order, cap = _hybrid_start(a, p, init, 1, p + 1)
-    _, passes = _hybrid_sweeps(unit, order, p + 1, unit_tol, cap)
-    return _blocked_result(mat, order, p, passes, tol)
+    search = _PivotSearch(a)
+    order, cap = _hybrid_start(search, p, init, 1, p + 1)
+    _, passes = _hybrid_sweeps(search, order, p + 1, cap)
+    return _blocked_result(search.mat, order, p, passes, search.mat_tol)
 
 
 def hybrid3(a, p: int, init: Permutation | None = None) -> RrqrResult:
@@ -553,9 +717,10 @@ def hybrid3(a, p: int, init: Permutation | None = None) -> RrqrResult:
     lower than a loop confirming both boundaries in a last round; the
     permutation and factors are the same.
     """
-    mat, tol, unit, unit_tol, order, cap = _hybrid_start(a, p, init, 1, p)
-    passes = _fixed_point(unit, order, p, unit_tol, cap)
-    return _blocked_result(mat, order, p, passes, tol)
+    search = _PivotSearch(a)
+    order, cap = _hybrid_start(search, p, init, 1, p)
+    passes = _fixed_point(search, order, p, cap)
+    return _blocked_result(search.mat, order, p, passes, search.mat_tol)
 
 
 def singular_values(a) -> np.ndarray:

@@ -9,6 +9,7 @@ against these, never the other way around.
 import math
 
 import numpy as np
+from scipy.linalg import qr, solve_triangular
 
 from qrfactors import rrqr
 from qrfactors.forecast_eval import fit_method, yule_walker
@@ -138,32 +139,95 @@ def matrix_with_spectrum(rng, rows, cols, spectrum):
     return (u * spectrum[: u.shape[1]]) @ v.T
 
 
+def exact_rank_three(seed, k=30, n=300):
+    """A noise-free panel of exact rank 3: three AR(1) factors on
+    uniform loadings."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((3, n))
+    innov = rng.standard_normal((3, n))
+    for t in range(1, n):
+        x[:, t] = np.array([0.8, -0.5, 0.3]) * x[:, t - 1] + innov[:, t]
+    return TimeSeries(rng.uniform(-2.0, 2.0, size=(k, 3)) @ x)
+
+
+def scipy_qr(a, cols, mode, defl_tol):
+    """rrqr._qr as it was, through scipy.linalg.qr's wrapper."""
+    out = qr(a[:, cols], mode=mode, overwrite_a=True, check_finite=False)
+    q = None if mode == "r" else out[0]
+    r = out[-1]
+    sign = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    m = sign.size
+    r[:m] *= sign[:, None]
+    if q is not None:
+        q[:, :m] *= sign
+    idx = np.flatnonzero(np.diagonal(r) <= defl_tol)
+    r[idx, idx] = 0.0
+    return q, r
+
+
+def scipy_inverse_row_norms(r11):
+    """rrqr._inverse_row_norms as it was, through solve_triangular."""
+    b = r11.shape[0]
+    diag = np.diagonal(r11)
+    if (diag == 0.0).any():
+        out = np.zeros(b)
+        out[diag == 0.0] = np.inf
+        return out
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inv_t = solve_triangular(r11, np.eye(b), trans="T", lower=False)
+        norms = rrqr._col_norms(inv_t)
+    return np.nan_to_num(norms, nan=np.inf, posinf=np.inf)
+
+
 def old_hybrid3(a, p, init=None):
     """hybrid3 as it was before it skipped no-op sweeps: hybrid1's and
     hybrid2's sweeps alternate in rounds until a whole round makes no
     swap, each round counting its passes. The sweeps run on the
     unit-scaled copy, as hybrid3's do."""
-    mat, tol, unit, unit_tol, order, cap = rrqr._hybrid_start(
-        a, p, init, spare=1, seed=p)
+    search = rrqr._PivotSearch(a)
+    order, cap = rrqr._hybrid_start(search, p, init, spare=1, seed=p)
     passes = 0
     for _ in range(cap):
-        s1, p1 = rrqr._hybrid_sweeps(unit, order, p, unit_tol, cap)
-        s2, p2 = rrqr._hybrid_sweeps(unit, order, p + 1, unit_tol, cap)
+        s1, p1 = rrqr._hybrid_sweeps(search, order, p, cap)
+        s2, p2 = rrqr._hybrid_sweeps(search, order, p + 1, cap)
         passes += p1 + p2
         if s1 == 0 and s2 == 0:
-            return rrqr._blocked_result(mat, order, p, passes, tol)
+            return rrqr._blocked_result(search.mat, order, p, passes,
+                                        search.mat_tol)
     raise rrqr.RrqrIterationError(f"old hybrid3 made {cap} rounds at rank {p}")
 
 
-def gathered_strong_exchange(a, order, boundary, defl_tol):
+def gathered_strong_exchange(search, order, boundary):
     """The column-pivot exchange as it was: the trailing columns gathered
     in their current order, projected and normed on every pass."""
+    a, defl_tol = search.a, search.tol
     i = boundary - 1
     rest = a[:, order[i:]]
     if i:
         q, _ = rrqr._qr(a, order[:i], "economic", defl_tol)
         rest = rest - q @ (q.T @ rest)
     trail = rrqr._col_norms(rest)
+    trail[trail <= defl_tol] = 0.0
+    j = rrqr._pick_challenger(trail, 0)
+    order[i], order[i + j] = order[i + j], order[i]
+    return j != 0
+
+
+def projected_strong_exchange(search, order, boundary):
+    """The column-pivot exchange as it was before it downdated: on every
+    pass the whole matrix projected in its own column order and the
+    trailing norms read out of its column norms; at boundary 1 the norms
+    of a Fortran-ordered copy, summed on every call."""
+    a, defl_tol = search.a, search.tol
+    i = boundary - 1
+    if not i:
+        trail = rrqr._col_norms(np.asfortranarray(a))[order]
+    else:
+        q, _ = rrqr._qr(a, order[:i], "economic", defl_tol)
+        proj = q @ (q.T @ a)
+        resid = np.subtract(a, proj, out=proj)
+        resid *= resid
+        trail = np.sqrt(np.add.reduce(resid, axis=0))[order[i:]]
     trail[trail <= defl_tol] = 0.0
     j = rrqr._pick_challenger(trail, 0)
     order[i], order[i + j] = order[i + j], order[i]

@@ -14,7 +14,8 @@ from qrfactors.rrqr import RrqrIterationError, hybrid1, hybrid3
 from qrfactors.simgen import SimConfig, gen_sim1, gen_sim2, subspace_error
 from qrfactors.tsdata import TimeSeries, demean
 
-from oracles import matrix_with_spectrum, old_scan, random_orthonormal
+from oracles import (exact_rank_three, matrix_with_spectrum, old_scan,
+                     random_orthonormal)
 
 
 def test_diag_18_5_08_worked_example():
@@ -149,8 +150,8 @@ def test_scan_iteration_error_names_rank_boundaries_and_passes(monkeypatch):
     # the 4x4 matrix gets 10 * 4 passes a sweep
     real = rrqr._strong_exchange
 
-    def stuck(a, order, boundary, defl_tol):
-        return boundary == 3 or real(a, order, boundary, defl_tol)
+    def stuck(search, order, boundary):
+        return boundary == 3 or real(search, order, boundary)
 
     monkeypatch.setattr(rrqr, "_strong_exchange", stuck)
     m = np.diag([4.0, 2.0, 1.0, 0.5])
@@ -233,15 +234,6 @@ def test_fit_takes_its_basis_from_the_scan_order(monkeypatch):
     assert r11 >= r22 / scale2 * (1 - 1e-9)
 
 
-def _exact_rank_three(seed, k=30, n=300):
-    rng = np.random.default_rng(seed)
-    x = np.zeros((3, n))
-    innov = rng.standard_normal((3, n))
-    for t in range(1, n):
-        x[:, t] = np.array([0.8, -0.5, 0.3]) * x[:, t - 1] + innov[:, t]
-    return TimeSeries(rng.uniform(-2.0, 2.0, size=(k, 3)) @ x)
-
-
 @pytest.mark.parametrize("kind", ["sim1", "sim2 hurst"])
 def test_fit_block_singular_values_are_hybrid1s(kind):
     # sigma_min(R11) bit for bit, sigma_max(R22) within 1e-13 relative of
@@ -260,7 +252,7 @@ def test_fit_block_singular_values_are_hybrid1s(kind):
 
 def test_fit_r22_vanishes_at_exact_rank_and_full_rank():
     for seed in range(4):
-        ts = _exact_rank_three(seed)
+        ts = exact_rank_three(seed)
         top = np.linalg.svd(build_augmented(ts, 1, 2).matrix,
                             compute_uv=False)[0]
         fit = fit_rrqr(ts, lag_lo=1, lag_hi=2)

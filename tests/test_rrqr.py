@@ -9,14 +9,16 @@ from scipy.linalg import qr
 
 from qrfactors import rrqr
 from qrfactors.covariance import build_augmented
+from qrfactors.factor_rrqr import fit_rrqr
 from qrfactors.rrqr import (Permutation, QrFactors, RrqrIterationError, gs_qr,
                             hybrid1, hybrid2, hybrid3, qr_cp, singular_values,
                             stewart2)
 from qrfactors.simgen import SimConfig, gen_sim1, gen_sim2
 
-from oracles import (abs_r_diag, gathered_strong_exchange, interlacing_holds,
-                     matrix_with_spectrum, naive_pivot_order, old_hybrid3,
-                     svd2_closed)
+from oracles import (abs_r_diag, exact_rank_three, gathered_strong_exchange,
+                     interlacing_holds, matrix_with_spectrum,
+                     naive_pivot_order, old_hybrid3, projected_strong_exchange,
+                     scipy_inverse_row_norms, scipy_qr, svd2_closed)
 
 SHAPES = [(9, 4), (6, 6), (4, 10), (5, 8)]
 
@@ -404,17 +406,27 @@ def test_hybrid_runs_are_deterministic():
 
 GOLDEN_MATRIX = Path(__file__).resolve().parent / "golden" / "inputs" / "matrix.csv"
 SCAN_PANELS = ["golden", "paper cell", "K < 128"]
+# noise-free, so every trailing norm past rank 3 is round-off
+EXACT_PANELS = ["exact rank 180 x 500", "exact rank 50 x 500"]
+
+
+def _scan_series(case):
+    """The panel behind a case's stacked matrix; None for the golden
+    matrix, which has none."""
+    if case == "paper cell":    # 180 x 900: dgeqrf factors blocks of 32
+        return gen_sim1(180, 500, 0).y
+    if case == "K < 128":       # 100 x 500: dgeqr2 runs over every column
+        return gen_sim2(SimConfig(scenario="sim2", k=100, n=200, seed=3,
+                                  noise_kind="hurst")).y
+    if case in EXACT_PANELS:
+        return exact_rank_three(0, k=int(case.split()[2]), n=500)
+    return None
 
 
 def _scan_panel(case):
     if case == "golden":
         return np.loadtxt(GOLDEN_MATRIX, delimiter=",")
-    if case == "paper cell":    # 180 x 900: dgeqrf factors blocks of 32
-        ts = gen_sim1(180, 500, 0).y
-    else:                       # 100 x 500: dgeqr2 runs over every column
-        ts = gen_sim2(SimConfig(scenario="sim2", k=100, n=200, seed=3,
-                                noise_kind="hurst")).y
-    return np.asarray(build_augmented(ts, 1, 5).scaled)
+    return np.asarray(build_augmented(_scan_series(case), 1, 5).scaled)
 
 
 @pytest.mark.parametrize("case", SCAN_PANELS)
@@ -422,7 +434,8 @@ def test_scan_panel_gamma_is_the_full_width_gamma(case):
     mat = _scan_panel(case)
     width, last = rrqr._GAMMA_PANEL
     tol = rrqr._deflation_tol(mat)
-    rows = rrqr._scan_orders(mat, min(last, min(mat.shape)) - 1)
+    rows = rrqr._scan_orders(rrqr._PivotSearch(mat),
+                             min(last, min(mat.shape)) - 1)
     for i, (gamma, gamma_next, _, perm) in enumerate(rows, start=1):
         order = list(perm.order)
         _, full = rrqr._qr(mat, order, "r", tol)
@@ -470,21 +483,31 @@ def test_rank_one_seed_is_dgeqp3s_first_pivot(case, first):
         assert piv[0] == first
 
 
+def _trailing_norms(search, order, i):
+    """The norms the column-pivot exchange at boundary i+1 picks by: the
+    search's rank-1 norms at i = 0, else those of its matrix less the
+    projection on the first i columns of the order."""
+    if not i:
+        return search.lead[order]
+    q, _ = rrqr._qr(search.a, order[:i], "economic", search.tol)
+    return rrqr._residual_norms(search.a, q, q.T @ search.a)[order[i:]]
+
+
 @pytest.mark.parametrize("case", SCAN_PANELS)
 def test_trailing_norms_are_a_gathers_wherever_a_column_sits(case):
     # each column's norm is computed at its own position, so reordering
     # the trailing columns changes no bit; against a gather, whose rounding
     # moves with the order, boundary 1 is exact and the others agree to
     # the last bit or two
-    mat = _scan_panel(case)
-    tol = rrqr._deflation_tol(mat)
+    search = rrqr._PivotSearch(_scan_panel(case))
+    mat, tol = search.a, search.tol
     rng = np.random.default_rng(63)
     for i in (0, 1, 2, 7):
         order = rng.permutation(mat.shape[1]).tolist()
-        norms = rrqr._trailing_norms(mat, order, i, tol)
+        norms = _trailing_norms(search, order, i)
         shuffled = order[:i] + rng.permutation(order[i:]).tolist()
         by_col = dict(zip(order[i:], norms))
-        assert_array_equal(rrqr._trailing_norms(mat, shuffled, i, tol),
+        assert_array_equal(_trailing_norms(search, shuffled, i),
                            [by_col[c] for c in shuffled[i:]])
         rest = mat[:, order[i:]]
         if i:
@@ -501,9 +524,146 @@ def test_trailing_norms_are_a_gathers_wherever_a_column_sits(case):
 def test_scan_is_the_gathering_scans(case, monkeypatch):
     mat = _scan_panel(case)
     p_cap = min(15, min(mat.shape) - 1)
-    rows = rrqr._scan_orders(mat, p_cap)
+    rows = rrqr._scan_orders(rrqr._PivotSearch(mat), p_cap)
     monkeypatch.setattr(rrqr, "_strong_exchange", gathered_strong_exchange)
-    assert rrqr._scan_orders(mat, p_cap) == rows
+    assert rrqr._scan_orders(rrqr._PivotSearch(mat), p_cap) == rows
+
+
+def _assert_same_fit(fit, want):
+    assert fit.p_hat == want.p_hat
+    assert fit.scan == want.scan
+    assert fit.diagnostics == want.diagnostics
+    for got, exp in ((fit.q_hat, want.q_hat), (fit.factors, want.factors)):
+        assert got.flags.f_contiguous == exp.flags.f_contiguous
+        assert_array_equal(got, exp)
+
+
+@pytest.mark.parametrize("case", SCAN_PANELS + EXACT_PANELS)
+def test_scan_and_fit_are_the_projecting_ones(case, monkeypatch):
+    # the downdated exchange picks what projecting the whole matrix on
+    # every pass picked, so every scan field, basis and factor path is
+    # that exchange's bit for bit
+    mat = _scan_panel(case)
+    p_cap = min(15, min(mat.shape) - 1)
+    rows = rrqr._scan_orders(rrqr._PivotSearch(mat), p_cap)
+    ts = _scan_series(case)
+    caps = [] if ts is None else [None, 12]
+    fits = [fit_rrqr(ts, 1, 5, p_cap=cap) for cap in caps]
+    monkeypatch.setattr(rrqr, "_strong_exchange", projected_strong_exchange)
+    assert rrqr._scan_orders(rrqr._PivotSearch(mat), p_cap) == rows
+    for cap, fit in zip(caps, fits):
+        _assert_same_fit(fit, fit_rrqr(ts, 1, 5, p_cap=cap))
+
+
+def test_downdated_picks_are_live_both_ways(monkeypatch):
+    # on the paper cell the downdated norms settle every exchange that
+    # projects something; on a noise-free panel of rank 3 every exchange
+    # behind three or more projected columns reads round-off and falls
+    # back to the projection
+    seen = []
+    real = rrqr._downdated_pick
+
+    def counted(search, order, i, q, c):
+        pick = real(search, order, i, q, c)
+        seen.append((i, pick is None))
+        return pick
+
+    monkeypatch.setattr(rrqr, "_downdated_pick", counted)
+    fit_rrqr(_scan_series("paper cell"), 1, 5)
+    assert seen and not any(fell for _, fell in seen)
+    seen.clear()
+    fit_rrqr(_scan_series("exact rank 180 x 500"), 1, 5)
+    past_rank = [fell for i, fell in seen if i >= 3]
+    assert past_rank and all(past_rank)
+
+
+def _open_downdate_cases():
+    """(matrix, order, boundary) where the downdated norms are certain of
+    the strongest trailing column, but not of the exchange's pick."""
+    rng = np.random.default_rng(67)
+    # a column orthogonal to the leading two, 1e-13 long: below the
+    # deflation tolerance, so the exchange reads it as 0 and keeps the
+    # zero column at the boundary
+    basis = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    below_tol = np.zeros((4, 5))
+    below_tol[:, :2] = rng.standard_normal((4, 2))
+    below_tol[:, 4] = 1e-13 * np.linalg.qr(below_tol[:, :2],
+                                           mode="complete")[0][:, 2]
+    yield below_tol, [0, 1, 2, 3, 4], 3
+    # a challenger longer than the incumbent by 1e-12 + 2e-15 relative:
+    # it swaps, by a margin inside the downdate's error bound
+    within_swap_tol = basis * [1.0, 1.0, 1.0 + 1e-12 + 2e-15, 0.0]
+    yield within_swap_tol, [0, 1, 2, 3], 2
+
+
+def test_downdated_picks_stay_open_at_the_tolerances():
+    # the deflation tolerance and the swap tolerance draw lines the
+    # downdate cannot see to within its error bound; there it defers to
+    # the projection
+    for a, order, boundary in _open_downdate_cases():
+        search = rrqr._PivotSearch(a)
+        i = boundary - 1
+        q = rrqr._unsigned_q(search.a, order[:i])
+        assert rrqr._downdated_pick(search, order, i, q,
+                                    q.T @ search.a) is None
+        got, want = list(order), list(order)
+        rrqr._strong_exchange(search, got, boundary)
+        projected_strong_exchange(search, want, boundary)
+        assert got == want
+
+
+# ------------------------------------------------------------------
+# the QRs and triangular solves call LAPACK as scipy.linalg does; on a
+# build where the two stop agreeing these fail at once
+
+# at 180 x 200 dgeqrf runs blocked, so its bits follow the workspace size
+QR_SHAPES = {"K < n": (6, 10), "K > n": (10, 6), "one column": (9, 1),
+             "180 x 32": (180, 32), "180 x 200": (180, 200)}
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape
+    assert (got.flags.c_contiguous, got.flags.f_contiguous) \
+        == (want.flags.c_contiguous, want.flags.f_contiguous)
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("mode", ["r", "economic", "full"])
+@pytest.mark.parametrize("shape", QR_SHAPES.values(), ids=QR_SHAPES)
+def test_qr_is_scipys(shape, mode, layout):
+    rng = np.random.default_rng(65)
+    a = np.asarray(rng.standard_normal(shape), order=layout)
+    a[:, -1] *= 1e-13                 # one pivot deflates
+    cols = rng.permutation(shape[1]).tolist()
+    tol = rrqr._deflation_tol(a)
+    q, r = rrqr._qr(a, cols, mode, tol)
+    want_q, want_r = scipy_qr(a, cols, mode, tol)
+    _same_bits(r, want_r)
+    if mode == "r":
+        assert q is None is want_q
+    else:
+        _same_bits(q, want_q)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_inverse_row_norms_are_solve_triangulars(layout):
+    rng = np.random.default_rng(66)
+    for b in (1, 2, 5, 16):
+        r11 = np.triu(rng.standard_normal((b, b))) + 3.0 * np.eye(b)
+        tiny, zero = r11.copy(), r11.copy()
+        tiny[-1, -1] = 1e-300       # rows of the inverse overflow
+        zero[0, 0] = 0.0            # a deflated pivot
+        for case in (r11, tiny, zero):
+            case = np.asarray(case, order=layout)
+            _same_bits(rrqr._inverse_row_norms(case),
+                       scipy_inverse_row_norms(case))
+    # the weak exchange's own triangles: the leading block of an R-only QR
+    mat = _scan_panel("K < 128")
+    for b in (1, 3, 16):
+        _, r = rrqr._qr(mat, list(range(b)), "r", 0.0)
+        _same_bits(rrqr._inverse_row_norms(r[:b, :b]),
+                   scipy_inverse_row_norms(r[:b, :b]))
 
 
 # ------------------------------------------------------------------
@@ -524,7 +684,8 @@ def _basis_orders(mat):
     fewer): the scan's order at p; and past 16, where the basis QR spans
     every column, at p = 20 hybrid1's order from the scan's at 16."""
     top = min(16, min(mat.shape) - 1)
-    scanned = [row[3].order for row in rrqr._scan_orders(mat, top)]
+    scanned = [row[3].order
+               for row in rrqr._scan_orders(rrqr._PivotSearch(mat), top)]
     out = [(p, scanned[p - 1]) for p in (1, 2, 3, top)]
     if min(mat.shape) > 20:
         out.append((20, hybrid1(mat, 20, init=scanned[-1]).perm.order))
@@ -553,7 +714,8 @@ def test_loading_basis_is_hybrid1s(case):
     mat = _basis_panel(case)
     top = singular_values(mat)[0]
     for p, order in _basis_orders(mat):
-        q1, r11_min, r22_max, passes = rrqr._loading_basis(mat, p, order)
+        q1, r11_min, r22_max, passes = rrqr._loading_basis(
+            rrqr._PivotSearch(mat), p, order)
         res = hybrid1(mat, p, init=order)
         assert_array_equal(q1, res.factors.q[:, :p]), p
         assert q1.flags.f_contiguous == res.factors.q[:, :p].flags.f_contiguous
@@ -567,7 +729,7 @@ def test_loading_basis_r22_is_zero_without_a_trailing_block():
     rng = np.random.default_rng(64)
     for shape in [(9, 4), (6, 6), (4, 10)]:
         a, p = rng.standard_normal(shape), min(shape)
-        _, _, r22_max, _ = rrqr._loading_basis(a, p, None)
+        _, _, r22_max, _ = rrqr._loading_basis(rrqr._PivotSearch(a), p, None)
         assert r22_max == 0.0 == hybrid1(a, p).r22_max_sv, shape
 
 
@@ -587,14 +749,16 @@ def test_plain_trailing_norms_are_the_scaled_ones(shape):
     # bits, at every boundary the scan reads
     for seed in range(8):
         ts, lag_hi = PLAIN_NORM_SHAPES[shape](seed)
-        unit, tol, _ = rrqr._unit_scaled(
+        search = rrqr._PivotSearch(
             np.asarray(build_augmented(ts, 1, lag_hi).scaled))
-        for i, row in enumerate(rrqr._scan_orders(unit, 15), start=1):
+        unit, tol = search.a, search.tol
+        for i, row in enumerate(rrqr._scan_orders(search, 15), start=1):
             order = list(row[3].order)
             q, _ = rrqr._qr(unit, order[:i], "economic", tol)
-            resid = unit - q @ (q.T @ unit)
+            c = q.T @ unit
+            resid = unit - q @ c
             assert resid.flags.c_contiguous
-            assert_array_equal(rrqr._trailing_norms(unit, order, i, tol),
+            assert_array_equal(rrqr._residual_norms(unit, q, c)[order[i:]],
                                rrqr._col_norms(resid)[order[i:]]), (seed, i)
 
 

@@ -13,7 +13,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrfactors import rrqr
 from qrfactors.rrqr import gs_qr, hybrid1, hybrid2, hybrid3, qr_cp, stewart2
+
+from oracles import projected_strong_exchange
 
 # Deterministic and bounded, so the suite's run time barely moves.
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -137,3 +140,22 @@ def test_stewart2_rejects_rank_deficient_triangles(case):
         assert "singular" in str(err)
     else:
         raise AssertionError("a rank-deficient leading triangle was accepted")
+
+
+@_SETTINGS
+@given(awkward(), st.data())
+def test_downdated_picks_are_the_projected_picks(case, data):
+    # wherever the downdated norms settle a column-pivot exchange, the
+    # order it leaves is the one projecting the whole matrix leaves
+    a, _ = case
+    search = rrqr._PivotSearch(a)
+    order = data.draw(st.permutations(range(a.shape[1])))
+    for i in range(1, min(a.shape)):
+        q, _ = rrqr._qr(search.a, order[:i], "economic", search.tol)
+        pick = rrqr._downdated_pick(search, order, i, q, q.T @ search.a)
+        if pick is None:
+            continue
+        got, want = list(order), list(order)
+        got[i], got[i + pick] = got[i + pick], got[i]
+        projected_strong_exchange(search, want, i + 1)
+        assert got == want, i
