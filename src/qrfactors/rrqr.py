@@ -28,8 +28,10 @@ It hands back each rank's final order, so ``_loading_basis`` can
 confirm one by hybrid1's sweep and read Q[:, :p] from one QR of LAPACK's
 first panel (p <= 16), with no second pivot search.
 
-Every exchange is followed by a from-scratch factorization of the
-permuted columns it reads; Q and R are never updated in place. The
+Every exchange that runs factorizes the permuted columns it reads from
+scratch; Q and R are never updated in place. A sweep ends at the first
+pass whose inverse-row-norm exchange moves nothing: the pass after it
+could only confirm the order, so it is counted, not run. The
 column-pivot exchange downdates the column sums of squares by the
 leading columns' projection, brackets each result with a rigorous
 rounding bound, and projects the whole matrix only when the brackets
@@ -175,9 +177,9 @@ class _PivotSearch:
     largest column norm, and `tol` its deflation tolerance scaled alike:
     exact, so R and every pivot decision on the copy are the matrix's,
     scaled, bit for bit. `sums` (column sums of squares) and `lead`
-    (column norms, as the rank-1 exchange reads them) are computed on
-    first use and live as long as the search: one scan and the basis
-    sweep after it, or one hybrid call.
+    (column norms, as the rank-1 seed and exchange read them) are
+    computed on first use and live as long as the search: one scan and
+    the basis sweep after it, or one hybrid call.
     """
 
     def __init__(self, a):
@@ -217,13 +219,17 @@ def _qr(a, cols, mode, defl_tol):
 
     mode is "full" (K x K Q), "economic" or "r"; the shapes, layouts and
     bits are scipy.linalg.qr's, whose dgeqrf and dorgqr calls this makes
-    without its wrapper. R's diagonal is made non-negative by flipping
-    the matching rows of R and columns of Q, and diagonal entries at or
-    below defl_tol become exactly 0.
+    without its wrapper, except that mode "r" returns only R's leading
+    square block, all its callers read. R's diagonal is made non-negative
+    by flipping the matching rows of R and columns of Q, and diagonal
+    entries at or below defl_tol become exactly 0; like triu, both act
+    entrywise, so the block's bits are those of the whole R.
     """
     k, m = a.shape[0], len(cols)
     packed, tau = _lapack(dgeqrf, a.T[cols, :].T)
-    r = np.triu(packed[:m] if mode == "economic" and k >= m else packed)
+    lead = min(k, m)
+    r = np.triu(packed if mode == "full"
+                else packed[:lead, :lead if mode == "r" else m])
     q = None
     if mode != "r":
         if k < m or mode == "economic":
@@ -436,7 +442,7 @@ def _weak_exchange(a, order, b, defl_tol) -> bool:
     triangle of a[:, order] moves into position b-1. Returns whether
     `order` changed."""
     _, r = _qr(a, order[:b], "r", defl_tol)
-    j = _pick_challenger(_inverse_row_norms(r[:b, :b]), b - 1)
+    j = _pick_challenger(_inverse_row_norms(r), b - 1)
     order[j], order[b - 1] = order[b - 1], order[j]
     return j != b - 1
 
@@ -445,28 +451,39 @@ def _hybrid_sweeps(search, order, boundary, cap):
     """Drive the two-exchange loop at a fixed block boundary to a fixed point.
 
     Each pass runs the column-pivot exchange, then the inverse-row-norm
-    exchange on the refactorized leading block. Returns (swap count, pass
-    count); `order` is permuted in place.
+    exchange on the refactorized leading block. A pass whose
+    inverse-row-norm exchange moves nothing ends the sweep: the next
+    pass would read the same order[:boundary-1], so the same norms,
+    whose first argmax is the column the last column-pivot exchange put
+    at boundary-1, and then refactorize the same leading block. That
+    pass is counted as settled, not run, so the counts are a loop's that
+    runs until a pass makes no swap. Returns (swap count, pass count);
+    `order` is permuted in place.
     """
     swaps = 0
     passes = 0
+    settled = False
     while True:
         passes += 1
         if passes > cap:
             raise RrqrIterationError(
                 f"no fixed point after {cap} passes at boundary {boundary}"
             )
-        moved = (_strong_exchange(search, order, boundary)
-                 + _weak_exchange(search.a, order, boundary, search.tol))
-        if not moved:
+        if settled:
             return swaps, passes
-        swaps += moved
+        strong = _strong_exchange(search, order, boundary)
+        weak = _weak_exchange(search.a, order, boundary, search.tol)
+        if not (strong or weak):
+            return swaps, passes
+        swaps += strong + weak
+        settled = not weak
 
 
 def _fixed_point(search, order, p, cap, fixed_at_p=False) -> int:
     """Alternate hybrid sweeps at boundaries p and p+1 until neither permutes.
 
-    A sweep ends at a fixed point of its boundary. No sweep runs at a
+    A sweep ends at a fixed point of its boundary, its confirming pass
+    counted but not run (_hybrid_sweeps). No sweep runs at a
     boundary where `order` is already known to be fixed, since it could
     only cost a pass: at p when fixed_at_p, at the other boundary after a
     sweep that made no swap, and at p after a sweep at p+1 that left the
@@ -498,17 +515,26 @@ def _fixed_point(search, order, p, cap, fixed_at_p=False) -> int:
     )
 
 
-def _qr_cp_order(a, steps) -> list[int]:
-    """The first `steps` pivots of dgeqp3, replayed as swaps on the
-    identity order, so the columns past `steps` sit where a `steps`-step
-    greedy loop leaves them.
+def _qr_cp_order(search, steps) -> list[int]:
+    """The first `steps` pivots of dgeqp3 on search.mat, replayed as
+    swaps on the identity order, so the columns past `steps` sit where a
+    `steps`-step greedy loop leaves them.
 
     dgeqp3's first pivot is the first column of largest dnrm2 (it picks
-    with idamax), so one step takes those norms from the same BLAS
-    routine and runs no factorization.
+    with idamax), so one step runs no factorization. The search's rank-1
+    norms pick the candidates: a sum of K squares and its square root
+    are within (K + 2) eps / 4 relative of the exact norm, and a dnrm2
+    whose updates round three times as often within three times that,
+    so dnrm2's first argmax lies among the columns within 4(K + 2) eps
+    of the largest one, twice the sum. dnrm2 decides among those alone,
+    in index order.
     """
+    a = search.mat
     if steps == 1:
-        piv = [int(np.argmax([dnrm2(col) for col in np.asfortranarray(a).T]))]
+        lead = search.lead
+        near = np.flatnonzero(
+            lead >= lead.max() * (1.0 - 4 * (a.shape[0] + 2) * _EPS))
+        piv = [int(near[np.argmax([dnrm2(a[:, j]) for j in near])])]
     else:
         _, piv = qr(a, mode="r", pivoting=True, check_finite=False)
     order = list(range(a.shape[1]))
@@ -539,7 +565,7 @@ def _hybrid_start(search, p, init, spare, seed):
     if not 1 <= p <= top:
         raise ValueError(f"p must be in [1, {top}], got {p}")
     if init is None:
-        order = _qr_cp_order(search.mat, seed)
+        order = _qr_cp_order(search, seed)
     else:
         order = list(Permutation(tuple(getattr(init, "order", init))).order)
         if len(order) != n:
@@ -563,7 +589,7 @@ def _scan_orders(search, p_cap) -> list[tuple[float, float, int, Permutation]]:
     """
     cap = _PASS_CAP_FACTOR * search.mat.shape[1]
     width, last = _GAMMA_PANEL
-    order = _qr_cp_order(search.mat, 1)
+    order = _qr_cp_order(search, 1)
     rows = []
     for i in range(1, p_cap + 1):
         passes = _fixed_point(search, order, i, cap, fixed_at_p=i > 1)
@@ -624,15 +650,15 @@ def qr_cp(a, max_steps: int) -> RrqrResult:
     first pivot, from the column norms); columns past `max_steps` are
     left where the greedy loop's swaps put them.
     """
-    mat = _as_matrix(a)
-    k, n = mat.shape
+    search = _PivotSearch(a)
+    k, n = search.mat.shape
     if not 1 <= max_steps <= min(k, n):
         raise ValueError(
             f"max_steps must be in [1, {min(k, n)}], got {max_steps}"
         )
-    order = _qr_cp_order(mat, max_steps)
-    return _blocked_result(mat, order, max_steps, passes=max_steps,
-                           defl_tol=_deflation_tol(mat))
+    order = _qr_cp_order(search, max_steps)
+    return _blocked_result(search.mat, order, max_steps, passes=max_steps,
+                           defl_tol=search.mat_tol)
 
 
 def stewart2(factors: QrFactors, perm: Permutation | None, rank: int
@@ -713,9 +739,10 @@ def hybrid3(a, p: int, init: Permutation | None = None) -> RrqrResult:
     No sweep runs whose outcome is already known: the loop stops at the
     first zero-swap sweep after a sweep at the other boundary, and after
     a sweep at p+1 that left the first p columns in place (boundary p
-    then still holds). `passes` counts only the sweeps run, so it can be
-    lower than a loop confirming both boundaries in a last round; the
-    permutation and factors are the same.
+    then still holds). `passes` counts the passes of the sweeps run,
+    each sweep's settled confirming pass included (_hybrid_sweeps), so
+    it can be lower than a loop confirming both boundaries in a last
+    round; the permutation and factors are the same.
     """
     search = _PivotSearch(a)
     order, cap = _hybrid_start(search, p, init, 1, p)

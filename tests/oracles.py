@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
+from scipy.linalg.blas import dnrm2
 
 from qrfactors import rrqr
 from qrfactors.forecast_eval import fit_method, yule_walker
@@ -301,3 +302,43 @@ def old_insample_fe(fit, ts, ar_order):
                                + mean[:, 0])
     resid = preds - ts.values[:, start:]
     return float(np.linalg.norm(resid, axis=0).mean() / math.sqrt(ts.K))
+
+
+def dnrm2_first_pivot(a):
+    """The rank-1 seed as it was: dnrm2 of every column, called one by
+    one from Python, and the first argmax."""
+    return int(np.argmax([dnrm2(col) for col in np.asfortranarray(a).T]))
+
+
+def whole_r_weak_exchange(a, order, b, defl_tol):
+    """The inverse-row-norm exchange as it was: the leading triangle read
+    out of the whole K x b R scipy's R-only QR returns."""
+    _, r = scipy_qr(a, order[:b], "r", defl_tol)
+    j = rrqr._pick_challenger(rrqr._inverse_row_norms(r[:b, :b]), b - 1)
+    order[j], order[b - 1] = order[b - 1], order[j]
+    return j != b - 1
+
+
+def plain_hybrid_sweeps(search, order, boundary, cap):
+    """The hybrid sweep as it was: passes run until one makes no swap,
+    the confirming pass after a last column-pivot swap included."""
+    swaps = 0
+    passes = 0
+    while True:
+        passes += 1
+        if passes > cap:
+            raise rrqr.RrqrIterationError(
+                f"no fixed point after {cap} passes at boundary {boundary}"
+            )
+        moved = (rrqr._strong_exchange(search, order, boundary)
+                 + rrqr._weak_exchange(search.a, order, boundary, search.tol))
+        if not moved:
+            return swaps, passes
+        swaps += moved
+
+
+def result_bits(res):
+    """An RrqrResult as a comparable tuple: its order, pass count, the
+    bytes of Q and R, and its block singular values."""
+    return (res.perm.order, res.passes, res.factors.q.tobytes(),
+            res.factors.r.tobytes(), res.r11_min_sv, res.r22_max_sv)

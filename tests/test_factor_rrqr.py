@@ -146,14 +146,14 @@ def test_scan_spends_fewer_passes_than_old_loop():
 
 
 def test_scan_iteration_error_names_rank_boundaries_and_passes(monkeypatch):
-    # an exchange that keeps claiming a swap at boundary 3 never settles;
-    # the 4x4 matrix gets 10 * 4 passes a sweep
-    real = rrqr._strong_exchange
+    # an inverse-row-norm exchange that keeps claiming a swap at boundary
+    # 3 never settles; the 4x4 matrix gets 10 * 4 passes a sweep
+    real = rrqr._weak_exchange
 
-    def stuck(search, order, boundary):
-        return boundary == 3 or real(search, order, boundary)
+    def stuck(a, order, b, defl_tol):
+        return b == 3 or real(a, order, b, defl_tol)
 
-    monkeypatch.setattr(rrqr, "_strong_exchange", stuck)
+    monkeypatch.setattr(rrqr, "_weak_exchange", stuck)
     m = np.diag([4.0, 2.0, 1.0, 0.5])
     want = (r"rank 2 \(boundaries 2 and 3\) after 40 passes, "
             r"the last sweep at boundary 3")

@@ -15,10 +15,12 @@ from qrfactors.rrqr import (Permutation, QrFactors, RrqrIterationError, gs_qr,
                             stewart2)
 from qrfactors.simgen import SimConfig, gen_sim1, gen_sim2
 
-from oracles import (abs_r_diag, exact_rank_three, gathered_strong_exchange,
-                     interlacing_holds, matrix_with_spectrum,
-                     naive_pivot_order, old_hybrid3, projected_strong_exchange,
-                     scipy_inverse_row_norms, scipy_qr, svd2_closed)
+from oracles import (abs_r_diag, dnrm2_first_pivot, exact_rank_three,
+                     gathered_strong_exchange, interlacing_holds,
+                     matrix_with_spectrum, naive_pivot_order, old_hybrid3,
+                     plain_hybrid_sweeps, projected_strong_exchange,
+                     result_bits, scipy_inverse_row_norms, scipy_qr,
+                     svd2_closed, whole_r_weak_exchange)
 
 SHAPES = [(9, 4), (6, 6), (4, 10), (5, 8)]
 
@@ -458,6 +460,18 @@ def _seed_case(case):
         # another order than dnrm2's splits into several values
         base = rng.standard_normal(200)
         return np.stack([rng.permutation(base) for _ in range(40)], axis=1)
+    if case in ("near ties", "split ties"):
+        # one vector's entries in 16 orders, each with one entry moved by
+        # an ulp either way: norms at most a rounding apart, and the
+        # largest pairwise sum is not the first largest dnrm2 (two values
+        # at K = 20, one at K = 50)
+        k = 20 if case == "near ties" else 50
+        base = rng.standard_normal(k)
+        cols = [rng.permutation(base) for _ in range(16)]
+        for col in cols:
+            j = rng.integers(k)
+            col[j] = np.nextafter(col[j], rng.choice([-1.0, 1.0]) * np.inf)
+        return np.stack(cols, axis=1)
     a = rng.standard_normal((9, 14))
     a[:, 2] *= 5.0
     if case == "duplicated":
@@ -478,9 +492,20 @@ def test_rank_one_seed_is_dgeqp3s_first_pivot(case, first):
     _, piv = qr(a, mode="r", pivoting=True)
     expected = list(range(a.shape[1]))
     expected[0], expected[piv[0]] = piv[0], 0
-    assert rrqr._qr_cp_order(a, 1) == expected
+    assert rrqr._qr_cp_order(rrqr._PivotSearch(a), 1) == expected
     if first is not None:
         assert piv[0] == first
+
+
+@pytest.mark.parametrize("case", ["tied", "duplicated", "reordered",
+                                  "near ties", "split ties", "zero matrix",
+                                  "golden", "paper cell", "K < 128"])
+def test_rank_one_seed_is_the_dnrm2_loops(case):
+    # the rank-1 norms bracket dnrm2's argmax; dnrm2 decides among the
+    # columns within the bracket, so ties and near-ties go as they did
+    a = _seed_case(case)
+    assert rrqr._qr_cp_order(rrqr._PivotSearch(a), 1)[0] \
+        == dnrm2_first_pivot(a)
 
 
 def _trailing_norms(search, order, i):
@@ -613,6 +638,79 @@ def test_downdated_picks_stay_open_at_the_tolerances():
 
 
 # ------------------------------------------------------------------
+# a sweep ends at the pass its inverse-row-norm exchange leaves alone;
+# the confirming pass it no longer runs would have swapped nothing
+
+
+def _sweep_outputs(mat, ts):
+    """What every caller of the sweeps returns on mat (and ts): the scan,
+    two fits, hybrid1-3 at ranks 1-3, and stewart2 on the first 40
+    columns where their leading triangle is invertible."""
+    p_cap = min(15, min(mat.shape) - 1)
+    out = [rrqr._scan_orders(rrqr._PivotSearch(mat), p_cap)]
+    for kw in ({}, {"p_override": 2}) if ts is not None else ():
+        fit = fit_rrqr(ts, 1, 5, **kw)
+        out += [fit.scan, sorted(fit.diagnostics.items()),
+                fit.q_hat.tobytes(), fit.factors.tobytes()]
+    out += [result_bits(fn(mat, p)) for fn in (hybrid1, hybrid2, hybrid3)
+            for p in (1, 2, 3)]
+    sub = mat[:, :40]
+    start = qr_cp(sub, min(sub.shape))
+    if singular_values(start.factors.r)[-1] > 1e-10 * start.factors.r[0, 0]:
+        factors, perm = stewart2(start.factors, start.perm, 3)
+        out += [perm, factors.q.tobytes(), factors.r.tobytes()]
+    return out
+
+
+def _sweep_runs(sweeps, mat):
+    """(swaps, passes) and the final order of one sweep at boundaries 1,
+    2, 3 and 5, from the rank-1 seed and from a shuffled order."""
+    search = rrqr._PivotSearch(mat)
+    cap = rrqr._PASS_CAP_FACTOR * mat.shape[1]
+    starts = [rrqr._qr_cp_order(search, 1),
+              np.random.default_rng(68).permutation(mat.shape[1]).tolist()]
+    out = []
+    for start in starts:
+        for boundary in (1, 2, 3, 5):
+            order = list(start)
+            out.append((sweeps(search, order, boundary, cap), order))
+    return out
+
+
+@pytest.mark.parametrize("case", SCAN_PANELS + EXACT_PANELS)
+def test_sweeps_are_the_plain_loops(case, monkeypatch):
+    # orders, swaps, passes and every R bit are those of sweeps that run
+    # the confirming pass, with the inverse-row-norm exchange reading the
+    # whole R as it did
+    mat, ts = _scan_panel(case), _scan_series(case)
+    got = _sweep_outputs(mat, ts), _sweep_runs(rrqr._hybrid_sweeps, mat)
+    monkeypatch.setattr(rrqr, "_hybrid_sweeps", plain_hybrid_sweeps)
+    monkeypatch.setattr(rrqr, "_weak_exchange", whole_r_weak_exchange)
+    assert got == (_sweep_outputs(mat, ts),
+                   _sweep_runs(plain_hybrid_sweeps, mat))
+
+
+def test_paper_cell_scan_skips_its_confirming_passes(monkeypatch):
+    # the paper cell's scan ran 37 column-pivot exchanges when every
+    # sweep confirmed its last swap with one more pass
+    boundaries = []
+    real = rrqr._strong_exchange
+
+    def counted(search, order, boundary):
+        boundaries.append(boundary)
+        return real(search, order, boundary)
+
+    monkeypatch.setattr(rrqr, "_strong_exchange", counted)
+    mat = _scan_panel("paper cell")
+    rrqr._scan_orders(rrqr._PivotSearch(mat), 15)
+    early = len(boundaries)
+    boundaries.clear()
+    monkeypatch.setattr(rrqr, "_hybrid_sweeps", plain_hybrid_sweeps)
+    rrqr._scan_orders(rrqr._PivotSearch(mat), 15)
+    assert early <= 25 < len(boundaries)
+
+
+# ------------------------------------------------------------------
 # the QRs and triangular solves call LAPACK as scipy.linalg does; on a
 # build where the two stop agreeing these fail at once
 
@@ -639,10 +737,13 @@ def test_qr_is_scipys(shape, mode, layout):
     tol = rrqr._deflation_tol(a)
     q, r = rrqr._qr(a, cols, mode, tol)
     want_q, want_r = scipy_qr(a, cols, mode, tol)
-    _same_bits(r, want_r)
     if mode == "r":
+        # only R's leading square block, the part the callers read
+        lead = min(shape)
+        _same_bits(r, np.ascontiguousarray(want_r[:lead, :lead]))
         assert q is None is want_q
     else:
+        _same_bits(r, want_r)
         _same_bits(q, want_q)
 
 

@@ -10,13 +10,15 @@ one is exactly 0.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrfactors import rrqr
 from qrfactors.rrqr import gs_qr, hybrid1, hybrid2, hybrid3, qr_cp, stewart2
 
-from oracles import projected_strong_exchange
+from oracles import (plain_hybrid_sweeps, projected_strong_exchange,
+                     result_bits, whole_r_weak_exchange)
 
 # Deterministic and bounded, so the suite's run time barely moves.
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -159,3 +161,30 @@ def test_downdated_picks_are_the_projected_picks(case, data):
         got[i], got[i + pick] = got[i + pick], got[i]
         projected_strong_exchange(search, want, i + 1)
         assert got == want, i
+
+
+@_SETTINGS
+@given(awkward(), st.data())
+def test_sweeps_are_the_plain_loops(case, data):
+    # on ties, zero columns and scales near 1e+-200, a sweep that ends at
+    # the pass its inverse-row-norm exchange leaves alone gives the order,
+    # swaps, passes and R bits of one that runs the confirming pass
+    a, _ = case
+    p = data.draw(st.integers(1, min(a.shape) - 1))
+    start = data.draw(st.permutations(range(a.shape[1])))
+
+    def outputs(sweeps):
+        search = rrqr._PivotSearch(a)
+        cap = rrqr._PASS_CAP_FACTOR * a.shape[1]
+        runs = []
+        for boundary in (p, p + 1):
+            order = list(start)
+            runs.append((sweeps(search, order, boundary, cap), order))
+        return runs + [result_bits(fn(a, p))
+                       for fn in (hybrid1, hybrid2, hybrid3)]
+
+    got = outputs(rrqr._hybrid_sweeps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rrqr, "_hybrid_sweeps", plain_hybrid_sweeps)
+        mp.setattr(rrqr, "_weak_exchange", whole_r_weak_exchange)
+        assert got == outputs(plain_hybrid_sweeps)
