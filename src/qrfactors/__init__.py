@@ -35,7 +35,6 @@ from .baselines import (
     EvdSpectrum,
     evd_s_matrix,
     evd_spectrum,
-    eigen_ratio_order,
     fit_evd,
     ic_p,
     fit_pca,
@@ -72,8 +71,8 @@ __all__ = [
     "singular_values",
     "RankCandidate", "ModelOrderScan", "FactorModelFit",
     "scan_model_order", "fit_rrqr",
-    "EvdSpectrum", "evd_s_matrix", "evd_spectrum", "eigen_ratio_order",
-    "fit_evd", "ic_p", "fit_pca",
+    "EvdSpectrum", "evd_s_matrix", "evd_spectrum", "fit_evd", "ic_p",
+    "fit_pca",
     "ArModel", "ForecastReport", "WindowRecord", "yule_walker",
     "forecast_one_step", "rmse", "rmse_conventional", "forecast_error",
     "fit_method", "rolling_eval",

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import _lag_covs, _rescaled, sample_autocov
-from .factor_rrqr import (FactorModelFit, ModelOrderScan, RankCandidate,
-                          _rank_cap)
+from .factor_rrqr import FactorModelFit, ModelOrderScan, _rank_cap
 from .tsdata import TimeSeries
 
 # Default information-criterion search limit for fit_pca.
@@ -97,22 +96,13 @@ def evd_spectrum(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2) -> EvdSpectru
                        ratios=_eig_ratios(lam))
 
 
-def eigen_ratio_order(eigenvalues, p_cap: int) -> int:
-    """Rank = argmax of consecutive eigenvalue ratios over 1..p_cap."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    if not 1 <= p_cap <= lam.size - 1:
-        raise ValueError(f"p_cap must be in [1, {lam.size - 1}], got {p_cap}")
-    ratios = _eig_ratios(lam)[:p_cap]
-    return int(np.argmax(ratios)) + 1
-
-
 def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
             p_override: int | None = None,
             p_cap: int | None = None) -> FactorModelFit:
     """Fit the factor model from the top eigenvectors of evd_s_matrix.
 
-    The rank is the argmax of the eigenvalue ratios over 1..p_cap (the
-    eigen_ratio_order rule) unless p_override pins it; the cap defaults
+    The rank is the first argmax of the eigenvalue ratios over 1..p_cap
+    (ModelOrderScan.from_curve) unless p_override pins it; the cap defaults
     to the same value the pivoted-QR scan uses so the two methods search
     the same range. The sample matrix has rank at most min(K, N-1),
     past which a ratio x/0 = inf would always win, so p_cap is at most
@@ -128,13 +118,8 @@ def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     scan = None
     if p_override is None or ts.K > 1:
         cap = _rank_cap(p_cap, min(ts.K, ts.N - 1) - 1)
-        candidates = tuple(
-            RankCandidate(index=i, gamma=float(lam[i - 1]),
-                          gamma_next=float(lam[i]), ratio=float(ratio))
-            for i, ratio in enumerate(spectrum.ratios[:cap], start=1))
-        scan = ModelOrderScan(
-            candidates=candidates, epsilon=0.0,
-            p_hat=int(np.argmax(spectrum.ratios[:cap])) + 1, p_cap=cap)
+        scan = ModelOrderScan.from_curve(lam[:cap], lam[1:cap + 1],
+                                         spectrum.ratios[:cap], 0.0, (), ())
     p_hat = scan.p_hat if p_override is None else int(p_override)
     q_hat = spectrum.eigenvectors[:, :p_hat]
     z, e = ts._normalized

@@ -66,11 +66,6 @@ class AugmentedCov(_Scaled):
     def K(self) -> int:
         return self.scaled.shape[0]
 
-    def block(self, j: int) -> np.ndarray:
-        """The j-th K x K block (0-indexed), i.e. the lag lag_lo+j term."""
-        k = self.K
-        return self.matrix[:, j * k:(j + 1) * k]
-
 
 def sample_autocov(ts: TimeSeries, lag: int) -> LagCovariance:
     """Sample autocovariance at the given lag (0 <= lag <= N-2)."""

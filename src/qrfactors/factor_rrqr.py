@@ -8,19 +8,19 @@ hybrid rank-revealing decompositions, one per candidate rank, each
 warm-started from the previous one; the scan builds only R for each, not
 its orthonormal factor or block singular values. One RRQR serves both
 jobs: the scan keeps each rank's final order, and the loading basis is
-the orthonormal factor of the order at the chosen rank, confirmed by
-hybrid1's sweep in one pass and read from one QR of LAPACK's first panel.
+the orthonormal factor of the order at the chosen rank, used as it is
+and read from one QR of LAPACK's first panel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .covariance import _rescaled, build_augmented
-from .rrqr import Permutation, _loading_basis, _PivotSearch, _scan_orders
+from .rrqr import _loading_basis, _PivotSearch, _scan_orders
 # bench/reference.py patches factor_rrqr.hybrid3 to count the scan's passes;
 # the scan no longer calls it, but the name stays until that script changes.
 from .rrqr import hybrid3  # noqa: F401
@@ -82,7 +82,22 @@ class ModelOrderScan:
     p_hat: int
     p_cap: int
     passes: tuple[int, ...] = ()
-    orders: tuple[Permutation, ...] = ()
+    orders: tuple[tuple[int, ...], ...] = ()
+
+    @classmethod
+    def from_curve(cls, gammas, gammas_next, ratios, epsilon, passes,
+                   orders) -> ModelOrderScan:
+        """The record of a ratio curve over ranks 1..len(ratios), each
+        with its pair of diagonal entries (or eigenvalues); p_hat is the
+        first argmax of the ratios, so the lowest rank wins a tie."""
+        candidates = tuple(
+            RankCandidate(index=i, gamma=float(gamma),
+                          gamma_next=float(gamma_next), ratio=float(ratio))
+            for i, (gamma, gamma_next, ratio)
+            in enumerate(zip(gammas, gammas_next, ratios), start=1))
+        return cls(candidates=candidates, epsilon=float(epsilon),
+                   p_hat=int(np.argmax(ratios)) + 1, p_cap=len(candidates),
+                   passes=passes, orders=orders)
 
     def ratios(self) -> np.ndarray:
         return np.array([c.ratio for c in self.candidates])
@@ -97,9 +112,9 @@ class FactorModelFit:
     diagnostics carries method-specific scalars: for the pivoted fit the
     block singular values sigma_min(R11) and sigma_max(R22) of the
     decomposition behind q_hat (R22's from the projected trailing
-    columns), the sweep passes it took (1 after a scan), and the
-    ratio floor epsilon; eigenvalues or residual variance for the
-    baselines.
+    columns), the sweep passes behind it (1 after a scan: counted as
+    settled, not run), and the ratio floor epsilon; eigenvalues or
+    residual variance for the baselines.
     """
 
     method: str
@@ -150,12 +165,13 @@ def scan_model_order(m_tilde, p_cap: int | None = None,
     n : int
         Sample count behind the matrix, used only to scale eps.
     """
-    return _scan(_PivotSearch(m_tilde), p_cap, n)
+    return _scan(_PivotSearch(m_tilde), p_cap, n, 0)
 
 
-def _scan(search, p_cap, n) -> ModelOrderScan:
-    """scan_model_order on a pivot search (rrqr._PivotSearch), which
-    fit_rrqr then hands on to its basis sweep."""
+def _scan(search, p_cap, n, exp) -> ModelOrderScan:
+    """scan_model_order on a pivot search (rrqr._PivotSearch), its gammas
+    and epsilon times a further 2^exp (fit_rrqr's covariance exponent);
+    the ratios are search.mat's, which 2^exp cannot move."""
     rows, cols = search.mat.shape
     if n is None or n <= 0:
         raise ValueError("sample count n is required to scale the ratio floor")
@@ -164,15 +180,11 @@ def _scan(search, p_cap, n) -> ModelOrderScan:
     if gammas[0] <= 0.0:
         raise ValueError("matrix is numerically zero; no rank to reveal")
     epsilon = gammas[0] / math.sqrt(rows * n)
-    candidates = tuple(
-        RankCandidate(index=i, gamma=gamma, gamma_next=gamma_next,
-                      ratio=(gamma + epsilon) / (gamma_next + epsilon))
-        for i, (gamma, gamma_next) in enumerate(zip(gammas, gammas_next),
-                                                start=1))
-    best = int(np.argmax([c.ratio for c in candidates]))
-    return ModelOrderScan(candidates=candidates, epsilon=epsilon,
-                          p_hat=best + 1, p_cap=p_cap, passes=passes,
-                          orders=orders)
+    ratios = [(gamma + epsilon) / (gamma_next + epsilon)
+              for gamma, gamma_next in zip(gammas, gammas_next)]
+    return ModelOrderScan.from_curve(
+        _rescaled(gammas, exp), _rescaled(gammas_next, exp), ratios,
+        _rescaled(epsilon, exp), passes, orders)
 
 
 def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
@@ -183,29 +195,27 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     Stacks the sample autocovariances for lags lag_lo..lag_hi of the
     normalized panel and estimates the factor count by
     scan_model_order. The loading basis is the first p_hat columns of
-    the orthonormal factor of hybrid1 at p_hat, started from the scan's
-    own order at that rank: one RRQR both reveals the rank and gives the
-    basis. hybrid1's sweep only confirms the order (one pass), on the
-    scan's own unit-scaled matrix and sums, and Q comes from one QR of
-    LAPACK's first panel (rrqr._loading_basis).
-    When p_override pins the rank there is no scan, and the sweep starts
-    from qr_cp's pivots; p_override may be min(K, n), where hybrid3, and
-    so the scan's loop, is undefined. p_hat, q_hat and the ratio curve
-    do not depend on the panel's scale; factor paths, gammas, epsilon
-    and the block singular values are mapped back to it. A panel of
-    constant series is rejected.
+    the orthonormal factor of the scan's own order at p_hat, a fixed
+    point of hybrid1 there, so no sweep runs: one RRQR both reveals the
+    rank and gives the basis, read from one QR of LAPACK's first panel
+    (rrqr._loading_basis). When p_override pins the rank there is no
+    scan, and hybrid1's sweep starts from qr_cp's pivots; p_override may
+    be min(K, n), where hybrid3, and so the scan's loop, is undefined.
+    p_hat, q_hat and the ratio curve do not depend on the panel's scale;
+    factor paths, gammas, epsilon and the block singular values are
+    mapped back to it. A panel of constant series is rejected.
     """
     aug = build_augmented(ts, lag_lo, lag_hi)
     exp = aug.exponent
     search = _PivotSearch(aug.scaled)
-    scan = None
+    scan = order = None
     if p_override is not None:
         p_hat = _rank_cap(p_override, min(search.mat.shape), name="p_override")
     else:
-        scan = _scan(search, p_cap, ts.N)
+        scan = _scan(search, p_cap, ts.N, exp)
         p_hat = scan.p_hat
-    init = None if scan is None else scan.orders[p_hat - 1]
-    q_hat, r11_min, r22_max, passes = _loading_basis(search, p_hat, init)
+        order = scan.orders[p_hat - 1]
+    q_hat, r11_min, r22_max, passes = _loading_basis(search, p_hat, order)
     del search  # its unit-scaled copy is not needed past the basis
     diagnostics = {
         "r11_min_sv": float(_rescaled(r11_min, exp)),
@@ -213,12 +223,6 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
         "passes": float(passes),
     }
     if scan is not None:
-        scan = replace(
-            scan, epsilon=float(_rescaled(scan.epsilon, exp)),
-            candidates=tuple(
-                replace(c, gamma=float(_rescaled(c.gamma, exp)),
-                        gamma_next=float(_rescaled(c.gamma_next, exp)))
-                for c in scan.candidates))
         diagnostics["epsilon"] = scan.epsilon
     z, e = ts._normalized
     return FactorModelFit(method="RRQR", p_hat=p_hat, q_hat=q_hat,

@@ -24,9 +24,9 @@ The rank scan (``_scan_orders``) runs hybrid3's loop at ranks 1, 2, ...,
 each warm-started from the previous rank's order, and reads the two
 diagonal entries of R it needs from an R-only QR; the full frame (K x K
 Q and block singular values) is built only for a returned RrqrResult.
-It hands back each rank's final order, so ``_loading_basis`` can
-confirm one by hybrid1's sweep and read Q[:, :p] from one QR of LAPACK's
-first panel (p <= 16), with no second pivot search.
+It hands back each rank's final order, a fixed point of both of its
+boundaries, and ``_loading_basis`` reads Q[:, :p] from one QR of LAPACK's
+first panel (p <= 16) of the order at p as it is, with no second sweep.
 
 Every exchange that runs factorizes the permuted columns it reads from
 scratch; Q and R are never updated in place. A sweep ends at the first
@@ -574,7 +574,7 @@ def _hybrid_start(search, p, init, spare, seed):
     return order, _PASS_CAP_FACTOR * n
 
 
-def _scan_orders(search, p_cap) -> list[tuple[float, float, int, Permutation]]:
+def _scan_orders(search, p_cap) -> list[tuple[float, float, int, tuple]]:
     """The rank scan's hybrid3 runs at ranks 1..p_cap, each warm-started.
 
     Rank 1 starts from qr_cp's first pivot, as hybrid3(mat, 1) does; rank
@@ -585,7 +585,8 @@ def _scan_orders(search, p_cap) -> list[tuple[float, float, int, Permutation]]:
     (_GAMMA_PANEL); no Q and no singular value is built. The loops and
     the QR run on the search's unit-scaled copy, and gamma is mapped back
     with ldexp. Returns (gamma_i, gamma_{i+1}, passes, final order) per
-    rank; each order is a fixed point of both of its rank's boundaries.
+    rank; each order, a tuple of column indices, is a fixed point of
+    both of its rank's boundaries.
     """
     cap = _PASS_CAP_FACTOR * search.mat.shape[1]
     width, last = _GAMMA_PANEL
@@ -597,20 +598,25 @@ def _scan_orders(search, p_cap) -> list[tuple[float, float, int, Permutation]]:
                    search.tol)
         rows.append((math.ldexp(r[i - 1, i - 1], search.exp),
                      math.ldexp(r[i, i], search.exp),
-                     passes, Permutation(tuple(order))))
+                     passes, tuple(order)))
     return rows
 
 
-def _loading_basis(search, p, init):
+def _loading_basis(search, p, order):
     """(Q[:, :p], sigma_min(R11), sigma_max(R22), passes) of
-    hybrid1(search.mat, p, init) without its full frame. The sweep runs
-    on the search it is given, the scan's in a scanned fit. After it,
-    Q[:, :p] and R11 come from an economic QR of the first 32 columns
-    while p <= 16, else of every column, the full QR's bits either way
+    hybrid1(search.mat, p, order) without its full frame. In a scanned
+    fit `order` is the scan's at p, a fixed point of boundary p, used as
+    it is: hybrid1's one pass from it would swap nothing, so it is
+    counted, not run, as _hybrid_sweeps counts a settled pass. With order
+    None the sweep starts from qr_cp's first p pivots. Q[:, :p] and R11
+    come from an economic QR of the first 32 columns of the order while
+    p <= 16, else of every column, the full QR's bits either way
     (_GAMMA_PANEL); R22's are those of the trailing columns less their
     projection on Q[:, :p], from the Gram matrix on its smaller side."""
-    order, cap = _hybrid_start(search, p, init, 0, p)
-    _, passes = _hybrid_sweeps(search, order, p, cap)
+    passes = 1
+    if order is None:
+        order, cap = _hybrid_start(search, p, None, 0, p)
+        _, passes = _hybrid_sweeps(search, order, p, cap)
     width, last = _GAMMA_PANEL
     mat = search.mat
     q, r = _qr(mat, order[:width] if p <= last else order, "economic",

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from qrfactors.baselines import (eigen_ratio_order, evd_s_matrix,
-                                 evd_spectrum, fit_evd, fit_pca, ic_p)
+from qrfactors import baselines
+from qrfactors.baselines import (evd_s_matrix, evd_spectrum, fit_evd,
+                                 fit_pca, ic_p)
 from qrfactors.covariance import build_augmented, sample_autocov
 from qrfactors.factor_rrqr import fit_rrqr
 from qrfactors.simgen import gen_sim1, subspace_error
@@ -47,18 +48,22 @@ def test_spectrum_contract():
     assert_allclose(spectrum.ratios, want, rtol=1e-12)
 
 
-def test_eigen_ratio_order_picks_largest_gap():
+@pytest.mark.parametrize("lam,ratios,p_hat", [
     # ratios 2, 50, 1.11 -> the gap after the second eigenvalue
-    assert eigen_ratio_order([100.0, 50.0, 1.0, 0.9], p_cap=3) == 2
-
-
-def test_eigen_ratio_order_zero_tail():
-    assert eigen_ratio_order([5.0, 0.0, 0.0], p_cap=2) == 1
-
-
-def test_eigen_ratio_order_cap_validation():
-    with pytest.raises(ValueError):
-        eigen_ratio_order([3.0, 1.0], p_cap=2)
+    ([100.0, 50.0, 1.0, 0.9], [2.0, 50.0, 1.0 / 0.9], 2),
+    # a zero tail: x/0 = inf wins, and 0/0 = 0 never does
+    ([5.0, 0.0, 0.0], [np.inf, 0.0], 1),
+], ids=["largest gap", "zero tail"])
+def test_fit_evd_picks_the_first_largest_ratio(lam, ratios, p_hat,
+                                               monkeypatch):
+    k = len(lam)
+    monkeypatch.setattr(baselines, "_sym_eig_desc",
+                        lambda s: (np.array(lam), np.eye(k)))
+    ts = _panel(109, k=k)
+    assert_array_equal(evd_spectrum(ts).ratios, ratios)
+    fit = fit_evd(ts)
+    assert_array_equal(fit.scan.ratios(), ratios)
+    assert fit.p_hat == fit.scan.p_hat == p_hat
 
 
 def _noiseless_two_factor(seed, k=10, n=500):
@@ -105,7 +110,7 @@ def test_fit_evd_carries_its_ratio_curve(p_override, p_cap):
     assert fit.scan.p_cap == cap
     assert fit.scan.epsilon == 0.0
     assert_allclose(fit.scan.ratios(), spectrum.ratios[:cap], rtol=0, atol=0)
-    assert fit.scan.p_hat == eigen_ratio_order(spectrum.eigenvalues, cap)
+    assert fit.scan.p_hat == int(np.argmax(spectrum.ratios[:cap])) + 1
     assert fit.p_hat == (fit.scan.p_hat if p_override is None else p_override)
 
 
@@ -128,6 +133,9 @@ def test_fit_evd_default_cap_stays_below_full_rank():
     assert np.isfinite(fit.scan.ratios()).all()
     with pytest.raises(ValueError, match=r"p_cap must be in \[1, 10\]"):
         fit_evd(ts, 1, 2, p_cap=11)
+    # two series have one eigenvalue ratio, so the cap is 1 at any N
+    with pytest.raises(ValueError, match=r"p_cap must be in \[1, 1\]"):
+        fit_evd(_panel(111, k=2), 1, 2, p_cap=2)
 
 
 @pytest.mark.parametrize("k,n", [(20, 200), (180, 500)])

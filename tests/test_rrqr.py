@@ -438,8 +438,7 @@ def test_scan_panel_gamma_is_the_full_width_gamma(case):
     tol = rrqr._deflation_tol(mat)
     rows = rrqr._scan_orders(rrqr._PivotSearch(mat),
                              min(last, min(mat.shape)) - 1)
-    for i, (gamma, gamma_next, _, perm) in enumerate(rows, start=1):
-        order = list(perm.order)
+    for i, (gamma, gamma_next, _, order) in enumerate(rows, start=1):
         _, full = rrqr._qr(mat, order, "r", tol)
         _, panel = rrqr._qr(mat, order[:width], "r", tol)
         assert (gamma, gamma_next) == (full[i - 1, i - 1], full[i, i]), i
@@ -785,7 +784,7 @@ def _basis_orders(mat):
     fewer): the scan's order at p; and past 16, where the basis QR spans
     every column, at p = 20 hybrid1's order from the scan's at 16."""
     top = min(16, min(mat.shape) - 1)
-    scanned = [row[3].order
+    scanned = [row[3]
                for row in rrqr._scan_orders(rrqr._PivotSearch(mat), top)]
     out = [(p, scanned[p - 1]) for p in (1, 2, 3, top)]
     if min(mat.shape) > 20:
@@ -834,6 +833,43 @@ def test_loading_basis_r22_is_zero_without_a_trailing_block():
         assert r22_max == 0.0 == hybrid1(a, p).r22_max_sv, shape
 
 
+@pytest.mark.parametrize("case", SCAN_PANELS + EXACT_PANELS)
+def test_scanned_orders_are_fixed_points_of_hybrid1(case):
+    # what lets a scanned fit take its basis from the scan's order at
+    # p_hat as it is: hybrid1 started there keeps it, in one pass
+    mat = _scan_panel(case)
+    rows = rrqr._scan_orders(rrqr._PivotSearch(mat),
+                             min(15, min(mat.shape) - 1))
+    for i, (*_, order) in enumerate(rows, start=1):
+        res = hybrid1(mat, i, init=order)
+        assert (res.perm.order, res.passes) == (order, 1), i
+
+
+@pytest.mark.parametrize("case", ["paper cell", "K < 128"])
+def test_fit_makes_only_the_scans_exchanges(case, monkeypatch):
+    # a scanned fit makes exactly the exchanges its scan makes, with no
+    # confirming sweep after them, and builds no Permutation
+    calls, built = [], []
+    for name in ("_strong_exchange", "_weak_exchange"):
+        def counted(*args, real=getattr(rrqr, name), name=name):
+            calls.append((name, args[2], tuple(args[1])))
+            return real(*args)
+        monkeypatch.setattr(rrqr, name, counted)
+    real_post_init = Permutation.__post_init__
+
+    def counted_post_init(perm):
+        built.append(perm.order)
+        real_post_init(perm)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted_post_init)
+    fit = fit_rrqr(_scan_series(case), 1, 5)
+    fit_calls = list(calls)
+    calls.clear()
+    rrqr._scan_orders(rrqr._PivotSearch(_scan_panel(case)), fit.scan.p_cap)
+    assert fit_calls == calls and calls
+    assert not built
+
+
 PLAIN_NORM_SHAPES = {
     "sim1 180 x 500": lambda seed: (gen_sim1(180, 500, seed).y, 5),
     "sim1 20 x 200": lambda seed: (gen_sim1(20, 200, seed).y, 5),
@@ -854,7 +890,7 @@ def test_plain_trailing_norms_are_the_scaled_ones(shape):
             np.asarray(build_augmented(ts, 1, lag_hi).scaled))
         unit, tol = search.a, search.tol
         for i, row in enumerate(rrqr._scan_orders(search, 15), start=1):
-            order = list(row[3].order)
+            order = list(row[3])
             q, _ = rrqr._qr(unit, order[:i], "economic", tol)
             c = q.T @ unit
             resid = unit - q @ c
