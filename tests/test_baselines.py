@@ -66,6 +66,16 @@ def test_fit_evd_picks_the_first_largest_ratio(lam, ratios, p_hat,
     assert fit.p_hat == fit.scan.p_hat == p_hat
 
 
+def test_eigen_ratio_order_cap_validation(monkeypatch):
+    # two eigenvalues have one ratio, so the cap is 1 at any N
+    monkeypatch.setattr(baselines, "_sym_eig_desc",
+                        lambda s: (np.array([3.0, 1.0]), np.eye(2)))
+    ts = _panel(111, k=2)
+    assert fit_evd(ts, 1, 2, p_cap=1).scan.p_cap == 1
+    with pytest.raises(ValueError, match=r"p_cap must be in \[1, 1\]"):
+        fit_evd(ts, 1, 2, p_cap=2)
+
+
 def _noiseless_two_factor(seed, k=10, n=500):
     rng = np.random.default_rng(seed)
     h = rng.uniform(-2.0, 2.0, size=(k, 2))
@@ -133,9 +143,6 @@ def test_fit_evd_default_cap_stays_below_full_rank():
     assert np.isfinite(fit.scan.ratios()).all()
     with pytest.raises(ValueError, match=r"p_cap must be in \[1, 10\]"):
         fit_evd(ts, 1, 2, p_cap=11)
-    # two series have one eigenvalue ratio, so the cap is 1 at any N
-    with pytest.raises(ValueError, match=r"p_cap must be in \[1, 1\]"):
-        fit_evd(_panel(111, k=2), 1, 2, p_cap=2)
 
 
 @pytest.mark.parametrize("k,n", [(20, 200), (180, 500)])
