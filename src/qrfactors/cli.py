@@ -33,7 +33,7 @@ from .factor_rrqr import ModelOrderScan, scan_model_order
 from .forecast_eval import METHODS, fit_method, rolling_eval
 from .rrqr import gs_qr, hybrid1, hybrid2, hybrid3, qr_cp, singular_values, stewart2
 from .simgen import SimConfig, monte_carlo
-from .tsdata import load_csv
+from .tsdata import load_csv, read_matrix
 
 
 def _manifest(subcommand: str, config: dict, seed: int | None) -> dict:
@@ -90,28 +90,6 @@ def _scan_dict(scan: ModelOrderScan, selected: bool) -> dict:
             for c in scan.candidates
         ],
     }
-
-
-def _read_matrix(path: str) -> np.ndarray:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for i, line in enumerate(csv.reader(fh), start=1):
-            if not line or all(c.strip() == "" for c in line):
-                continue
-            rows.append([])
-            for j, cell in enumerate(line, start=1):
-                try:
-                    rows[-1].append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: cell at row {i}, column {j} is not "
-                        f"numeric: {cell.strip()!r}") from None
-    if not rows:
-        raise ValueError(f"{path}: empty matrix file")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
-    return np.array(rows)
 
 
 def _lag_range(args) -> tuple[int, int]:
@@ -178,7 +156,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_rankscan(args) -> int:
-    mat = _read_matrix(args.matrix)
+    mat = read_matrix(args.matrix)
     scan = scan_model_order(mat, args.p_cap, n=args.n)
     return _emit(args, "rankscan_report", {
         "manifest": _manifest("rankscan", {
@@ -191,7 +169,7 @@ def _cmd_rankscan(args) -> int:
 
 
 def _cmd_rrqr(args) -> int:
-    mat = _read_matrix(args.matrix)
+    mat = read_matrix(args.matrix)
     rank = args.rank
     if args.alg != "gsqr" and rank is None:
         args.usage_error(f"--rank is required for --alg {args.alg}")

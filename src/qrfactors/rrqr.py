@@ -101,15 +101,6 @@ class Permutation:
             raise ValueError("order is not a bijection on 0..n-1")
         object.__setattr__(self, "order", tuple(order.tolist()))
 
-    def as_matrix(self) -> np.ndarray:
-        n = len(self.order)
-        p = np.zeros((n, n))
-        p[list(self.order), range(n)] = 1.0
-        return p
-
-    def apply(self, a: np.ndarray) -> np.ndarray:
-        return np.asarray(a)[:, list(self.order)]
-
 
 @dataclass(frozen=True)
 class QrFactors:

@@ -78,10 +78,21 @@ def load_csv(path, orientation: str = "rows-are-series",
              has_header: bool = False) -> TimeSeries:
     """Read a numeric CSV file into a TimeSeries.
 
+    numpy's C reader (``np.loadtxt``) parses the file. It converts a cell
+    exactly as ``float(cell.strip())`` does but accepts fewer spellings:
+    not ``1_000``, nor non-ASCII digits. A file it refuses (a label column
+    among them), or one it could read differently from ``csv.reader`` (an
+    empty line, a record over several lines, a field past csv's size
+    limit), goes through a per-cell ``float`` loop, which builds every
+    error message. So a file is accepted, with the same values, exactly
+    when the loop alone would accept it.
+
     Parameters
     ----------
     path : str or Path
-        Comma-separated UTF-8 file. Cells may carry surrounding whitespace.
+        Comma-separated UTF-8 file; ``"``-quoted cells are unquoted as by
+        ``csv.reader``, and a record ends at ``\\n``, ``\\r\\n`` or
+        ``\\r``. Cells may carry surrounding whitespace.
     orientation : str
         "rows-are-series" (alias "rows") or "columns-are-series" (alias
         "columns"). With rows-are-series, a non-numeric first column is
@@ -94,35 +105,93 @@ def load_csv(path, orientation: str = "rows-are-series",
     ------
     ValueError
         On a non-numeric cell (reported with its 1-based file position),
-        ragged rows, or a shape too small to be a time series.
+        ragged rows (an interior blank line among them; trailing blank
+        lines are ignored), or a shape too small to be a time series.
     """
     orientation = {"rows": "rows-are-series",
                    "columns": "columns-are-series"}.get(orientation, orientation)
     if orientation not in ("rows-are-series", "columns-are-series"):
         raise ValueError(f"unknown orientation {orientation!r}")
 
+    header, labels, data = _read_numeric(
+        path, has_header=has_header, labels=orientation == "rows-are-series")
+    if orientation == "rows-are-series":
+        return TimeSeries(data, labels=labels)
+    names = header if (header and len(header) == data.shape[1]) else None
+    return TimeSeries(data.T, labels=names)
+
+
+def read_matrix(path) -> np.ndarray:
+    """A numeric CSV file as a 2-D array, as the CLI reads its matrix
+    files: every blank record is skipped, a bad cell is reported before
+    ragged rows, and rows are numbered as records of the file, from 1."""
+    return _read_numeric(path, skip_blank=True)[2]
+
+
+def _read_numeric(path, has_header: bool = False, labels: bool = False,
+                  skip_blank: bool = False):
+    """(header, labels, values) of a numeric CSV file: the one CSV reader
+    of `load_csv` and `read_matrix`.
+
+    ``header`` holds the stripped cells of the first record when
+    ``has_header``, else None. With ``labels``, a first column with a cell
+    ``float`` refuses is returned as stripped labels (else None) and left
+    out of ``values``. Every record must have the width of the first, or
+    the file is ragged. Without ``skip_blank`` an interior blank record is
+    a ragged row and trailing ones are dropped; with it every blank record
+    is skipped and a bad cell is reported before ragged rows. Rows are
+    numbered as records of the file, from 1.
+    """
+    return (_c_parse(path, has_header, skip_blank)
+            or _cell_loop(path, has_header, labels, skip_blank))
+
+
+_EMPTY_LINES = ("\n", "\r\n", "\r")
+
+
+def _c_parse(path, has_header: bool, skip_blank: bool):
+    """`_read_numeric` by ``np.loadtxt``, or None wherever its result could
+    differ from `_cell_loop`'s.
+
+    loadtxt splits and unquotes the cells of a line as ``csv.reader``
+    does, and its float converter accepts a subset of what ``float``
+    does, surrounding whitespace included, with the same value. So a file
+    it parses has no label column, and a file it refuses, a labelled one
+    among them, goes to the loop. So does one it could read differently:
+    loadtxt skips empty lines and has no field size limit. Both read the
+    lines ``open(newline="")`` splits at \\n, \\r\\n and \\r.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        raw = [row for row in csv.reader(fh)]
-    # Trailing blank lines are noise, interior ones are structure errors.
-    while raw and all(c.strip() == "" for c in raw[-1]):
-        raw.pop()
-    if not raw:
-        raise ValueError(f"{path}: empty file")
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError:  # the loop meets it, or a csv error first
+            return None
+    reader = csv.reader(lines)
+    header = ([c.strip() for c in next(reader, [])]
+              if has_header else None)
+    skip, end = reader.line_num, len(lines)
+    while end > skip and lines[end - 1] in _EMPTY_LINES:
+        end -= 1
+    data = lines[skip:end]
+    if not data or max(map(len, data)) > csv.field_size_limit():
+        return None
+    try:
+        values = np.loadtxt(data, delimiter=",", comments=None,
+                            quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    # one record a line: no record spans lines, nor is a blank line ragged
+    empty = sum(line in _EMPTY_LINES for line in data) if skip_blank else 0
+    if len(values) != len(data) - empty:
+        return None
+    return header, None, values
 
-    header = None
-    first_data_row = 1
-    if has_header:
-        header = [c.strip() for c in raw[0]]
-        raw = raw[1:]
-        first_data_row = 2
-        if not raw:
-            raise ValueError(f"{path}: no data rows after header")
 
-    widths = {len(row) for row in raw}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
+def _cell_loop(path, has_header: bool, labels: bool, skip_blank: bool):
+    """`_read_numeric` by ``csv.reader`` and a ``float`` call per cell."""
+    def blank(row) -> bool:
+        return all(c.strip() == "" for c in row)
 
-    # Detect a label column: any unparseable cell in column 1 marks it.
     def parses(cell: str) -> bool:
         try:
             float(cell.strip())
@@ -130,26 +199,47 @@ def load_csv(path, orientation: str = "rows-are-series",
         except ValueError:
             return False
 
-    label_col = (orientation == "rows-are-series"
-                 and not all(parses(row[0]) for row in raw))
-    labels = [row[0].strip() for row in raw] if label_col else None
-    col0 = 1 if label_col else 0
+    def ragged() -> None:
+        widths = {len(row) for _, row in records}
+        if len(widths) != 1:
+            raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
 
-    data = np.empty((len(raw), len(raw[0]) - col0))
-    for i, row in enumerate(raw):
-        for j, cell in enumerate(row[col0:]):
-            try:
-                data[i, j] = float(cell.strip())
-            except ValueError:
-                raise ValueError(
-                    f"{path}: cell at row {i + first_data_row}, "
-                    f"column {j + col0 + 1} is not numeric: {cell.strip()!r}"
-                ) from None
+    def number(i: int, j: int, cell: str) -> float:
+        try:
+            return float(cell.strip())
+        except ValueError:
+            raise ValueError(
+                f"{path}: cell at row {i}, column {j} is not numeric: "
+                f"{cell.strip()!r}") from None
 
-    if orientation == "rows-are-series":
-        return TimeSeries(data, labels=labels)
-    names = header if (header and len(header) == data.shape[1]) else None
-    return TimeSeries(data.T, labels=names)
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = list(enumerate(csv.reader(fh), start=1))
+    if skip_blank:
+        records = [(i, row) for i, row in records if not blank(row)]
+    # Trailing blank lines are noise, interior ones are structure errors.
+    while records and blank(records[-1][1]):
+        records.pop()
+    if not records:
+        raise ValueError(f"{path}: empty {'matrix ' * skip_blank}file")
+
+    header = None
+    if has_header:
+        header = [c.strip() for c in records[0][1]]
+        records = records[1:]
+        if not records:
+            raise ValueError(f"{path}: no data rows after header")
+    if not skip_blank:
+        ragged()
+    # Detect a label column: any unparseable cell in column 1 marks it.
+    names = None
+    if labels and not all(parses(row[0]) for _, row in records):
+        names = [row[0].strip() for _, row in records]
+    col0 = 0 if names is None else 1
+    rows = [[number(i, j, cell) for j, cell in enumerate(row[col0:], col0 + 1)]
+            for i, row in records]
+    if skip_blank:
+        ragged()
+    return header, names, np.array(rows)
 
 
 def demean(ts: TimeSeries) -> TimeSeries:

@@ -6,6 +6,7 @@ package has since replaced, kept as they were. The package is checked
 against these, never the other way around.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -342,3 +343,88 @@ def result_bits(res):
     bytes of Q and R, and its block singular values."""
     return (res.perm.order, res.passes, res.factors.q.tobytes(),
             res.factors.r.tobytes(), res.r11_min_sv, res.r22_max_sv)
+
+
+def old_load_csv(path, orientation: str = "rows-are-series",
+                 has_header: bool = False) -> TimeSeries:
+    """`tsdata.load_csv` as it was: `csv.reader` and a per-cell `float`
+    loop over the whole file."""
+    orientation = {"rows": "rows-are-series",
+                   "columns": "columns-are-series"}.get(orientation, orientation)
+    if orientation not in ("rows-are-series", "columns-are-series"):
+        raise ValueError(f"unknown orientation {orientation!r}")
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        raw = [row for row in csv.reader(fh)]
+    # Trailing blank lines are noise, interior ones are structure errors.
+    while raw and all(c.strip() == "" for c in raw[-1]):
+        raw.pop()
+    if not raw:
+        raise ValueError(f"{path}: empty file")
+
+    header = None
+    first_data_row = 1
+    if has_header:
+        header = [c.strip() for c in raw[0]]
+        raw = raw[1:]
+        first_data_row = 2
+        if not raw:
+            raise ValueError(f"{path}: no data rows after header")
+
+    widths = {len(row) for row in raw}
+    if len(widths) != 1:
+        raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
+
+    # Detect a label column: any unparseable cell in column 1 marks it.
+    def parses(cell: str) -> bool:
+        try:
+            float(cell.strip())
+            return True
+        except ValueError:
+            return False
+
+    label_col = (orientation == "rows-are-series"
+                 and not all(parses(row[0]) for row in raw))
+    labels = [row[0].strip() for row in raw] if label_col else None
+    col0 = 1 if label_col else 0
+
+    data = np.empty((len(raw), len(raw[0]) - col0))
+    for i, row in enumerate(raw):
+        for j, cell in enumerate(row[col0:]):
+            try:
+                data[i, j] = float(cell.strip())
+            except ValueError:
+                raise ValueError(
+                    f"{path}: cell at row {i + first_data_row}, "
+                    f"column {j + col0 + 1} is not numeric: {cell.strip()!r}"
+                ) from None
+
+    if orientation == "rows-are-series":
+        return TimeSeries(data, labels=labels)
+    names = header if (header and len(header) == data.shape[1]) else None
+    return TimeSeries(data.T, labels=names)
+
+
+def old_read_matrix(path: str) -> np.ndarray:
+    """`cli._read_matrix` as it was: blank records skipped, every record
+    numbered by its place in the file, and a bad cell reported before
+    ragged rows."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for i, line in enumerate(csv.reader(fh), start=1):
+            if not line or all(c.strip() == "" for c in line):
+                continue
+            rows.append([])
+            for j, cell in enumerate(line, start=1):
+                try:
+                    rows[-1].append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: cell at row {i}, column {j} is not "
+                        f"numeric: {cell.strip()!r}") from None
+    if not rows:
+        raise ValueError(f"{path}: empty matrix file")
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
+    return np.array(rows)

@@ -8,6 +8,7 @@ import pytest
 
 from qrfactors.cli import main
 from qrfactors.simgen import gen_sim1
+from qrfactors.tsdata import read_matrix
 
 
 def _read_json(path):
@@ -71,6 +72,23 @@ def test_bad_matrix_file_exits_one(tmp_path, capsys):
     assert code == 1
     assert (f"{bad}: cell at row 2, column 2 is not numeric: 'potato'"
             in capsys.readouterr().err)
+
+
+def test_read_matrix_skips_an_interior_blank_line(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n\n3,4\n")
+    out = read_matrix(str(path))
+    assert out.shape == (2, 2)
+    assert out.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_read_matrix_numbers_a_bad_cell_by_its_file_line(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n\n \n3,x\n")
+    with pytest.raises(ValueError) as err:
+        read_matrix(str(path))
+    assert (str(err.value)
+            == f"{path}: cell at row 4, column 2 is not numeric: 'x'")
 
 
 # ------------------------------------------------------------------

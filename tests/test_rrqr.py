@@ -115,7 +115,7 @@ def test_qr_cp_reconstructs_permuted_matrix():
     rng = np.random.default_rng(21)
     a = rng.standard_normal((6, 9))
     res = qr_cp(a, 6)
-    permuted = res.perm.apply(a)
+    permuted = a[:, list(res.perm.order)]
     assert np.linalg.norm(permuted - res.factors.q @ res.factors.r) \
         <= 1e-10 * np.linalg.norm(a)
 
@@ -334,7 +334,7 @@ def test_hybrid_terminates_with_boundary_past_exact_rank(variant):
         top = np.linalg.svd(a, compute_uv=False)[0]
         for fn, p in PAST_RANK_CALLS:
             res = fn(a, p)
-            permuted = res.perm.apply(a)
+            permuted = a[:, list(res.perm.order)]
             assert np.linalg.norm(permuted - res.factors.q @ res.factors.r) \
                 <= 1e-10 * np.linalg.norm(a), (seed, fn.__name__, p)
             assert res.r22_max_sv <= 1e-10 * top, (seed, fn.__name__, p)
@@ -901,13 +901,6 @@ def test_plain_trailing_norms_are_the_scaled_ones(shape):
 
 # ------------------------------------------------------------------
 # permutations
-
-
-def test_permutation_matrix_agrees_with_apply():
-    rng = np.random.default_rng(51)
-    a = rng.standard_normal((4, 6))
-    perm = Permutation((3, 0, 5, 1, 4, 2))
-    assert_allclose(a @ perm.as_matrix(), perm.apply(a), atol=1e-15)
 
 
 def test_permutation_rejects_non_bijections():

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from qrfactors.tsdata import TimeSeries, demean, load_csv, log_returns
+import oracles
+from qrfactors import tsdata
+from qrfactors.tsdata import (TimeSeries, demean, load_csv, log_returns,
+                              read_matrix)
 
 
 def test_timeseries_fields():
@@ -130,3 +133,124 @@ def test_load_csv_rejects_unknown_orientation(tmp_path):
     path.write_text("1,2\n3,4\n")
     with pytest.raises(ValueError, match="orientation"):
         load_csv(path, orientation="sideways")
+
+
+# ------------------------------------------------------------------
+# the C parse against the per-cell loaders it replaced
+
+def _g17(*values):
+    return ",".join("%.17g" % v for v in values)
+
+
+CSV_CORPUS = {
+    "padded": " 1.5 , 2 ,3\n4,\t5 ,6 \n",
+    "quoted numbers": '"1.5",2,"3"\n4,"5",6\n',
+    "quoted label with comma, crlf": '"acme, inc",1,2,3\r\n beta ,4,5,6\r\n',
+    "interior blank line": "1,2,3\n\n4,5,6\n",
+    "leading blank line": "\n1,2,3\n4,5,6\n",
+    "trailing blank lines": "1,2,3\n4,5,6\n\n\r\n\n",
+    "trailing whitespace line": "1,2,3\n4,5,6\n  \n",
+    "interior whitespace line": "1,2,3\n \n4,5,6\n",
+    "hash first cell": "#,1,2\n3,4,5\n",
+    "hash inner cell": "1,#,2\n3,4,5\n",
+    "underscore": "1_000,2,3\n4,5,6\n",
+    "non-ascii digit": "١,2,3\n4,5,6\n",
+    "unicode spaces": "\xa01\x0c,2 ,3\n4,5,6\n",
+    "inf and nan": "inf,1,2\n3,nan,4\n",
+    "extremes": (_g17(5e-324, -0.0, 1.7976931348623157e308) + "\n"
+                 + _g17(-5e-324, 0.0, -1.7976931348623157e308) + "\n"),
+    "single row": "1,2,3\n",
+    "single column": "1\n2\n3\n",
+    "single cell": "7",
+    "header only": "a,b,c\n",
+    "empty": "",
+    "blank only": "\n\r\n",
+    "bad cell in label file": "x,1,2\ny,3,oops\n",
+    "bad cell after header": "h1,h2\n1,2\n3,bad\n",
+    "ragged": "1,2,3\n4,5\n",
+    "ragged before a bad cell": "1,2,3\n4,5\nx,6,7\n",
+    "lone cr": "1,2,3\r4,5,6\r",
+    "lone cr before blank": "1,2\r3,4\n\n5,6\n",
+    "quoted newline header": 'x,"y\nz"\n1,2\n3,4\n',
+    "quote after closing quote": '"1"2,3\n4,5\n',
+    "unterminated quote": 'a,1,2\n"b,3,4\n',
+    "field past the csv limit": "1,1" + "0" * 131072 + "\n2,3\n",
+    "quoted field over lines past the limit": (
+        '"1' + (" " * 70000 + "\n") * 2 + '",2\n3,4\n'),
+    "quoted number over a line end": '"1\r\n",2\n3,4\n',
+    "bad utf-8": b"1,2\n3,\xff\n",
+}
+
+LOADERS = {
+    "rows": dict(orientation="rows"),
+    "rows, header": dict(orientation="rows", has_header=True),
+    "columns": dict(orientation="columns"),
+    "columns, header": dict(orientation="columns", has_header=True),
+}
+
+
+def _encoded(text):
+    return text if isinstance(text, bytes) else text.encode("utf-8")
+
+
+def _outcome(read, *args, **kwargs):
+    """What a loader gives: its array's shape, layout and bits and any
+    labels, or its exception's type and message."""
+    try:
+        out = read(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    labels = getattr(out, "labels", None)
+    values = getattr(out, "values", out)
+    return (values.shape, values.dtype, values.flags.c_contiguous,
+            values.view(np.int64).tobytes(), labels)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("name", CSV_CORPUS)
+def test_load_csv_is_the_cell_loop(tmp_path, name, loader):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(_encoded(CSV_CORPUS[name]))
+    assert (_outcome(load_csv, path, **LOADERS[loader])
+            == _outcome(oracles.old_load_csv, path, **LOADERS[loader]))
+
+
+@pytest.mark.parametrize("name", CSV_CORPUS)
+def test_read_matrix_is_the_cell_loop(tmp_path, name):
+    path = tmp_path / "m.csv"
+    path.write_bytes(_encoded(CSV_CORPUS[name]))
+    assert (_outcome(read_matrix, str(path))
+            == _outcome(oracles.old_read_matrix, str(path)))
+
+
+def test_plain_panels_take_the_c_parse(tmp_path, monkeypatch):
+    """Round-tripped panels, with CRLF endings and with a header, never
+    reach the per-cell loop, and agree with it bit for bit; nor does a
+    matrix file with an interior blank line."""
+    rng = np.random.default_rng(17)
+    y = rng.standard_normal((12, 40)) * np.logspace(-300, 300, 40)
+    body = "\r\n".join(_g17(*row) for row in y) + "\r\n"
+    files = {"plain": (body, {}),
+             "header": ("t" + ",t" * 39 + "\n" + body,
+                        dict(orientation="columns", has_header=True))}
+    expect = {}
+    for name, (text, kwargs) in files.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        expect[name] = _outcome(oracles.old_load_csv, path, **kwargs)
+    lines = body.splitlines(keepends=True)
+    (tmp_path / "gapped.csv").write_text(
+        "".join(lines[:6] + ["\r\n"] + lines[6:]), newline="")
+    monkeypatch.setattr(tsdata, "_cell_loop", None)
+    for name, (_, kwargs) in files.items():
+        assert _outcome(load_csv, tmp_path / f"{name}.csv", **kwargs) \
+            == expect[name], name
+    assert_array_equal(read_matrix(str(tmp_path / "plain.csv")), y)
+    assert_array_equal(read_matrix(str(tmp_path / "gapped.csv")), y)
+
+
+def test_load_csv_opens_the_file_itself(tmp_path):
+    """A compressed-looking name is read as the text it holds."""
+    path = tmp_path / "panel.csv.gz"
+    path.write_text("1,2,3\n4,5,6\n")
+    assert_array_equal(load_csv(path).values, [[1, 2, 3], [4, 5, 6]])
