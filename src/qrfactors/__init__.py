@@ -36,7 +36,6 @@ from .baselines import (
     evd_s_matrix,
     evd_spectrum,
     fit_evd,
-    ic_p,
     fit_pca,
 )
 from .forecast_eval import (
@@ -71,7 +70,7 @@ __all__ = [
     "singular_values",
     "RankCandidate", "ModelOrderScan", "FactorModelFit",
     "scan_model_order", "fit_rrqr",
-    "EvdSpectrum", "evd_s_matrix", "evd_spectrum", "fit_evd", "ic_p",
+    "EvdSpectrum", "evd_s_matrix", "evd_spectrum", "fit_evd",
     "fit_pca",
     "ArModel", "ForecastReport", "WindowRecord", "yule_walker",
     "forecast_one_step", "rmse", "rmse_conventional", "forecast_error",

@@ -147,15 +147,6 @@ def _ic_from_eigs(lam: np.ndarray, p: int, k: int, n: int) -> float:
     return math.log(v) + penalty
 
 
-def ic_p(ts: TimeSeries, p: int) -> float:
-    """Penalized log-residual of the rank-p PCA fit."""
-    if not 1 <= p <= min(ts.K, ts.N):
-        raise ValueError(f"p must be in [1, {min(ts.K, ts.N)}], got {p}")
-    cov = sample_autocov(ts, 0)
-    lam, _ = _sym_eig_desc(cov.scaled)
-    return _ic_from_eigs(lam, p, ts.K, ts.N) + cov.exponent * math.log(2.0)
-
-
 def fit_pca(ts: TimeSeries, p_max: int | None = None,
             p_override: int | None = None) -> FactorModelFit:
     """PCA factor fit with information-criterion rank selection.

@@ -147,8 +147,8 @@ def scan_model_order(m_tilde, p_cap: int | None = None,
     at i is computed, each seeded with the previous candidate's
     permutation so the swap loops start at a fixed point of one of their
     two boundaries (rrqr._scan_orders). The i-th and (i+1)-th diagonal
-    entries gamma_i, gamma_{i+1} of that decomposition, read from an
-    R-only QR, feed the ratio
+    entries gamma_i, gamma_{i+1} of that decomposition, read from the
+    packed output of one QR, feed the ratio
 
         r_i = (gamma_i + eps) / (gamma_{i+1} + eps)
 

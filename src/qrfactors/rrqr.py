@@ -1,7 +1,7 @@
 """Rank-revealing QR kernels.
 
 Four pivoting strategies over one Householder QR (LAPACK dgeqrf and
-dorgqr, called as ``scipy.linalg.qr`` calls them):
+dorgqr, with ``scipy.linalg.qr``'s bits):
 
 * ``qr_cp``   -- classical column pivoting (Golub): at each step the
   trailing column of largest 2-norm moves to the front of the
@@ -22,8 +22,9 @@ dorgqr, called as ``scipy.linalg.qr`` calls them):
 
 The rank scan (``_scan_orders``) runs hybrid3's loop at ranks 1, 2, ...,
 each warm-started from the previous rank's order, and reads the two
-diagonal entries of R it needs from an R-only QR; the full frame (K x K
-Q and block singular values) is built only for a returned RrqrResult.
+diagonal entries of R it needs straight from dgeqrf's packed output; the
+full frame (K x K Q and block singular values) is built only for a
+returned RrqrResult.
 It hands back each rank's final order, a fixed point of both of its
 boundaries, and ``_loading_basis`` reads Q[:, :p] from one QR of LAPACK's
 first panel (p <= 16) of the order at p as it is, with no second sweep.
@@ -37,8 +38,13 @@ leading columns' projection, brackets each result with a rigorous
 rounding bound, and projects the whole matrix only when the brackets
 cannot settle its pick (``_strong_exchange``, ``_downdated_pick``):
 every pick is the one the projected norms make, so every order is.
-The QRs and the triangular solves call LAPACK directly, with the
-arguments and workspace ``scipy.linalg`` would pass them.
+The inverse-row-norm exchange reads R11 from the packed factor, inverts
+it with dtrtri and keeps that pick where a forward-error bracket makes
+it the triangular solve's (``_weak_pick``), else it solves as it always
+did. The QRs and the triangular solves call LAPACK directly, with the
+arguments ``scipy.linalg`` would pass them; a QR of at most 32 columns,
+which LAPACK factors unblocked whatever its workspace, gets the minimum
+workspace and no size query (``_lapack``).
 
 Diagonal entries of R are kept non-negative by flipping the matching
 columns of Q. A pivot at or below the deflation tolerance deflates: its
@@ -56,8 +62,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import qr
-from scipy.linalg.blas import dnrm2
-from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
+from scipy.linalg.blas import dnrm2, dtrmv
+from scipy.linalg.lapack import dgeqrf, dlauum, dorgqr, dtrtri, dtrtrs
 
 # A swap happens only when the challenger beats the incumbent by this
 # relative margin; equal-norm columns would otherwise trade places forever.
@@ -71,7 +77,7 @@ _DEFL_RTOL = 1e-12
 # expected long before that on any float input.
 _PASS_CAP_FACTOR = 10
 # (width, last rank): while i+1 <= 16 the scan reads gamma_i and
-# gamma_{i+1} from an R-only QR of the first 32 columns of its order,
+# gamma_{i+1} from a QR of the first 32 columns of its order,
 # past that from all of them; either way the bits are those of the full
 # decomposition. 32 is dgeqrf's block size: at min(K, n) >= 128 the
 # full-width QR factors its first 32 columns with dgeqr2 alone, exactly
@@ -81,12 +87,31 @@ _PASS_CAP_FACTOR = 10
 # 100, gamma_30 to gamma_32 moved by up to 3e-12 relative while gamma_1
 # to gamma_29 matched, so the panel stops well short of its last columns.
 _GAMMA_PANEL = (32, 16)
+# dgeqrf's and dorgqr's block size (ILAENV's NB): a panel of at most this
+# many columns is factored unblocked, by dgeqr2 and dorg2r, whatever the
+# workspace.
+_UNBLOCKED = 32
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
 class RrqrIterationError(RuntimeError):
-    """A pivot loop exceeded its pass budget without reaching a fixed point."""
+    """A pivot loop exceeded its pass budget without reaching a fixed point.
+
+    Raised by a rank's two-boundary loop (the scan, hybrid3), it carries
+    what a replay needs: `rank`, the `boundary` of the last sweep, the
+    `passes` spent at the rank and the column `order` at the raise. They
+    are None where the raiser knows none of them (a hybrid1 or hybrid2
+    sweep).
+    """
+
+    def __init__(self, message, *, rank=None, boundary=None, passes=None,
+                 order=None):
+        super().__init__(message)
+        self.rank = rank
+        self.boundary = boundary
+        self.passes = passes
+        self.order = order
 
 
 @dataclass(frozen=True)
@@ -195,40 +220,34 @@ class _PivotSearch:
 
 
 def _lapack(routine, a, *args):
-    """routine(a, *args), overwriting a, with the workspace size LAPACK
-    asks for, as scipy.linalg's safecall passes it: dgeqrf's and dorgqr's
-    blocking follow that size, and so do their bits."""
-    lwork = int(routine(a, *args, lwork=-1)[-2][0])
+    """routine(a, *args), overwriting a, with scipy.linalg.qr's bits.
+
+    dgeqrf's and dorgqr's blocking, and so their bits, follow the
+    workspace size, which scipy.linalg's safecall asks LAPACK for. A
+    panel of at most _UNBLOCKED columns is factored unblocked at any
+    size, so it gets the minimum, max(1, n), and no query is made; a
+    wider one gets the size LAPACK asks for, as scipy passes it.
+    """
+    n = a.shape[1]
+    lwork = (max(1, n) if n <= _UNBLOCKED
+             else int(routine(a, *args, lwork=-1)[-2][0]))
     *out, _, info = routine(a, *args, lwork=lwork, overwrite_a=1)
     if info:
         raise ValueError(f"illegal value in argument {-info} of a LAPACK QR")
     return out
 
 
-def _qr(a, cols, mode, defl_tol):
-    """Householder QR of a[:, cols] as (q, r); q is None in mode "r".
+def _packed(a, cols):
+    """dgeqrf of a[:, cols] as (packed, tau): R, with LAPACK's signs, in
+    the upper triangle of packed and the reflectors below it."""
+    return _lapack(dgeqrf, a.T[cols, :].T)
 
-    mode is "full" (K x K Q), "economic" or "r"; the shapes, layouts and
-    bits are scipy.linalg.qr's, whose dgeqrf and dorgqr calls this makes
-    without its wrapper, except that mode "r" returns only R's leading
-    square block, all its callers read. R's diagonal is made non-negative
-    by flipping the matching rows of R and columns of Q, and diagonal
-    entries at or below defl_tol become exactly 0; like triu, both act
-    entrywise, so the block's bits are those of the whole R.
-    """
-    k, m = a.shape[0], len(cols)
-    packed, tau = _lapack(dgeqrf, a.T[cols, :].T)
-    lead = min(k, m)
-    r = np.triu(packed if mode == "full"
-                else packed[:lead, :lead if mode == "r" else m])
-    q = None
-    if mode != "r":
-        if k < m or mode == "economic":
-            q = _lapack(dorgqr, packed[:, :min(k, m)], tau)[0]
-        else:
-            full = np.empty((k, k), order="F")
-            full[:, :m] = packed
-            q = _lapack(dorgqr, full, tau)[0]
+
+def _signed(r, q, defl_tol):
+    """r (and q) as _qr returns them: R's diagonal made non-negative by
+    flipping the matching rows of r and columns of q, and diagonal
+    entries at or below defl_tol made exactly 0. Both act entrywise, so
+    a leading block's bits are those of the whole R. q may be None."""
     sign = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     m = sign.size
     r[:m] *= sign[:, None]
@@ -236,7 +255,27 @@ def _qr(a, cols, mode, defl_tol):
         q[:, :m] *= sign
     idx = np.flatnonzero(np.diagonal(r) <= defl_tol)
     r[idx, idx] = 0.0
-    return q, r
+    return r
+
+
+def _qr(a, cols, mode, defl_tol):
+    """Householder QR of a[:, cols] as (q, r), signed and deflated
+    (_signed).
+
+    mode is "full" (K x K Q) or "economic"; the shapes, layouts and bits
+    are scipy.linalg.qr's, whose dgeqrf and dorgqr calls this makes
+    without its wrapper.
+    """
+    k, m = a.shape[0], len(cols)
+    packed, tau = _packed(a, cols)
+    r = np.triu(packed if mode == "full" else packed[:min(k, m)])
+    if k < m or mode == "economic":
+        q = _lapack(dorgqr, packed[:, :min(k, m)], tau)[0]
+    else:
+        full = np.empty((k, k), order="F")
+        full[:, :m] = packed
+        q = _lapack(dorgqr, full, tau)[0]
+    return q, _signed(r, q, defl_tol)
 
 
 def _unsigned_q(a, cols):
@@ -244,7 +283,7 @@ def _unsigned_q(a, cols):
     column signs LAPACK leaves: _qr's Q with some columns negated. The
     column-pivot exchange needs no more, since negating a column of Q
     negates its products exactly, and no projection or norm moves."""
-    packed, tau = _lapack(dgeqrf, a.T[cols, :].T)
+    packed, tau = _packed(a, cols)
     return _lapack(dorgqr, packed, tau)[0]
 
 
@@ -266,7 +305,7 @@ def _pick_challenger(scores: np.ndarray, incumbent: int) -> int:
     Exact ties keep the incumbent; so do challengers within the relative
     swap tolerance (_beats).
     """
-    j = int(np.argmax(scores))
+    j = int(scores.argmax())
     if j != incumbent and _beats(float(scores[j]), float(scores[incumbent])):
         return j
     return incumbent
@@ -281,8 +320,19 @@ def _full_factors(a, order, defl_tol) -> QrFactors:
 def _inverse_row_norms(r11: np.ndarray) -> np.ndarray:
     """2-norms of the rows of r11^{-1}; deflated (zero) pivots map to inf.
 
-    r11^{-T} comes from LAPACK dtrtrs, called as scipy.linalg's
-    solve_triangular(r11, I, trans="T") calls it for r11's layout.
+    The inverse-row-norm exchange's exact path, which _weak_pick's
+    certified picks equal. r11^{-T} comes from LAPACK dtrtrs, called as
+    scipy.linalg's solve_triangular(r11, I, trans="T") calls it for
+    r11's layout, and the norms from _col_norms. Their rounding, with u
+    = eps/2 and X = r11^{-1}: column j of the solve R^T Y = I is a
+    substitution, so (R^T + D_j) y_j = e_j with |D_j| <= (b + 1) u |R^T|
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    Thm 8.5, for any order of the inner products; the one u more covers
+    a trsm that multiplies by each pivot's rounded reciprocal). Hence
+    |Y - X^T| <= (b + 1) u |X^T||R^T||Y| and, transposed, the computed
+    inverse X_e obeys |X_e - X| <= (b + 1) u |X_e||R||X| entrywise.
+    _col_norms scales each column exactly and sums b squares, so each
+    norm is within (b/2 + 1) u of the computed row's 2-norm, relative.
     """
     b = r11.shape[0]
     diag = np.diagonal(r11)
@@ -371,7 +421,7 @@ def _downdated_pick(search, order, i, q, c):
     hi = np.sqrt(trail + err)
     trail[order[:i]] = -np.inf
     hi[order[:i]] = 0.0
-    best = int(np.argmax(trail))
+    best = int(trail.argmax())
     best_lo = math.sqrt(max(trail[best] - err[best], 0.0))
     if best_lo <= search.tol or np.count_nonzero(hi >= best_lo) > 1:
         return None
@@ -428,12 +478,83 @@ def _strong_exchange(search, order, boundary) -> bool:
     return pick != 0
 
 
+def _weak_pick(r11, tol):
+    """The inverse-row-norm exchange's pick on the triangle in r11's
+    upper part (dgeqrf's packed output: LAPACK's signs, the reflectors
+    below), when a forward-error bracket makes it the exact path's, else
+    None. The exact path is _pick_challenger(_inverse_row_norms(R), b-1)
+    on R signed and deflated (_signed); a deflated pivot, |r_tt| <= tol,
+    returns None, so its inf rule decides.
+
+    X_t = dtrtri(R) and n_i, the square root of row i's plain sum of
+    squares (dlauum's diagonal), read only the upper triangles. A row
+    sign flip of R flips columns of R^{-1}, so no inverse-row norm moves
+    and both paths estimate the norms of the rows x_i of X = R^{-1}.
+    With u = eps/2, dtrtri's inverse obeys |X_t - X| <= c u |X||R||X_t|
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    14.2; c about b for the unblocked methods, somewhat more when
+    blocked) and the exact path's |X_e - X| <= (b + 1) u |X_e||R||X|
+    (_inverse_row_norms). To first order both are at most (b + 1) u W,
+    W = |X_t||R||X_t|, so
+
+        | ||x_e,i|| - ||x_t,i|| | <= 2(b + 1) u ||W_i||_2 <= (b + 1) eps w_i,
+
+    w = W 1 >= each row's 2-norm, from three triangular matrix-vector
+    products. Each path's norm adds its rounding, (b/2 + 1) u relative.
+    So the exact path's norm lies within
+
+        rad_i = 4(b + 2) eps (w_i + n_i) + sqrt(b tiny)
+
+    of n_i: over twice the first-order terms, which covers the second
+    order, a blocked dtrtri's larger constant and the rounding of w and
+    rad, and sqrt(b tiny) covers squares that underflow. The pick stands
+    when the argmax j of n clears every other row, n_j - rad_j > n_i +
+    rad_i, and _beats against the incumbent has one outcome at both
+    corners of the two brackets (it is monotone), as in _downdated_pick.
+    Exact ties and challengers within the bound of the swap tolerance
+    fall back; so do norms that overflow, whose inf or nan fails every
+    comparison.
+    """
+    b = r11.shape[0]
+    if min(map(abs, r11.diagonal().tolist())) <= tol:
+        return None
+    x = dtrtri(r11)[0]
+    ax = np.abs(x)
+    w = dtrmv(ax, dtrmv(np.abs(r11), dtrmv(ax, np.ones(b))))
+    norms = np.sqrt(dlauum(x, overwrite_c=1)[0].diagonal())
+    rad = norms + w
+    rad *= 4 * (b + 2) * _EPS
+    slack = math.sqrt(b * _TINY)
+    n, r = norms.tolist(), rad.tolist()
+    best = int(norms.argmax())
+    hi = norms + rad
+    hi[best] = -np.inf
+    best_lo = n[best] - r[best] - slack
+    if not best_lo > float(hi.max()) + slack:
+        return None
+    inc = b - 1
+    if best == inc:
+        return inc
+    swap = _beats(best_lo, n[inc] + r[inc] + slack)
+    if swap != _beats(n[best] + r[best] + slack,
+                      max(n[inc] - r[inc] - slack, 0.0)):
+        return None
+    return best if swap else inc
+
+
 def _weak_exchange(a, order, b, defl_tol) -> bool:
     """Inverse-row-norm exchange: the weakest column of the leading b x b
-    triangle of a[:, order] moves into position b-1. Returns whether
-    `order` changed."""
-    _, r = _qr(a, order[:b], "r", defl_tol)
-    j = _pick_challenger(_inverse_row_norms(r), b - 1)
+    triangle of a[:, order] moves into position b-1; a 1 x 1 triangle
+    has no challenger. R11 is read from dgeqrf's packed output; the
+    certified pick (_weak_pick) stands, else the exact path decides on
+    the signed, deflated triangle. Returns whether `order` changed."""
+    if b == 1:
+        return False
+    r11 = _packed(a, order[:b])[0][:b]
+    j = _weak_pick(r11, defl_tol)
+    if j is None:
+        j = _pick_challenger(
+            _inverse_row_norms(_signed(np.triu(r11), None, defl_tol)), b - 1)
     order[j], order[b - 1] = order[b - 1], order[j]
     return j != b - 1
 
@@ -502,8 +623,8 @@ def _fixed_point(search, order, p, cap, fixed_at_p=False) -> int:
         boundary = 2 * p + 1 - boundary
     raise RrqrIterationError(
         f"no fixed point at rank {p} (boundaries {p} and {p + 1}) after "
-        f"{passes} passes, the last sweep at boundary {boundary}"
-    )
+        f"{passes} passes, the last sweep at boundary {boundary}",
+        rank=p, boundary=boundary, passes=passes, order=tuple(order))
 
 
 def _qr_cp_order(search, steps) -> list[int]:
@@ -571,13 +692,14 @@ def _scan_orders(search, p_cap) -> list[tuple[float, float, int, tuple]]:
     Rank 1 starts from qr_cp's first pivot, as hybrid3(mat, 1) does; rank
     i from rank i-1's final order, which is already a fixed point at
     boundary i, so its loop opens at boundary i+1. gamma_i and gamma_{i+1}
-    come from an R-only QR of the first 32 columns while i+1 <= 16, else
-    of every column, the full decomposition's bits either way
-    (_GAMMA_PANEL); no Q and no singular value is built. The loops and
-    the QR run on the search's unit-scaled copy, and gamma is mapped back
-    with ldexp. Returns (gamma_i, gamma_{i+1}, passes, final order) per
-    rank; each order, a tuple of column indices, is a fixed point of
-    both of its rank's boundaries.
+    are |r_tt| of dgeqrf's packed output, read as 0 at or below the
+    deflation tolerance (_qr's R, bit for bit), from a QR of the first 32
+    columns while i+1 <= 16, else of every column, the full
+    decomposition's bits either way (_GAMMA_PANEL); no Q and no singular
+    value is built. The loops and the QR run on the search's unit-scaled
+    copy, and gamma is mapped back with ldexp. Returns (gamma_i,
+    gamma_{i+1}, passes, final order) per rank; each order, a tuple of
+    column indices, is a fixed point of both of its rank's boundaries.
     """
     cap = _PASS_CAP_FACTOR * search.mat.shape[1]
     width, last = _GAMMA_PANEL
@@ -585,11 +707,11 @@ def _scan_orders(search, p_cap) -> list[tuple[float, float, int, tuple]]:
     rows = []
     for i in range(1, p_cap + 1):
         passes = _fixed_point(search, order, i, cap, fixed_at_p=i > 1)
-        _, r = _qr(search.a, order[:width] if i + 1 <= last else order, "r",
-                   search.tol)
-        rows.append((math.ldexp(r[i - 1, i - 1], search.exp),
-                     math.ldexp(r[i, i], search.exp),
-                     passes, tuple(order)))
+        cols = order[:width] if i + 1 <= last else order
+        pair = np.abs(_packed(search.a, cols)[0].diagonal()[i - 1:i + 1])
+        pair[pair <= search.tol] = 0.0
+        gamma, gamma_next = (math.ldexp(g, search.exp) for g in pair.tolist())
+        rows.append((gamma, gamma_next, passes, tuple(order)))
     return rows
 
 

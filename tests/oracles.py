@@ -320,6 +320,14 @@ def whole_r_weak_exchange(a, order, b, defl_tol):
     return j != b - 1
 
 
+def exact_weak_pick(r11, defl_tol):
+    """The inverse-row-norm exchange's pick as it was made on every call:
+    the packed triangle r11 signed and deflated, its inverse-row norms
+    from the triangular solve, the last column the incumbent."""
+    r = rrqr._signed(np.triu(r11), None, defl_tol)
+    return rrqr._pick_challenger(rrqr._inverse_row_norms(r), len(r) - 1)
+
+
 def plain_hybrid_sweeps(search, order, boundary, cap):
     """The hybrid sweep as it was: passes run until one makes no swap,
     the confirming pass after a last column-pivot swap included."""

@@ -7,8 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qrfactors import baselines
-from qrfactors.baselines import (evd_s_matrix, evd_spectrum, fit_evd,
-                                 fit_pca, ic_p)
+from qrfactors.baselines import evd_s_matrix, evd_spectrum, fit_evd, fit_pca
 from qrfactors.covariance import build_augmented, sample_autocov
 from qrfactors.factor_rrqr import fit_rrqr
 from qrfactors.simgen import gen_sim1, subspace_error
@@ -164,26 +163,31 @@ def test_fit_evd_fits_at_out_of_range_scales(k, n, scale):
 # information-criterion PCA
 
 
+def _ic(ts, p):
+    """The information criterion at rank p, as fit_pca reports it."""
+    return fit_pca(ts, p_override=p).diagnostics["ic"]
+
+
 def test_ic_penalty_arithmetic():
     ts = _panel(108, k=5, n=50)
     lam = np.linalg.eigvalsh(sample_autocov(ts, 0).matrix)[::-1]
     for p in (1, 3):
         v = lam[p:].sum() / 5
         penalty = p * ((5 + 50) / (5 * 50)) * math.log(5 * 50 / (5 + 50))
-        assert_allclose(ic_p(ts, p), math.log(v) + penalty, rtol=1e-12)
+        assert_allclose(_ic(ts, p), math.log(v) + penalty, rtol=1e-12)
 
 
 def test_ic_perfect_fit_is_minus_infinity():
     ts = _panel(109, k=4, n=60)
-    assert ic_p(ts, 4) == float("-inf")
+    assert _ic(ts, 4) == float("-inf")
 
 
 def test_ic_p_bounds():
     ts = _panel(110, k=4, n=60)
-    with pytest.raises(ValueError):
-        ic_p(ts, 0)
-    with pytest.raises(ValueError):
-        ic_p(ts, 5)
+    with pytest.raises(ValueError, match=r"p_override must be in \[1, 4\]"):
+        _ic(ts, 0)
+    with pytest.raises(ValueError, match=r"p_override must be in \[1, 4\]"):
+        _ic(ts, 5)
 
 
 def test_fit_pca_sigma2_is_trailing_eigen_sum():
@@ -192,7 +196,8 @@ def test_fit_pca_sigma2_is_trailing_eigen_sum():
     lam = np.linalg.eigvalsh(sample_autocov(ts, 0).matrix)[::-1]
     assert_allclose(fit.diagnostics["sigma2_hat"], lam[fit.p_hat:].sum(),
                     rtol=1e-10)
-    assert fit.diagnostics["ic"] == ic_p(ts, fit.p_hat)
+    # the scanned fit's criterion is the pinned fit's at its rank
+    assert fit.diagnostics["ic"] == _ic(ts, fit.p_hat)
 
 
 def test_fit_pca_default_cap_stays_below_full_rank():

@@ -157,11 +157,21 @@ def test_scan_iteration_error_names_rank_boundaries_and_passes(monkeypatch):
     m = np.diag([4.0, 2.0, 1.0, 0.5])
     want = (r"rank 2 \(boundaries 2 and 3\) after 40 passes, "
             r"the last sweep at boundary 3")
-    with pytest.raises(RrqrIterationError, match=want):
+    with pytest.raises(RrqrIterationError, match=want) as scan_err:
         scan_model_order(m, p_cap=3, n=100)
     # hybrid3 sweeps boundary 2 first (one pass) before getting stuck
-    with pytest.raises(RrqrIterationError, match=want.replace("40", "41")):
+    with pytest.raises(RrqrIterationError,
+                       match=want.replace("40", "41")) as hybrid_err:
         hybrid3(m, 2)
+    # the state a replay needs rides on the error: the diagonal's columns
+    # are in their own order, which the stuck exchange never moves
+    for info, passes in ((scan_err, 40), (hybrid_err, 41)):
+        err = info.value
+        assert (err.rank, err.boundary, err.passes) == (2, 3, passes)
+        assert err.order == (0, 1, 2, 3)
+    # and replays it: the same loop from that order sticks at the same place
+    with pytest.raises(RrqrIterationError, match=want.replace("40", "41")):
+        hybrid3(m, scan_err.value.rank, init=scan_err.value.order)
 
 
 # ------------------------------------------------------------------

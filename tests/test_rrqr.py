@@ -16,8 +16,9 @@ from qrfactors.rrqr import (Permutation, QrFactors, RrqrIterationError, gs_qr,
 from qrfactors.simgen import SimConfig, gen_sim1, gen_sim2
 
 from oracles import (abs_r_diag, dnrm2_first_pivot, exact_rank_three,
-                     gathered_strong_exchange, interlacing_holds,
-                     matrix_with_spectrum, naive_pivot_order, old_hybrid3,
+                     exact_weak_pick, gathered_strong_exchange,
+                     interlacing_holds, matrix_with_spectrum,
+                     naive_pivot_order, old_hybrid3,
                      plain_hybrid_sweeps, projected_strong_exchange,
                      result_bits, scipy_inverse_row_norms, scipy_qr,
                      svd2_closed, whole_r_weak_exchange)
@@ -303,6 +304,8 @@ def test_hybrid_p_out_of_range():
 
 def test_iteration_error_is_a_runtime_error():
     assert issubclass(RrqrIterationError, RuntimeError)
+    err = RrqrIterationError("stuck")
+    assert (err.rank, err.boundary, err.passes, err.order) == (None,) * 4
 
 
 def _rank_five_variant(seed, variant):
@@ -439,8 +442,8 @@ def test_scan_panel_gamma_is_the_full_width_gamma(case):
     rows = rrqr._scan_orders(rrqr._PivotSearch(mat),
                              min(last, min(mat.shape)) - 1)
     for i, (gamma, gamma_next, _, order) in enumerate(rows, start=1):
-        _, full = rrqr._qr(mat, order, "r", tol)
-        _, panel = rrqr._qr(mat, order[:width], "r", tol)
+        _, full = scipy_qr(mat, order, "r", tol)
+        _, panel = scipy_qr(mat, order[:width], "r", tol)
         assert (gamma, gamma_next) == (full[i - 1, i - 1], full[i, i]), i
         assert_array_equal(np.diagonal(panel)[:last],
                            np.diagonal(full)[:last])
@@ -734,16 +737,54 @@ def test_qr_is_scipys(shape, mode, layout):
     a[:, -1] *= 1e-13                 # one pivot deflates
     cols = rng.permutation(shape[1]).tolist()
     tol = rrqr._deflation_tol(a)
-    q, r = rrqr._qr(a, cols, mode, tol)
     want_q, want_r = scipy_qr(a, cols, mode, tol)
     if mode == "r":
-        # only R's leading square block, the part the callers read
+        # what the weak exchange and the scan read of dgeqrf's packed
+        # output: |r_tt|, 0 at or below tol, is R's diagonal, and the
+        # exchange's exact path gets R's leading square block
+        packed = rrqr._packed(a, cols)[0]
         lead = min(shape)
-        _same_bits(r, np.ascontiguousarray(want_r[:lead, :lead]))
-        assert q is None is want_q
+        gammas = np.abs(np.diagonal(packed))
+        gammas[gammas <= tol] = 0.0
+        _same_bits(gammas, np.diagonal(want_r).copy())
+        _same_bits(rrqr._signed(np.triu(packed[:lead, :lead]), None, tol),
+                   np.ascontiguousarray(want_r[:lead, :lead]))
     else:
+        q, r = rrqr._qr(a, cols, mode, tol)
         _same_bits(r, want_r)
         _same_bits(q, want_q)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_narrow_qrs_skip_the_workspace_query(layout, monkeypatch):
+    # up to 32 columns dgeqrf and dorgqr run unblocked, so the minimum
+    # workspace gives scipy's bits with no size query; 33 columns query
+    lworks = []
+
+    def spy(routine):
+        def call(*args, lwork, **kw):
+            lworks.append(lwork)
+            return routine(*args, lwork=lwork, **kw)
+        return call
+
+    monkeypatch.setattr(rrqr, "dgeqrf", spy(rrqr.dgeqrf))
+    monkeypatch.setattr(rrqr, "dorgqr", spy(rrqr.dorgqr))
+    rng = np.random.default_rng(69)
+    for k in (20, 50, 180):
+        a = np.asarray(rng.standard_normal((k, 40)), order=layout)
+        for width in range(1, 34):
+            cols = rng.permutation(40)[:width].tolist()
+            tol = rrqr._deflation_tol(a)
+            lworks.clear()
+            q, r = rrqr._qr(a, cols, "economic", tol)
+            want_q, want_r = scipy_qr(a, cols, "economic", tol)
+            _same_bits(r, want_r)
+            _same_bits(q, want_q)
+            assert (-1 in lworks) == (width > 32), (k, width, lworks)
+            packed = rrqr._packed(a, cols)[0]
+            assert_array_equal(np.triu(packed[:min(k, width)]),
+                               np.triu(qr(a[:, cols], mode="raw")[0][0]
+                                       [:min(k, width)]))
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
@@ -758,12 +799,72 @@ def test_inverse_row_norms_are_solve_triangulars(layout):
             case = np.asarray(case, order=layout)
             _same_bits(rrqr._inverse_row_norms(case),
                        scipy_inverse_row_norms(case))
-    # the weak exchange's own triangles: the leading block of an R-only QR
+    # the weak exchange's own triangles: the exact path's leading block
     mat = _scan_panel("K < 128")
     for b in (1, 3, 16):
-        _, r = rrqr._qr(mat, list(range(b)), "r", 0.0)
-        _same_bits(rrqr._inverse_row_norms(r[:b, :b]),
-                   scipy_inverse_row_norms(r[:b, :b]))
+        r = rrqr._signed(np.triu(rrqr._packed(mat, list(range(b)))[0][:b]),
+                         None, 0.0)
+        _same_bits(rrqr._inverse_row_norms(r), scipy_inverse_row_norms(r))
+
+
+# ------------------------------------------------------------------
+# the inverse-row-norm exchange's dtrtri pick stands only where its
+# bracket makes it the exact path's
+
+
+def _two_row_triangle(challenger):
+    """A packed 2 x 2 triangle whose inverse rows have norms `challenger`
+    (row 0) and 1 (the incumbent), and junk below the diagonal."""
+    return np.asfortranarray([[1.0 / challenger, 0.0], [7.0, 1.0]])
+
+
+def test_weak_pick_falls_back_at_the_swap_tolerance():
+    # a challenger 8 ulps past the swap threshold: the two paths' norms
+    # may round it to either side, so only the exact path may decide
+    threshold = 1.0 / (1.0 - rrqr._SWAP_RTOL)
+    for ulps in (-8, 8):
+        r11 = _two_row_triangle(threshold + ulps * rrqr._EPS)
+        assert rrqr._weak_pick(r11, 0.0) is None, ulps
+    # clear of the threshold both ways, the dtrtri pick stands
+    for challenger, want in ((threshold * (1 + 1e-9), 0), (1.0 - 1e-9, 1),
+                             (0.5, 1)):
+        r11 = _two_row_triangle(challenger)
+        assert rrqr._weak_pick(r11, 0.0) == want == exact_weak_pick(r11, 0.0)
+
+
+def test_weak_pick_leaves_deflated_pivots_to_the_inf_rule():
+    r11 = np.asfortranarray(np.triu(np.ones((3, 3))))
+    r11[1, 1] = 1e-13
+    assert rrqr._weak_pick(r11, 1e-12) is None
+    assert exact_weak_pick(r11, 1e-12) == 1
+
+
+# per panel family: the (certified, fallback, deflated) inverse-row-norm
+# picks of a scan to rank 15 (fewer where the matrix is narrower); a
+# deflated triangle goes to the exact path by its inf rule
+WEAK_PICKS = {"golden": (11, 0, 0), "paper cell": (22, 0, 0),
+              "K < 128": (15, 0, 0), "exact rank 180 x 500": (2, 0, 13),
+              "exact rank 50 x 500": (2, 0, 13)}
+
+
+@pytest.mark.parametrize("case", SCAN_PANELS + EXACT_PANELS)
+def test_weak_picks_are_certified_per_panel_family(case, monkeypatch):
+    counts = [0, 0, 0]
+    real = rrqr._weak_pick
+
+    def counted(r11, tol):
+        j = real(r11, tol)
+        if np.abs(np.diagonal(r11)).min() <= tol:
+            counts[2] += 1
+        else:
+            counts[j is None] += 1
+            assert j is None or j == exact_weak_pick(r11, tol)
+        return j
+
+    monkeypatch.setattr(rrqr, "_weak_pick", counted)
+    mat = _scan_panel(case)
+    rrqr._scan_orders(rrqr._PivotSearch(mat), min(15, min(mat.shape) - 1))
+    assert tuple(counts) == WEAK_PICKS[case]
 
 
 # ------------------------------------------------------------------
