@@ -33,7 +33,6 @@ from .factor_rrqr import (
 )
 from .baselines import (
     EvdSpectrum,
-    evd_s_matrix,
     evd_spectrum,
     fit_evd,
     fit_pca,
@@ -70,8 +69,7 @@ __all__ = [
     "singular_values",
     "RankCandidate", "ModelOrderScan", "FactorModelFit",
     "scan_model_order", "fit_rrqr",
-    "EvdSpectrum", "evd_s_matrix", "evd_spectrum", "fit_evd",
-    "fit_pca",
+    "EvdSpectrum", "evd_spectrum", "fit_evd", "fit_pca",
     "ArModel", "ForecastReport", "WindowRecord", "yule_walker",
     "forecast_one_step", "rmse", "rmse_conventional", "forecast_error",
     "fit_method", "rolling_eval",

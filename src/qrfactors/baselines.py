@@ -17,7 +17,7 @@ import numpy as np
 
 from .covariance import _lag_covs, _rescaled, sample_autocov
 from .factor_rrqr import FactorModelFit, ModelOrderScan, _rank_cap
-from .tsdata import TimeSeries
+from .tsdata import TimeSeries, _frozen
 
 # Default information-criterion search limit for fit_pca.
 _PCA_SEARCH_LIMIT = 40
@@ -38,9 +38,7 @@ class EvdSpectrum:
 
     def __post_init__(self):
         for name in ("eigenvalues", "eigenvectors", "ratios"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 def _sym_eig_desc(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -50,18 +48,16 @@ def _sym_eig_desc(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     negatives included) are floating-point leakage from a
     PSD-by-construction matrix; they clamp to 0 so that exactly singular
     input yields exact zeros rather than round-off dust. Each eigenvector
-    is flipped so its largest-magnitude entry is positive, making the
-    decomposition reproducible across LAPACK builds.
+    is flipped so its largest-magnitude entry (the first on ties) is
+    positive, making the decomposition reproducible across LAPACK builds.
     """
     lam, u = np.linalg.eigh((s + s.T) / 2.0)
-    lam = lam[::-1].copy()
-    u = u[:, ::-1].copy()
+    lam, u = lam[::-1], u[:, ::-1]
     lam[lam < 1e-12 * max(lam.max(), 0.0)] = 0.0
-    for j in range(u.shape[1]):
-        lead = int(np.argmax(np.abs(u[:, j])))
-        if u[lead, j] < 0.0:
-            u[:, j] = -u[:, j]
-    return lam, u
+    lead = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
+    # the product is C-ordered, as the old copy was; a reversed view of u
+    # would reach the loadings' matmul with negative strides
+    return lam, u * np.where(lead < 0.0, -1.0, 1.0)
 
 
 def _eig_ratios(lam: np.ndarray) -> np.ndarray:
@@ -70,36 +66,24 @@ def _eig_ratios(lam: np.ndarray) -> np.ndarray:
     return np.nan_to_num(ratios, nan=0.0, posinf=np.inf)
 
 
-def _evd_sum(ts: TimeSeries, lag_lo: int, lag_hi: int) -> tuple[np.ndarray, int]:
-    """evd_s_matrix of the normalized panel, and its exponent."""
-    covs = _lag_covs(ts, lag_lo, lag_hi)
-    s = sum(cov.scaled @ cov.scaled.T for cov in covs)
-    return (s + s.T) / 2.0, 2 * covs[0].exponent
-
-
-def evd_s_matrix(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2) -> np.ndarray:
-    """Sum over the lag range of autocov(l) @ autocov(l).T, symmetrized.
-
-    Equals the Gram matrix of the horizontally stacked lag covariances,
-    so its eigenvalues are the squared singular values the pivoted-QR
-    route works from.
-    """
-    return _rescaled(*_evd_sum(ts, lag_lo, lag_hi))
-
-
 def evd_spectrum(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2) -> EvdSpectrum:
-    """Eigendecomposition of evd_s_matrix with the ratio curve attached;
-    only the eigenvalues depend on the panel's scale."""
-    s, exp = _evd_sum(ts, lag_lo, lag_hi)
-    lam, u = _sym_eig_desc(s)
-    return EvdSpectrum(eigenvalues=_rescaled(lam, exp), eigenvectors=u,
-                       ratios=_eig_ratios(lam))
+    """Eigendecomposition of S, the sum over the lag range of
+    autocov(l) @ autocov(l).T, with the ratio curve attached.
+
+    S is the Gram matrix of the horizontally stacked lag covariances, so
+    its eigenvalues are the squared singular values the pivoted-QR route
+    works from; only they depend on the panel's scale.
+    """
+    covs = _lag_covs(ts, lag_lo, lag_hi)
+    lam, u = _sym_eig_desc(sum(cov.scaled @ cov.scaled.T for cov in covs))
+    return EvdSpectrum(eigenvalues=_rescaled(lam, 2 * covs[0].exponent),
+                       eigenvectors=u, ratios=_eig_ratios(lam))
 
 
 def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
             p_override: int | None = None,
             p_cap: int | None = None) -> FactorModelFit:
-    """Fit the factor model from the top eigenvectors of evd_s_matrix.
+    """Fit the factor model from the top eigenvectors of evd_spectrum's S.
 
     The rank is the first argmax of the eigenvalue ratios over 1..p_cap
     (ModelOrderScan.from_curve) unless p_override pins it; the cap defaults

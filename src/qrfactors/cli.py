@@ -31,7 +31,8 @@ import numpy as np
 from . import __version__
 from .factor_rrqr import ModelOrderScan, scan_model_order
 from .forecast_eval import METHODS, fit_method, rolling_eval
-from .rrqr import gs_qr, hybrid1, hybrid2, hybrid3, qr_cp, singular_values, stewart2
+from .rrqr import (_block_svs, gs_qr, hybrid1, hybrid2, hybrid3, qr_cp,
+                   singular_values, stewart2)
 from .simgen import SimConfig, monte_carlo
 from .tsdata import load_csv, read_matrix
 
@@ -183,12 +184,9 @@ def _cmd_rrqr(args) -> int:
         factors, total = stewart2(gs_qr(mat), None, rank)
         perm = list(total.order)
         block = rank
-        r22 = factors.r[rank:, rank:]
-        summary = {
-            "algorithm": "stewart2",
-            "sigma_min_r11": float(singular_values(factors.r[:rank, :rank])[-1]),
-            "sigma_max_r22": float(singular_values(r22)[0]) if r22.size else 0.0,
-        }
+        r11_min_sv, r22_max_sv = _block_svs(factors.r, rank)
+        summary = {"algorithm": "stewart2", "sigma_min_r11": r11_min_sv,
+                   "sigma_max_r22": r22_max_sv}
     else:
         pivoting = {"qrcp": qr_cp, "hybrid1": hybrid1, "hybrid2": hybrid2,
                     "hybrid3": hybrid3}[args.alg]

@@ -24,7 +24,7 @@ from .rrqr import _loading_basis, _PivotSearch, _scan_orders
 # bench/reference.py patches factor_rrqr.hybrid3 to count the scan's passes;
 # the scan no longer calls it, but the name stays until that script changes.
 from .rrqr import hybrid3  # noqa: F401
-from .tsdata import TimeSeries
+from .tsdata import TimeSeries, _frozen
 
 # Widest rank scanned when the caller does not say; generous for factor
 # counts seen in practice while keeping the scan loop cheap.
@@ -125,16 +125,13 @@ class FactorModelFit:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        q = np.array(self.q_hat, dtype=float, copy=True)
-        f = np.array(self.factors, dtype=float, copy=True)
+        q, f = _frozen(self.q_hat), _frozen(self.factors)
         if q.ndim != 2 or f.ndim != 2 or q.shape[1] != f.shape[0]:
             raise ValueError(
                 f"loading/factor shapes disagree: {q.shape} vs {f.shape}"
             )
         if self.p_hat != q.shape[1]:
             raise ValueError(f"p_hat={self.p_hat} but q_hat has {q.shape[1]} columns")
-        q.setflags(write=False)
-        f.setflags(write=False)
         object.__setattr__(self, "q_hat", q)
         object.__setattr__(self, "factors", f)
 

@@ -65,6 +65,8 @@ from scipy.linalg import qr
 from scipy.linalg.blas import dnrm2, dtrmv
 from scipy.linalg.lapack import dgeqrf, dlauum, dorgqr, dtrtri, dtrtrs
 
+from .tsdata import _frozen
+
 # A swap happens only when the challenger beats the incumbent by this
 # relative margin; equal-norm columns would otherwise trade places forever.
 _SWAP_RTOL = 1e-12
@@ -137,9 +139,7 @@ class QrFactors:
 
     def __post_init__(self):
         for name in ("q", "r", "diag"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -656,14 +656,20 @@ def _qr_cp_order(search, steps) -> list[int]:
     return order
 
 
+def _block_svs(r, p) -> tuple[float, float]:
+    """sigma_min(R11) and sigma_max(R22) of a full R blocked at p; an
+    empty R22 gives 0."""
+    r22 = r[p:, p:]
+    return (float(singular_values(r[:p, :p])[-1]),
+            float(singular_values(r22)[0]) if r22.size else 0.0)
+
+
 def _blocked_result(a, order, p, passes, defl_tol) -> RrqrResult:
     factors = _full_factors(a, order, defl_tol)
-    r22 = factors.r[p:, p:]
+    r11_min_sv, r22_max_sv = _block_svs(factors.r, p)
     return RrqrResult(
         perm=Permutation(tuple(order)), factors=factors, assumed_rank=p,
-        r11_min_sv=float(singular_values(factors.r[:p, :p])[-1]),
-        r22_max_sv=float(singular_values(r22)[0]) if r22.size else 0.0,
-        passes=passes)
+        r11_min_sv=r11_min_sv, r22_max_sv=r22_max_sv, passes=passes)
 
 
 def _hybrid_start(search, p, init, spare, seed):

@@ -28,7 +28,7 @@ from scipy.signal import lfilter
 
 from .forecast_eval import (_insample_forecast_error, check_methods,
                             fit_method, rmse, rmse_conventional)
-from .tsdata import TimeSeries
+from .tsdata import TimeSeries, _frozen
 
 _SIM1_AR_COEFF = 0.9
 _SIM1_NOISE_STD = 2.0
@@ -97,9 +97,7 @@ class SimDataset:
 
     def __post_init__(self):
         for name in ("h", "x"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 def hurst_cov(k: int, w: float) -> np.ndarray:

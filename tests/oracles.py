@@ -91,6 +91,25 @@ def svd2_closed(a):
     return np.array([hi, lo])
 
 
+def sym_eig_desc(s):
+    """Descending eigenpairs, clamped and signed one column at a time.
+
+    The loop baselines._sym_eig_desc replaced with one array step:
+    symmetrize, reverse into copies, clamp eigenvalues below 1e-12 of
+    the largest to 0, then flip each eigenvector whose first
+    largest-magnitude entry is negative.
+    """
+    lam, u = np.linalg.eigh((s + s.T) / 2.0)
+    lam = lam[::-1].copy()
+    u = u[:, ::-1].copy()
+    lam[lam < 1e-12 * max(lam.max(), 0.0)] = 0.0
+    for j in range(u.shape[1]):
+        lead = int(np.argmax(np.abs(u[:, j])))
+        if u[lead, j] < 0.0:
+            u[:, j] = -u[:, j]
+    return lam, u
+
+
 def interlacing_holds(a, rows, cols, slack=1e-9):
     """Singular values of a leading sub-block interlace the full set.
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qrfactors.baselines import evd_s_matrix, fit_evd, fit_pca
+from qrfactors.baselines import evd_spectrum, fit_evd, fit_pca
 from qrfactors.covariance import build_augmented, sample_autocov
 from qrfactors.factor_rrqr import fit_rrqr, scan_model_order
 from qrfactors.forecast_eval import rolling_eval
@@ -180,9 +180,10 @@ def test_criterion_5_oracle_equivalence():
     for seed in range(10):
         ts = TimeSeries(np.random.default_rng(5100 + seed)
                         .standard_normal((6, 60)))
-        s = evd_s_matrix(ts, lag_lo=1, lag_hi=3)
+        lam = evd_spectrum(ts, lag_lo=1, lag_hi=3).eigenvalues
         m = build_augmented(ts, lag_lo=1, lag_hi=3).matrix
-        assert_allclose(s, m @ m.T, rtol=1e-10)
+        assert_allclose(lam, np.linalg.svd(m, compute_uv=False) ** 2,
+                        rtol=1e-10)
 
     pairs = 0
     for shape in [(3, 6), (5, 8), (8, 8)]:

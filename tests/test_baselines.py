@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import oracles
 from qrfactors import baselines
-from qrfactors.baselines import evd_s_matrix, evd_spectrum, fit_evd, fit_pca
+from qrfactors.baselines import evd_spectrum, fit_evd, fit_pca
 from qrfactors.covariance import build_augmented, sample_autocov
 from qrfactors.factor_rrqr import fit_rrqr
-from qrfactors.simgen import gen_sim1, subspace_error
+from qrfactors.simgen import SimConfig, gen_sim1, gen_sim2, subspace_error
 from qrfactors.tsdata import TimeSeries
 
 
@@ -19,18 +20,61 @@ def _panel(seed, k=6, n=80):
 
 
 def test_s_is_the_augmented_gram_matrix():
+    # S's eigenvalues are the squared singular values of the stacked
+    # lag covariances
     ts = _panel(101)
-    s = evd_s_matrix(ts, lag_lo=1, lag_hi=3)
+    lam = evd_spectrum(ts, lag_lo=1, lag_hi=3).eigenvalues
     m = build_augmented(ts, lag_lo=1, lag_hi=3).matrix
-    assert_allclose(s, m @ m.T, rtol=1e-10)
+    assert_allclose(lam, np.linalg.svd(m, compute_uv=False) ** 2, rtol=1e-10)
 
 
 def test_s_is_symmetric_psd():
+    # the eigenpairs rebuild a symmetric PSD matrix, S itself
     ts = _panel(102)
-    s = evd_s_matrix(ts)
+    spectrum = evd_spectrum(ts)
+    u, lam = spectrum.eigenvectors, spectrum.eigenvalues
+    s = (u * lam) @ u.T
     assert_allclose(s, s.T, atol=1e-14)
-    lam = np.linalg.eigvalsh(s)
     assert lam.min() >= -1e-10 * lam.max()
+    m = build_augmented(ts, lag_lo=1, lag_hi=2).matrix
+    assert_allclose(s, m @ m.T, rtol=1e-10)
+
+
+def _bench_shape_panels():
+    """The bench's paper cell, rolling window and Monte-Carlo panels."""
+    yield "paper-cell", gen_sim1(k=180, n=500, seed=0).y, 5
+    yield "rolling", gen_sim1(k=50, n=500, seed=1).y, 2
+    yield "montecarlo", gen_sim2(SimConfig(scenario="sim2", k=100, n=200,
+                                           seed=2, noise_kind="hurst")).y, 2
+
+
+def _eig_inputs():
+    """Symmetric matrices for the eigen path: edge cases, then the EVD
+    sum and the lag-0 covariance of a K > N panel and the bench shapes."""
+    rng = np.random.default_rng(115)
+    low = rng.standard_normal((8, 2))
+    yield "zero", np.zeros((4, 4))
+    yield "identity", np.eye(5)
+    yield "tied eigenvalues", np.diag([2.0, 2.0, 1.0, 1.0, 1.0])
+    # every eigenvector's entries tie in magnitude: the first one leads
+    yield "tied entries", np.array([[1.0, 1.0], [1.0, 1.0]])
+    yield "tied entries, negative", np.array([[2.0, -1.0], [-1.0, 2.0]])
+    yield "rank-deficient", low @ low.T
+    panels = [("K > N", _panel(116, k=30, n=12), 2), *_bench_shape_panels()]
+    for name, ts, lag_hi in panels:
+        covs = [sample_autocov(ts, lag) for lag in range(1, lag_hi + 1)]
+        yield f"{name} evd", sum(c.scaled @ c.scaled.T for c in covs)
+        yield f"{name} lag 0", sample_autocov(ts, 0).scaled
+
+
+@pytest.mark.parametrize("name,s", list(_eig_inputs()),
+                         ids=[name for name, _ in _eig_inputs()])
+def test_sym_eig_desc_matches_the_column_loop(name, s):
+    lam, u = baselines._sym_eig_desc(s)
+    want_lam, want_u = oracles.sym_eig_desc(s)
+    assert lam.tobytes() == want_lam.tobytes()
+    assert u.tobytes() == want_u.tobytes()
+    assert u.flags.c_contiguous
 
 
 def test_spectrum_contract():

@@ -2,11 +2,13 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qrfactors.cli import main
+from qrfactors.rrqr import singular_values
 from qrfactors.simgen import gen_sim1
 from qrfactors.tsdata import read_matrix
 
@@ -259,6 +261,17 @@ def test_rrqr_plain_pivoting(tmp_path):
                  "--rank", "3", "--outdir", str(tmp_path)]) == 0
     summary = _read_json(tmp_path / "rrqr_report.json")["summary"]
     assert summary["sigma_top"] > 0
+
+
+def test_rrqr_stewart2_reports_its_r_blocks(tmp_path):
+    mat = Path(__file__).parent / "golden" / "inputs" / "matrix.csv"
+    assert main(["rrqr", "--matrix", str(mat), "--alg", "stewart2",
+                 "--rank", "3", "--outdir", str(tmp_path)]) == 0
+    summary = _read_json(tmp_path / "rrqr_report.json")["summary"]
+    r = read_matrix(tmp_path / "r.csv")
+    assert summary["algorithm"] == "stewart2"
+    assert summary["sigma_min_r11"] == singular_values(r[:3, :3])[-1]
+    assert summary["sigma_max_r22"] == singular_values(r[3:, 3:])[0]
 
 
 def test_rrqr_gsqr_needs_no_rank(tmp_path):

@@ -6,6 +6,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
 from qrfactors import tsdata
+from qrfactors.baselines import EvdSpectrum
+from qrfactors.factor_rrqr import FactorModelFit
+from qrfactors.rrqr import QrFactors
+from qrfactors.simgen import SimDataset
 from qrfactors.tsdata import (TimeSeries, demean, load_csv, log_returns,
                               read_matrix)
 
@@ -22,6 +26,27 @@ def test_timeseries_values_are_frozen():
     assert not ts.values.flags.writeable
     with pytest.raises(ValueError):
         ts.values[0, 0] = 7.0
+
+
+@pytest.mark.parametrize("record,fields", [
+    (lambda a: QrFactors(q=a[0], r=a[1], diag=a[2]), ("q", "r", "diag")),
+    (lambda a: EvdSpectrum(eigenvalues=a[0], eigenvectors=a[1], ratios=a[2]),
+     ("eigenvalues", "eigenvectors", "ratios")),
+    (lambda a: SimDataset(y=TimeSeries(np.ones((2, 4))), h=a[0], x=a[1], p=2),
+     ("h", "x")),
+    (lambda a: FactorModelFit(method="EVD", p_hat=2, q_hat=a[0], factors=a[1]),
+     ("q_hat", "factors")),
+], ids=["QrFactors", "EvdSpectrum", "SimDataset", "FactorModelFit"])
+def test_records_freeze_their_own_copies(record, fields):
+    sources = [np.arange(6.0).reshape(3, 2), np.arange(8.0).reshape(2, 4),
+               np.arange(3.0)]
+    rec = record(sources)
+    kept = [np.array(getattr(rec, name)) for name in fields]
+    for name, src in zip(fields, sources):
+        assert not getattr(rec, name).flags.writeable
+        src[...] = -1.0
+    for name, want in zip(fields, kept):
+        assert_array_equal(getattr(rec, name), want)
 
 
 @pytest.mark.parametrize("bad", [
