@@ -2,11 +2,14 @@
 error metrics, and a rolling out-of-sample protocol.
 
 Factors extracted by any of the fitters are forecast one step ahead with
-per-factor univariate AR models fit by Yule-Walker, and observation
-forecasts are the loading basis applied to the factor forecasts, which
-one block predictor, _ar_steps, makes. The rolling evaluation refits on
-a sliding window every few days, projects each refit's span once, and
-scores the one-step predictions against the realized values.
+per-factor univariate AR models fit by Yule-Walker. One batched fit,
+_yule_walker_rows, takes every factor path's autocovariances in one
+product and solves all their Toeplitz systems in one call; one block
+predictor, _ar_steps, advances every path from that coefficient matrix
+in one product, and the loading basis maps the factor forecasts to
+observation forecasts. The rolling evaluation refits on a sliding
+window every few days, projects each refit's span once, and scores the
+one-step predictions against the realized values.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_toeplitz
 
 from .baselines import fit_evd, fit_pca
 from .factor_rrqr import FactorModelFit, fit_rrqr
@@ -74,21 +76,42 @@ def yule_walker(series, order: int) -> ArModel:
     """Fit an AR(order) model by solving the Toeplitz normal equations.
 
     Autocovariances use the 1/N normalization at every lag, which keeps
-    the Toeplitz system positive semidefinite and the recursion stable.
+    the Toeplitz system positive definite for any non-constant series.
     """
     x = np.asarray(series, dtype=float).ravel()
-    n = x.size
+    coeffs, noise_var = _yule_walker_rows(x[None, :], order)
+    return ArModel(order=order, coeffs=tuple(coeffs[0]),
+                   noise_var=float(noise_var[0]))
+
+
+def _yule_walker_rows(paths: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """yule_walker for every row of an (m, n) array at once: coefficients
+    (m, order), lag 1 first, and noise variances (m,).
+
+    Each row is centred and padded with order zeros, so one product
+    against its sliding windows gives the 1/N autocovariances at lags
+    0..order (the padding adds exact zeros), and one batched solve
+    takes all m Toeplitz systems.
+    """
+    x = np.asarray(paths, dtype=float)
+    m, n = x.shape
     if not 1 <= order <= n // 2:
         raise ValueError(f"order must be in [1, {n // 2}], got {order}")
     if not np.isfinite(x).all():
         raise ValueError("series contains NaN or Inf")
-    xc = x - x.mean()
-    cov = np.array([xc[j:] @ xc[:n - j] for j in range(order + 1)]) / n
-    if cov[0] <= 0.0:
+    padded = np.zeros((m, n + order))
+    xc = padded[:, :n]
+    np.subtract(x, x.sum(axis=1, keepdims=True) / n, out=xc)
+    cov = np.einsum("it,itj->ij", xc,
+                    sliding_window_view(padded, order + 1, axis=1)) / n
+    if (cov[:, 0] <= 0.0).any():
         raise ValueError("series has zero variance; no AR structure to fit")
-    coeffs = solve_toeplitz(cov[:order], cov[1:order + 1])
-    noise_var = max(float(cov[0] - coeffs @ cov[1:order + 1]), 0.0)
-    return ArModel(order=order, coeffs=tuple(coeffs), noise_var=noise_var)
+    lag = np.arange(order)
+    toeplitz = cov[:, abs(lag[:, None] - lag)]
+    coeffs = np.linalg.solve(toeplitz, cov[:, 1:, None])[:, :, 0]
+    noise_var = np.maximum(cov[:, 0] - np.einsum("ij,ij->i", coeffs, cov[:, 1:]),
+                           0.0)
+    return coeffs, noise_var
 
 
 def forecast_one_step(fit: FactorModelFit, ar: list[ArModel],
@@ -115,21 +138,24 @@ def forecast_one_step(fit: FactorModelFit, ar: list[ArModel],
     if hist.shape[1] < order:
         raise ValueError(
             f"history length {hist.shape[1]} is shorter than AR order {order}")
-    return fit.q_hat @ _ar_steps(ar, hist, hist.shape[1])[:, 0]
+    coeffs = np.array([model.coeffs + (0.0,) * (order - model.order)
+                       for model in ar])
+    return fit.q_hat @ _ar_steps(coeffs, hist, hist.shape[1])[:, 0]
 
 
-def _ar_steps(ar: list[ArModel], paths: np.ndarray, start: int) -> np.ndarray:
-    """Row i, column j: ar[i]'s prediction of paths[i] at position
-    start + j from the values before it, up to the step after the last
-    value. start must be at least every model's order."""
-    steps = np.empty((len(ar), paths.shape[1] + 1 - start))
-    for i, model in enumerate(ar):
-        lags = sliding_window_view(paths[i, start - model.order:], model.order)
-        steps[i] = lags @ np.asarray(model.coeffs)[::-1]
-    return steps
+def _ar_steps(coeffs: np.ndarray, paths: np.ndarray, start: int) -> np.ndarray:
+    """Row i, column j: the AR model of coeffs[i] (lag 1 first) predicting
+    paths[i] at position start + j from the values before it, up to the
+    step after the last value. start must be at least coeffs.shape[1]."""
+    order = coeffs.shape[1]
+    lags = sliding_window_view(paths[:, start - order:], order, axis=1)
+    return np.einsum("ijk,ik->ij", lags, coeffs[:, ::-1])
 
 
-def _check_against(fit: FactorModelFit, loading, factors) -> tuple[np.ndarray, np.ndarray]:
+def _reconstruction_errors(fit: FactorModelFit, loading,
+                           factors) -> tuple[float, float]:
+    """(rmse, rmse_conventional) of the fit against the common component
+    loading @ factors, from one reconstruction residual."""
     h = np.asarray(loading, dtype=float)
     x = np.asarray(factors, dtype=float)
     recon = fit.q_hat @ fit.factors
@@ -138,7 +164,11 @@ def _check_against(fit: FactorModelFit, loading, factors) -> tuple[np.ndarray, n
         raise ValueError(
             f"truth has shape {truth.shape}, fitted reconstruction {recon.shape}"
         )
-    return recon, truth
+    k, n = truth.shape
+    resid = recon - truth
+    total = float(np.linalg.norm(resid, axis=0).sum())
+    return (math.sqrt(total / (k * n)),
+            float(np.linalg.norm(resid)) / math.sqrt(k * n))
 
 
 def rmse(fit: FactorModelFit, truth_loading, truth_factors) -> float:
@@ -148,17 +178,12 @@ def rmse(fit: FactorModelFit, truth_loading, truth_factors) -> float:
     themselves, not their squares), divides by K*N, and takes a square
     root. rmse_conventional is the usual quadratic-mean companion.
     """
-    recon, truth = _check_against(fit, truth_loading, truth_factors)
-    k, n = truth.shape
-    total = float(np.linalg.norm(recon - truth, axis=0).sum())
-    return math.sqrt(total / (k * n))
+    return _reconstruction_errors(fit, truth_loading, truth_factors)[0]
 
 
 def rmse_conventional(fit: FactorModelFit, truth_loading, truth_factors) -> float:
     """Root mean squared entrywise reconstruction error."""
-    recon, truth = _check_against(fit, truth_loading, truth_factors)
-    k, n = truth.shape
-    return float(np.linalg.norm(recon - truth)) / math.sqrt(k * n)
+    return _reconstruction_errors(fit, truth_loading, truth_factors)[1]
 
 
 def forecast_error(predictions, actuals) -> float:
@@ -178,9 +203,9 @@ def _insample_forecast_error(fit: FactorModelFit, ts: TimeSeries,
                              ar_order: int) -> float:
     """forecast_error of AR(ar_order) forecasts of the fit's own factor
     paths, at every sample from 2 * ar_order on, plus the panel mean."""
-    ar_models = [yule_walker(row, ar_order) for row in fit.factors]
+    coeffs, _ = _yule_walker_rows(fit.factors, ar_order)
     start = 2 * ar_order
-    steps = _ar_steps(ar_models, fit.factors[:, :-1], start)
+    steps = _ar_steps(coeffs, fit.factors[:, :-1], start)
     mean = ts.values.mean(axis=1, keepdims=True)
     return forecast_error(fit.q_hat @ steps + mean, ts.values[:, start:])
 
@@ -254,14 +279,14 @@ def rolling_eval(ts: TimeSeries, method: str, window: int = 500,
         fit = fit_method(method, TimeSeries(values=values[:, w0:block_start]),
                          lag_lo, lag_hi, p_cap=p_cap)
         wmean = values[:, w0:block_start].mean(axis=1, keepdims=True)
-        ar_models = [yule_walker(row, ar_order) for row in fit.factors]
+        coeffs, _ = _yule_walker_rows(fit.factors, ar_order)
         resid = (values[:, w0:block_start] - wmean) - fit.q_hat @ fit.factors
         recon_rmse = float(np.linalg.norm(resid)) / math.sqrt(fit.factors.shape[1] * ts.K)
         records.append(WindowRecord(start=w0, p_hat=fit.p_hat, rmse=recon_rmse))
         block_end = min(block_start + refit_stride, ts.N)
         paths = fit.q_hat.T @ (values[:, w0:block_end - 1] - wmean)
         preds[:, block_start - first_target:block_end - first_target] = (
-            fit.q_hat @ _ar_steps(ar_models, paths, window) + wmean)
+            fit.q_hat @ _ar_steps(coeffs, paths, window) + wmean)
     fe = forecast_error(preds, values[:, first_target:])
     return ForecastReport(
         method=method,

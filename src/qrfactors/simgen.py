@@ -26,8 +26,8 @@ from multiprocessing import get_context
 import numpy as np
 from scipy.signal import lfilter
 
-from .forecast_eval import (_insample_forecast_error, check_methods,
-                            fit_method, rmse, rmse_conventional)
+from .forecast_eval import (_insample_forecast_error, _reconstruction_errors,
+                            check_methods, fit_method)
 from .tsdata import TimeSeries, _frozen
 
 _SIM1_AR_COEFF = 0.9
@@ -258,9 +258,8 @@ def _run_trial(config: SimConfig, trial: int, methods: tuple[str, ...],
             if "ratios" in outputs and fit.scan is not None:
                 cell["ratios"] = fit.scan.ratios().tolist()
             if "rmse" in outputs:
-                cell["rmse"] = rmse(fit, dataset.h, dataset.x)
-                cell["rmse_conventional"] = rmse_conventional(
-                    fit, dataset.h, dataset.x)
+                cell["rmse"], cell["rmse_conventional"] = (
+                    _reconstruction_errors(fit, dataset.h, dataset.x))
             if "forecast" in outputs:
                 cell["fe"] = _insample_forecast_error(fit, ts, _FE_AR_ORDER)
             out["methods"][method] = cell

@@ -10,11 +10,11 @@ import csv
 import math
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import qr, solve_toeplitz, solve_triangular
 from scipy.linalg.blas import dnrm2
 
 from qrfactors import rrqr
-from qrfactors.forecast_eval import fit_method, yule_walker
+from qrfactors.forecast_eval import ArModel, fit_method
 from qrfactors.tsdata import TimeSeries
 
 
@@ -278,6 +278,33 @@ def old_scan(mat, p_cap, n, k=None):
                       / (float(diag[i]) + epsilon))
     return (int(np.argmax(ratios)) + 1, epsilon, np.array(ratios), passes,
             tuple(perms))
+
+
+def yule_walker(series, order):
+    """The package's yule_walker as it was: one dot product per lag,
+    then a Levinson solve of the Toeplitz system."""
+    x = np.asarray(series, dtype=float).ravel()
+    n = x.size
+    if not 1 <= order <= n // 2:
+        raise ValueError(f"order must be in [1, {n // 2}], got {order}")
+    if not np.isfinite(x).all():
+        raise ValueError("series contains NaN or Inf")
+    xc = x - x.mean()
+    cov = np.array([xc[j:] @ xc[:n - j] for j in range(order + 1)]) / n
+    if cov[0] <= 0.0:
+        raise ValueError("series has zero variance; no AR structure to fit")
+    coeffs = solve_toeplitz(cov[:order], cov[1:order + 1])
+    noise_var = max(float(cov[0] - coeffs @ cov[1:order + 1]), 0.0)
+    return ArModel(order=order, coeffs=tuple(coeffs), noise_var=noise_var)
+
+
+def old_rmse(fit, loading, factors):
+    """(rmse, rmse_conventional) by their formulas, written out."""
+    resid = fit.q_hat @ fit.factors - np.asarray(loading) @ np.asarray(factors)
+    k, n = resid.shape
+    total = float(np.linalg.norm(resid, axis=0).sum())
+    return (math.sqrt(total / (k * n)),
+            float(np.linalg.norm(resid)) / math.sqrt(k * n))
 
 
 def _old_one_step(fit, ar, hist):

@@ -1,19 +1,27 @@
 """AR fitting, error metrics, and the rolling forecast loop."""
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.signal import lfilter
 
 from qrfactors.factor_rrqr import FactorModelFit
 from qrfactors.forecast_eval import (ArModel, _insample_forecast_error,
-                                     fit_method, forecast_error,
-                                     forecast_one_step, rmse,
+                                     _reconstruction_errors,
+                                     _yule_walker_rows, fit_method,
+                                     forecast_error, forecast_one_step, rmse,
                                      rmse_conventional, rolling_eval,
                                      yule_walker)
 from qrfactors.simgen import SimConfig, gen_sim1, gen_sim2, monte_carlo
-from qrfactors.tsdata import TimeSeries
+from qrfactors.tsdata import TimeSeries, load_csv
 
+import oracles
 from oracles import brute_series_autocov, old_insample_fe, old_rolling_fe
+
+GOLDEN_PANEL = Path(__file__).resolve().parent / "golden" / "inputs" / "panel.csv"
 
 
 # ------------------------------------------------------------------
@@ -59,6 +67,67 @@ def test_yule_walker_input_validation():
         yule_walker(rng.standard_normal(10), order=0)
     with pytest.raises(ValueError):
         yule_walker(rng.standard_normal(10), order=6)   # > n // 2
+
+
+def _assert_rows_match_levinson(paths, order, rtol):
+    # row for row, each row's error measured against that row's norm
+    coeffs, noise_var = _yule_walker_rows(paths, order)
+    assert coeffs.shape == (paths.shape[0], order)
+    for row, got, got_var in zip(paths, coeffs, noise_var):
+        want = oracles.yule_walker(row, order)
+        assert (np.linalg.norm(got - want.coeffs)
+                <= rtol * np.linalg.norm(want.coeffs))
+        assert abs(got_var - want.noise_var) <= rtol * want.noise_var
+
+
+@pytest.mark.parametrize("panel,lag_hi", [
+    ("paper-cell", 5), ("rolling", 2), ("montecarlo", 2), ("golden", 2)])
+@pytest.mark.parametrize("method", ["rrqr", "evd", "pca"])
+def test_yule_walker_rows_match_the_levinson_route(panel, lag_hi, method):
+    # the factor paths every forecast fits: the three benchmark panel
+    # shapes and the golden input panel, at the CLI's AR orders
+    ts = {
+        "paper-cell": lambda: gen_sim1(k=180, n=500, seed=214).y,
+        "rolling": lambda: gen_sim1(k=50, n=500, seed=215).y,
+        "montecarlo": lambda: gen_sim2(SimConfig(
+            scenario="sim2", k=100, n=200, seed=216, noise_kind="hurst")).y,
+        "golden": lambda: load_csv(GOLDEN_PANEL),
+    }[panel]()
+    fit = fit_method(method, ts, 1, lag_hi)
+    for order in (3, 10):
+        _assert_rows_match_levinson(fit.factors, order, 1e-12)
+
+
+@pytest.mark.parametrize("coeff", [0.99, 0.999])
+def test_yule_walker_rows_match_the_levinson_route_near_a_unit_root(coeff):
+    # near-singular Toeplitz systems, one path per row length
+    rng = np.random.default_rng(217)
+    for n in rng.integers(40, 601, size=30):
+        path = lfilter([1.0], [1.0, -coeff], rng.standard_normal(n + 500))[500:]
+        _assert_rows_match_levinson(path[None, :], 10, 1e-10)
+
+
+def test_yule_walker_rows_validate_like_yule_walker():
+    rng = np.random.default_rng(218)
+    good = rng.standard_normal((3, 40))
+    constant = np.vstack([good, np.full(40, 2.5), good])
+    nan = np.vstack([good[:2], good[2] * np.where(np.arange(40) == 7, np.nan, 1)])
+    cases = [(constant, 3, constant[3]), (nan, 3, nan[2]),
+             (good, 0, good[0]), (good, 21, good[0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for paths, order, bad_row in cases:
+            with pytest.raises(ValueError) as want:
+                oracles.yule_walker(bad_row, order)
+            with pytest.raises(ValueError) as got:
+                _yule_walker_rows(paths, order)
+            assert str(got.value) == str(want.value)
+            with pytest.raises(ValueError) as public:
+                yule_walker(bad_row, order)
+            assert str(public.value) == str(want.value)
+        coeffs, noise_var = _yule_walker_rows(np.empty((0, 40)), 10)
+    assert coeffs.shape == (0, 10)
+    assert noise_var.shape == (0,)
 
 
 def test_ar_model_validation():
@@ -146,6 +215,16 @@ def test_rmse_zero_on_perfect_fit():
     truth_x = np.array([[5.0]])
     assert rmse(fit, truth_h, truth_x) == 0.0
     assert rmse_conventional(fit, truth_h, truth_x) == 0.0
+
+
+def test_reconstruction_errors_keep_the_two_metrics_bits():
+    # one residual for both metrics, bit for bit the separate formulas
+    data = gen_sim2(SimConfig(scenario="sim2", k=16, n=120, seed=219,
+                              noise_kind="hurst"))
+    for method in ("rrqr", "evd", "pca"):
+        fit = fit_method(method, data.y, 1, 2)
+        assert (_reconstruction_errors(fit, data.h, data.x)
+                == oracles.old_rmse(fit, data.h, data.x))
 
 
 def test_rmse_shape_mismatch():
