@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -94,9 +95,13 @@ def _scan_dict(scan: ModelOrderScan, selected: bool) -> dict:
 
 
 def _lag_range(args) -> tuple[int, int]:
-    if args.m is not None:
-        return 1, args.m
-    return args.lag_lo, args.lag_hi
+    """Lags 1..m from --m, else --lag-lo..--lag-hi (1..2 by default)."""
+    if args.m is None:
+        return args.lag_lo or 1, args.lag_hi or 2
+    if args.lag_lo is not None or args.lag_hi is not None:
+        args.usage_error("--m cannot be combined with --lag-lo or --lag-hi "
+                         "(--m M means lags 1..M)")
+    return 1, args.m
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +139,9 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    lag_lo, lag_hi = _lag_range(args)
     ts = load_csv(args.data, orientation=args.orientation,
                   has_header=args.header)
-    lag_lo, lag_hi = _lag_range(args)
     fit = fit_method(args.method, ts, lag_lo, lag_hi, p_override=args.p,
                      p_cap=args.p_cap)
     body = {
@@ -226,9 +231,9 @@ def _cmd_rrqr(args) -> int:
 
 
 def _cmd_roll(args) -> int:
+    lag_lo, lag_hi = _lag_range(args)
     ts = load_csv(args.data, orientation=args.orientation,
                   has_header=args.header)
-    lag_lo, lag_hi = _lag_range(args)
     report = rolling_eval(ts, args.method, window=args.window,
                           refit_stride=args.stride, ar_order=args.ar,
                           eval_len=args.eval_len, lag_lo=lag_lo,
@@ -266,8 +271,9 @@ def _positive(name):
 def _add_lag_flags(sub) -> None:
     sub.add_argument("--m", type=_positive("--m"), default=None,
                      help="shorthand for lags 1..m")
-    sub.add_argument("--lag-lo", type=_positive("--lag-lo"), default=1)
-    sub.add_argument("--lag-hi", type=_positive("--lag-hi"), default=2)
+    sub.add_argument("--lag-lo", type=_positive("--lag-lo"), default=None)
+    sub.add_argument("--lag-hi", type=_positive("--lag-hi"), default=None)
+    sub.set_defaults(usage_error=sub.error)
 
 
 def _add_outdir_flag(sub) -> None:
@@ -287,7 +293,9 @@ def _add_panel_flags(sub) -> None:
     _add_outdir_flag(sub)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="qrfactors",
         description="Factor-model estimation by rank-revealing QR of "

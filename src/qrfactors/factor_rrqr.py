@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import _rescaled, build_augmented
-from .rrqr import _loading_basis, _PivotSearch, _scan_orders
+from .rrqr import _check_rank, _loading_basis, _PivotSearch, _scan_orders
 # bench/reference.py patches factor_rrqr.hybrid3 to count the scan's passes;
 # the scan no longer calls it, but the name stays until that script changes.
 from .rrqr import hybrid3  # noqa: F401
@@ -46,8 +46,7 @@ def _rank_cap(p_cap: int | None, limit: int,
         )
     if p_cap is None:
         return min(limit, default)
-    if not 1 <= p_cap <= limit:
-        raise ValueError(f"{name} must be in [1, {limit}], got {p_cap}")
+    _check_rank(name, p_cap, limit)
     return int(p_cap)
 
 
@@ -168,8 +167,8 @@ def scan_model_order(m_tilde, p_cap: int | None = None,
 def _scan(search, p_cap, n, exp) -> ModelOrderScan:
     """scan_model_order on a pivot search (rrqr._PivotSearch), its gammas
     and epsilon times a further 2^exp (fit_rrqr's covariance exponent);
-    the ratios are search.mat's, which 2^exp cannot move."""
-    rows, cols = search.mat.shape
+    the ratios are the matrix's, which no power of two can move."""
+    rows, cols = search.a.shape
     if n is None or n <= 0:
         raise ValueError("sample count n is required to scale the ratio floor")
     p_cap = _rank_cap(p_cap, min(rows, cols) - 1)
@@ -207,7 +206,7 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     search = _PivotSearch(aug.scaled)
     scan = order = None
     if p_override is not None:
-        p_hat = _rank_cap(p_override, min(search.mat.shape), name="p_override")
+        p_hat = _rank_cap(p_override, min(search.a.shape), name="p_override")
     else:
         scan = _scan(search, p_cap, ts.N, exp)
         p_hat = scan.p_hat

@@ -49,9 +49,10 @@ workspace and no size query (``_lapack``).
 Diagonal entries of R are kept non-negative by flipping the matching
 columns of Q. A pivot at or below the deflation tolerance deflates: its
 diagonal entry becomes exactly 0. Q is orthonormal for any input, so a
-deflated pivot needs no completion. The pivot search runs on the matrix
-scaled once by a power of two (``_PivotSearch``), so its column norms
-are plain sums; only norms that can leave the float range are scaled.
+deflated pivot needs no completion. Every strategy reads its matrix
+through one pivot search (``_PivotSearch``), checked and scaled once by a
+power of two, with one deflation tolerance; R and singular values leave
+the module mapped back with ldexp, exactly.
 """
 
 from __future__ import annotations
@@ -159,15 +160,6 @@ class RrqrResult:
     passes: int = 0
 
 
-def _as_matrix(a) -> np.ndarray:
-    mat = np.asarray(a, dtype=float)
-    if mat.ndim != 2 or mat.size == 0:
-        raise ValueError(f"expected a nonempty 2-D matrix, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValueError("matrix contains NaN or Inf")
-    return mat
-
-
 def _col_norms(a: np.ndarray) -> np.ndarray:
     """Column 2-norms whose squares neither overflow nor underflow.
 
@@ -182,12 +174,8 @@ def _col_norms(a: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(np.add.reduce(scaled, axis=0)), exp)
 
 
-def _deflation_tol(a: np.ndarray) -> float:
-    return _DEFL_RTOL * float(_col_norms(a).max())
-
-
 class _PivotSearch:
-    """A checked matrix and what one pivot search reads of it.
+    """A checked matrix, as every factorization here reads it.
 
     `a` is the matrix times 2^-exp, 2^exp the power of two above its
     largest column norm, and `tol` its deflation tolerance scaled alike:
@@ -195,16 +183,19 @@ class _PivotSearch:
     scaled, bit for bit. `sums` (column sums of squares) and `lead`
     (column norms, as the rank-1 seed and exchange read them) are
     computed on first use and live as long as the search: one scan and
-    the basis sweep after it, or one hybrid call.
+    the basis sweep after it, or one strategy call.
     """
 
     def __init__(self, a):
-        self.mat = _as_matrix(a)
-        top = float(_col_norms(self.mat).max())
+        mat = np.asarray(a, dtype=float)
+        if mat.ndim != 2 or mat.size == 0:
+            raise ValueError(f"expected a nonempty 2-D matrix, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix contains NaN or Inf")
+        top = float(_col_norms(mat).max())
         self.exp = math.frexp(top)[1]
-        self.mat_tol = _DEFL_RTOL * top
-        self.a = np.ldexp(self.mat, -self.exp)
-        self.tol = math.ldexp(self.mat_tol, -self.exp)
+        self.a = np.ldexp(mat, -self.exp)
+        self.tol = math.ldexp(_DEFL_RTOL * top, -self.exp)
 
     @cached_property
     def sums(self) -> np.ndarray:
@@ -311,9 +302,10 @@ def _pick_challenger(scores: np.ndarray, incumbent: int) -> int:
     return incumbent
 
 
-def _full_factors(a, order, defl_tol) -> QrFactors:
-    """Complete decomposition of a[:, order] with a K x K Q."""
-    q, r = _qr(a, order, "full", defl_tol)
+def _full_factors(search, order) -> QrFactors:
+    """K x K Q and R of the matrix's columns `order`, R at its scale."""
+    q, r = _qr(search.a, order, "full", search.tol)
+    np.ldexp(r, search.exp, out=r)
     return QrFactors(q=q, r=r, diag=np.diagonal(r))
 
 
@@ -542,19 +534,19 @@ def _weak_pick(r11, tol):
     return best if swap else inc
 
 
-def _weak_exchange(a, order, b, defl_tol) -> bool:
+def _weak_exchange(search, order, b) -> bool:
     """Inverse-row-norm exchange: the weakest column of the leading b x b
-    triangle of a[:, order] moves into position b-1; a 1 x 1 triangle
-    has no challenger. R11 is read from dgeqrf's packed output; the
-    certified pick (_weak_pick) stands, else the exact path decides on
-    the signed, deflated triangle. Returns whether `order` changed."""
+    triangle of search.a[:, order] moves into position b-1; a 1 x 1
+    triangle has no challenger. R11 is read from dgeqrf's packed output;
+    the certified pick (_weak_pick) stands, else the exact path decides
+    on the signed, deflated triangle. Returns whether `order` changed."""
     if b == 1:
         return False
-    r11 = _packed(a, order[:b])[0][:b]
-    j = _weak_pick(r11, defl_tol)
+    r11 = _packed(search.a, order[:b])[0][:b]
+    j = _weak_pick(r11, search.tol)
     if j is None:
         j = _pick_challenger(
-            _inverse_row_norms(_signed(np.triu(r11), None, defl_tol)), b - 1)
+            _inverse_row_norms(_signed(np.triu(r11), None, search.tol)), b - 1)
     order[j], order[b - 1] = order[b - 1], order[j]
     return j != b - 1
 
@@ -584,7 +576,7 @@ def _hybrid_sweeps(search, order, boundary, cap):
         if settled:
             return swaps, passes
         strong = _strong_exchange(search, order, boundary)
-        weak = _weak_exchange(search.a, order, boundary, search.tol)
+        weak = _weak_exchange(search, order, boundary)
         if not (strong or weak):
             return swaps, passes
         swaps += strong + weak
@@ -628,7 +620,7 @@ def _fixed_point(search, order, p, cap, fixed_at_p=False) -> int:
 
 
 def _qr_cp_order(search, steps) -> list[int]:
-    """The first `steps` pivots of dgeqp3 on search.mat, replayed as
+    """The first `steps` pivots of dgeqp3 on search.a, replayed as
     swaps on the identity order, so the columns past `steps` sit where a
     `steps`-step greedy loop leaves them.
 
@@ -641,7 +633,7 @@ def _qr_cp_order(search, steps) -> list[int]:
     of the largest one, twice the sum. dnrm2 decides among those alone,
     in index order.
     """
-    a = search.mat
+    a = search.a
     if steps == 1:
         lead = search.lead
         near = np.flatnonzero(
@@ -664,12 +656,18 @@ def _block_svs(r, p) -> tuple[float, float]:
             float(singular_values(r22)[0]) if r22.size else 0.0)
 
 
-def _blocked_result(a, order, p, passes, defl_tol) -> RrqrResult:
-    factors = _full_factors(a, order, defl_tol)
+def _blocked_result(search, order, p, passes) -> RrqrResult:
+    factors = _full_factors(search, order)
     r11_min_sv, r22_max_sv = _block_svs(factors.r, p)
     return RrqrResult(
         perm=Permutation(tuple(order)), factors=factors, assumed_rank=p,
         r11_min_sv=r11_min_sv, r22_max_sv=r22_max_sv, passes=passes)
+
+
+def _check_rank(name, value, top):
+    """Raise unless the rank `value` of parameter `name` is in [1, top]."""
+    if not 1 <= value <= top:
+        raise ValueError(f"{name} must be in [1, {top}], got {value}")
 
 
 def _hybrid_start(search, p, init, spare, seed):
@@ -678,10 +676,8 @@ def _hybrid_start(search, p, init, spare, seed):
     p must leave `spare` columns of the leading triangle past it; without
     init the order is qr_cp's after `seed` steps.
     """
-    k, n = search.mat.shape
-    top = min(k, n) - spare
-    if not 1 <= p <= top:
-        raise ValueError(f"p must be in [1, {top}], got {p}")
+    k, n = search.a.shape
+    _check_rank("p", p, min(k, n) - spare)
     if init is None:
         order = _qr_cp_order(search, seed)
     else:
@@ -707,7 +703,7 @@ def _scan_orders(search, p_cap) -> list[tuple[float, float, int, tuple]]:
     gamma_{i+1}, passes, final order) per rank; each order, a tuple of
     column indices, is a fixed point of both of its rank's boundaries.
     """
-    cap = _PASS_CAP_FACTOR * search.mat.shape[1]
+    cap = _PASS_CAP_FACTOR * search.a.shape[1]
     width, last = _GAMMA_PANEL
     order = _qr_cp_order(search, 1)
     rows = []
@@ -723,7 +719,7 @@ def _scan_orders(search, p_cap) -> list[tuple[float, float, int, tuple]]:
 
 def _loading_basis(search, p, order):
     """(Q[:, :p], sigma_min(R11), sigma_max(R22), passes) of
-    hybrid1(search.mat, p, order) without its full frame. In a scanned
+    hybrid1(the matrix, p, order) without its full frame. In a scanned
     fit `order` is the scan's at p, a fixed point of boundary p, used as
     it is: hybrid1's one pass from it would swap nothing, so it is
     counted, not run, as _hybrid_sweeps counts a settled pass. With order
@@ -737,15 +733,15 @@ def _loading_basis(search, p, order):
         order, cap = _hybrid_start(search, p, None, 0, p)
         _, passes = _hybrid_sweeps(search, order, p, cap)
     width, last = _GAMMA_PANEL
-    mat = search.mat
-    q, r = _qr(mat, order[:width] if p <= last else order, "economic",
-               search.mat_tol)
-    q1, rest = q[:, :p], mat[:, order[p:]]
+    a = search.a
+    q, r = _qr(a, order[:width] if p <= last else order, "economic",
+               search.tol)
+    q1, rest = q[:, :p], a[:, order[p:]]
     rest -= q1 @ (q1.T @ rest)
     gram = rest @ rest.T if len(rest) <= rest.shape[1] else rest.T @ rest
-    top = np.linalg.eigvalsh(gram)[-1] if p < min(mat.shape) else 0.0
-    return (q1, float(singular_values(r[:p, :p])[-1]),
-            math.sqrt(max(top, 0.0)), passes)
+    top = np.linalg.eigvalsh(gram)[-1] if p < min(a.shape) else 0.0
+    svs = float(singular_values(r[:p, :p])[-1]), math.sqrt(max(top, 0.0))
+    return (q1, *(math.ldexp(sv, search.exp) for sv in svs), passes)
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +756,8 @@ def gs_qr(a) -> QrFactors:
     so the block segmentations downstream always see a full orthonormal
     frame.
     """
-    mat = _as_matrix(a)
-    return _full_factors(mat, list(range(mat.shape[1])), _deflation_tol(mat))
+    search = _PivotSearch(a)
+    return _full_factors(search, list(range(search.a.shape[1])))
 
 
 def qr_cp(a, max_steps: int) -> RrqrResult:
@@ -776,14 +772,9 @@ def qr_cp(a, max_steps: int) -> RrqrResult:
     left where the greedy loop's swaps put them.
     """
     search = _PivotSearch(a)
-    k, n = search.mat.shape
-    if not 1 <= max_steps <= min(k, n):
-        raise ValueError(
-            f"max_steps must be in [1, {min(k, n)}], got {max_steps}"
-        )
+    _check_rank("max_steps", max_steps, min(search.a.shape))
     order = _qr_cp_order(search, max_steps)
-    return _blocked_result(search.mat, order, max_steps, passes=max_steps,
-                           defl_tol=search.mat_tol)
+    return _blocked_result(search, order, max_steps, passes=max_steps)
 
 
 def stewart2(factors: QrFactors, perm: Permutation | None, rank: int
@@ -798,24 +789,21 @@ def stewart2(factors: QrFactors, perm: Permutation | None, rank: int
     """
     k, n = factors.r.shape
     size = min(k, n)
-    if not 1 <= rank <= size:
-        raise ValueError(f"rank must be in [1, {size}], got {rank}")
+    _check_rank("rank", rank, size)
     if perm is None:
         perm = Permutation(tuple(range(n)))
-    lead = factors.r[:size, :size]
-    svs = singular_values(lead)
+    svs = singular_values(factors.r[:size, :size])
     if svs[-1] <= 1e-13 * svs[0]:
         raise ValueError(
             "leading block is numerically singular "
             f"(sv ratio {svs[-1]:.3e} / {svs[0]:.3e})"
         )
     # Work on Q R = A Pi so swaps compose with the incoming permutation.
-    permuted = factors.q @ factors.r
-    tol = _deflation_tol(permuted)
+    search = _PivotSearch(factors.q @ factors.r)
     order = list(range(n))
     for b in range(size, rank, -1):
-        _weak_exchange(permuted, order, b, tol)
-    out = _full_factors(permuted, order, tol)
+        _weak_exchange(search, order, b)
+    out = _full_factors(search, order)
     total = Permutation(tuple(perm.order[t] for t in order))
     return out, total
 
@@ -835,7 +823,7 @@ def hybrid1(a, p: int, init: Permutation | None = None) -> RrqrResult:
     search = _PivotSearch(a)
     order, cap = _hybrid_start(search, p, init, 0, p)
     _, passes = _hybrid_sweeps(search, order, p, cap)
-    return _blocked_result(search.mat, order, p, passes, search.mat_tol)
+    return _blocked_result(search, order, p, passes)
 
 
 def hybrid2(a, p: int, init: Permutation | None = None) -> RrqrResult:
@@ -850,7 +838,7 @@ def hybrid2(a, p: int, init: Permutation | None = None) -> RrqrResult:
     search = _PivotSearch(a)
     order, cap = _hybrid_start(search, p, init, 1, p + 1)
     _, passes = _hybrid_sweeps(search, order, p + 1, cap)
-    return _blocked_result(search.mat, order, p, passes, search.mat_tol)
+    return _blocked_result(search, order, p, passes)
 
 
 def hybrid3(a, p: int, init: Permutation | None = None) -> RrqrResult:
@@ -872,7 +860,7 @@ def hybrid3(a, p: int, init: Permutation | None = None) -> RrqrResult:
     search = _PivotSearch(a)
     order, cap = _hybrid_start(search, p, init, 1, p)
     passes = _fixed_point(search, order, p, cap)
-    return _blocked_result(search.mat, order, p, passes, search.mat_tol)
+    return _blocked_result(search, order, p, passes)
 
 
 def singular_values(a) -> np.ndarray:

@@ -140,10 +140,14 @@ def _read_numeric(path, has_header: bool = False, labels: bool = False,
     the file is ragged. Without ``skip_blank`` an interior blank record is
     a ragged row and trailing ones are dropped; with it every blank record
     is skipped and a bad cell is reported before ragged rows. Rows are
-    numbered as records of the file, from 1.
+    numbered as records of the file, from 1. A ``csv.Error``, such as a
+    field past its size limit, is raised as a ValueError naming the file.
     """
-    return (_c_parse(path, has_header, skip_blank)
-            or _cell_loop(path, has_header, labels, skip_blank))
+    try:
+        return (_c_parse(path, has_header, skip_blank)
+                or _cell_loop(path, has_header, labels, skip_blank))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 _EMPTY_LINES = ("\n", "\r\n", "\r")

@@ -213,8 +213,7 @@ def old_hybrid3(a, p, init=None):
         s2, p2 = rrqr._hybrid_sweeps(search, order, p + 1, cap)
         passes += p1 + p2
         if s1 == 0 and s2 == 0:
-            return rrqr._blocked_result(search.mat, order, p, passes,
-                                        search.mat_tol)
+            return rrqr._blocked_result(search, order, p, passes)
     raise rrqr.RrqrIterationError(f"old hybrid3 made {cap} rounds at rank {p}")
 
 
@@ -357,10 +356,10 @@ def dnrm2_first_pivot(a):
     return int(np.argmax([dnrm2(col) for col in np.asfortranarray(a).T]))
 
 
-def whole_r_weak_exchange(a, order, b, defl_tol):
+def whole_r_weak_exchange(search, order, b):
     """The inverse-row-norm exchange as it was: the leading triangle read
     out of the whole K x b R scipy's R-only QR returns."""
-    _, r = scipy_qr(a, order[:b], "r", defl_tol)
+    _, r = scipy_qr(search.a, order[:b], "r", search.tol)
     j = rrqr._pick_challenger(rrqr._inverse_row_norms(r[:b, :b]), b - 1)
     order[j], order[b - 1] = order[b - 1], order[j]
     return j != b - 1
@@ -386,7 +385,7 @@ def plain_hybrid_sweeps(search, order, boundary, cap):
                 f"no fixed point after {cap} passes at boundary {boundary}"
             )
         moved = (rrqr._strong_exchange(search, order, boundary)
-                 + rrqr._weak_exchange(search.a, order, boundary, search.tol))
+                 + rrqr._weak_exchange(search, order, boundary))
         if not moved:
             return swaps, passes
         swaps += moved

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qrfactors import cli
 from qrfactors.cli import main
 from qrfactors.rrqr import singular_values
 from qrfactors.simgen import gen_sim1
@@ -328,3 +329,74 @@ def test_roll_short_series_exits_one(tmp_path, capsys):
     code = main(["roll", "--data", str(data), "--outdir", str(tmp_path)])
     assert code == 1
     capsys.readouterr()
+
+
+# ------------------------------------------------------------------
+# bad input and the parser
+
+
+def test_oversized_csv_field_exits_one(tmp_path, capsys):
+    path = tmp_path / "panel.csv"
+    path.write_text("1,2,3\n4," + "5" * (csv.field_size_limit() + 10) + ",6\n")
+    assert main(["fit", "--data", str(path), "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: field larger")
+    assert not (tmp_path / "fit_report.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--lag-lo", "--lag-hi"])
+@pytest.mark.parametrize("sub", ["sim", "fit", "roll"])
+def test_m_with_a_lag_bound_is_a_usage_error(tmp_path, capsys, sub, flag):
+    # --m M means lags 1..M; with an explicit bound beside it one of the
+    # two would be dropped without a word
+    data = _write_panel_csv(tmp_path / "panel.csv", k=4, n=600, seed=17)
+    base = {"sim": ["sim", "--scenario", "sim1", "--k", "5", "--n", "100",
+                    "--trials", "1"],
+            "fit": ["fit", "--data", str(data)],
+            "roll": ["roll", "--data", str(data)]}[sub]
+    outdir = tmp_path / "out"
+    assert main([*base, "--m", "3", flag, "2", "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "--m cannot be combined with --lag-lo or --lag-hi" in err
+    assert not outdir.exists()
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once; a call that ends in a usage error leaves
+    # nothing behind for the next call to read
+    assert cli._build_parser() is cli._build_parser()
+    data = _write_panel_csv(tmp_path / "panel.csv", k=6, n=200, seed=18)
+    fit = ["fit", "--data", str(data), "--outdir", str(tmp_path)]
+
+    def report():
+        assert main(fit) == 0
+        payload = _read_json(tmp_path / "fit_report.json")
+        del payload["manifest"]["created_utc"]
+        return payload
+
+    first = report()
+    assert first["manifest"]["config"]["lag_lo"] == 1
+    assert first["manifest"]["config"]["lag_hi"] == 2
+    assert main([*fit, "--m", "4", "--lag-hi", "3"]) == 2
+    assert main(["rrqr", "--matrix", str(data), "--alg", "hybrid1"]) == 2
+    assert report() == first
+    capsys.readouterr()
+
+
+def test_non_finite_report_values_are_strings(tmp_path):
+    # an EVD fit of an exact-rank panel has a zero eigenvalue behind its
+    # p_hat-th ratio; JSON has no Infinity, so the report carries "inf"
+    rng = np.random.default_rng(19)
+    path = tmp_path / "panel.csv"
+    np.savetxt(path, rng.standard_normal((12, 2))
+               @ rng.standard_normal((2, 200)), delimiter=",")
+    assert main(["fit", "--data", str(path), "--method", "evd",
+                 "--outdir", str(tmp_path)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    with open(tmp_path / "fit_report.json", encoding="utf-8") as fh:
+        scan = json.load(fh, parse_constant=refuse)["fit"]["scan"]
+    assert scan["p_hat"] == 2
+    assert scan["candidates"][1]["ratio"] == "inf"

@@ -150,8 +150,8 @@ def test_scan_iteration_error_names_rank_boundaries_and_passes(monkeypatch):
     # 3 never settles; the 4x4 matrix gets 10 * 4 passes a sweep
     real = rrqr._weak_exchange
 
-    def stuck(a, order, b, defl_tol):
-        return b == 3 or real(a, order, b, defl_tol)
+    def stuck(search, order, b):
+        return b == 3 or real(search, order, b)
 
     monkeypatch.setattr(rrqr, "_weak_exchange", stuck)
     m = np.diag([4.0, 2.0, 1.0, 0.5])
@@ -387,3 +387,18 @@ def test_fit_container_validates_rank_consistency():
     with pytest.raises(ValueError):
         FactorModelFit(method="rrqr", p_hat=3, q_hat=q,
                        factors=np.zeros((3, 10)))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: FactorModelFit(method="rrqr", p_hat=3, q_hat=np.eye(6)[:, :2],
+                            factors=np.zeros((2, 10))),
+     "p_hat=3 but q_hat has 2 columns"),
+    (lambda: fit_rrqr(gen_sim1(k=6, n=100, seed=88).y, p_override=7),
+     "p_override must be in [1, 6], got 7"),
+    (lambda: scan_model_order(np.eye(4), p_cap=4, n=100),
+     "p_cap must be in [1, 3], got 4"),
+], ids=["p_hat not q_hat's width", "p_override", "p_cap"])
+def test_bad_input_messages(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

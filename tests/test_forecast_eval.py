@@ -375,3 +375,14 @@ def test_rolling_eval_constant_series_errors():
     ts = TimeSeries(np.ones((4, 900)))
     with pytest.raises(ValueError):
         rolling_eval(ts, "rrqr", window=500, eval_len=300)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"window": 2}, "window must be at least 3, got 2"),
+    ({"refit_stride": 0}, "refit_stride and eval_len must be positive"),
+], ids=["window < 3", "refit_stride < 1"])
+def test_rolling_eval_messages(kwargs, message):
+    data = gen_sim1(k=5, n=900, seed=211)
+    with pytest.raises(ValueError) as err:
+        rolling_eval(data.y, "evd", **{"window": 500, **kwargs})
+    assert str(err.value) == message

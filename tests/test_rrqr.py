@@ -215,6 +215,28 @@ def test_stewart2_rank_bounds():
         stewart2(factors, None, 5)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_stewart2_certifies_its_picks_at_extreme_scale(scale, monkeypatch):
+    # stewart2 pivots on the unit-scaled copy of Q R, so no
+    # inverse-row-norm pick falls back to the triangular solve for the
+    # matrix's scale alone, and the order is the unscaled matrix's
+    picks = []
+    real = rrqr._weak_pick
+
+    def counted(r11, tol):
+        pick = real(r11, tol)
+        picks.append(pick)
+        return pick
+
+    monkeypatch.setattr(rrqr, "_weak_pick", counted)
+    rng = np.random.default_rng(35)
+    for _ in range(10):
+        a = rng.standard_normal((8, 6))
+        _, perm = stewart2(gs_qr(a * scale), None, 2)
+        assert perm.order == stewart2(gs_qr(a), None, 2)[1].order
+    assert len(picks) == 2 * 10 * 4 and None not in picks
+
+
 # ------------------------------------------------------------------
 # hybrid pivoting and its bounds
 
@@ -438,7 +460,7 @@ def _scan_panel(case):
 def test_scan_panel_gamma_is_the_full_width_gamma(case):
     mat = _scan_panel(case)
     width, last = rrqr._GAMMA_PANEL
-    tol = rrqr._deflation_tol(mat)
+    tol = rrqr._DEFL_RTOL * rrqr._col_norms(mat).max()
     rows = rrqr._scan_orders(rrqr._PivotSearch(mat),
                              min(last, min(mat.shape)) - 1)
     for i, (gamma, gamma_next, _, order) in enumerate(rows, start=1):
@@ -736,7 +758,7 @@ def test_qr_is_scipys(shape, mode, layout):
     a = np.asarray(rng.standard_normal(shape), order=layout)
     a[:, -1] *= 1e-13                 # one pivot deflates
     cols = rng.permutation(shape[1]).tolist()
-    tol = rrqr._deflation_tol(a)
+    tol = rrqr._DEFL_RTOL * rrqr._col_norms(a).max()
     want_q, want_r = scipy_qr(a, cols, mode, tol)
     if mode == "r":
         # what the weak exchange and the scan read of dgeqrf's packed
@@ -774,7 +796,7 @@ def test_narrow_qrs_skip_the_workspace_query(layout, monkeypatch):
         a = np.asarray(rng.standard_normal((k, 40)), order=layout)
         for width in range(1, 34):
             cols = rng.permutation(40)[:width].tolist()
-            tol = rrqr._deflation_tol(a)
+            tol = rrqr._DEFL_RTOL * rrqr._col_norms(a).max()
             lworks.clear()
             q, r = rrqr._qr(a, cols, "economic", tol)
             want_q, want_r = scipy_qr(a, cols, "economic", tol)
@@ -896,7 +918,7 @@ def _basis_orders(mat):
 @pytest.mark.parametrize("case", BASIS_PANELS)
 def test_basis_panel_q_and_r11_are_the_full_qrs(case):
     mat = _basis_panel(case)
-    tol = rrqr._deflation_tol(mat)
+    tol = rrqr._DEFL_RTOL * rrqr._col_norms(mat).max()
     width, last = rrqr._GAMMA_PANEL
     for p, order in _basis_orders(mat):
         q, r = rrqr._qr(mat, order[:width] if p <= last else order,
@@ -1013,6 +1035,33 @@ def test_permutation_rejects_non_bijections():
 
 # ------------------------------------------------------------------
 # singular values
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: singular_values(np.ones(3)),
+     "expected a 2-D matrix, got shape (3,)"),
+    (lambda: singular_values([[1.0, np.nan]]), "matrix contains NaN or Inf"),
+    (lambda: gs_qr(np.zeros((0, 2))),
+     "expected a nonempty 2-D matrix, got shape (0, 2)"),
+    (lambda: hybrid1(np.eye(4), 2, init=[0, 1, 2]),
+     "init permutation has length 3, matrix has 4 columns"),
+    (lambda: qr_cp(np.eye(4), 5), "max_steps must be in [1, 4], got 5"),
+    (lambda: stewart2(gs_qr(np.eye(4)), None, 0),
+     "rank must be in [1, 4], got 0"),
+    (lambda: hybrid1(np.eye(4), 5), "p must be in [1, 4], got 5"),
+    (lambda: hybrid3(np.eye(4), 4), "p must be in [1, 3], got 4"),
+], ids=["svd of 1-D", "svd of NaN", "empty matrix", "init length",
+        "qr_cp steps", "stewart2 rank", "hybrid1 p", "hybrid3 p"])
+def test_bad_input_messages(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_singular_values_of_an_empty_matrix(shape):
+    got = singular_values(np.zeros(shape))
+    assert got.shape == (0,) and got.dtype == float
 
 
 def test_singular_values_match_closed_form_2x2():

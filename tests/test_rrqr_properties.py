@@ -203,12 +203,13 @@ def _weak_picks_agree(r11, tol):
 @_SETTINGS
 @given(awkward(), st.data())
 def test_certified_weak_picks_are_the_exact_picks(case, data):
-    # every leading triangle of a drawn order, on the unit-scaled copy the
-    # hybrid loops use and on the raw matrix stewart2 uses (scales 1e+-200)
+    # every leading triangle of a drawn order, on the unit-scaled copy
+    # every strategy pivots on and on the raw matrix (scales 1e+-200)
     a, _ = case
     search = rrqr._PivotSearch(a)
     order = data.draw(st.permutations(range(a.shape[1])))
-    for mat, tol in ((search.a, search.tol), (a, rrqr._deflation_tol(a))):
+    raw_tol = rrqr._DEFL_RTOL * rrqr._col_norms(a).max()
+    for mat, tol in ((search.a, search.tol), (a, raw_tol)):
         for b in range(2, min(a.shape) + 1):
             _weak_picks_agree(rrqr._packed(mat, order[:b])[0][:b], tol)
 

@@ -311,3 +311,16 @@ def test_monte_carlo_rejects_bad_arguments():
     for methods in [("svd",), ("rrqr", "pcaa"), ()]:
         with pytest.raises(ValueError, match="unknown method"):
             monte_carlo(cfg, trials=1, methods=methods)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: gen_sim1(1, 100, 0), "need at least 2 series, got 1"),
+    (lambda: gen_sim1(4, 9, 0), "need at least 10 samples, got 9"),
+    (lambda: hurst_cov(0, 0.5), "need at least one site, got 0"),
+    (lambda: gen_sim2(SimConfig(scenario="sim1", k=8, n=100, seed=0)),
+     "config is for scenario 'sim1'"),
+], ids=["sim1 k < 2", "sim1 n < 10", "hurst k < 1", "sim2 of a sim1 config"])
+def test_bad_input_messages(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

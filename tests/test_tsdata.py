@@ -1,5 +1,7 @@
 """Loader and panel-container behavior."""
 
+import csv
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -49,15 +51,22 @@ def test_records_freeze_their_own_copies(record, fields):
         assert_array_equal(getattr(rec, name), want)
 
 
-@pytest.mark.parametrize("bad", [
-    np.ones(5),                      # 1-D
-    np.ones((2, 1)),                 # single time point
-    [[1.0, np.nan], [0.0, 1.0]],
-    [[1.0, np.inf], [0.0, 1.0]],
+@pytest.mark.parametrize("bad,message", [
+    pytest.param(np.ones(5), "values must be 2-D, got shape (5,)",
+                 id="bad0"),
+    pytest.param(np.ones((2, 1)), "need at least 2 time points, got 1",
+                 id="bad1"),
+    pytest.param([[1.0, np.nan], [0.0, 1.0]], "values contain NaN or Inf",
+                 id="bad2"),
+    pytest.param([[1.0, np.inf], [0.0, 1.0]], "values contain NaN or Inf",
+                 id="bad3"),
+    pytest.param(np.ones((0, 5)), "need at least one series",
+                 id="no series"),
 ])
-def test_timeseries_rejects_bad_values(bad):
-    with pytest.raises(ValueError):
+def test_timeseries_rejects_bad_values(bad, message):
+    with pytest.raises(ValueError) as err:
         TimeSeries(bad)
+    assert str(err.value) == message
 
 
 def test_timeseries_rejects_label_count_mismatch():
@@ -153,6 +162,23 @@ def test_load_csv_rejects_ragged_rows(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("where", ["body", "header"])
+def test_an_oversized_field_is_a_value_error_naming_the_file(tmp_path, where):
+    # csv.reader refuses a field past its size limit; both readers report
+    # it as the bad input it is, not as a csv.Error
+    big = "1" * (csv.field_size_limit() + 10)
+    rows = ["1,2,3", "4,5,6"]
+    rows.insert(2 if where == "body" else 0, f"7,{big},9")
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join(rows) + "\n")
+    want = f"{path}: field larger than field limit"
+    for load in (lambda p: load_csv(p, has_header=where == "header"),
+                 read_matrix):
+        with pytest.raises(ValueError) as err:
+            load(path)
+        assert str(err.value).startswith(want), str(err.value)[:200]
+
+
 def test_load_csv_rejects_unknown_orientation(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_text("1,2\n3,4\n")
@@ -231,21 +257,34 @@ def _outcome(read, *args, **kwargs):
             values.view(np.int64).tobytes(), labels)
 
 
+def _csv_error_as_value_error(read):
+    """An old loader with the one change made since: a csv.Error, such
+    as a field past the size limit, is raised as a ValueError naming
+    the file."""
+    def wrapped(path, **kwargs):
+        try:
+            return read(path, **kwargs)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return wrapped
+
+
 @pytest.mark.parametrize("loader", LOADERS)
 @pytest.mark.parametrize("name", CSV_CORPUS)
 def test_load_csv_is_the_cell_loop(tmp_path, name, loader):
     path = tmp_path / "panel.csv"
     path.write_bytes(_encoded(CSV_CORPUS[name]))
+    old = _csv_error_as_value_error(oracles.old_load_csv)
     assert (_outcome(load_csv, path, **LOADERS[loader])
-            == _outcome(oracles.old_load_csv, path, **LOADERS[loader]))
+            == _outcome(old, path, **LOADERS[loader]))
 
 
 @pytest.mark.parametrize("name", CSV_CORPUS)
 def test_read_matrix_is_the_cell_loop(tmp_path, name):
     path = tmp_path / "m.csv"
     path.write_bytes(_encoded(CSV_CORPUS[name]))
-    assert (_outcome(read_matrix, str(path))
-            == _outcome(oracles.old_read_matrix, str(path)))
+    old = _csv_error_as_value_error(oracles.old_read_matrix)
+    assert (_outcome(read_matrix, str(path)) == _outcome(old, str(path)))
 
 
 def test_plain_panels_take_the_c_parse(tmp_path, monkeypatch):
