@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import _lag_covs, _rescaled, sample_autocov
+from .covariance import _lag_range, _rescaled, sample_autocov
 from .factor_rrqr import FactorModelFit, ModelOrderScan, _rank_cap
 from .tsdata import TimeSeries, _frozen
 
@@ -74,7 +74,7 @@ def evd_spectrum(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2) -> EvdSpectru
     its eigenvalues are the squared singular values the pivoted-QR route
     works from; only they depend on the panel's scale.
     """
-    covs = _lag_covs(ts, lag_lo, lag_hi)
+    covs = [sample_autocov(ts, lag) for lag in _lag_range(ts, lag_lo, lag_hi)]
     lam, u = _sym_eig_desc(sum(cov.scaled @ cov.scaled.T for cov in covs))
     return EvdSpectrum(eigenvalues=_rescaled(lam, 2 * covs[0].exponent),
                        eigenvectors=u, ratios=_eig_ratios(lam))
@@ -98,13 +98,13 @@ def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     spectrum = evd_spectrum(ts, lag_lo, lag_hi)
     lam = spectrum.eigenvalues
     if p_override is not None:
-        _rank_cap(p_override, ts.K, name="p_override")
+        p_override = _rank_cap(p_override, ts.K, name="p_override")
     scan = None
     if p_override is None or ts.K > 1:
         cap = _rank_cap(p_cap, min(ts.K, ts.N - 1) - 1)
         scan = ModelOrderScan.from_curve(lam[:cap], lam[1:cap + 1],
                                          spectrum.ratios[:cap], 0.0, (), ())
-    p_hat = scan.p_hat if p_override is None else int(p_override)
+    p_hat = scan.p_hat if p_override is None else p_override
     q_hat = spectrum.eigenvectors[:, :p_hat]
     z, e = ts._normalized
     diagnostics = {

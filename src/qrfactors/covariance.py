@@ -38,7 +38,10 @@ class _Scaled:
     and saturating to 0 or inf where it leaves the float range."""
 
     def __post_init__(self):
-        object.__setattr__(self, "scaled", _frozen(self.scaled))
+        s = self.scaled  # the builders below hand over fresh read-only arrays
+        if not (isinstance(s, np.ndarray) and s.dtype == float
+                and s.flags.owndata and not s.flags.writeable):
+            object.__setattr__(self, "scaled", _frozen(s))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -67,29 +70,45 @@ class AugmentedCov(_Scaled):
         return self.scaled.shape[0]
 
 
+def _lag_products(z: np.ndarray, lags) -> np.ndarray:
+    """C(lag) for each lag of the normalized panel z, side by side in one
+    read-only K x mK array: each GEMM writes its block, then one division
+    by N - lag (a division per strided block would go through numpy's
+    64 KB iteration buffers). The bits are z[:, lag:] @ z[:, :N - lag].T
+    / (N - lag), with no temporary."""
+    k, n = z.shape
+    out = np.empty((k, len(lags) * k))
+    for j, lag in enumerate(lags):
+        np.matmul(z[:, lag:], z[:, :n - lag].T, out=out[:, j * k:(j + 1) * k])
+    blocks = out.reshape(k, len(lags), k)
+    blocks /= (n - np.asarray(lags, float))[:, None]
+    out.setflags(write=False)
+    return out
+
+
 def sample_autocov(ts: TimeSeries, lag: int) -> LagCovariance:
     """Sample autocovariance at the given lag (0 <= lag <= N-2)."""
     n = ts.N
     if not 0 <= lag <= n - 2:
         raise ValueError(f"lag must be in [0, {n - 2}] for N={n}, got {lag}")
     z, e = ts._normalized
-    return LagCovariance(lag=lag, scaled=z[:, lag:] @ z[:, :n - lag].T / (n - lag),
-                         exponent=2 * e)
+    return LagCovariance(lag=lag, scaled=_lag_products(z, [lag]), exponent=2 * e)
 
 
-def _lag_covs(ts: TimeSeries, lag_lo: int, lag_hi: int) -> list[LagCovariance]:
-    """C(lag_lo) ... C(lag_hi), for 1 <= lag_lo <= lag_hi <= N-2."""
+def _lag_range(ts: TimeSeries, lag_lo: int, lag_hi: int) -> range:
+    """lag_lo..lag_hi, checked to satisfy 1 <= lag_lo <= lag_hi <= N-2."""
     n = ts.N
     if not 1 <= lag_lo <= lag_hi:
         raise ValueError(f"need 1 <= lag_lo <= lag_hi, got {lag_lo}..{lag_hi}")
     if lag_hi > n - 2:
         raise ValueError(f"lag_hi={lag_hi} too large for N={n} (max {n - 2})")
-    return [sample_autocov(ts, lag) for lag in range(lag_lo, lag_hi + 1)]
+    return range(lag_lo, lag_hi + 1)
 
 
 def build_augmented(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 5) -> AugmentedCov:
-    """Stack sample autocovariances for lags lag_lo..lag_hi horizontally."""
-    covs = _lag_covs(ts, lag_lo, lag_hi)
-    return AugmentedCov(lag_lo=lag_lo, lag_hi=lag_hi,
-                        scaled=np.hstack([c.scaled for c in covs]),
-                        exponent=covs[0].exponent, N=ts.N)
+    """Stack sample autocovariances for lags lag_lo..lag_hi horizontally,
+    each built in its block of the one array the result holds."""
+    lags = _lag_range(ts, lag_lo, lag_hi)
+    z, e = ts._normalized
+    return AugmentedCov(lag_lo=lag_lo, lag_hi=lag_hi, scaled=_lag_products(z, lags),
+                        exponent=2 * e, N=ts.N)

@@ -46,8 +46,7 @@ def _rank_cap(p_cap: int | None, limit: int,
         )
     if p_cap is None:
         return min(limit, default)
-    _check_rank(name, p_cap, limit)
-    return int(p_cap)
+    return _check_rank(name, p_cap, limit)
 
 
 @dataclass(frozen=True)
@@ -204,6 +203,7 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     aug = build_augmented(ts, lag_lo, lag_hi)
     exp = aug.exponent
     search = _PivotSearch(aug.scaled)
+    del aug  # the search holds its own unit-scaled copy
     scan = order = None
     if p_override is not None:
         p_hat = _rank_cap(p_override, min(search.a.shape), name="p_override")

@@ -29,9 +29,11 @@ It hands back each rank's final order, a fixed point of both of its
 boundaries, and ``_loading_basis`` reads Q[:, :p] from one QR of LAPACK's
 first panel (p <= 16) of the order at p as it is, with no second sweep.
 
-Every exchange that runs factorizes the permuted columns it reads from
-scratch; Q and R are never updated in place. A sweep ends at the first
-pass whose inverse-row-norm exchange moves nothing: the pass after it
+Q and R are never updated in place; each exchange factorizes the columns
+it reads, but a column-pivot exchange reading exactly those the last
+inverse-row-norm exchange factorized takes Q from that dgeqrf output
+(``_PivotSearch.leading_q``). A sweep ends at the first pass whose
+inverse-row-norm exchange moves nothing: the pass after it
 could only confirm the order, so it is counted, not run. The
 column-pivot exchange downdates the column sums of squares by the
 leading columns' projection, brackets each result with a rigorous
@@ -58,6 +60,7 @@ the module mapped back with ldexp, exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -160,7 +163,7 @@ class RrqrResult:
     passes: int = 0
 
 
-def _col_norms(a: np.ndarray) -> np.ndarray:
+def _col_norms(a: np.ndarray, order="K") -> np.ndarray:
     """Column 2-norms whose squares neither overflow nor underflow.
 
     Each column is scaled by the power of two that brings its largest
@@ -168,8 +171,8 @@ def _col_norms(a: np.ndarray) -> np.ndarray:
     are exact and the squares are summed down each column as
     np.linalg.norm sums them, so in-range norms are its bit for bit.
     """
-    _, exp = np.frexp(np.abs(a).max(axis=0))
-    scaled = np.ldexp(a, -exp)
+    _, exp = np.frexp(np.maximum(a.max(axis=0), -a.min(axis=0)))
+    scaled = np.ldexp(a, -exp, order=order)
     scaled *= scaled
     return np.ldexp(np.sqrt(np.add.reduce(scaled, axis=0)), exp)
 
@@ -183,7 +186,8 @@ class _PivotSearch:
     scaled, bit for bit. `sums` (column sums of squares) and `lead`
     (column norms, as the rank-1 seed and exchange read them) are
     computed on first use and live as long as the search: one scan and
-    the basis sweep after it, or one strategy call.
+    the basis sweep after it, or one strategy call. `last_qr` holds the
+    last inverse-row-norm exchange's (columns, dgeqrf output).
     """
 
     def __init__(self, a):
@@ -196,6 +200,7 @@ class _PivotSearch:
         self.exp = math.frexp(top)[1]
         self.a = np.ldexp(mat, -self.exp)
         self.tol = math.ldexp(_DEFL_RTOL * top, -self.exp)
+        self.last_qr = None
 
     @cached_property
     def sums(self) -> np.ndarray:
@@ -203,11 +208,18 @@ class _PivotSearch:
 
     @cached_property
     def lead(self) -> np.ndarray:
-        # Summed down contiguous columns, which numpy does pairwise, these
-        # are a column gather's norms bit for bit, the ones the rank-1
-        # pivots have always been taken with; a row-major sum can differ
-        # in the last bit.
-        return _col_norms(np.asfortranarray(self.a))
+        # summed pairwise down contiguous columns: a column gather's norms
+        # bit for bit, as the rank-1 pivots read them; a row-major sum can
+        # differ in the last bit
+        return _col_norms(self.a, order="F")
+
+    def leading_q(self, cols):
+        """_unsigned_q(self.a, cols), once from last_qr's dgeqrf output
+        (which dorgqr overwrites) if it factorized exactly `cols`."""
+        last, self.last_qr = self.last_qr, None
+        if last is None or last[0] != cols:
+            return _unsigned_q(self.a, cols)
+        return _lapack(dorgqr, *last[1])[0]
 
 
 def _lapack(routine, a, *args):
@@ -458,7 +470,7 @@ def _strong_exchange(search, order, boundary) -> bool:
     if not i:
         trail = search.lead[order]
     else:
-        q = _unsigned_q(search.a, order[:i])
+        q = search.leading_q(order[:i])
         c = q.T @ search.a
         pick = _downdated_pick(search, order, i, q, c)
         if pick is None:
@@ -542,7 +554,10 @@ def _weak_exchange(search, order, b) -> bool:
     on the signed, deflated triangle. Returns whether `order` changed."""
     if b == 1:
         return False
-    r11 = _packed(search.a, order[:b])[0][:b]
+    cols = order[:b]
+    packed = _packed(search.a, cols)
+    search.last_qr = cols, packed
+    r11 = packed[0][:b]
     j = _weak_pick(r11, search.tol)
     if j is None:
         j = _pick_challenger(
@@ -664,10 +679,15 @@ def _blocked_result(search, order, p, passes) -> RrqrResult:
         r11_min_sv=r11_min_sv, r22_max_sv=r22_max_sv, passes=passes)
 
 
-def _check_rank(name, value, top):
-    """Raise unless the rank `value` of parameter `name` is in [1, top]."""
-    if not 1 <= value <= top:
-        raise ValueError(f"{name} must be in [1, {top}], got {value}")
+def _check_rank(name, value, top) -> int:
+    """`value`, an integer rank (numpy's too) checked to be in [1, top]."""
+    try:
+        rank = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not 1 <= rank <= top:
+        raise ValueError(f"{name} must be in [1, {top}], got {rank}")
+    return rank
 
 
 def _hybrid_start(search, p, init, spare, seed):

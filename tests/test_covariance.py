@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from qrfactors.covariance import build_augmented, sample_autocov
+from qrfactors.covariance import LagCovariance, build_augmented, sample_autocov
 from qrfactors.factor_rrqr import fit_rrqr
 from qrfactors.simgen import subspace_error
 from qrfactors.tsdata import TimeSeries
@@ -71,6 +71,40 @@ def test_augmented_single_lag():
     aug = build_augmented(ts, lag_lo=2, lag_hi=2)
     assert aug.matrix.shape == (4, 4)
     assert_array_equal(aug.matrix[:, :4], sample_autocov(ts, 2).matrix)
+
+
+@pytest.mark.parametrize("shape,lag_hi", [((20, 200), 5), ((180, 500), 5),
+                                          ((30, 12), 2), ((1, 50), 3)])
+def test_blocks_are_the_plain_quotients_bit_for_bit(shape, lag_hi):
+    # each block is written by the GEMM in place and divided there; its
+    # bits are those of the product and quotient as separate arrays
+    ts = TimeSeries(np.random.default_rng(7).standard_normal(shape))
+    z, e = ts._normalized
+    n = ts.N
+    aug = build_augmented(ts, 1, lag_hi)
+    want = [z[:, lag:] @ z[:, :n - lag].T / (n - lag)
+            for lag in range(1, lag_hi + 1)]
+    assert aug.exponent == 2 * e
+    assert_array_equal(aug.scaled.view(np.uint64),
+                       np.hstack(want).view(np.uint64))
+    for lag in (0, 1, lag_hi):
+        got = sample_autocov(ts, lag).scaled
+        assert_array_equal(got.view(np.uint64),
+                           (z[:, lag:] @ z[:, :n - lag].T / (n - lag)).view(np.uint64))
+
+
+def test_built_covariances_are_held_without_a_copy():
+    # built read-only, so held as they are; an array handed in is still
+    # copied, so changing it later moves nothing
+    ts = TimeSeries(np.random.default_rng(8).standard_normal((4, 30)))
+    for cov in (build_augmented(ts, 1, 3), sample_autocov(ts, 2)):
+        assert cov.scaled.flags.owndata and not cov.scaled.flags.writeable
+        assert cov.scaled.flags.c_contiguous
+        assert not cov.matrix.flags.writeable
+    mine = np.ones((2, 2))
+    cov = LagCovariance(lag=1, scaled=mine, exponent=0)
+    mine[0, 0] = 5.0
+    assert cov.scaled[0, 0] == 1.0 and not cov.scaled.flags.writeable
 
 
 @pytest.mark.parametrize("lo,hi", [(0, 2), (3, 1), (1, 30)])

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from qrfactors import rrqr
 from qrfactors.covariance import build_augmented
+from qrfactors.baselines import fit_evd, fit_pca
 from qrfactors.factor_rrqr import FactorModelFit, fit_rrqr, scan_model_order
 from qrfactors.forecast_eval import fit_method
 from qrfactors.rrqr import RrqrIterationError, hybrid1, hybrid3
@@ -290,6 +291,42 @@ def test_fit_rejects_bad_overrides():
         fit_rrqr(data.y, p_override=99)
     with pytest.raises(ValueError):
         fit_rrqr(data.y, p_cap=0)
+
+
+_FIT_RANKS = {
+    "fit_rrqr p_override": lambda ts, v: fit_rrqr(ts, p_override=v),
+    "fit_rrqr p_cap": lambda ts, v: fit_rrqr(ts, p_cap=v),
+    "scan_model_order p_cap": lambda ts, v: scan_model_order(
+        build_augmented(ts, 1, 2).scaled, p_cap=v, n=ts.N),
+    "fit_evd p_override": lambda ts, v: fit_evd(ts, p_override=v),
+    "fit_evd p_cap": lambda ts, v: fit_evd(ts, p_cap=v),
+    "fit_pca p_override": lambda ts, v: fit_pca(ts, p_override=v),
+    "fit_pca p_max": lambda ts, v: fit_pca(ts, p_max=v),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5])
+@pytest.mark.parametrize("case", list(_FIT_RANKS))
+def test_fits_reject_non_integer_ranks(case, value):
+    # a float rank is refused, not truncated: p_override=2.5 once fit rank 2
+    ts = gen_sim1(k=8, n=200, seed=84).y
+    with pytest.raises(ValueError) as err:
+        _FIT_RANKS[case](ts, value)
+    assert str(err.value) == f"{case.split()[1]} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("case", list(_FIT_RANKS))
+def test_fits_take_numpy_integer_ranks(case):
+    ts = gen_sim1(k=8, n=200, seed=84).y
+    want = _FIT_RANKS[case](ts, 2)
+    for value in (np.int64(2), np.int32(2), np.uint8(2)):
+        got = _FIT_RANKS[case](ts, value)
+        if case.startswith("scan"):
+            assert got == want
+        else:
+            assert type(got.p_hat) is int and got.p_hat == want.p_hat
+            assert_array_equal(got.q_hat, want.q_hat)
+            assert got.scan == want.scan
 
 
 def test_fit_is_deterministic():

@@ -661,6 +661,39 @@ def test_downdated_picks_stay_open_at_the_tolerances():
         assert got == want
 
 
+@pytest.mark.parametrize("case", SCAN_PANELS + EXACT_PANELS)
+def test_reused_leading_q_is_a_fresh_qrs(case, monkeypatch):
+    # the column-pivot exchange takes Q1 from the inverse-row-norm
+    # exchange's dgeqrf output where that factorized exactly its leading
+    # columns: each reused Q is the fresh QR's bit for bit, and the scan
+    # and basis come out as they do with every Q fresh
+    mat = _scan_panel(case)
+    p_cap = min(15, min(mat.shape) - 1)
+    real = rrqr._PivotSearch.leading_q
+    calls = [0, 0]
+
+    def checked(search, cols):
+        hit = search.last_qr is not None and search.last_qr[0] == cols
+        q = real(search, cols)
+        if hit:
+            _same_bits(q, rrqr._unsigned_q(search.a, cols))
+        calls[hit] += 1
+        return q
+
+    def scan_and_basis():
+        search = rrqr._PivotSearch(mat)
+        rows = rrqr._scan_orders(search, p_cap)
+        basis = rrqr._loading_basis(search, 3, None)
+        return rows, basis[0].tobytes(), basis[1:]
+
+    monkeypatch.setattr(rrqr._PivotSearch, "leading_q", checked)
+    got = scan_and_basis()
+    assert calls[1] > 0, calls
+    monkeypatch.setattr(rrqr._PivotSearch, "leading_q",
+                        lambda search, cols: rrqr._unsigned_q(search.a, cols))
+    assert got == scan_and_basis()
+
+
 # ------------------------------------------------------------------
 # a sweep ends at the pass its inverse-row-norm exchange leaves alone;
 # the confirming pass it no longer runs would have swapped nothing
@@ -861,6 +894,82 @@ def test_weak_pick_leaves_deflated_pivots_to_the_inf_rule():
     assert exact_weak_pick(r11, 1e-12) == 1
 
 
+def _ill_conditioned_triangle(case):
+    """An upper triangle of condition number 1e4 to 3e8 on which
+    _weak_pick's bracket spans 100 to 800 ulps of the norms or more; on
+    the last, the inverse of a unit triangle with b > 64, dtrtri runs
+    blocked and the two routes' norms differ by up to 56 ulps."""
+    rng = np.random.default_rng(63)
+    if case == "Kahan":        # diag(s^i) (I - c N), N strictly upper ones
+        b, theta = 24, 1.2
+        r = np.triu(np.full((b, b), -np.cos(theta)), 1) + np.eye(b)
+        r *= (np.sin(theta) ** np.arange(b))[:, None]
+    elif case == "graded":     # columns scaled by 0.3^j
+        b = 12
+        r = np.triu(rng.uniform(-1.0, 1.0, (b, b)))
+        r[np.diag_indices(b)] = rng.uniform(0.5, 1.0, b)
+        r *= 0.3 ** np.arange(b)
+    else:
+        b = 100
+        y = np.triu(0.7 * np.random.default_rng(2).standard_normal((b, b)), 1)
+        r = np.triu(np.linalg.inv(y + np.eye(b)))
+    return r
+
+
+def _bracket(r):
+    """Row norms n of dtrtri's inverse and _weak_pick's documented
+    half-widths rad = 4(b + 2) eps (w + n), w = |X||R||X| 1, with numpy's
+    own products."""
+    b = r.shape[0]
+    x = rrqr.dtrtri(np.asfortranarray(np.triu(r)))[0]
+    n = np.linalg.norm(x, axis=1)
+    w = np.abs(x) @ (np.abs(np.triu(r)) @ (np.abs(x) @ np.ones(b)))
+    return n, 4 * (b + 2) * rrqr._EPS * (w + n)
+
+
+def _tied_rows(r, gap):
+    """r with rows 0 and 1 of its inverse tied to `gap` times the sum of
+    their brackets (row 1 the longer for gap > 0) and every other row
+    made at least 256 times shorter. Scaling column j of R by f scales
+    row j of the inverse and its bracket by 1/f, exactly when f is a
+    power of two, as it is for every column but column 1."""
+    n, _ = _bracket(r)
+    shrink = np.exp2(np.ceil(np.log2(np.maximum(n / n[:2].min(), 1.0))) + 8)
+    shrink[:2] = 1.0
+    r = r * shrink
+    n, rad = _bracket(r)
+    # n1/f - n0 = gap (rad0 + rad1/f)
+    r[:, 1] *= (n[1] - gap * rad[1]) / (n[0] + gap * rad[0])
+    r[np.tril_indices(len(r), -1)] = 7.0    # dgeqrf's reflectors, unread
+    return np.asfortranarray(r)
+
+
+@pytest.mark.parametrize("case", ["Kahan", "graded", "unit inverse"])
+def test_weak_pick_falls_back_inside_its_bracket(case):
+    # two rows of the inverse whose norms lie within their summed
+    # brackets may be ordered either way by the two routes, so the pick
+    # falls back there, and stands outside. A bound that is missing or
+    # 4 times too tight certifies the near ties at half the brackets
+    # (the swap-tolerance test above catches only a missing one).
+    r = _ill_conditioned_triangle(case)
+    if case == "unit inverse":     # the routes are many ulps apart
+        n, _ = _bracket(r)
+        x_t = rrqr.dtrtri(np.asfortranarray(r))[0]
+        n_t = np.sqrt(rrqr.dlauum(x_t, overwrite_c=1)[0].diagonal())
+        n_e = rrqr._inverse_row_norms(np.triu(r))
+        assert (np.abs(n_t - n_e) / (n * rrqr._EPS)).max() >= 10.0
+    for gap in (-3.0, -0.5, 0.5, 3.0):
+        tied = _tied_rows(r, gap)
+        n, rad = _bracket(tied)
+        measured = (n[1] - n[0]) / (rad[0] + rad[1])
+        assert abs(measured - gap) <= 0.05 * abs(gap), (gap, measured)
+        got = rrqr._weak_pick(tied, 0.0)
+        if abs(gap) < 1.0:
+            assert got is None, gap
+        else:
+            assert got == (1 if gap > 0 else 0) == exact_weak_pick(tied, 0.0)
+
+
 # per panel family: the (certified, fallback, deflated) inverse-row-norm
 # picks of a scan to rank 15 (fewer where the matrix is narrower); a
 # deflated triangle goes to the exact path by its inf rule
@@ -1056,6 +1165,36 @@ def test_bad_input_messages(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+_RANKED = {"qr_cp max_steps": ("max_steps", qr_cp),
+           "stewart2 rank": ("rank", lambda a, v: stewart2(gs_qr(a), None, v)),
+           "hybrid1 p": ("p", hybrid1), "hybrid2 p": ("p", hybrid2),
+           "hybrid3 p": ("p", hybrid3)}
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5])
+@pytest.mark.parametrize("case", list(_RANKED))
+def test_non_integer_ranks_are_rejected(case, value):
+    name, call = _RANKED[case]
+    with pytest.raises(ValueError) as err:
+        call(np.eye(4), value)
+    assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("case", list(_RANKED))
+def test_numpy_integer_ranks_are_ranks(case):
+    a = np.random.default_rng(62).standard_normal((6, 8))
+    if case == "stewart2 rank":
+        a = a[:, :6]
+    _, call = _RANKED[case]
+    for value in (np.int64(2), np.int32(2), np.uint8(2)):
+        got, want = call(a, value), call(a, 2)
+        if case == "stewart2 rank":
+            assert got[1] == want[1]
+            assert_array_equal(got[0].r, want[0].r)
+        else:
+            assert result_bits(got) == result_bits(want)
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
