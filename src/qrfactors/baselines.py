@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import _lag_range, _rescaled, sample_autocov
+from .covariance import _lag_range, sample_autocov
 from .factor_rrqr import FactorModelFit, ModelOrderScan, _rank_cap
-from .tsdata import TimeSeries, _frozen
+from .tsdata import TimeSeries, _frozen, _rescaled
 
 # Default information-criterion search limit for fit_pca.
 _PCA_SEARCH_LIMIT = 40

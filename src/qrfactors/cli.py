@@ -21,6 +21,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -32,8 +33,8 @@ import numpy as np
 from . import __version__
 from .factor_rrqr import ModelOrderScan, scan_model_order
 from .forecast_eval import METHODS, fit_method, rolling_eval
-from .rrqr import (_block_svs, gs_qr, hybrid1, hybrid2, hybrid3, qr_cp,
-                   singular_values, stewart2)
+from .rrqr import (gs_qr, hybrid1, hybrid2, hybrid3, qr_cp, singular_values,
+                   stewart2)
 from .simgen import SimConfig, monte_carlo
 from .tsdata import load_csv, read_matrix
 
@@ -51,8 +52,8 @@ def _sanitize(obj):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
     return obj
 
 
@@ -185,16 +186,9 @@ def _cmd_rrqr(args) -> int:
         perm = list(range(mat.shape[1]))
         block = rank if rank is not None else min(mat.shape)
         summary = {"algorithm": "gsqr"}
-    elif args.alg == "stewart2":
-        factors, total = stewart2(gs_qr(mat), None, rank)
-        perm = list(total.order)
-        block = rank
-        r11_min_sv, r22_max_sv = _block_svs(factors.r, rank)
-        summary = {"algorithm": "stewart2", "sigma_min_r11": r11_min_sv,
-                   "sigma_max_r22": r22_max_sv}
     else:
-        pivoting = {"qrcp": qr_cp, "hybrid1": hybrid1, "hybrid2": hybrid2,
-                    "hybrid3": hybrid3}[args.alg]
+        pivoting = {"qrcp": qr_cp, "stewart2": stewart2, "hybrid1": hybrid1,
+                    "hybrid2": hybrid2, "hybrid3": hybrid3}[args.alg]
         res = pivoting(mat, rank)
         factors = res.factors
         perm = list(res.perm.order)
@@ -207,12 +201,12 @@ def _cmd_rrqr(args) -> int:
             "passes": res.passes,
         }
         if args.alg in ("hybrid1", "hybrid3") and rank <= sv.size:
-            bound = float(sv[rank - 1]) / np.sqrt(rank * (n - rank + 1))
+            bound = float(sv[rank - 1]) / math.sqrt(rank * (n - rank + 1))
             summary["r11_lower_bound"] = bound
             summary["r11_bound_slack"] = (res.r11_min_sv / bound
                                           if bound > 0 else float("inf"))
         if args.alg in ("hybrid2", "hybrid3") and rank < sv.size:
-            bound = float(sv[rank]) * np.sqrt((rank + 1) * (n - rank))
+            bound = float(sv[rank]) * math.sqrt((rank + 1) * (n - rank))
             summary["r22_upper_bound"] = bound
             summary["r22_bound_slack"] = (bound / res.r22_max_sv
                                           if res.r22_max_sv > 0
@@ -320,8 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--half-support", action="store_true")
     sim.add_argument("--p-override", type=_positive("--p-override"), default=None)
     sim.add_argument("--p-cap", type=_positive("--p-cap"), default=None)
-    sim.add_argument("--threads", type=_positive("--threads"),
-                     default=os.cpu_count())
+    sim.add_argument("--threads", type=_positive("--threads"), default=1,
+                     help="worker processes for the trials (default 1: "
+                          "serial, no pool)")
     _add_lag_flags(sim)
     _add_outdir_flag(sim)
     sim.set_defaults(func=_cmd_sim)

@@ -23,13 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tsdata import TimeSeries, _frozen
-
-
-def _rescaled(x, exp: int):
-    """x * 2^exp, saturating to 0 or inf where it leaves the float range."""
-    with np.errstate(over="ignore"):
-        return np.ldexp(x, exp)
+from .tsdata import TimeSeries, _frozen, _rescaled
 
 
 class _Scaled:

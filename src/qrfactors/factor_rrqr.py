@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import _rescaled, build_augmented
+from .covariance import build_augmented
 from .rrqr import _check_rank, _loading_basis, _PivotSearch, _scan_orders
 # bench/reference.py patches factor_rrqr.hybrid3 to count the scan's passes;
 # the scan no longer calls it, but the name stays until that script changes.
 from .rrqr import hybrid3  # noqa: F401
-from .tsdata import TimeSeries, _frozen
+from .tsdata import TimeSeries, _frozen, _rescaled
 
 # Widest rank scanned when the caller does not say; generous for factor
 # counts seen in practice while keeping the scan loop cheap.
@@ -160,13 +160,13 @@ def scan_model_order(m_tilde, p_cap: int | None = None,
     n : int
         Sample count behind the matrix, used only to scale eps.
     """
-    return _scan(_PivotSearch(m_tilde), p_cap, n, 0)
+    return _scan(_PivotSearch(m_tilde), p_cap, n)
 
 
-def _scan(search, p_cap, n, exp) -> ModelOrderScan:
-    """scan_model_order on a pivot search (rrqr._PivotSearch), its gammas
-    and epsilon times a further 2^exp (fit_rrqr's covariance exponent);
-    the ratios are the matrix's, which no power of two can move."""
+def _scan(search, p_cap, n) -> ModelOrderScan:
+    """scan_model_order on a pivot search (rrqr._PivotSearch): the curve
+    at the search's unit scale, where nothing overflows, its gammas and
+    epsilon mapped back; no power of two can move the ratios."""
     rows, cols = search.a.shape
     if n is None or n <= 0:
         raise ValueError("sample count n is required to scale the ratio floor")
@@ -178,8 +178,8 @@ def _scan(search, p_cap, n, exp) -> ModelOrderScan:
     ratios = [(gamma + epsilon) / (gamma_next + epsilon)
               for gamma, gamma_next in zip(gammas, gammas_next)]
     return ModelOrderScan.from_curve(
-        _rescaled(gammas, exp), _rescaled(gammas_next, exp), ratios,
-        _rescaled(epsilon, exp), passes, orders)
+        *map(search.unscaled, (gammas, gammas_next)), ratios,
+        search.unscaled(epsilon), passes, orders)
 
 
 def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
@@ -201,23 +201,19 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     mapped back to it. A panel of constant series is rejected.
     """
     aug = build_augmented(ts, lag_lo, lag_hi)
-    exp = aug.exponent
-    search = _PivotSearch(aug.scaled)
+    search = _PivotSearch(aug.scaled, aug.exponent)
     del aug  # the search holds its own unit-scaled copy
     scan = order = None
     if p_override is not None:
         p_hat = _rank_cap(p_override, min(search.a.shape), name="p_override")
     else:
-        scan = _scan(search, p_cap, ts.N, exp)
+        scan = _scan(search, p_cap, ts.N)
         p_hat = scan.p_hat
         order = scan.orders[p_hat - 1]
     q_hat, r11_min, r22_max, passes = _loading_basis(search, p_hat, order)
     del search  # its unit-scaled copy is not needed past the basis
-    diagnostics = {
-        "r11_min_sv": float(_rescaled(r11_min, exp)),
-        "r22_max_sv": float(_rescaled(r22_max, exp)),
-        "passes": float(passes),
-    }
+    diagnostics = {"r11_min_sv": r11_min, "r22_max_sv": r22_max,
+                   "passes": float(passes)}
     if scan is not None:
         diagnostics["epsilon"] = scan.epsilon
     z, e = ts._normalized

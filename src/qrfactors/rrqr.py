@@ -52,9 +52,10 @@ Diagonal entries of R are kept non-negative by flipping the matching
 columns of Q. A pivot at or below the deflation tolerance deflates: its
 diagonal entry becomes exactly 0. Q is orthonormal for any input, so a
 deflated pivot needs no completion. Every strategy reads its matrix
-through one pivot search (``_PivotSearch``), checked and scaled once by a
-power of two, with one deflation tolerance; R and singular values leave
-the module mapped back with ldexp, exactly.
+through one pivot search (``_PivotSearch``), which owns its scale: it is
+checked and brought to unit scale once by powers of two, with one
+deflation tolerance, and R, gammas and singular values leave the module
+through its one saturating map-back (``unscaled``).
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from scipy.linalg import qr
 from scipy.linalg.blas import dnrm2, dtrmv
 from scipy.linalg.lapack import dgeqrf, dlauum, dorgqr, dtrtri, dtrtrs
 
-from .tsdata import _frozen
+from .tsdata import _frozen, _rescaled
 
 # A swap happens only when the challenger beats the incumbent by this
 # relative margin; equal-norm columns would otherwise trade places forever.
@@ -163,8 +164,8 @@ class RrqrResult:
     passes: int = 0
 
 
-def _col_norms(a: np.ndarray, order="K") -> np.ndarray:
-    """Column 2-norms whose squares neither overflow nor underflow.
+def _col_norms(a: np.ndarray, order="K", shift=0) -> np.ndarray:
+    """Column 2-norms of a * 2^shift; no square overflows or underflows.
 
     Each column is scaled by the power of two that brings its largest
     entry into [0.5, 1) and its norm is scaled back after. Both scalings
@@ -174,33 +175,43 @@ def _col_norms(a: np.ndarray, order="K") -> np.ndarray:
     _, exp = np.frexp(np.maximum(a.max(axis=0), -a.min(axis=0)))
     scaled = np.ldexp(a, -exp, order=order)
     scaled *= scaled
-    return np.ldexp(np.sqrt(np.add.reduce(scaled, axis=0)), exp)
+    return np.ldexp(np.sqrt(np.add.reduce(scaled, axis=0)), exp + shift)
 
 
 class _PivotSearch:
-    """A checked matrix, as every factorization here reads it.
+    """A checked matrix, as every factorization here reads it, and the one
+    owner of its scale.
 
-    `a` is the matrix times 2^-exp, 2^exp the power of two above its
-    largest column norm, and `tol` its deflation tolerance scaled alike:
-    exact, so R and every pivot decision on the copy are the matrix's,
-    scaled, bit for bit. `sums` (column sums of squares) and `lead`
-    (column norms, as the rank-1 seed and exchange read them) are
+    The matrix is `a` times 2^exp: the input (times the caller's 2^exp)
+    scaled by the power of two above its largest |entry|, whose max and
+    min carry any NaN or Inf, then by the one above that copy's largest
+    column norm, so no norm overflows. `tol` is the deflation tolerance
+    at that scale. Both scalings are exact, so R and every pivot decision
+    on the copy are the matrix's, scaled, bit for bit; what bears the
+    scale leaves through `unscaled`. `sums` (column sums of squares) and
+    `lead` (column norms, as the rank-1 seed and exchange read them) are
     computed on first use and live as long as the search: one scan and
     the basis sweep after it, or one strategy call. `last_qr` holds the
     last inverse-row-norm exchange's (columns, dgeqrf output).
     """
 
-    def __init__(self, a):
+    def __init__(self, a, exp=0):
         mat = np.asarray(a, dtype=float)
         if mat.ndim != 2 or mat.size == 0:
             raise ValueError(f"expected a nonempty 2-D matrix, got shape {mat.shape}")
-        if not np.isfinite(mat).all():
+        peak = float(np.maximum(mat.max(), -mat.min()))
+        if not math.isfinite(peak):
             raise ValueError("matrix contains NaN or Inf")
-        top = float(_col_norms(mat).max())
-        self.exp = math.frexp(top)[1]
-        self.a = np.ldexp(mat, -self.exp)
-        self.tol = math.ldexp(_DEFL_RTOL * top, -self.exp)
+        shift = -math.frexp(peak)[1]
+        top, top_exp = math.frexp(float(_col_norms(mat, shift=shift).max()))
+        self.exp = exp - shift + top_exp
+        self.a = np.ldexp(mat, shift - top_exp)
+        self.tol = _DEFL_RTOL * top
         self.last_qr = None
+
+    def unscaled(self, x):
+        """x, read at the copy's scale, at the matrix's (saturating)."""
+        return _rescaled(x, self.exp)
 
     @cached_property
     def sums(self) -> np.ndarray:
@@ -314,11 +325,12 @@ def _pick_challenger(scores: np.ndarray, incumbent: int) -> int:
     return incumbent
 
 
-def _full_factors(search, order) -> QrFactors:
-    """K x K Q and R of the matrix's columns `order`, R at its scale."""
+def _full_factors(search, order) -> tuple[QrFactors, np.ndarray]:
+    """K x K Q and R of the matrix's columns `order`, R at its scale,
+    and R at the search's unit scale."""
     q, r = _qr(search.a, order, "full", search.tol)
-    np.ldexp(r, search.exp, out=r)
-    return QrFactors(q=q, r=r, diag=np.diagonal(r))
+    big = search.unscaled(r)
+    return QrFactors(q=q, r=big, diag=np.diagonal(big)), r
 
 
 def _inverse_row_norms(r11: np.ndarray) -> np.ndarray:
@@ -672,8 +684,8 @@ def _block_svs(r, p) -> tuple[float, float]:
 
 
 def _blocked_result(search, order, p, passes) -> RrqrResult:
-    factors = _full_factors(search, order)
-    r11_min_sv, r22_max_sv = _block_svs(factors.r, p)
+    factors, r = _full_factors(search, order)
+    r11_min_sv, r22_max_sv = search.unscaled(_block_svs(r, p)).tolist()
     return RrqrResult(
         perm=Permutation(tuple(order)), factors=factors, assumed_rank=p,
         r11_min_sv=r11_min_sv, r22_max_sv=r22_max_sv, passes=passes)
@@ -690,16 +702,17 @@ def _check_rank(name, value, top) -> int:
     return rank
 
 
-def _hybrid_start(search, p, init, spare, seed):
+def _hybrid_start(search, p, init, spare, seed, name="p"):
     """Starting order and pass cap of a hybrid loop on search's matrix.
 
-    p must leave `spare` columns of the leading triangle past it; without
-    init the order is qr_cp's after `seed` steps.
+    p, called `name` in messages, must leave `spare` columns of the
+    leading triangle past it; without init the order is qr_cp's after
+    `seed` steps, the identity if seed is None.
     """
     k, n = search.a.shape
-    _check_rank("p", p, min(k, n) - spare)
+    _check_rank(name, p, min(k, n) - spare)
     if init is None:
-        order = _qr_cp_order(search, seed)
+        order = list(range(n)) if seed is None else _qr_cp_order(search, seed)
     else:
         order = list(Permutation(tuple(getattr(init, "order", init))).order)
         if len(order) != n:
@@ -719,7 +732,7 @@ def _scan_orders(search, p_cap) -> list[tuple[float, float, int, tuple]]:
     columns while i+1 <= 16, else of every column, the full
     decomposition's bits either way (_GAMMA_PANEL); no Q and no singular
     value is built. The loops and the QR run on the search's unit-scaled
-    copy, and gamma is mapped back with ldexp. Returns (gamma_i,
+    copy, and gamma is returned at its scale. Returns (gamma_i,
     gamma_{i+1}, passes, final order) per rank; each order, a tuple of
     column indices, is a fixed point of both of its rank's boundaries.
     """
@@ -732,8 +745,7 @@ def _scan_orders(search, p_cap) -> list[tuple[float, float, int, tuple]]:
         cols = order[:width] if i + 1 <= last else order
         pair = np.abs(_packed(search.a, cols)[0].diagonal()[i - 1:i + 1])
         pair[pair <= search.tol] = 0.0
-        gamma, gamma_next = (math.ldexp(g, search.exp) for g in pair.tolist())
-        rows.append((gamma, gamma_next, passes, tuple(order)))
+        rows.append((*pair.tolist(), passes, tuple(order)))
     return rows
 
 
@@ -760,8 +772,8 @@ def _loading_basis(search, p, order):
     rest -= q1 @ (q1.T @ rest)
     gram = rest @ rest.T if len(rest) <= rest.shape[1] else rest.T @ rest
     top = np.linalg.eigvalsh(gram)[-1] if p < min(a.shape) else 0.0
-    svs = float(singular_values(r[:p, :p])[-1]), math.sqrt(max(top, 0.0))
-    return (q1, *(math.ldexp(sv, search.exp) for sv in svs), passes)
+    svs = singular_values(r[:p, :p])[-1], math.sqrt(max(top, 0.0))
+    return (q1, *search.unscaled(svs).tolist(), passes)
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +789,7 @@ def gs_qr(a) -> QrFactors:
     frame.
     """
     search = _PivotSearch(a)
-    return _full_factors(search, list(range(search.a.shape[1])))
+    return _full_factors(search, list(range(search.a.shape[1])))[0]
 
 
 def qr_cp(a, max_steps: int) -> RrqrResult:
@@ -797,35 +809,29 @@ def qr_cp(a, max_steps: int) -> RrqrResult:
     return _blocked_result(search, order, max_steps, passes=max_steps)
 
 
-def stewart2(factors: QrFactors, perm: Permutation | None, rank: int
-             ) -> tuple[QrFactors, Permutation]:
-    """Stewart's reverse pivoting on an existing decomposition.
+def stewart2(a, rank: int, init: Permutation | None = None) -> RrqrResult:
+    """Stewart's reverse pivoting, blocked at `rank`.
 
-    Starting from the full leading triangle, the column whose inverse row
-    norm is largest (the weakest one) is exchanged into the last position
-    of the current block, the matrix is refactorized, and the block shrinks
-    by one; this repeats until only `rank` columns remain in front. Requires
-    the leading triangle to be numerically invertible.
+    Starting from the full leading triangle of the columns in `init`'s
+    order (the identity without one), the column whose inverse row norm
+    is largest (the weakest one) is exchanged into the last position of
+    the current block, the matrix is refactorized, and the block shrinks
+    by one; this repeats until only `rank` columns remain in front.
+    `passes` counts those reverse exchanges. Requires the leading
+    triangle to be numerically invertible.
     """
-    k, n = factors.r.shape
-    size = min(k, n)
-    _check_rank("rank", rank, size)
-    if perm is None:
-        perm = Permutation(tuple(range(n)))
-    svs = singular_values(factors.r[:size, :size])
+    search = _PivotSearch(a)
+    size = min(search.a.shape)
+    order, _ = _hybrid_start(search, rank, init, 0, None, name="rank")
+    packed = _packed(search.a, order[:size])[0]
+    svs = singular_values(np.triu(packed[:size]))
     if svs[-1] <= 1e-13 * svs[0]:
+        lo, hi = search.unscaled(svs[[-1, 0]])
         raise ValueError(
-            "leading block is numerically singular "
-            f"(sv ratio {svs[-1]:.3e} / {svs[0]:.3e})"
-        )
-    # Work on Q R = A Pi so swaps compose with the incoming permutation.
-    search = _PivotSearch(factors.q @ factors.r)
-    order = list(range(n))
+            f"leading block is numerically singular (sv ratio {lo:.3e} / {hi:.3e})")
     for b in range(size, rank, -1):
         _weak_exchange(search, order, b)
-    out = _full_factors(search, order)
-    total = Permutation(tuple(perm.order[t] for t in order))
-    return out, total
+    return _blocked_result(search, order, rank, passes=size - rank)
 
 
 def hybrid1(a, p: int, init: Permutation | None = None) -> RrqrResult:

@@ -21,6 +21,12 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rescaled(x, exp: int):
+    """x * 2^exp, saturating to 0 or inf where it leaves the float range."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, exp)
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """K x N observation matrix with optional series labels."""

@@ -240,8 +240,9 @@ def test_criterion_6_numerical_invariants():
             hy = hybrid3(a, 2)
             assert np.linalg.norm(a[:, list(hy.perm.order)]
                                   - hy.factors.q @ hy.factors.r) <= 1e-10 * scale
-            st, st_perm = stewart2(out, None, 2)
-            assert np.linalg.norm(a[:, list(st_perm.order)] - st.q @ st.r) \
+            st = stewart2(a, 2)
+            assert np.linalg.norm(a[:, list(st.perm.order)]
+                                  - st.factors.q @ st.factors.r) \
                 <= 1e-10 * scale
             recons += 4
 

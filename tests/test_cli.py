@@ -2,13 +2,15 @@
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qrfactors import cli
+from qrfactors import cli, simgen
 from qrfactors.cli import main
+from qrfactors.factor_rrqr import scan_model_order
 from qrfactors.rrqr import singular_values
 from qrfactors.simgen import gen_sim1
 from qrfactors.tsdata import read_matrix
@@ -110,6 +112,17 @@ def test_sim_writes_report(tmp_path):
     assert payload["manifest"]["subcommand"] == "sim"
     assert payload["report"]["trials"] == 2
     assert payload["report"]["per_method"]["rrqr"]["p_hat_counts"] == {"1": 2}
+
+
+def test_sim_runs_its_trials_serially_by_default(tmp_path, monkeypatch):
+    # the worker pool is opt-in (--threads N > 1); reports do not depend
+    # on the worker count, and a default run spawns no process
+    def no_pool(threads):
+        raise AssertionError(f"a pool of {threads} workers was started")
+
+    monkeypatch.setattr(simgen, "_single_thread_blas_pool", no_pool)
+    assert _run_sim(tmp_path) == 0
+    assert _read_json(tmp_path / "sim_report.json")["report"]["trials"] == 2
 
 
 def test_sim_forecast_without_targets_exits_one(tmp_path, capsys):
@@ -230,6 +243,21 @@ def test_rankscan_cap_limits_candidates(tmp_path):
     assert len(payload["scan"]["candidates"]) == 1
 
 
+def test_rankscan_of_a_matrix_whose_column_norms_overflow(tmp_path):
+    # every entry is finite; the scan runs at unit scale and the gammas
+    # that leave the float range are reported as "inf"
+    a = np.random.default_rng(70).uniform(0.5, 1.0, (6, 9)) * 1.7e308
+    mat = tmp_path / "m.csv"
+    np.savetxt(mat, a, delimiter=",", fmt="%.17g")
+    assert main(["rankscan", "--matrix", str(mat), "--n", "100",
+                 "--outdir", str(tmp_path)]) == 0
+    scan = _read_json(tmp_path / "rankscan_report.json")["scan"]
+    unit = scan_model_order(np.ldexp(a, -1000), n=100)
+    assert scan["p_hat"] == unit.p_hat
+    assert [c["ratio"] for c in scan["candidates"]] == unit.ratios().tolist()
+    assert scan["candidates"][0]["gamma"] == "inf"
+
+
 # ------------------------------------------------------------------
 # rrqr
 
@@ -273,6 +301,21 @@ def test_rrqr_stewart2_reports_its_r_blocks(tmp_path):
     assert summary["algorithm"] == "stewart2"
     assert summary["sigma_min_r11"] == singular_values(r[:3, :3])[-1]
     assert summary["sigma_max_r22"] == singular_values(r[3:, 3:])[0]
+
+
+def test_rrqr_of_a_matrix_whose_column_norms_overflow(tmp_path):
+    # the report's values past the float range are the string "inf",
+    # numpy scalars among them, and the bound products do not warn
+    a = np.random.default_rng(70).uniform(0.5, 1.0, (6, 9)) * 1.7e308
+    mat = tmp_path / "m.csv"
+    np.savetxt(mat, a, delimiter=",", fmt="%.17g")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["rrqr", "--matrix", str(mat), "--alg", "hybrid3",
+                     "--rank", "2", "--outdir", str(tmp_path)]) == 0
+    summary = _read_json(tmp_path / "rrqr_report.json")["summary"]
+    assert summary["sigma_top"] == summary["r22_upper_bound"] == "inf"
+    assert summary["r22_bound_slack"] == "inf"
 
 
 def test_rrqr_gsqr_needs_no_rank(tmp_path):

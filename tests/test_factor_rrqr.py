@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qrfactors import rrqr
@@ -335,6 +337,54 @@ def test_fit_is_deterministic():
     assert_array_equal(one.q_hat, two.q_hat)
     assert_array_equal(one.factors, two.factors)
     assert one.p_hat == two.p_hat
+
+
+@st.composite
+def _sign_flip_panels(draw):
+    """(panel, lag_hi, d): a K x N panel from one family and the +-1
+    signs of a random subset of its series. Families: noisy (r AR(1)
+    factors plus noise), exact rank (no noise, so the scan runs past the
+    rank into deflated tails), tied (a series copied onto others) and
+    noisy scaled by 1e+-200."""
+    k = draw(st.integers(3, 12))
+    n = draw(st.integers(30, 90))
+    kind = draw(st.sampled_from(["noisy", "exact rank", "tied", "scaled"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = draw(st.integers(1, min(3, k - 1)))
+    f = np.zeros((r, n))
+    innov = rng.standard_normal((r, n))
+    for t in range(1, n):
+        f[:, t] = 0.7 * f[:, t - 1] + innov[:, t]
+    y = rng.uniform(-2.0, 2.0, (k, r)) @ f
+    if kind != "exact rank":
+        y += 0.5 * rng.standard_normal((k, n))
+    if kind == "tied":
+        y[rng.choice(k, size=draw(st.integers(1, k - 1)), replace=False)] = y[0]
+    if kind == "scaled":
+        y *= draw(st.sampled_from([1e-200, 1e200]))
+    d = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                               min_size=k, max_size=k)))
+    return y, draw(st.integers(1, 3)), d
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_sign_flip_panels())
+def test_fit_is_sign_flip_equivariant(case):
+    # y -> Dy makes M~ D M~ (I (x) D); every norm, pick and ratio is the
+    # same bit for bit, and q_hat becomes D q_hat up to column signs
+    y, lag_hi, d = case
+    base = fit_rrqr(TimeSeries(y), 1, lag_hi)
+    fit = fit_rrqr(TimeSeries(d[:, None] * y), 1, lag_hi)
+    event(f"p_hat {base.p_hat}")
+    assert fit.p_hat == base.p_hat
+    assert fit.scan == base.scan
+    assert fit.diagnostics == base.diagnostics
+    flipped = d[:, None] * base.q_hat
+    top = np.abs(flipped).argmax(axis=0)
+    cols = np.arange(base.p_hat)
+    s = np.sign(fit.q_hat[top, cols] * flipped[top, cols])
+    assert_array_equal(fit.q_hat, flipped * s)
+    assert_array_equal(fit.factors, s[:, None] * base.factors)
 
 
 def _assert_same_fit(fit, base, shift):

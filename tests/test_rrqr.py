@@ -9,11 +9,12 @@ from scipy.linalg import qr
 
 from qrfactors import rrqr
 from qrfactors.covariance import build_augmented
-from qrfactors.factor_rrqr import fit_rrqr
-from qrfactors.rrqr import (Permutation, QrFactors, RrqrIterationError, gs_qr,
+from qrfactors.factor_rrqr import fit_rrqr, scan_model_order
+from qrfactors.rrqr import (Permutation, RrqrIterationError, gs_qr,
                             hybrid1, hybrid2, hybrid3, qr_cp, singular_values,
                             stewart2)
 from qrfactors.simgen import SimConfig, gen_sim1, gen_sim2
+from qrfactors.tsdata import _rescaled
 
 from oracles import (abs_r_diag, dnrm2_first_pivot, exact_rank_three,
                      exact_weak_pick, gathered_strong_exchange,
@@ -170,28 +171,43 @@ def test_qr_cp_step_bounds_rejected():
 def test_stewart2_is_its_own_fixed_point():
     rng = np.random.default_rng(31)
     a = rng.standard_normal((6, 6)) + 3.0 * np.eye(6)
-    first = gs_qr(a)
-    out, perm = stewart2(first, None, 3)
-    again, perm2 = stewart2(out, perm, 3)
-    assert perm2.order == perm.order
-    assert_allclose(again.diag, out.diag, rtol=1e-12)
+    out = stewart2(a, 3)
+    again = stewart2(a, 3, init=out.perm)
+    assert again.perm.order == out.perm.order
+    assert_allclose(again.factors.diag, out.factors.diag, rtol=1e-12)
 
 
 def test_stewart2_composes_permutations():
     rng = np.random.default_rng(32)
     a = rng.standard_normal((5, 5)) + 2.0 * np.eye(5)
     res = qr_cp(a, 5)
-    out, total = stewart2(res.factors, res.perm, 2)
-    permuted = a[:, list(total.order)]
-    assert np.linalg.norm(permuted - out.q @ out.r) \
+    out = stewart2(a, 2, init=res.perm)
+    permuted = a[:, list(out.perm.order)]
+    assert np.linalg.norm(permuted - out.factors.q @ out.factors.r) \
         <= 1e-9 * np.linalg.norm(a)
+
+
+def test_stewart2_from_init_is_stewart2_of_the_permuted_matrix():
+    # init only sets where the columns start: the picks are those of the
+    # matrix whose columns are already in that order, bit for bit
+    rng = np.random.default_rng(36)
+    for shape in [(6, 6), (8, 5), (5, 9)]:
+        a = rng.standard_normal(shape)
+        for _ in range(5):
+            p = Permutation(tuple(rng.permutation(shape[1]).tolist()))
+            for rank in range(1, min(shape) + 1):
+                got = stewart2(a, rank, init=p)
+                want = stewart2(a[:, list(p.order)], rank)
+                assert got.perm.order == tuple(p.order[t]
+                                               for t in want.perm.order)
+                assert result_bits(got)[1:] == result_bits(want)[1:]
 
 
 def test_stewart2_rejects_singular_leading_block():
     rng = np.random.default_rng(33)
     a = matrix_with_spectrum(rng, 5, 5, [2.0, 1.0])   # rank 2 of 5
     with pytest.raises(ValueError, match="singular"):
-        stewart2(gs_qr(a), None, 2)
+        stewart2(a, 2)
 
 
 def test_stewart2_rejects_leading_block_singular_below_diagonal():
@@ -201,23 +217,21 @@ def test_stewart2_rejects_leading_block_singular_below_diagonal():
     rng = np.random.default_rng(34)
     for _ in range(200):
         a = matrix_with_spectrum(rng, 8, 8, [1.0] * 7 + [1e-15])
-        q, r = np.linalg.qr(a)
-        factors = QrFactors(q=q, r=r, diag=np.abs(np.diagonal(r)))
         with pytest.raises(ValueError, match="singular"):
-            stewart2(factors, None, 4)
+            stewart2(a, 4)
 
 
 def test_stewart2_rank_bounds():
-    factors = gs_qr(np.eye(4))
+    a = np.eye(4)
     with pytest.raises(ValueError):
-        stewart2(factors, None, 0)
+        stewart2(a, 0)
     with pytest.raises(ValueError):
-        stewart2(factors, None, 5)
+        stewart2(a, 5)
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
 def test_stewart2_certifies_its_picks_at_extreme_scale(scale, monkeypatch):
-    # stewart2 pivots on the unit-scaled copy of Q R, so no
+    # stewart2 pivots on the unit-scaled copy of its matrix, so no
     # inverse-row-norm pick falls back to the triangular solve for the
     # matrix's scale alone, and the order is the unscaled matrix's
     picks = []
@@ -232,8 +246,8 @@ def test_stewart2_certifies_its_picks_at_extreme_scale(scale, monkeypatch):
     rng = np.random.default_rng(35)
     for _ in range(10):
         a = rng.standard_normal((8, 6))
-        _, perm = stewart2(gs_qr(a * scale), None, 2)
-        assert perm.order == stewart2(gs_qr(a), None, 2)[1].order
+        perm = stewart2(a * scale, 2).perm
+        assert perm.order == stewart2(a, 2).perm.order
     assert len(picks) == 2 * 10 * 4 and None not in picks
 
 
@@ -418,6 +432,77 @@ def test_pivots_do_not_depend_on_scale(scale):
                 (seed, fn.__name__)
 
 
+def overflow_matrix():
+    """6 x 9, every entry finite, every column norm past the float range."""
+    return np.random.default_rng(70).uniform(0.5, 1.0, (6, 9)) * 1.7e308
+
+
+def _unit_and_scaled(a, k):
+    """(a, a * 2^k), both exact: every |entry| of a lies in [0.5, 1) or at
+    2^-k times a value that does."""
+    return np.ldexp(a, -k), a if k > 0 else np.ldexp(a, k)
+
+
+def _scale_cases():
+    """(unit, scaled, k): the overflow matrix brought down by 2^1000, and
+    signed random matrices with |entries| in [0.5, 1) times 2^k."""
+    yield (*_unit_and_scaled(overflow_matrix(), 1000), 1000)
+    rng = np.random.default_rng(71)
+    for shape in [(6, 9), (9, 6), (7, 7)]:
+        a = rng.uniform(0.5, 1.0, shape) * rng.choice([-1.0, 1.0], shape)
+        for k in (-1020, -700, -1, 1, 700, 1020):
+            yield a, np.ldexp(a, k), k
+
+
+def _assert_result_scaled(got, unit, k):
+    # the unit-scale picks, passes and Q bit for bit; R and the block
+    # singular values 2^k times the unit-scale ones, saturating to inf
+    assert (got.perm, got.passes) == (unit.perm, unit.passes)
+    assert got.factors.q.tobytes() == unit.factors.q.tobytes()
+    assert_array_equal(got.factors.r, _rescaled(unit.factors.r, k))
+    assert_array_equal(got.factors.diag, np.diagonal(got.factors.r))
+    assert [got.r11_min_sv, got.r22_max_sv] \
+        == _rescaled([unit.r11_min_sv, unit.r22_max_sv], k).tolist()
+
+
+def test_a_matrix_whose_column_norms_overflow_is_factored():
+    # the search takes its scale from the peak entry first, so no column
+    # norm overflows and nothing deflates or reads as NaN
+    a = overflow_matrix()
+    assert np.isfinite(a).all()
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.linalg.norm(a, axis=0)).any()
+    out = gs_qr(a)
+    assert (out.diag > 0.0).all() and np.isinf(out.r).any()
+    for fn in (qr_cp, hybrid1, hybrid2, hybrid3, stewart2):
+        assert (fn(a, 2).factors.diag[:2] > 0.0).all(), fn.__name__
+    assert scan_model_order(a, 4, n=100).p_hat >= 1
+
+
+def test_every_strategy_reads_a_power_of_two_scale_off_its_matrix():
+    for unit, scaled, k in _scale_cases():
+        got, want = gs_qr(scaled), gs_qr(unit)
+        assert got.q.tobytes() == want.q.tobytes(), k
+        assert_array_equal(got.r, _rescaled(want.r, k))
+        for fn in (qr_cp, hybrid1, hybrid2, hybrid3, stewart2):
+            for p in (1, 2, min(unit.shape) - 1):
+                _assert_result_scaled(fn(scaled, p), fn(unit, p), k)
+
+
+def test_the_scan_reads_a_power_of_two_scale_off_its_matrix():
+    for unit, scaled, k in _scale_cases():
+        p_cap = min(unit.shape) - 1
+        got, want = (scan_model_order(m, p_cap, n=100)
+                     for m in (scaled, unit))
+        assert (got.p_hat, got.passes, got.orders) \
+            == (want.p_hat, want.passes, want.orders), k
+        assert got.ratios().tobytes() == want.ratios().tobytes()
+        for attr in ("gamma", "gamma_next"):
+            assert [getattr(c, attr) for c in got.candidates] == _rescaled(
+                [getattr(c, attr) for c in want.candidates], k).tolist()
+        assert got.epsilon == _rescaled(want.epsilon, k)
+
+
 def test_hybrid_runs_are_deterministic():
     rng = np.random.default_rng(47)
     a = rng.standard_normal((7, 10))
@@ -461,12 +546,13 @@ def test_scan_panel_gamma_is_the_full_width_gamma(case):
     mat = _scan_panel(case)
     width, last = rrqr._GAMMA_PANEL
     tol = rrqr._DEFL_RTOL * rrqr._col_norms(mat).max()
-    rows = rrqr._scan_orders(rrqr._PivotSearch(mat),
-                             min(last, min(mat.shape)) - 1)
+    search = rrqr._PivotSearch(mat)
+    rows = rrqr._scan_orders(search, min(last, min(mat.shape)) - 1)
     for i, (gamma, gamma_next, _, order) in enumerate(rows, start=1):
         _, full = scipy_qr(mat, order, "r", tol)
         _, panel = scipy_qr(mat, order[:width], "r", tol)
-        assert (gamma, gamma_next) == (full[i - 1, i - 1], full[i, i]), i
+        assert tuple(search.unscaled((gamma, gamma_next))) \
+            == (full[i - 1, i - 1], full[i, i]), i
         assert_array_equal(np.diagonal(panel)[:last],
                            np.diagonal(full)[:last])
 
@@ -714,8 +800,7 @@ def _sweep_outputs(mat, ts):
     sub = mat[:, :40]
     start = qr_cp(sub, min(sub.shape))
     if singular_values(start.factors.r)[-1] > 1e-10 * start.factors.r[0, 0]:
-        factors, perm = stewart2(start.factors, start.perm, 3)
-        out += [perm, factors.q.tobytes(), factors.r.tobytes()]
+        out.append(result_bits(stewart2(sub, 3, init=start.perm)))
     return out
 
 
@@ -1155,7 +1240,7 @@ def test_permutation_rejects_non_bijections():
     (lambda: hybrid1(np.eye(4), 2, init=[0, 1, 2]),
      "init permutation has length 3, matrix has 4 columns"),
     (lambda: qr_cp(np.eye(4), 5), "max_steps must be in [1, 4], got 5"),
-    (lambda: stewart2(gs_qr(np.eye(4)), None, 0),
+    (lambda: stewart2(np.eye(4), 0),
      "rank must be in [1, 4], got 0"),
     (lambda: hybrid1(np.eye(4), 5), "p must be in [1, 4], got 5"),
     (lambda: hybrid3(np.eye(4), 4), "p must be in [1, 3], got 4"),
@@ -1168,7 +1253,7 @@ def test_bad_input_messages(call, message):
 
 
 _RANKED = {"qr_cp max_steps": ("max_steps", qr_cp),
-           "stewart2 rank": ("rank", lambda a, v: stewart2(gs_qr(a), None, v)),
+           "stewart2 rank": ("rank", stewart2),
            "hybrid1 p": ("p", hybrid1), "hybrid2 p": ("p", hybrid2),
            "hybrid3 p": ("p", hybrid3)}
 
@@ -1189,12 +1274,7 @@ def test_numpy_integer_ranks_are_ranks(case):
         a = a[:, :6]
     _, call = _RANKED[case]
     for value in (np.int64(2), np.int32(2), np.uint8(2)):
-        got, want = call(a, value), call(a, 2)
-        if case == "stewart2 rank":
-            assert got[1] == want[1]
-            assert_array_equal(got[0].r, want[0].r)
-        else:
-            assert result_bits(got) == result_bits(want)
+        assert result_bits(call(a, value)) == result_bits(call(a, 2))
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
