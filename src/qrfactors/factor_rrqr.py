@@ -9,18 +9,22 @@ warm-started from the previous one; the scan builds only R for each, not
 its orthonormal factor or block singular values. One RRQR serves both
 jobs: the scan keeps each rank's final order, and the loading basis is
 the orthonormal factor of the order at the chosen rank, used as it is
-and read from one QR of LAPACK's first panel.
+and read from one QR of LAPACK's first panel. sigma_max(R22), a
+diagnostic no estimate needs, is computed only when a caller reads it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .covariance import build_augmented
-from .rrqr import _check_rank, _loading_basis, _PivotSearch, _scan_orders
+from .rrqr import (_check_rank, _loading_basis, _PivotSearch, _r22_max_sv,
+                   _scan_orders)
 # bench/reference.py patches factor_rrqr.hybrid3 to count the scan's passes;
 # the scan no longer calls it, but the name stays until that script changes.
 from .rrqr import hybrid3  # noqa: F401
@@ -101,18 +105,49 @@ class ModelOrderScan:
         return np.array([c.ratio for c in self.candidates])
 
 
+class _Diagnostics(Mapping):
+    """A fit's diagnostics: a read-only mapping, in the order `values`
+    gives its keys, that computes each `pending` entry (key -> callable;
+    its placeholder in `values` holds the key's place) on its first read
+    and keeps it. Membership, iteration and len read no value; ==,
+    items(), dict() and {**d} read every one, as on a dict."""
+
+    def __init__(self, values: dict, pending: dict):
+        self._values = values
+        self._pending = pending
+
+    def __getitem__(self, key):
+        if key in self._pending:
+            self._values[key] = self._pending[key]()
+            del self._pending[key]
+        return self._values[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._values
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass(frozen=True)
 class FactorModelFit:
     """A fitted factor model: loading basis, factor paths, and how we got them.
 
     factors holds q_hat.T applied to the demeaned observations, so
     q_hat @ factors is the model's reconstruction of the centered data.
-    diagnostics carries method-specific scalars: for the pivoted fit the
-    block singular values sigma_min(R11) and sigma_max(R22) of the
-    decomposition behind q_hat (R22's from the projected trailing
+    diagnostics maps names to method-specific scalars: for the pivoted
+    fit the block singular values sigma_min(R11) and sigma_max(R22) of
+    the decomposition behind q_hat (R22's from the projected trailing
     columns), the sweep passes behind it (1 after a scan: counted as
     settled, not run), and the ratio floor epsilon; eigenvalues or
-    residual variance for the baselines.
+    residual variance for the baselines. The pivoted fit's r22_max_sv
+    is computed on its first read and then kept (fit_rrqr).
     """
 
     method: str
@@ -120,7 +155,7 @@ class FactorModelFit:
     q_hat: np.ndarray
     factors: np.ndarray
     scan: ModelOrderScan | None = None
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         q, f = _frozen(self.q_hat), _frozen(self.factors)
@@ -199,6 +234,10 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     p_hat, q_hat and the ratio curve do not depend on the panel's scale;
     factor paths, gammas, epsilon and the block singular values are
     mapped back to it. A panel of constant series is rejected.
+    diagnostics["r22_max_sv"] is computed on its first read, from M~ and
+    the pivot search built again from `ts` (about 8-10 ms at the paper
+    cell), so the fit keeps `ts` but no copy of M~, and callers that
+    never read it, as rolling_eval and monte_carlo do not, never pay.
     """
     aug = build_augmented(ts, lag_lo, lag_hi)
     search = _PivotSearch(aug.scaled, aug.exponent)
@@ -210,13 +249,21 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
         scan = _scan(search, p_cap, ts.N)
         p_hat = scan.p_hat
         order = scan.orders[p_hat - 1]
-    q_hat, r11_min, r22_max, passes = _loading_basis(search, p_hat, order)
+    q1, r11_min, passes, order = _loading_basis(search, p_hat, order)
     del search  # its unit-scaled copy is not needed past the basis
-    diagnostics = {"r11_min_sv": r11_min, "r22_max_sv": r22_max,
-                   "passes": float(passes)}
+    q_hat = _frozen(q1)
+    values = {"r11_min_sv": r11_min, "r22_max_sv": None, "passes": float(passes)}
     if scan is not None:
-        diagnostics["epsilon"] = scan.epsilon
+        values["epsilon"] = scan.epsilon
+    r22 = partial(_r22_on_read, ts, lag_lo, lag_hi, tuple(order), q_hat)
     z, e = ts._normalized
     return FactorModelFit(method="RRQR", p_hat=p_hat, q_hat=q_hat,
-                          factors=_rescaled(q_hat.T @ z, e),
-                          scan=scan, diagnostics=diagnostics)
+                          factors=_rescaled(q_hat.T @ z, e), scan=scan,
+                          diagnostics=_Diagnostics(values, {"r22_max_sv": r22}))
+
+
+def _r22_on_read(ts, lag_lo, lag_hi, order, q_hat) -> float:
+    """A fit's sigma_max(R22), on M~ and its pivot search built again,
+    bit for bit the fit's."""
+    aug = build_augmented(ts, lag_lo, lag_hi)
+    return _r22_max_sv(_PivotSearch(aug.scaled, aug.exponent), q_hat, order)

@@ -278,15 +278,19 @@ def rolling_eval(ts: TimeSeries, method: str, window: int = 500,
         w0 = block_start - window
         fit = fit_method(method, TimeSeries(values=values[:, w0:block_start]),
                          lag_lo, lag_hi, p_cap=p_cap)
+        # an rrqr fit holds its window's panel for a sigma_max(R22) read
+        # that nothing here makes: keep its basis and factor paths only
+        q_hat, factors = fit.q_hat, fit.factors
+        del fit
         wmean = values[:, w0:block_start].mean(axis=1, keepdims=True)
-        coeffs, _ = _yule_walker_rows(fit.factors, ar_order)
-        resid = (values[:, w0:block_start] - wmean) - fit.q_hat @ fit.factors
-        recon_rmse = float(np.linalg.norm(resid)) / math.sqrt(fit.factors.shape[1] * ts.K)
-        records.append(WindowRecord(start=w0, p_hat=fit.p_hat, rmse=recon_rmse))
+        coeffs, _ = _yule_walker_rows(factors, ar_order)
+        resid = (values[:, w0:block_start] - wmean) - q_hat @ factors
+        recon_rmse = float(np.linalg.norm(resid)) / math.sqrt(factors.shape[1] * ts.K)
+        records.append(WindowRecord(start=w0, p_hat=q_hat.shape[1], rmse=recon_rmse))
         block_end = min(block_start + refit_stride, ts.N)
-        paths = fit.q_hat.T @ (values[:, w0:block_end - 1] - wmean)
+        paths = q_hat.T @ (values[:, w0:block_end - 1] - wmean)
         preds[:, block_start - first_target:block_end - first_target] = (
-            fit.q_hat @ _ar_steps(coeffs, paths, window) + wmean)
+            q_hat @ _ar_steps(coeffs, paths, window) + wmean)
     fe = forecast_error(preds, values[:, first_target:])
     return ForecastReport(
         method=method,

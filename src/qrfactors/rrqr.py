@@ -27,22 +27,24 @@ full frame (K x K Q and block singular values) is built only for a
 returned RrqrResult.
 It hands back each rank's final order, a fixed point of both of its
 boundaries, and ``_loading_basis`` reads Q[:, :p] from one QR of LAPACK's
-first panel (p <= 16) of the order at p as it is, with no second sweep.
+first panel (p <= 16) of the order at p as it is, with no second sweep;
+sigma_max(R22) is left to ``_r22_max_sv``, for a caller that reads it.
 
 Q and R are never updated in place; each exchange factorizes the columns
 it reads, but a column-pivot exchange reading exactly those the last
 inverse-row-norm exchange factorized takes Q from that dgeqrf output
-(``_PivotSearch.leading_q``). A sweep ends at the first pass whose
-inverse-row-norm exchange moves nothing: the pass after it
-could only confirm the order, so it is counted, not run. The
-column-pivot exchange downdates the column sums of squares by the
-leading columns' projection, brackets each result with a rigorous
+(``_PivotSearch.leading_q``), and stewart2's first exchange takes R11
+from its singularity guard's (``_PivotSearch.leading_packed``). A sweep
+ends at the first pass whose inverse-row-norm exchange moves nothing:
+the pass after it could only confirm the order, so it is counted, not
+run. The column-pivot exchange downdates the column sums of squares by
+the leading columns' projection, brackets each result with a rigorous
 rounding bound, and projects the whole matrix only when the brackets
 cannot settle its pick (``_strong_exchange``, ``_downdated_pick``):
-every pick is the one the projected norms make, so every order is.
-The inverse-row-norm exchange reads R11 from the packed factor, inverts
-it with dtrtri and keeps that pick where a forward-error bracket makes
-it the triangular solve's (``_weak_pick``), else it solves as it always
+every pick is the one the projected norms make, so every order is. The
+inverse-row-norm exchange reads R11 from the packed factor, inverts it
+with dtrtri and keeps that pick where a forward-error bracket makes it
+the triangular solve's (``_weak_pick``), else it solves as it always
 did. The QRs and the triangular solves call LAPACK directly, with the
 arguments ``scipy.linalg`` would pass them; a QR of at most 32 columns,
 which LAPACK factors unblocked whatever its workspace, gets the minimum
@@ -192,7 +194,8 @@ class _PivotSearch:
     `lead` (column norms, as the rank-1 seed and exchange read them) are
     computed on first use and live as long as the search: one scan and
     the basis sweep after it, or one strategy call. `last_qr` holds the
-    last inverse-row-norm exchange's (columns, dgeqrf output).
+    last (columns, dgeqrf output) of a leading triangle: an
+    inverse-row-norm exchange's, or stewart2's guard's.
     """
 
     def __init__(self, a, exp=0):
@@ -223,6 +226,14 @@ class _PivotSearch:
         # bit for bit, as the rank-1 pivots read them; a row-major sum can
         # differ in the last bit
         return _col_norms(self.a, order="F")
+
+    def leading_packed(self, cols):
+        """_packed(self.a, cols), kept as last_qr, or last_qr's if it
+        factorized exactly `cols`."""
+        last = self.last_qr
+        if last is None or last[0] != cols:
+            last = self.last_qr = cols, _packed(self.a, cols)
+        return last[1]
 
     def leading_q(self, cols):
         """_unsigned_q(self.a, cols), once from last_qr's dgeqrf output
@@ -561,15 +572,13 @@ def _weak_pick(r11, tol):
 def _weak_exchange(search, order, b) -> bool:
     """Inverse-row-norm exchange: the weakest column of the leading b x b
     triangle of search.a[:, order] moves into position b-1; a 1 x 1
-    triangle has no challenger. R11 is read from dgeqrf's packed output;
-    the certified pick (_weak_pick) stands, else the exact path decides
-    on the signed, deflated triangle. Returns whether `order` changed."""
+    triangle has no challenger. R11 is read from dgeqrf's packed output
+    (search.leading_packed); the certified pick (_weak_pick) stands, else
+    the exact path decides on the signed, deflated triangle. Returns
+    whether `order` changed."""
     if b == 1:
         return False
-    cols = order[:b]
-    packed = _packed(search.a, cols)
-    search.last_qr = cols, packed
-    r11 = packed[0][:b]
+    r11 = search.leading_packed(order[:b])[0][:b]
     j = _weak_pick(r11, search.tol)
     if j is None:
         j = _pick_challenger(
@@ -750,30 +759,39 @@ def _scan_orders(search, p_cap) -> list[tuple[float, float, int, tuple]]:
 
 
 def _loading_basis(search, p, order):
-    """(Q[:, :p], sigma_min(R11), sigma_max(R22), passes) of
-    hybrid1(the matrix, p, order) without its full frame. In a scanned
-    fit `order` is the scan's at p, a fixed point of boundary p, used as
-    it is: hybrid1's one pass from it would swap nothing, so it is
-    counted, not run, as _hybrid_sweeps counts a settled pass. With order
-    None the sweep starts from qr_cp's first p pivots. Q[:, :p] and R11
-    come from an economic QR of the first 32 columns of the order while
-    p <= 16, else of every column, the full QR's bits either way
-    (_GAMMA_PANEL); R22's are those of the trailing columns less their
-    projection on Q[:, :p], from the Gram matrix on its smaller side."""
+    """(Q[:, :p], sigma_min(R11), passes, order) of hybrid1(the matrix,
+    p, order) without its full frame. In a scanned fit `order` is the
+    scan's at p, a fixed point of boundary p, used as it is: hybrid1's
+    one pass from it would swap nothing, so it is counted, not run, as
+    _hybrid_sweeps counts a settled pass. With order None the sweep
+    starts from qr_cp's first p pivots, and the order it settles on is
+    returned. Q[:, :p] and R11 come from an economic QR of the first 32
+    columns of the order while p <= 16, else of every column, the full
+    QR's bits either way (_GAMMA_PANEL). sigma_max(R22) is not computed
+    here: _r22_max_sv gives it from Q[:, :p] and the order."""
     passes = 1
     if order is None:
         order, cap = _hybrid_start(search, p, None, 0, p)
         _, passes = _hybrid_sweeps(search, order, p, cap)
     width, last = _GAMMA_PANEL
-    a = search.a
-    q, r = _qr(a, order[:width] if p <= last else order, "economic",
+    q, r = _qr(search.a, order[:width] if p <= last else order, "economic",
                search.tol)
-    q1, rest = q[:, :p], a[:, order[p:]]
+    r11_min = search.unscaled(singular_values(r[:p, :p])[-1])
+    return q[:, :p], float(r11_min), passes, order
+
+
+def _r22_max_sv(search, q1, order) -> float:
+    """sigma_max(R22) of the columns `order` blocked at p, q1 = Q[:, :p]
+    (_loading_basis): that of the trailing columns less their projection
+    on q1, from the Gram matrix on its smaller side; 0 at p = min(K, n)."""
+    a, p = search.a, q1.shape[1]
+    if p == min(a.shape):
+        return 0.0
+    rest = a[:, order[p:]]
     rest -= q1 @ (q1.T @ rest)
     gram = rest @ rest.T if len(rest) <= rest.shape[1] else rest.T @ rest
-    top = np.linalg.eigvalsh(gram)[-1] if p < min(a.shape) else 0.0
-    svs = singular_values(r[:p, :p])[-1], math.sqrt(max(top, 0.0))
-    return (q1, *search.unscaled(svs).tolist(), passes)
+    top = math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
+    return float(search.unscaled(top))
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +841,7 @@ def stewart2(a, rank: int, init: Permutation | None = None) -> RrqrResult:
     search = _PivotSearch(a)
     size = min(search.a.shape)
     order, _ = _hybrid_start(search, rank, init, 0, None, name="rank")
-    packed = _packed(search.a, order[:size])[0]
+    packed = search.leading_packed(order[:size])[0]
     svs = singular_values(np.triu(packed[:size]))
     if svs[-1] <= 1e-13 * svs[0]:
         lo, hi = search.unscaled(svs[[-1, 0]])

@@ -3,19 +3,49 @@
 Everything here is deliberately naive: scalar double loops, full
 refactorization after every pivot step, closed forms, and loops the
 package has since replaced, kept as they were. The package is checked
-against these, never the other way around.
+against these, never the other way around. The panel families the
+fitters' metamorphic properties draw from live here too.
 """
 
 import csv
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.linalg import qr, solve_toeplitz, solve_triangular
 from scipy.linalg.blas import dnrm2
 
 from qrfactors import rrqr
 from qrfactors.forecast_eval import ArModel, fit_method
 from qrfactors.tsdata import TimeSeries
+
+
+@st.composite
+def sign_flip_panels(draw):
+    """(panel, lag_hi, d): a K x N panel from one family and the +-1
+    signs of a random subset of its series. Families: noisy (r AR(1)
+    factors plus noise), exact rank (no noise, so the scan runs past the
+    rank into deflated tails), tied (a series copied onto others) and
+    noisy scaled by 1e+-200."""
+    k = draw(st.integers(3, 12))
+    n = draw(st.integers(30, 90))
+    kind = draw(st.sampled_from(["noisy", "exact rank", "tied", "scaled"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = draw(st.integers(1, min(3, k - 1)))
+    f = np.zeros((r, n))
+    innov = rng.standard_normal((r, n))
+    for t in range(1, n):
+        f[:, t] = 0.7 * f[:, t - 1] + innov[:, t]
+    y = rng.uniform(-2.0, 2.0, (k, r)) @ f
+    if kind != "exact rank":
+        y += 0.5 * rng.standard_normal((k, n))
+    if kind == "tied":
+        y[rng.choice(k, size=draw(st.integers(1, k - 1)), replace=False)] = y[0]
+    if kind == "scaled":
+        y *= draw(st.sampled_from([1e-200, 1e200]))
+    d = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                               min_size=k, max_size=k)))
+    return y, draw(st.integers(1, 3)), d
 
 
 def brute_autocov(values, lag):

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
+from oracles import sign_flip_panels
 from qrfactors import baselines
 from qrfactors.baselines import evd_spectrum, fit_evd, fit_pca
 from qrfactors.covariance import build_augmented, sample_autocov
 from qrfactors.factor_rrqr import fit_rrqr
+from qrfactors.forecast_eval import fit_method
 from qrfactors.simgen import SimConfig, gen_sim1, gen_sim2, subspace_error
 from qrfactors.tsdata import TimeSeries
 
@@ -165,6 +168,29 @@ def test_fit_evd_carries_its_ratio_curve(p_override, p_cap):
     assert_allclose(fit.scan.ratios(), spectrum.ratios[:cap], rtol=0, atol=0)
     assert fit.scan.p_hat == int(np.argmax(spectrum.ratios[:cap])) + 1
     assert fit.p_hat == (fit.scan.p_hat if p_override is None else p_override)
+
+
+@pytest.mark.parametrize("method", ["evd", "pca"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sign_flip_panels())
+def test_fit_is_sign_flip_equivariant(method, case):
+    # y -> Dy, D = diag(d) of +-1, turns S into D S D and the lag-0
+    # covariance C into D C D: every eigenvalue, ratio and diagnostic is
+    # the same bit for bit, |q_hat| too, and the factor paths are the same
+    # up to q_hat's column signs (each product is exact under a flip)
+    y, lag_hi, d = case
+    base = fit_method(method, TimeSeries(y), 1, lag_hi)
+    fit = fit_method(method, TimeSeries(d[:, None] * y), 1, lag_hi)
+    event(f"p_hat {base.p_hat}")
+    assert fit.p_hat == base.p_hat
+    assert fit.scan == base.scan
+    assert fit.diagnostics == base.diagnostics
+    assert_array_equal(np.abs(fit.q_hat), np.abs(base.q_hat))
+    flipped = d[:, None] * base.q_hat
+    top = np.abs(flipped).argmax(axis=0)
+    cols = np.arange(base.p_hat)
+    s = np.sign(fit.q_hat[top, cols] * flipped[top, cols])
+    assert_array_equal(fit.factors, s[:, None] * base.factors)
 
 
 def test_fit_evd_scale_invariance():

@@ -5,20 +5,20 @@ import math
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from qrfactors import rrqr
+from qrfactors import factor_rrqr, rrqr
 from qrfactors.covariance import build_augmented
 from qrfactors.baselines import fit_evd, fit_pca
 from qrfactors.factor_rrqr import FactorModelFit, fit_rrqr, scan_model_order
-from qrfactors.forecast_eval import fit_method
+from qrfactors.forecast_eval import fit_method, rolling_eval
 from qrfactors.rrqr import RrqrIterationError, hybrid1, hybrid3
-from qrfactors.simgen import SimConfig, gen_sim1, gen_sim2, subspace_error
+from qrfactors.simgen import (SimConfig, gen_sim1, gen_sim2, monte_carlo,
+                              subspace_error)
 from qrfactors.tsdata import TimeSeries, demean
 
 from oracles import (exact_rank_three, matrix_with_spectrum, old_scan,
-                     random_orthonormal)
+                     random_orthonormal, sign_flip_panels)
 
 
 def test_diag_18_5_08_worked_example():
@@ -277,6 +277,82 @@ def test_fit_r22_vanishes_at_exact_rank_and_full_rank():
         assert full.diagnostics["r22_max_sv"] == 0.0
 
 
+def _eager_r22(ts, lag_hi, p, order):
+    """sigma_max(R22) as the fit once computed it inside the basis step:
+    on the basis's own pivot search, at the order the basis used."""
+    aug = build_augmented(ts, 1, lag_hi)
+    search = rrqr._PivotSearch(aug.scaled, aug.exponent)
+    q1, _, _, used = rrqr._loading_basis(search, p, order)
+    return rrqr._r22_max_sv(search, q1, used)
+
+
+@pytest.mark.parametrize("kind", ["sim1", "exact rank"])
+def test_fit_reads_r22_on_demand_as_the_basis_step_would(kind):
+    # bit for bit: scanned, pinned below the rank's width, and pinned at
+    # p = min(K, n), where there is no trailing block and R22 is 0.0
+    for seed in range(2):
+        ts = (gen_sim1(k=20, n=200, seed=seed).y if kind == "sim1"
+              else exact_rank_three(seed, k=12, n=200))
+        for p_override in (None, 2, ts.K):
+            fit = fit_rrqr(ts, 1, 2, p_override=p_override)
+            order = (fit.scan.orders[fit.p_hat - 1] if p_override is None
+                     else None)
+            want = _eager_r22(ts, 2, fit.p_hat, order)
+            got = fit.diagnostics["r22_max_sv"]
+            assert type(got) is float
+            assert got == want and np.signbit(got) == np.signbit(want)
+            if p_override == ts.K:
+                assert got == 0.0
+
+
+def test_fitters_that_never_read_r22_never_compute_it(monkeypatch):
+    calls = []
+    real = rrqr._r22_max_sv
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rrqr, "_r22_max_sv", counted)
+    monkeypatch.setattr(factor_rrqr, "_r22_max_sv", counted)
+    ts = gen_sim1(k=12, n=160, seed=90).y
+    rolling_eval(ts, "rrqr", window=100, refit_stride=20, ar_order=2,
+                 eval_len=60)
+    monte_carlo(SimConfig(scenario="sim1", k=10, n=120, seed=91), trials=2,
+                methods=("rrqr",), outputs=("errors", "ratios", "rmse",
+                                            "forecast"))
+    fit = fit_rrqr(ts)
+    assert "r22_max_sv" in fit.diagnostics
+    assert fit.diagnostics["r11_min_sv"] > 0.0
+    assert calls == []
+    value = fit.diagnostics["r22_max_sv"]
+    assert len(calls) == 1
+    assert fit.diagnostics["r22_max_sv"] is value
+    assert dict(fit.diagnostics)["r22_max_sv"] is value
+    assert len(calls) == 1
+
+
+def test_fit_diagnostics_behave_as_a_read_only_dict():
+    ts = gen_sim1(k=12, n=160, seed=92).y
+    for fit, keys in ((fit_rrqr(ts), ["r11_min_sv", "r22_max_sv", "passes",
+                                      "epsilon"]),
+                      (fit_rrqr(ts, p_override=2),
+                       ["r11_min_sv", "r22_max_sv", "passes"])):
+        diag = fit.diagnostics
+        assert list(diag) == keys and len(diag) == len(keys)
+        assert "r22_max_sv" in diag and "lambda_top" not in diag
+        plain = {**diag}
+        assert list(plain) == keys and type(plain) is dict
+        assert plain == dict(diag) == dict(diag.items())
+        assert diag == plain and plain == diag
+        assert diag != {**plain, "passes": plain["passes"] + 1}
+        assert repr(diag) == repr(plain)
+        with pytest.raises(KeyError):
+            diag["lambda_top"]
+        with pytest.raises(TypeError):
+            diag["passes"] = 2.0
+
+
 def test_fit_p_override_skips_scan():
     data = gen_sim1(k=12, n=300, seed=83)
     fit = fit_rrqr(data.y, p_override=3)
@@ -339,36 +415,8 @@ def test_fit_is_deterministic():
     assert one.p_hat == two.p_hat
 
 
-@st.composite
-def _sign_flip_panels(draw):
-    """(panel, lag_hi, d): a K x N panel from one family and the +-1
-    signs of a random subset of its series. Families: noisy (r AR(1)
-    factors plus noise), exact rank (no noise, so the scan runs past the
-    rank into deflated tails), tied (a series copied onto others) and
-    noisy scaled by 1e+-200."""
-    k = draw(st.integers(3, 12))
-    n = draw(st.integers(30, 90))
-    kind = draw(st.sampled_from(["noisy", "exact rank", "tied", "scaled"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    r = draw(st.integers(1, min(3, k - 1)))
-    f = np.zeros((r, n))
-    innov = rng.standard_normal((r, n))
-    for t in range(1, n):
-        f[:, t] = 0.7 * f[:, t - 1] + innov[:, t]
-    y = rng.uniform(-2.0, 2.0, (k, r)) @ f
-    if kind != "exact rank":
-        y += 0.5 * rng.standard_normal((k, n))
-    if kind == "tied":
-        y[rng.choice(k, size=draw(st.integers(1, k - 1)), replace=False)] = y[0]
-    if kind == "scaled":
-        y *= draw(st.sampled_from([1e-200, 1e200]))
-    d = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
-                               min_size=k, max_size=k)))
-    return y, draw(st.integers(1, 3)), d
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(_sign_flip_panels())
+@given(sign_flip_panels())
 def test_fit_is_sign_flip_equivariant(case):
     # y -> Dy makes M~ D M~ (I (x) D); every norm, pick and ratio is the
     # same bit for bit, and q_hat becomes D q_hat up to column signs

@@ -251,6 +251,24 @@ def test_stewart2_certifies_its_picks_at_extreme_scale(scale, monkeypatch):
     assert len(picks) == 2 * 10 * 4 and None not in picks
 
 
+def test_stewart2_guard_and_first_exchange_share_one_qr(monkeypatch):
+    # the singularity guard reads R11 from the QR the first reverse
+    # exchange needs of the same columns: one QR for the two, one per
+    # later exchange and one for the blocked result, none repeated
+    calls = []
+    real = rrqr._packed
+
+    def counted(a, cols):
+        calls.append(list(cols))
+        return real(a, cols)
+
+    monkeypatch.setattr(rrqr, "_packed", counted)
+    a = np.random.default_rng(37).standard_normal((8, 6))
+    assert stewart2(a, 2).passes == 4
+    assert len(calls) == 1 + 3 + 1
+    assert all(x != y for x, y in zip(calls, calls[1:]))
+
+
 # ------------------------------------------------------------------
 # hybrid pivoting and its bounds
 
@@ -770,7 +788,8 @@ def test_reused_leading_q_is_a_fresh_qrs(case, monkeypatch):
         search = rrqr._PivotSearch(mat)
         rows = rrqr._scan_orders(search, p_cap)
         basis = rrqr._loading_basis(search, 3, None)
-        return rows, basis[0].tobytes(), basis[1:]
+        r22 = rrqr._r22_max_sv(search, basis[0], basis[3])
+        return rows, basis[0].tobytes(), basis[1:], r22
 
     monkeypatch.setattr(rrqr._PivotSearch, "leading_q", checked)
     got = scan_and_basis()
@@ -1131,9 +1150,11 @@ def test_loading_basis_is_hybrid1s(case):
     mat = _basis_panel(case)
     top = singular_values(mat)[0]
     for p, order in _basis_orders(mat):
-        q1, r11_min, r22_max, passes = rrqr._loading_basis(
-            rrqr._PivotSearch(mat), p, order)
+        search = rrqr._PivotSearch(mat)
+        q1, r11_min, passes, used = rrqr._loading_basis(search, p, order)
+        r22_max = rrqr._r22_max_sv(search, q1, used)
         res = hybrid1(mat, p, init=order)
+        assert used == order, p
         assert_array_equal(q1, res.factors.q[:, :p]), p
         assert q1.flags.f_contiguous == res.factors.q[:, :p].flags.f_contiguous
         assert (r11_min, passes) == (res.r11_min_sv, res.passes), p
@@ -1146,7 +1167,9 @@ def test_loading_basis_r22_is_zero_without_a_trailing_block():
     rng = np.random.default_rng(64)
     for shape in [(9, 4), (6, 6), (4, 10)]:
         a, p = rng.standard_normal(shape), min(shape)
-        _, _, r22_max, _ = rrqr._loading_basis(rrqr._PivotSearch(a), p, None)
+        search = rrqr._PivotSearch(a)
+        q1, _, _, order = rrqr._loading_basis(search, p, None)
+        r22_max = rrqr._r22_max_sv(search, q1, order)
         assert r22_max == 0.0 == hybrid1(a, p).r22_max_sv, shape
 
 
