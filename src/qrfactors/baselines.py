@@ -1,11 +1,12 @@
 """Spectral baselines: lag-covariance EVD and flat-covariance PCA.
 
-Both produce FactorModelFit records shaped like the pivoted-QR fitter's
-so downstream forecasting and Monte-Carlo code treats all three methods
-uniformly. The EVD route eigendecomposes the accumulated outer products
-of the lag covariances and picks the rank by the eigenvalue-ratio rule;
-the PCA route eigendecomposes the lag-0 covariance and picks the rank by
-an information criterion with a (K+N)/(KN)-type penalty (Bai & Ng 2002).
+Both produce FactorModelFit records through the pivoted-QR fitter's
+record builder (factor_rrqr._fit_record), so downstream forecasting and
+Monte-Carlo code treats all three methods uniformly. The EVD route
+eigendecomposes the accumulated outer products of the lag covariances
+and picks the rank by the eigenvalue-ratio rule; the PCA route
+eigendecomposes the lag-0 covariance and picks the rank by an
+information criterion with a (K+N)/(KN)-type penalty (Bai & Ng 2002).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import _lag_range, sample_autocov
-from .factor_rrqr import FactorModelFit, ModelOrderScan, _rank_cap
+from .factor_rrqr import (FactorModelFit, ModelOrderScan, _fit_record,
+                          _rank_cap)
 from .tsdata import TimeSeries, _frozen, _rescaled
 
 # Default information-criterion search limit for fit_pca.
@@ -55,8 +57,8 @@ def _sym_eig_desc(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lam, u = lam[::-1], u[:, ::-1]
     lam[lam < 1e-12 * max(lam.max(), 0.0)] = 0.0
     lead = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
-    # the product is C-ordered, as the old copy was; a reversed view of u
-    # would reach the loadings' matmul with negative strides
+    # the product is C-ordered: a reversed view of u would reach the
+    # loadings' matmul with negative strides
     return lam, u * np.where(lead < 0.0, -1.0, 1.0)
 
 
@@ -74,7 +76,7 @@ def evd_spectrum(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2) -> EvdSpectru
     its eigenvalues are the squared singular values the pivoted-QR route
     works from; only they depend on the panel's scale.
     """
-    covs = [sample_autocov(ts, lag) for lag in _lag_range(ts, lag_lo, lag_hi)]
+    covs = [sample_autocov(ts, lag) for lag in _lag_range(ts.N, lag_lo, lag_hi)]
     lam, u = _sym_eig_desc(sum(cov.scaled @ cov.scaled.T for cov in covs))
     return EvdSpectrum(eigenvalues=_rescaled(lam, 2 * covs[0].exponent),
                        eigenvectors=u, ratios=_eig_ratios(lam))
@@ -105,15 +107,12 @@ def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
         scan = ModelOrderScan.from_curve(lam[:cap], lam[1:cap + 1],
                                          spectrum.ratios[:cap], 0.0, (), ())
     p_hat = scan.p_hat if p_override is None else p_override
-    q_hat = spectrum.eigenvectors[:, :p_hat]
-    z, e = ts._normalized
     diagnostics = {
         "lambda_top": float(lam[0]),
         "lambda_tail": float(lam[p_hat]) if p_hat < lam.size else 0.0,
     }
-    return FactorModelFit(method="EVD", p_hat=p_hat, q_hat=q_hat,
-                          factors=_rescaled(q_hat.T @ z, e),
-                          scan=scan, diagnostics=diagnostics)
+    return _fit_record("EVD", ts, spectrum.eigenvectors[:, :p_hat], scan,
+                       diagnostics)
 
 
 def _ic_from_eigs(lam: np.ndarray, p: int, k: int, n: int) -> float:
@@ -156,12 +155,8 @@ def fit_pca(ts: TimeSeries, p_max: int | None = None,
         scores = [_ic_from_eigs(lam, p, ts.K, ts.N) for p in range(1, p_max + 1)]
         p_hat = int(np.argmin(scores)) + 1
         ic_at_p = scores[p_hat - 1]
-    q_hat = u[:, :p_hat]
-    z, e = ts._normalized
     diagnostics = {
         "sigma2_hat": float(_rescaled(lam[p_hat:].sum(), cov.exponent)),
         "ic": ic_at_p + cov.exponent * math.log(2.0),
     }
-    return FactorModelFit(method="PCA", p_hat=p_hat, q_hat=q_hat,
-                          factors=_rescaled(q_hat.T @ z, e),
-                          diagnostics=diagnostics)
+    return _fit_record("PCA", ts, u[:, :p_hat], None, diagnostics)

@@ -33,8 +33,8 @@ import numpy as np
 from . import __version__
 from .factor_rrqr import ModelOrderScan, scan_model_order
 from .forecast_eval import METHODS, fit_method, rolling_eval
-from .rrqr import (gs_qr, hybrid1, hybrid2, hybrid3, qr_cp, singular_values,
-                   stewart2)
+from .rrqr import (_check_rank, gs_qr, hybrid1, hybrid2, hybrid3, qr_cp,
+                   singular_values, stewart2)
 from .simgen import SimConfig, monte_carlo
 from .tsdata import load_csv, read_matrix
 
@@ -182,9 +182,10 @@ def _cmd_rrqr(args) -> int:
         args.usage_error(f"--rank is required for --alg {args.alg}")
     sv = singular_values(mat)
     if args.alg == "gsqr":
+        block = (min(mat.shape) if rank is None
+                 else _check_rank("rank", rank, min(mat.shape)))
         factors = gs_qr(mat)
         perm = list(range(mat.shape[1]))
-        block = rank if rank is not None else min(mat.shape)
         summary = {"algorithm": "gsqr"}
     else:
         pivoting = {"qrcp": qr_cp, "stewart2": stewart2, "hybrid1": hybrid1,

@@ -89,9 +89,9 @@ def sample_autocov(ts: TimeSeries, lag: int) -> LagCovariance:
     return LagCovariance(lag=lag, scaled=_lag_products(z, [lag]), exponent=2 * e)
 
 
-def _lag_range(ts: TimeSeries, lag_lo: int, lag_hi: int) -> range:
-    """lag_lo..lag_hi, checked to satisfy 1 <= lag_lo <= lag_hi <= N-2."""
-    n = ts.N
+def _lag_range(n: int, lag_lo: int, lag_hi: int) -> range:
+    """lag_lo..lag_hi, checked to satisfy 1 <= lag_lo <= lag_hi <= n-2
+    for a panel of n samples."""
     if not 1 <= lag_lo <= lag_hi:
         raise ValueError(f"need 1 <= lag_lo <= lag_hi, got {lag_lo}..{lag_hi}")
     if lag_hi > n - 2:
@@ -102,7 +102,7 @@ def _lag_range(ts: TimeSeries, lag_lo: int, lag_hi: int) -> range:
 def build_augmented(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 5) -> AugmentedCov:
     """Stack sample autocovariances for lags lag_lo..lag_hi horizontally,
     each built in its block of the one array the result holds."""
-    lags = _lag_range(ts, lag_lo, lag_hi)
+    lags = _lag_range(ts.N, lag_lo, lag_hi)
     z, e = ts._normalized
     return AugmentedCov(lag_lo=lag_lo, lag_hi=lag_hi, scaled=_lag_products(z, lags),
                         exponent=2 * e, N=ts.N)

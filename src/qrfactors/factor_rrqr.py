@@ -22,11 +22,11 @@ from functools import partial
 
 import numpy as np
 
-from .covariance import build_augmented
+from .covariance import _lag_products, build_augmented
 from .rrqr import (_check_rank, _loading_basis, _PivotSearch, _r22_max_sv,
                    _scan_orders)
 # bench/reference.py patches factor_rrqr.hybrid3 to count the scan's passes;
-# the scan no longer calls it, but the name stays until that script changes.
+# the scan does not call it, but the name stays while that script patches it.
 from .rrqr import hybrid3  # noqa: F401
 from .tsdata import TimeSeries, _frozen, _rescaled
 
@@ -107,20 +107,19 @@ class ModelOrderScan:
 
 class _Diagnostics(Mapping):
     """A fit's diagnostics: a read-only mapping, in the order `values`
-    gives its keys, that computes each `pending` entry (key -> callable;
-    its placeholder in `values` holds the key's place) on its first read
-    and keeps it. Membership, iteration and len read no value; ==,
-    items(), dict() and {**d} read every one, as on a dict."""
+    gives its keys, whose one deferred value, a callable in its key's
+    place, is computed on its first read and kept. Membership, iteration
+    and len read no value; ==, items(), dict() and {**d} read every one,
+    as on a dict."""
 
-    def __init__(self, values: dict, pending: dict):
+    def __init__(self, values: dict):
         self._values = values
-        self._pending = pending
 
     def __getitem__(self, key):
-        if key in self._pending:
-            self._values[key] = self._pending[key]()
-            del self._pending[key]
-        return self._values[key]
+        value = self._values[key]
+        if callable(value):
+            value = self._values[key] = value()
+        return value
 
     def __contains__(self, key) -> bool:
         return key in self._values
@@ -235,9 +234,10 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     factor paths, gammas, epsilon and the block singular values are
     mapped back to it. A panel of constant series is rejected.
     diagnostics["r22_max_sv"] is computed on its first read, from M~ and
-    the pivot search built again from `ts` (about 8-10 ms at the paper
-    cell), so the fit keeps `ts` but no copy of M~, and callers that
-    never read it, as rolling_eval and monte_carlo do not, never pay.
+    the pivot search built again from the normalized panel (about 8-10
+    ms at the paper cell), so the fit keeps that panel but neither `ts`
+    nor a copy of M~, and callers that never read it, as rolling_eval
+    and monte_carlo do not, never pay.
     """
     aug = build_augmented(ts, lag_lo, lag_hi)
     search = _PivotSearch(aug.scaled, aug.exponent)
@@ -252,18 +252,25 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     q1, r11_min, passes, order = _loading_basis(search, p_hat, order)
     del search  # its unit-scaled copy is not needed past the basis
     q_hat = _frozen(q1)
-    values = {"r11_min_sv": r11_min, "r22_max_sv": None, "passes": float(passes)}
+    r22 = partial(_r22_on_read, *ts._normalized, range(lag_lo, lag_hi + 1),
+                  tuple(order), q_hat)
+    values = {"r11_min_sv": r11_min, "r22_max_sv": r22, "passes": float(passes)}
     if scan is not None:
         values["epsilon"] = scan.epsilon
-    r22 = partial(_r22_on_read, ts, lag_lo, lag_hi, tuple(order), q_hat)
+    return _fit_record("RRQR", ts, q_hat, scan, _Diagnostics(values))
+
+
+def _r22_on_read(z, e, lags, order, q_hat) -> float:
+    """A fit's sigma_max(R22), on M~ rebuilt from the normalized panel z
+    (times 2^e) and its pivot search, bit for bit the fit's."""
+    search = _PivotSearch(_lag_products(z, lags), 2 * e)
+    return _r22_max_sv(search, q_hat, order)
+
+
+def _fit_record(method, ts, q_hat, scan, diagnostics) -> FactorModelFit:
+    """The fit of basis q_hat to `ts`: its factor paths q_hat.T applied
+    to the normalized panel, mapped back to the panel's scale."""
     z, e = ts._normalized
-    return FactorModelFit(method="RRQR", p_hat=p_hat, q_hat=q_hat,
+    return FactorModelFit(method=method, p_hat=q_hat.shape[1], q_hat=q_hat,
                           factors=_rescaled(q_hat.T @ z, e), scan=scan,
-                          diagnostics=_Diagnostics(values, {"r22_max_sv": r22}))
-
-
-def _r22_on_read(ts, lag_lo, lag_hi, order, q_hat) -> float:
-    """A fit's sigma_max(R22), on M~ and its pivot search built again,
-    bit for bit the fit's."""
-    aug = build_augmented(ts, lag_lo, lag_hi)
-    return _r22_max_sv(_PivotSearch(aug.scaled, aug.exponent), q_hat, order)
+                          diagnostics=diagnostics)

@@ -26,15 +26,18 @@ diagonal entries of R it needs straight from dgeqrf's packed output; the
 full frame (K x K Q and block singular values) is built only for a
 returned RrqrResult.
 It hands back each rank's final order, a fixed point of both of its
-boundaries, and ``_loading_basis`` reads Q[:, :p] from one QR of LAPACK's
-first panel (p <= 16) of the order at p as it is, with no second sweep;
-sigma_max(R22) is left to ``_r22_max_sv``, for a caller that reads it.
+boundaries, and ``_loading_basis`` reads Q[:, :p] from one QR of the
+order at p as it is, with no second sweep. The scan's gammas and the
+basis read the same columns, LAPACK's first panel of the order
+(``_first_panel``); sigma_max(R22) is left to ``_r22_max_sv``, for a
+caller that reads it.
 
 Q and R are never updated in place; each exchange factorizes the columns
-it reads, but a column-pivot exchange reading exactly those the last
-inverse-row-norm exchange factorized takes Q from that dgeqrf output
-(``_PivotSearch.leading_q``), and stewart2's first exchange takes R11
-from its singularity guard's (``_PivotSearch.leading_packed``). A sweep
+it reads, and every leading triangle's dgeqrf goes through the search's
+one-entry cache (``_PivotSearch.leading_packed``): a column-pivot
+exchange reading exactly the columns the last inverse-row-norm exchange
+factorized takes its Q from that output (``leading_q``), and stewart2's
+first exchange takes R11 from its singularity guard's. A sweep
 ends at the first pass whose inverse-row-norm exchange moves nothing:
 the pass after it could only confirm the order, so it is counted, not
 run. The column-pivot exchange downdates the column sums of squares by
@@ -44,10 +47,10 @@ cannot settle its pick (``_strong_exchange``, ``_downdated_pick``):
 every pick is the one the projected norms make, so every order is. The
 inverse-row-norm exchange reads R11 from the packed factor, inverts it
 with dtrtri and keeps that pick where a forward-error bracket makes it
-the triangular solve's (``_weak_pick``), else it solves as it always
-did. The QRs and the triangular solves call LAPACK directly, with the
-arguments ``scipy.linalg`` would pass them; a QR of at most 32 columns,
-which LAPACK factors unblocked whatever its workspace, gets the minimum
+the triangular solve's (``_weak_pick``), else it solves. The QRs and
+the triangular solves call LAPACK directly, with the arguments
+``scipy.linalg`` would pass them; a QR of at most 32 columns, which
+LAPACK factors unblocked whatever its workspace, gets the minimum
 workspace and no size query (``_lapack``).
 
 Diagonal entries of R are kept non-negative by flipping the matching
@@ -85,17 +88,6 @@ _DEFL_RTOL = 1e-12
 # Hybrid loops get 10*n full passes before giving up; termination is
 # expected long before that on any float input.
 _PASS_CAP_FACTOR = 10
-# (width, last rank): while i+1 <= 16 the scan reads gamma_i and
-# gamma_{i+1} from a QR of the first 32 columns of its order,
-# past that from all of them; either way the bits are those of the full
-# decomposition. 32 is dgeqrf's block size: at min(K, n) >= 128 the
-# full-width QR factors its first 32 columns with dgeqr2 alone, exactly
-# as a 32-column QR does. Below that the full width runs unblocked
-# dgeqr2 over every column, and the BLAS dgemv rounds the last few
-# columns of a narrow call differently: on sim1 panels at K = 30, 50 and
-# 100, gamma_30 to gamma_32 moved by up to 3e-12 relative while gamma_1
-# to gamma_29 matched, so the panel stops well short of its last columns.
-_GAMMA_PANEL = (32, 16)
 # dgeqrf's and dorgqr's block size (ILAENV's NB): a panel of at most this
 # many columns is factored unblocked, by dgeqr2 and dorg2r, whatever the
 # workspace.
@@ -194,8 +186,8 @@ class _PivotSearch:
     `lead` (column norms, as the rank-1 seed and exchange read them) are
     computed on first use and live as long as the search: one scan and
     the basis sweep after it, or one strategy call. `last_qr` holds the
-    last (columns, dgeqrf output) of a leading triangle: an
-    inverse-row-norm exchange's, or stewart2's guard's.
+    last (columns, dgeqrf output) of a leading triangle until leading_q
+    spends it.
     """
 
     def __init__(self, a, exp=0):
@@ -236,12 +228,15 @@ class _PivotSearch:
         return last[1]
 
     def leading_q(self, cols):
-        """_unsigned_q(self.a, cols), once from last_qr's dgeqrf output
-        (which dorgqr overwrites) if it factorized exactly `cols`."""
-        last, self.last_qr = self.last_qr, None
-        if last is None or last[0] != cols:
-            return _unsigned_q(self.a, cols)
-        return _lapack(dorgqr, *last[1])[0]
+        """Q of the economic QR of self.a[:, cols] (K >= len(cols)), with
+        the column signs LAPACK leaves: _qr's Q with some columns negated,
+        which the column-pivot exchange can take, since negating a column
+        of Q negates its products exactly and moves no projection or norm.
+        dorgqr overwrites leading_packed's dgeqrf output, so last_qr is
+        spent."""
+        packed = self.leading_packed(cols)
+        self.last_qr = None
+        return _lapack(dorgqr, *packed)[0]
 
 
 def _lapack(routine, a, *args):
@@ -266,6 +261,23 @@ def _packed(a, cols):
     """dgeqrf of a[:, cols] as (packed, tau): R, with LAPACK's signs, in
     the upper triangle of packed and the reflectors below it."""
     return _lapack(dgeqrf, a.T[cols, :].T)
+
+
+def _first_panel(order, i):
+    """The columns of `order` a QR reads for R[:i, :i] and Q[:, :i] with
+    the full decomposition's bits: the first _UNBLOCKED while i <=
+    _UNBLOCKED / 2, past that all of them.
+
+    _UNBLOCKED is dgeqrf's block size: at min(K, n) >= 128 the
+    full-width QR factors its first 32 columns with dgeqr2 alone, exactly
+    as a 32-column QR does. Below that the full width runs unblocked
+    dgeqr2 over every column, and the BLAS dgemv rounds the last few
+    columns of a narrow call differently: on sim1 panels at K = 30, 50
+    and 100, gamma_30 to gamma_32 moved by up to 3e-12 relative while
+    gamma_1 to gamma_29 matched, so the panel is read only well short of
+    its last columns.
+    """
+    return order[:_UNBLOCKED] if 2 * i <= _UNBLOCKED else order
 
 
 def _signed(r, q, defl_tol):
@@ -301,15 +313,6 @@ def _qr(a, cols, mode, defl_tol):
         full[:, :m] = packed
         q = _lapack(dorgqr, full, tau)[0]
     return q, _signed(r, q, defl_tol)
-
-
-def _unsigned_q(a, cols):
-    """Q of the economic QR of a[:, cols] (K >= len(cols)), with the
-    column signs LAPACK leaves: _qr's Q with some columns negated. The
-    column-pivot exchange needs no more, since negating a column of Q
-    negates its products exactly, and no projection or norm moves."""
-    packed, tau = _packed(a, cols)
-    return _lapack(dorgqr, packed, tau)[0]
 
 
 def _beats(best: float, inc: float) -> bool:
@@ -482,11 +485,11 @@ def _strong_exchange(search, order, boundary) -> bool:
     eps) ||a_j||^2 of the squared norm the projection computes
     (_downdated_pick derives it), and the pick stands only where those
     brackets make it certain. Otherwise the whole matrix is projected
-    with the same Q1 and c (_residual_norms), as the exchange always
-    did. Both routes make the projected norms' pick, so every order is
-    theirs, and _fixed_point's skips, which rest on those norms not
-    depending on where a column sits, still hold. Boundary 1 projects
-    nothing and reads the search's rank-1 norms.
+    with the same Q1 and c (_residual_norms). Both routes make the
+    projected norms' pick, so every order is theirs, and _fixed_point's
+    skips, which rest on those norms not depending on where a column
+    sits, still hold. Boundary 1 projects nothing and reads the search's
+    rank-1 norms.
     """
     i = boundary - 1
     pick = None
@@ -737,22 +740,20 @@ def _scan_orders(search, p_cap) -> list[tuple[float, float, int, tuple]]:
     i from rank i-1's final order, which is already a fixed point at
     boundary i, so its loop opens at boundary i+1. gamma_i and gamma_{i+1}
     are |r_tt| of dgeqrf's packed output, read as 0 at or below the
-    deflation tolerance (_qr's R, bit for bit), from a QR of the first 32
-    columns while i+1 <= 16, else of every column, the full
-    decomposition's bits either way (_GAMMA_PANEL); no Q and no singular
-    value is built. The loops and the QR run on the search's unit-scaled
+    deflation tolerance (_qr's R, bit for bit), from a QR of the order's
+    first panel (_first_panel at i+1), the full decomposition's bits; no
+    Q and no singular value is built. The loops and the QR run on the search's unit-scaled
     copy, and gamma is returned at its scale. Returns (gamma_i,
     gamma_{i+1}, passes, final order) per rank; each order, a tuple of
     column indices, is a fixed point of both of its rank's boundaries.
     """
     cap = _PASS_CAP_FACTOR * search.a.shape[1]
-    width, last = _GAMMA_PANEL
     order = _qr_cp_order(search, 1)
     rows = []
     for i in range(1, p_cap + 1):
         passes = _fixed_point(search, order, i, cap, fixed_at_p=i > 1)
-        cols = order[:width] if i + 1 <= last else order
-        pair = np.abs(_packed(search.a, cols)[0].diagonal()[i - 1:i + 1])
+        packed = _packed(search.a, _first_panel(order, i + 1))[0]
+        pair = np.abs(packed.diagonal()[i - 1:i + 1])
         pair[pair <= search.tol] = 0.0
         rows.append((*pair.tolist(), passes, tuple(order)))
     return rows
@@ -765,17 +766,15 @@ def _loading_basis(search, p, order):
     one pass from it would swap nothing, so it is counted, not run, as
     _hybrid_sweeps counts a settled pass. With order None the sweep
     starts from qr_cp's first p pivots, and the order it settles on is
-    returned. Q[:, :p] and R11 come from an economic QR of the first 32
-    columns of the order while p <= 16, else of every column, the full
-    QR's bits either way (_GAMMA_PANEL). sigma_max(R22) is not computed
-    here: _r22_max_sv gives it from Q[:, :p] and the order."""
+    returned. Q[:, :p] and R11 come from an economic QR of the order's
+    first panel (_first_panel at p), the full QR's bits. sigma_max(R22)
+    is not computed here: _r22_max_sv gives it from Q[:, :p] and the
+    order."""
     passes = 1
     if order is None:
         order, cap = _hybrid_start(search, p, None, 0, p)
         _, passes = _hybrid_sweeps(search, order, p, cap)
-    width, last = _GAMMA_PANEL
-    q, r = _qr(search.a, order[:width] if p <= last else order, "economic",
-               search.tol)
+    q, r = _qr(search.a, _first_panel(order, p), "economic", search.tol)
     r11_min = search.unscaled(singular_values(r[:p, :p])[-1])
     return q[:, :p], float(r11_min), passes, order
 

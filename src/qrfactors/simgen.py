@@ -26,6 +26,7 @@ from multiprocessing import get_context
 import numpy as np
 from scipy.signal import lfilter
 
+from .covariance import _lag_range
 from .forecast_eval import (_insample_forecast_error, _reconstruction_errors,
                             check_methods, fit_method)
 from .tsdata import TimeSeries, _frozen
@@ -48,6 +49,9 @@ class SimConfig:
     the second is weaker, its loading supported on only half the series.
     noise_scale multiplies the scenario-2 correlated-noise covariance.
     half_support zeroes the lower half of scenario 1's loading column.
+    The lags must satisfy 1 <= lag_lo <= lag_hi <= n - 2, the stacked
+    covariance's rule (covariance._lag_range), so that every fit can
+    take them.
     """
 
     scenario: str
@@ -74,10 +78,7 @@ class SimConfig:
             )
         if self.n < 10:
             raise ValueError(f"need at least 10 samples, got {self.n}")
-        if not 1 <= self.lag_lo <= self.lag_hi:
-            raise ValueError(
-                f"bad lag range [{self.lag_lo}, {self.lag_hi}]"
-            )
+        _lag_range(self.n, self.lag_lo, self.lag_hi)
         if self.noise_kind not in ("iid_identity", "hurst"):
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
         if not 0.0 < self.hurst_w < 1.0:
@@ -350,9 +351,11 @@ def monte_carlo(config: SimConfig, trials: int,
     trial failures are recorded in the report, not raised.
 
     threads > 1 distributes trials across that many worker processes,
-    each with single-threaded BLAS (_single_thread_blas_pool); aggregation
-    always happens in trial order, so the report does not depend on the
-    worker count.
+    each with single-threaded BLAS (_single_thread_blas_pool), and
+    aggregation happens in trial order. So the report does not depend on
+    the worker count when the calling process runs BLAS on one thread
+    too; with more, its serial trials round differently in the last bits
+    from the workers' (README, "Numerical notes").
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")

@@ -48,6 +48,33 @@ def sign_flip_panels(draw):
     return y, draw(st.integers(1, 3)), d
 
 
+@st.composite
+def permuted_panels(draw):
+    """(panel, lag_hi, perm): a panel of sign_flip_panels' families and a
+    permutation of its series; row i of the permuted panel is row perm[i]
+    of the panel."""
+    y, lag_hi, _ = draw(sign_flip_panels())
+    return y, lag_hi, np.array(draw(st.permutations(range(len(y)))))
+
+
+def lag_product_rounding(z, mat, lags):
+    """A bound on ||fl(M) - M||_F for M = mat, the lag products of the
+    panel z side by side (covariance._lag_products, K x mK).
+
+    Entry (i, j) of block l is a dot product of N - l terms divided by
+    N - l. With u = eps/2, the product is within gamma_{N-l} sum_t
+    |z_i(t+l) z_j(t)| <= gamma_{N-l} ||z_i|| ||z_j|| of its exact value
+    in any summation order (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 3.1), and the division adds u |M_ij|. As
+    gamma_{N-l} / (N - l) <= u / (1 - N u), block l is within
+    u ||z||_F^2 / (1 - N u) + u ||C(l)||_F, and M within sqrt(m) times
+    the first term plus u ||M||_F.
+    """
+    u = np.finfo(float).eps / 2
+    return (math.sqrt(len(lags)) * u * float(np.vdot(z, z))
+            / (1.0 - z.shape[1] * u) + u * float(np.linalg.norm(mat)))
+
+
 def brute_autocov(values, lag):
     """Lag autocovariance by the definition, one scalar at a time.
 

@@ -15,6 +15,7 @@ from qrfactors.covariance import build_augmented
 from qrfactors.factor_rrqr import fit_rrqr
 from qrfactors.forecast_eval import rolling_eval
 from qrfactors.simgen import gen_sim1
+from qrfactors.tsdata import TimeSeries
 
 M_BYTES = 180 * 900 * 8
 
@@ -66,20 +67,33 @@ def test_fit_rrqr_holds_at_most_two_stacked_matrices(panel):
 
 def test_fit_rrqr_keeps_no_stacked_matrix(panel):
     # a returned fit holds q_hat, the factor paths, the scan's record and
-    # what its pending sigma_max(R22) rebuilds M̃ from (the panel, the
-    # lags, the order and q_hat), not the search's unit-scaled copy
-    # (1.17 M̃ when it held that); about 0.11 M̃, most of it the scan's
-    # fifteen orders of 900 column indices
+    # what its pending sigma_max(R22) rebuilds M̃ from (the normalized
+    # panel, the lags, the order and q_hat), not the search's unit-scaled
+    # copy (1.17 M̃ when it held that); about 0.11 M̃, most of it the
+    # scan's fifteen orders of 900 column indices
     fit_rrqr(panel, 1, 5)  # lazy imports and caches, outside the count
     assert _traced(lambda: fit_rrqr(panel, 1, 5))[1] <= 0.2 * M_BYTES
 
 
+def test_fit_rrqr_keeps_one_panel_once_its_caller_drops_it(panel):
+    # the pending sigma_max(R22) closes over the normalized panel and its
+    # exponent, from which it rebuilds M̃, not the TimeSeries: a fit whose
+    # caller drops the panel keeps that one copy (2.19 panels when it
+    # held the series' values too), q_hat, the factor paths and the scan
+    def fit_of_a_dropped_panel():
+        return fit_rrqr(TimeSeries(panel.values), 1, 5)
+
+    fit_of_a_dropped_panel()  # lazy imports and caches, outside the count
+    assert _traced(fit_of_a_dropped_panel)[1] <= 1.3 * panel.values.nbytes
+
+
 def test_rolling_eval_drops_each_window_panel_with_its_refit():
-    # an rrqr fit holds its panel for an on-demand sigma_max(R22), and
-    # rolling_eval keeps only each refit's basis and factor paths, so a
-    # window's panel goes before its residuals are formed; in window
-    # panels (50 x 500): 4.2, against 6.2 while the refit was kept through
-    # the residuals and 4.5 before fits held their panel
+    # an rrqr fit holds its normalized panel for an on-demand
+    # sigma_max(R22), and rolling_eval keeps only each refit's basis and
+    # factor paths, so a window's panel goes before its residuals are
+    # formed; in window panels (50 x 500): 4.2, against 6.2 while the
+    # refit was kept through the residuals and 4.5 before fits held their
+    # panel
     ts = gen_sim1(k=50, n=1000, seed=0).y
 
     def run():

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
 from oracles import sign_flip_panels
-from qrfactors import baselines
+from qrfactors import baselines, covariance
 from qrfactors.baselines import evd_spectrum, fit_evd, fit_pca
 from qrfactors.covariance import build_augmented, sample_autocov
 from qrfactors.factor_rrqr import fit_rrqr
@@ -191,6 +191,62 @@ def test_fit_is_sign_flip_equivariant(method, case):
     cols = np.arange(base.p_hat)
     s = np.sign(fit.q_hat[top, cols] * flipped[top, cols])
     assert_array_equal(fit.factors, s[:, None] * base.factors)
+
+
+def _eigenspace_bound(method, ts, lag_hi, p):
+    """A bound on the distance between the rank-p eigenbases of the
+    matrix a fit decomposes, S = sum_l C(l) C(l)^T (evd) or C(0) (pca),
+    of a panel and of the panel with its series permuted, both computed.
+
+    The two runs' covariances are the same dot products, each within
+    lag_product_rounding of its exact value (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., 3.1). With u = eps/2,
+    per run:
+
+    * evd: S's products C C^T and their sum add (K + m) u ||M||_F^2
+      (Higham 3.5), M the m lag blocks side by side, and C's rounding dC
+      enters through 2 ||M||_F ||dC||_F, by Cauchy-Schwarz over blocks;
+    * the symmetrization (S + S^T) / 2 adds u ||S||_F, and eigh, a
+      backward stable symmetric eigensolver, c K u ||S|| (Golub and Van
+      Loan, *Matrix Computations*, 4th ed., 8.3), taken as 4 K u ||S||_F.
+
+    So the two S differ by dS <= twice their sum, and the top-p
+    eigenspaces by at most 2 dS / (lambda_p - lambda_{p+1}) (Davis and
+    Kahan's sin theta theorem, doubled for dS up to half the gap), plus
+    8 K u for the eigenvectors' departure from orthonormality and
+    subspace_error's rounding. 1 where the gap cannot carry it.
+    """
+    u = np.finfo(float).eps / 2
+    z = ts._normalized[0]
+    lags = range(1, lag_hi + 1) if method == "evd" else [0]
+    m = covariance._lag_products(z, lags)
+    dc = oracles.lag_product_rounding(z, m, lags)
+    norm_m = float(np.linalg.norm(m))
+    if method == "evd":
+        s = m @ m.T
+        ds = 2 * norm_m * dc + (ts.K + len(lags)) * u * norm_m ** 2
+    else:
+        s, ds = m, dc
+    ds = 2 * (ds + (1 + 4 * ts.K) * u * float(np.linalg.norm(s)))
+    lam = np.linalg.eigvalsh(s)[::-1]
+    gap = lam[p - 1] - lam[p]
+    return 2 * ds / gap + 8 * ts.K * u if 2 * ds < gap else 1.0
+
+
+@pytest.mark.parametrize("method", ["evd", "pca"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(oracles.permuted_panels())
+def test_fit_is_series_permutation_equivariant(method, case):
+    # y -> Py turns S into P S P^T up to rounding: p_hat is the same, and
+    # the spans within _eigenspace_bound of each other
+    y, lag_hi, perm = case
+    ts = TimeSeries(y)
+    base = fit_method(method, ts, 1, lag_hi)
+    fit = fit_method(method, TimeSeries(y[perm]), 1, lag_hi)
+    event(f"p_hat {base.p_hat}")
+    assert fit.p_hat == base.p_hat
+    assert subspace_error(fit.q_hat, base.q_hat[perm]) \
+        <= _eigenspace_bound(method, ts, lag_hi, base.p_hat)
 
 
 def test_fit_evd_scale_invariance():

@@ -325,6 +325,30 @@ def test_rrqr_gsqr_needs_no_rank(tmp_path):
                  "--outdir", str(tmp_path)]) == 0
 
 
+def test_rrqr_gsqr_rank_is_checked(tmp_path, capsys):
+    # as every other --alg refuses a rank past its limit: a 4 x 8 matrix
+    # has no trailing block at rank 9 to report on
+    mat = tmp_path / "m.csv"
+    np.savetxt(mat, np.arange(32.0).reshape(4, 8) ** 2, delimiter=",")
+    assert main(["rrqr", "--matrix", str(mat), "--alg", "gsqr",
+                 "--rank", "9", "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: rank must be in [1, 4], got 9\n"
+    assert not (tmp_path / "rrqr_report.json").exists()
+    assert main(["rrqr", "--matrix", str(mat), "--alg", "gsqr",
+                 "--rank", "4", "--outdir", str(tmp_path)]) == 0
+
+
+def test_sim_refuses_lags_no_fit_can_take(tmp_path, capsys):
+    # lags 1..9 at N = 10: every rrqr and evd trial would fail
+    for methods in ("rrqr,evd,pca", "pca"):
+        assert main(["sim", "--scenario", "sim2", "--k", "4", "--n", "10",
+                     "--m", "9", "--methods", methods,
+                     "--outdir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err \
+            == "error: lag_hi=9 too large for N=10 (max 8)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rrqr_pivoted_algorithms_demand_a_rank(tmp_path, capsys):
     mat = tmp_path / "m.csv"
     np.savetxt(mat, np.eye(4), delimiter=",")

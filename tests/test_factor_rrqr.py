@@ -1,23 +1,28 @@
 """Rank scanning and the pivoted-QR factor fit."""
 
 import math
+from contextlib import contextmanager
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from qrfactors import factor_rrqr, rrqr
+from qrfactors import covariance, factor_rrqr, rrqr
 from qrfactors.covariance import build_augmented
 from qrfactors.baselines import fit_evd, fit_pca
 from qrfactors.factor_rrqr import FactorModelFit, fit_rrqr, scan_model_order
 from qrfactors.forecast_eval import fit_method, rolling_eval
-from qrfactors.rrqr import RrqrIterationError, hybrid1, hybrid3
+from qrfactors.rrqr import (RrqrIterationError, hybrid1, hybrid3,
+                            singular_values)
 from qrfactors.simgen import (SimConfig, gen_sim1, gen_sim2, monte_carlo,
                               subspace_error)
 from qrfactors.tsdata import TimeSeries, demean
 
-from oracles import (exact_rank_three, matrix_with_spectrum, old_scan,
+from oracles import (exact_rank_three, lag_product_rounding,
+                     matrix_with_spectrum, old_scan, permuted_panels,
                      random_orthonormal, sign_flip_panels)
 
 
@@ -433,6 +438,224 @@ def test_fit_is_sign_flip_equivariant(case):
     s = np.sign(fit.q_hat[top, cols] * flipped[top, cols])
     assert_array_equal(fit.q_hat, flipped * s)
     assert_array_equal(fit.factors, s[:, None] * base.factors)
+
+
+# ------------------------------------------------------------------
+# series permutations: y -> Py permutes the rows of M~ and, alike, the
+# columns within each of its blocks
+
+
+_U = np.finfo(float).eps / 2
+
+
+def _permutation_bounds(m, z, lags):
+    """Bounds between the rank scan of M~ = m, the lag products of the
+    normalized panel z, and the scan of P M~ Pi, P a row and Pi a column
+    permutation, both computed; in units of M~'s largest column norm.
+
+    A row permutation is orthogonal, so in exact arithmetic both scans
+    see the same R and make the same picks, mapped through Pi. Computed:
+
+    * The two matrices differ by cov, twice lag_product_rounding: the
+      covariances of permuted series are the same dot products, each
+      within that rounding, and so are columns that are equal exactly
+      (copied series), which exact ties may swap.
+    * Each scan's R of its first j ordered columns is the exact R of
+      those columns plus E, ||e_t|| <= 4 K j u ||a_t|| per column, u =
+      eps/2 (Householder QR; Higham, *Accuracy and Stability of
+      Numerical Algorithms*, 2nd ed., Thm 19.4): ||E||_2 <= 4 K j^1.5 u.
+      So both leading blocks are exact R's of matrices within
+      e_j = cov + 8 K j^1.5 u of each other.
+    * gamma_j = 1 / ||e_j^T R_j^{-1}||, the last row of A_j's
+      pseudo-inverse, which moves by at most sqrt(2) ||A_j^+||^2 e_j
+      (Wedin's bound for a perturbation that keeps the rank). At a fixed
+      point of boundary j the inverse-row-norm exchange keeps the last
+      column, whose inverse row norm is then the largest within the swap
+      tolerance, so ||R_j^{-1}||_2 <= sqrt(j) / gamma_j (to 1e-12) and
+      |dgamma_j| <= sqrt(2) j e_j to first order.
+      The bound b_j = 2 sqrt(2) j e_j doubles it for the second order.
+      Rank i's order is a fixed point of boundaries i and i+1, so b_i and
+      b_{i+1} bound both its gammas.
+    * The ratio (g_i + rho) / (g_{i+1} + rho), g = gamma / gamma_1 and
+      rho = 1 / sqrt(K n) the floor's share, moves by at most
+      2 [(b_i + rho b_1) / (g_i + rho) + (b_{i+1} + rho b_1) /
+      (g_{i+1} + rho)] + 8 eps relative: each gamma's bound, the floor's
+      through gamma_1, doubled, and both scans' roundings of the formula.
+    * The basis at p spans A_p's perturbed columns, which turn by at most
+      ||E||_2 / sigma_min(A_p) <= sqrt(p) e_p / g_p (Wedin's sin theta
+      theorem, sigma_min >= gamma_p / sqrt(p) as above), and each
+      computed Q is within 4 K p^1.5 u of an orthonormal basis of them
+      (Thm 19.4), so the projectors differ by at most
+      2 (sqrt(p) e_p / g_p + 16 K p^1.5 u + 4 K u), the last term
+      subspace_error's own rounding.
+
+    Returns (e, b, rho, K): e_j and b_j for j = 1..min(K, n).
+    """
+    k, n = m.shape
+    cov = 2 * lag_product_rounding(z, m, lags) / rrqr._col_norms(m).max()
+    j = np.arange(1, min(k, n) + 1)
+    e = cov + 8 * k * j ** 1.5 * _U
+    return e, 2 * math.sqrt(2) * j * e, 1 / math.sqrt(k * n), k
+
+
+def _ratio_bound(bounds, i, g, g_next):
+    """_permutation_bounds' relative bound on rank i's ratio, whose
+    gammas over gamma_1 are g and g_next."""
+    _, b, rho, _ = bounds
+    return (2 * ((b[i - 1] + rho * b[0]) / (g + rho)
+                 + (b[i] + rho * b[0]) / (g_next + rho))
+            + 8 * np.finfo(float).eps)
+
+
+def _span_bound(bounds, p, g_p):
+    """_permutation_bounds' bound on the distance between the rank-p
+    bases, gamma_p over gamma_1 being g_p."""
+    e, _, _, k = bounds
+    return 2 * (math.sqrt(p) * e[p - 1] / g_p + 16 * k * p ** 1.5 * _U
+                + 4 * k * _U)
+
+
+def _ties(norms, tol, d, rel=0.0) -> bool:
+    """Whether two of `norms` above tol lie within twice the swap
+    tolerance (plus rel) relative plus d absolute of each other, or one
+    lies within d of tol: the comparisons whose outcome rounding of
+    that size can flip (_pick_challenger, _beats, the deflation rule)."""
+    v = np.sort(norms[np.isfinite(norms)])
+    if (np.abs(v - tol) <= d).any():
+        return True
+    v = v[v > tol]
+    return bool((np.diff(v) <= (2 * rrqr._SWAP_RTOL + rel) * v[1:] + d).any())
+
+
+@contextmanager
+def _tie_watch(bounds):
+    """Yield a set that collects each rank whose loop (at rank 1 with
+    its seed) compares tied norms (_ties): the projected trailing norms
+    of a column-pivot exchange at boundary j, with d twice b_j times the
+    largest column norm, or the inverse row norms of an inverse-row-norm
+    exchange, with rel 2 sqrt(j) b_j ||R^{-1}|| and its pivots within d
+    of the deflation tolerance. Only at such a comparison can the
+    rounding that differs between two scans flip a pick."""
+    b = bounds[1]
+    tied, rank = set(), [1]
+    fixed_point, strong, weak = (rrqr._fixed_point, rrqr._strong_exchange,
+                                 rrqr._weak_exchange)
+
+    def at_rank(search, order, p, *args, **kwargs):
+        rank[0] = p
+        return fixed_point(search, order, p, *args, **kwargs)
+
+    def watched_strong(search, order, boundary):
+        i, a = boundary - 1, search.a
+        if i:
+            q = rrqr._qr(a, order[:i], "economic", search.tol)[0]
+            norms = rrqr._residual_norms(a, q, q.T @ a)[order[i:]]
+        else:
+            norms = search.lead[order]
+        if _ties(norms, search.tol, 2 * b[i] * search.lead.max()):
+            tied.add(rank[0])
+        return strong(search, order, boundary)
+
+    def watched_weak(search, order, boundary):
+        if boundary > 1:
+            r = rrqr._qr(search.a, order[:boundary], "economic", search.tol)[1]
+            d = 2 * b[boundary - 1] * search.lead.max()
+            smin = singular_values(r)[-1]
+            rel = math.sqrt(boundary) * d / smin if smin > 0 else 0.0
+            if (np.abs(np.abs(np.diagonal(r)) - search.tol) <= d).any() \
+                    or _ties(rrqr._inverse_row_norms(r), 0.0, 0.0, rel):
+                tied.add(rank[0])
+        return weak(search, order, boundary)
+
+    with patch.object(rrqr, "_fixed_point", at_rank), \
+            patch.object(rrqr, "_strong_exchange", watched_strong), \
+            patch.object(rrqr, "_weak_exchange", watched_weak):
+        yield tied
+
+
+def _unit_scan(ts, lag_hi):
+    """M~ at the normalized panel's scale, the scan of it, with the ranks
+    whose loops tied (_tie_watch), and its _permutation_bounds."""
+    z = ts._normalized[0]
+    lags = range(1, lag_hi + 1)
+    m = covariance._lag_products(z, lags)
+    bounds = _permutation_bounds(m, z, lags)
+    with _tie_watch(bounds) as tied:
+        scan = scan_model_order(m, n=ts.N)
+    return m, scan, tied, bounds
+
+
+def _close(x, y, bound) -> bool:
+    """|x - y| <= bound, or x == y (both saturated to 0 or inf)."""
+    return x == y or abs(x - y) <= bound
+
+
+def _assert_scans_agree(scan, base, unit, cols, tied, bounds):
+    """scan, of M~'s permutation whose column t is column cols[t] of M~
+    with its rows permuted, against base, M~'s scan at the same scale:
+    the same p_hat, gammas and ratios within _permutation_bounds (the
+    gammas' in units of base's gamma_1, g and the ratio bound read from
+    unit, M~'s scan at unit scale), and, at ranks below the first that
+    tied, each rank's first i+1 columns, those its picks decide, mapped
+    through the permutation. The columns behind them are where the swaps
+    left the identity start, which no permutation maps."""
+    b = bounds[1]
+    assert scan.p_hat == base.p_hat
+    to_scan = np.argsort(cols)
+    top, unit_top = base.candidates[0].gamma, unit.candidates[0].gamma
+    rows = zip(scan.candidates, base.candidates, unit.candidates,
+               scan.orders, base.orders)
+    for c, c0, u, order, order0 in rows:
+        i = c0.index
+        if i < min(tied, default=i + 1):
+            picked = to_scan[list(order0[:i + 1])].tolist()
+            assert order[:i + 1] == tuple(picked), i
+        assert _close(c.gamma, c0.gamma, b[i - 1] * top), i
+        assert _close(c.gamma_next, c0.gamma_next, b[i] * top), i
+        rel = _ratio_bound(bounds, i, u.gamma / unit_top,
+                           u.gamma_next / unit_top)
+        assert abs(c.ratio - c0.ratio) <= rel * c0.ratio, i
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(permuted_panels())
+def test_fit_is_series_permutation_equivariant(case):
+    # y -> Py: M~ becomes P M~ (I (x) P^T); p_hat is the same, the
+    # gammas, ratios and span agree within _permutation_bounds, and the
+    # scan orders map through the permutation up to the first tie
+    y, lag_hi, perm = case
+    ts = TimeSeries(y)
+    base = fit_rrqr(ts, 1, lag_hi)
+    fit = fit_rrqr(TimeSeries(y[perm]), 1, lag_hi)
+    _, unit, tied, bounds = _unit_scan(ts, lag_hi)
+    assert (base.scan.ratios() == unit.ratios()).all()
+    assert base.scan.orders == unit.orders
+    event(f"p_hat {base.p_hat}, {'tied' if tied else 'untied'}")
+    k = ts.K
+    cols = np.concatenate([blk * k + perm for blk in range(lag_hi)])
+    _assert_scans_agree(fit.scan, base.scan, unit, cols, tied, bounds)
+    p = base.p_hat
+    g_p = unit.candidates[p - 1].gamma / unit.candidates[0].gamma
+    assert subspace_error(fit.q_hat, base.q_hat[perm]) \
+        <= _span_bound(bounds, p, g_p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(permuted_panels(), st.integers(0, 2**32 - 1))
+def test_scan_is_row_and_block_column_permutation_equivariant(case, seed):
+    # scan_model_order on M~ with its rows permuted by the series
+    # permutation and the columns of each block by their own: the same
+    # properties, on the matrix as given
+    y, lag_hi, perm = case
+    ts = TimeSeries(y)
+    m, base, tied, bounds = _unit_scan(ts, lag_hi)
+    rng = np.random.default_rng(seed)
+    k = ts.K
+    cols = np.concatenate([blk * k + rng.permutation(k)
+                           for blk in range(lag_hi)])
+    scan = scan_model_order(m[perm][:, cols], n=ts.N)
+    event(f"p_hat {base.p_hat}, {'tied' if tied else 'untied'}")
+    _assert_scans_agree(scan, base, base, cols, tied, bounds)
 
 
 def _assert_same_fit(fit, base, shift):

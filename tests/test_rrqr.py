@@ -562,13 +562,13 @@ def _scan_panel(case):
 @pytest.mark.parametrize("case", SCAN_PANELS)
 def test_scan_panel_gamma_is_the_full_width_gamma(case):
     mat = _scan_panel(case)
-    width, last = rrqr._GAMMA_PANEL
+    last = rrqr._UNBLOCKED // 2
     tol = rrqr._DEFL_RTOL * rrqr._col_norms(mat).max()
     search = rrqr._PivotSearch(mat)
     rows = rrqr._scan_orders(search, min(last, min(mat.shape)) - 1)
     for i, (gamma, gamma_next, _, order) in enumerate(rows, start=1):
         _, full = scipy_qr(mat, order, "r", tol)
-        _, panel = scipy_qr(mat, order[:width], "r", tol)
+        _, panel = scipy_qr(mat, rrqr._first_panel(order, last), "r", tol)
         assert tuple(search.unscaled((gamma, gamma_next))) \
             == (full[i - 1, i - 1], full[i, i]), i
         assert_array_equal(np.diagonal(panel)[:last],
@@ -749,6 +749,12 @@ def _open_downdate_cases():
     yield within_swap_tol, [0, 1, 2, 3], 2
 
 
+def _fresh_q(a, cols):
+    """Q of a fresh economic QR of a[:, cols], with the column signs
+    LAPACK leaves, as the column-pivot exchange reads it."""
+    return rrqr._lapack(rrqr.dorgqr, *rrqr._packed(a, cols))[0]
+
+
 def test_downdated_picks_stay_open_at_the_tolerances():
     # the deflation tolerance and the swap tolerance draw lines the
     # downdate cannot see to within its error bound; there it defers to
@@ -756,7 +762,7 @@ def test_downdated_picks_stay_open_at_the_tolerances():
     for a, order, boundary in _open_downdate_cases():
         search = rrqr._PivotSearch(a)
         i = boundary - 1
-        q = rrqr._unsigned_q(search.a, order[:i])
+        q = _fresh_q(search.a, order[:i])
         assert rrqr._downdated_pick(search, order, i, q,
                                     q.T @ search.a) is None
         got, want = list(order), list(order)
@@ -780,7 +786,7 @@ def test_reused_leading_q_is_a_fresh_qrs(case, monkeypatch):
         hit = search.last_qr is not None and search.last_qr[0] == cols
         q = real(search, cols)
         if hit:
-            _same_bits(q, rrqr._unsigned_q(search.a, cols))
+            _same_bits(q, _fresh_q(search.a, cols))
         calls[hit] += 1
         return q
 
@@ -795,7 +801,7 @@ def test_reused_leading_q_is_a_fresh_qrs(case, monkeypatch):
     got = scan_and_basis()
     assert calls[1] > 0, calls
     monkeypatch.setattr(rrqr._PivotSearch, "leading_q",
-                        lambda search, cols: rrqr._unsigned_q(search.a, cols))
+                        lambda search, cols: _fresh_q(search.a, cols))
     assert got == scan_and_basis()
 
 
@@ -1132,10 +1138,8 @@ def _basis_orders(mat):
 def test_basis_panel_q_and_r11_are_the_full_qrs(case):
     mat = _basis_panel(case)
     tol = rrqr._DEFL_RTOL * rrqr._col_norms(mat).max()
-    width, last = rrqr._GAMMA_PANEL
     for p, order in _basis_orders(mat):
-        q, r = rrqr._qr(mat, order[:width] if p <= last else order,
-                        "economic", tol)
+        q, r = rrqr._qr(mat, rrqr._first_panel(order, p), "economic", tol)
         full_q, full_r = rrqr._qr(mat, order, "full", tol)
         assert_array_equal(q[:, :p], full_q[:, :p]), p
         assert_array_equal(r[:p, :p], full_r[:p, :p]), p

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from qrfactors import simgen
+from qrfactors.forecast_eval import fit_method
 from qrfactors.simgen import (_BLAS_THREAD_VARS, SimConfig,
                               _single_thread_blas_pool, gen_sim1, gen_sim2,
                               hurst_cov, monte_carlo, subspace_error)
@@ -278,15 +280,41 @@ def test_monte_carlo_repeats_bitwise():
     assert one == two
 
 
-def test_monte_carlo_records_per_trial_failures():
-    # lag range too wide for n: every trial's fit fails
-    cfg = SimConfig(scenario="sim1", k=8, n=12, seed=35, lag_hi=11)
-    rep = monte_carlo(cfg, trials=2, methods=("rrqr",), outputs=("errors",))
-    assert len(rep["failures"]) == 2
-    assert rep["per_method"]["rrqr"]["trials_ok"] == 0
-    for failure in rep["failures"]:
-        assert failure["method"] == "rrqr"
-        assert failure["message"]
+def test_monte_carlo_records_per_trial_failures(monkeypatch):
+    # the fit of trial 1 of 3 raises: the failure is recorded with its
+    # trial and message, and the trials around it still run
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == 2:
+            raise RuntimeError("trial 1 fails")
+        return fit_method(*args, **kwargs)
+
+    monkeypatch.setattr(simgen, "fit_method", fails_once)
+    cfg = SimConfig(scenario="sim1", k=8, n=40, seed=35)
+    rep = monte_carlo(cfg, trials=3, methods=("rrqr",), outputs=("errors",))
+    assert calls == ["rrqr"] * 3
+    assert rep["failures"] == [
+        {"trial": 1, "method": "rrqr", "message": "trial 1 fails"}]
+    assert rep["per_method"]["rrqr"]["trials_ok"] == 2
+
+
+def test_sim_config_takes_only_lags_every_fit_can():
+    # the stacked covariance's rule, 1 <= lag_lo <= lag_hi <= n - 2, for
+    # every method: lag_hi = 9 at n = 10 once ran trials whose rrqr and
+    # evd fits all failed, and pca-only configs took it too
+    for lag_lo, lag_hi, message in [
+            (1, 9, "lag_hi=9 too large for N=10 (max 8)"),
+            (0, 2, "need 1 <= lag_lo <= lag_hi, got 0..2"),
+            (3, 2, "need 1 <= lag_lo <= lag_hi, got 3..2")]:
+        with pytest.raises(ValueError) as err:
+            SimConfig(scenario="sim2", k=4, n=10, seed=0, lag_lo=lag_lo,
+                      lag_hi=lag_hi)
+        assert str(err.value) == message
+    cfg = SimConfig(scenario="sim2", k=4, n=10, seed=0, lag_hi=8)
+    rep = monte_carlo(cfg, trials=2, methods=("rrqr", "evd", "pca"))
+    assert rep["failures"] == []
 
 
 def test_monte_carlo_rejects_forecast_without_targets():
