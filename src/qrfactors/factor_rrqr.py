@@ -187,14 +187,19 @@ def scan_model_order(m_tilde, p_cap: int | None = None,
     ----------
     m_tilde : array-like
         The stacked lag-covariance matrix (or any K x n matrix to
-        rank-scan).
+        rank-scan), with at least 2 rows and 2 columns, so that rank 1
+        has a successor.
     p_cap : int, optional
         Largest candidate rank, at most min(K, n) - 1; _rank_cap's
         default when omitted.
     n : int
         Sample count behind the matrix, used only to scale eps.
     """
-    return _scan(_PivotSearch(m_tilde), p_cap, n)
+    search = _PivotSearch(m_tilde)
+    if min(search.a.shape) < 2:
+        raise ValueError("a rank scan needs at least 2 rows and 2 columns, "
+                         "got a {} x {} matrix".format(*search.a.shape))
+    return _scan(search, p_cap, n)
 
 
 def _scan(search, p_cap, n) -> ModelOrderScan:

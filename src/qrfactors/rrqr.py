@@ -43,11 +43,14 @@ the pass after it could only confirm the order, so it is counted, not
 run. The column-pivot exchange downdates the column sums of squares by
 the leading columns' projection, brackets each result with a rigorous
 rounding bound, and projects the whole matrix only when the brackets
-cannot settle its pick (``_strong_exchange``, ``_downdated_pick``):
-every pick is the one the projected norms make, so every order is. The
-inverse-row-norm exchange reads R11 from the packed factor, inverts it
-with dtrtri and keeps that pick where a forward-error bracket makes it
-the triangular solve's (``_weak_pick``), else it solves. The QRs and
+cannot settle its pick (``_strong_exchange``, ``_downdated_pick``); at
+boundary 1, which projects nothing, the same brackets run on the sums
+themselves, and the per-column-scaled rank-1 norms are summed only for
+a pick they cannot settle. Every pick is the one the projected norms
+make, so every order is. The inverse-row-norm exchange reads R11 from
+the packed factor, inverts it with dtrtri and keeps that pick where a
+forward-error bracket makes it the triangular solve's (``_weak_pick``),
+else it solves. The QRs and
 the triangular solves call LAPACK directly, with the arguments
 ``scipy.linalg`` would pass them; a QR of at most 32 columns, which
 LAPACK factors unblocked whatever its workspace, gets the minimum
@@ -58,9 +61,10 @@ columns of Q. A pivot at or below the deflation tolerance deflates: its
 diagonal entry becomes exactly 0. Q is orthonormal for any input, so a
 deflated pivot needs no completion. Every strategy reads its matrix
 through one pivot search (``_PivotSearch``), which owns its scale: it is
-checked and brought to unit scale once by powers of two, with one
-deflation tolerance, and R, gammas and singular values leave the module
-through its one saturating map-back (``unscaled``).
+checked and brought to unit scale once by powers of two, in one pass
+that also sums each column's squares, with one deflation tolerance, and
+R, gammas and singular values leave the module through its one
+saturating map-back (``unscaled``).
 """
 
 from __future__ import annotations
@@ -158,8 +162,8 @@ class RrqrResult:
     passes: int = 0
 
 
-def _col_norms(a: np.ndarray, order="K", shift=0) -> np.ndarray:
-    """Column 2-norms of a * 2^shift; no square overflows or underflows.
+def _col_norms(a: np.ndarray, order="K") -> np.ndarray:
+    """Column 2-norms of a; no square overflows or underflows.
 
     Each column is scaled by the power of two that brings its largest
     entry into [0.5, 1) and its norm is scaled back after. Both scalings
@@ -169,7 +173,7 @@ def _col_norms(a: np.ndarray, order="K", shift=0) -> np.ndarray:
     _, exp = np.frexp(np.maximum(a.max(axis=0), -a.min(axis=0)))
     scaled = np.ldexp(a, -exp, order=order)
     scaled *= scaled
-    return np.ldexp(np.sqrt(np.add.reduce(scaled, axis=0)), exp + shift)
+    return np.ldexp(np.sqrt(np.add.reduce(scaled, axis=0)), exp)
 
 
 class _PivotSearch:
@@ -179,15 +183,18 @@ class _PivotSearch:
     The matrix is `a` times 2^exp: the input (times the caller's 2^exp)
     scaled by the power of two above its largest |entry|, whose max and
     min carry any NaN or Inf, then by the one above that copy's largest
-    column norm, so no norm overflows. `tol` is the deflation tolerance
-    at that scale. Both scalings are exact, so R and every pivot decision
-    on the copy are the matrix's, scaled, bit for bit; what bears the
-    scale leaves through `unscaled`. `sums` (column sums of squares) and
-    `lead` (column norms, as the rank-1 seed and exchange read them) are
-    computed on first use and live as long as the search: one scan and
-    the basis sweep after it, or one strategy call. `last_qr` holds the
-    last (columns, dgeqrf output) of a leading triangle until leading_q
-    spends it.
+    column norm. `sums`, the column sums of squares, come from one pass
+    over the first scaling, where no square can overflow and one can
+    underflow only far below the deflation tolerance; the largest gives
+    the second scaling, and both are then brought to it in place. `tol`
+    is the deflation tolerance at that scale. Both scalings are exact,
+    so R and every pivot decision on the copy are the matrix's, scaled,
+    bit for bit; what bears the scale leaves through `unscaled`. `lead`
+    (per-column-scaled norms, as a rank-1 column-pivot exchange that its
+    downdate cannot settle reads them) is computed on first use. The
+    search lives as long as one scan and the basis sweep after it, or one
+    strategy call. `last_qr` holds the last (columns, dgeqrf output) of a
+    leading triangle until leading_q spends it.
     """
 
     def __init__(self, a, exp=0):
@@ -198,9 +205,13 @@ class _PivotSearch:
         if not math.isfinite(peak):
             raise ValueError("matrix contains NaN or Inf")
         shift = -math.frexp(peak)[1]
-        top, top_exp = math.frexp(float(_col_norms(mat, shift=shift).max()))
+        self.a = np.ldexp(mat, shift)
+        self.sums = np.einsum("ij,ij->j", self.a, self.a)
+        top, top_exp = math.frexp(math.sqrt(self.sums.max()))
+        # from the input again, so each entry is rounded once, at its scale
+        np.ldexp(mat, shift - top_exp, out=self.a)
+        np.ldexp(self.sums, -2 * top_exp, out=self.sums)
         self.exp = exp - shift + top_exp
-        self.a = np.ldexp(mat, shift - top_exp)
         self.tol = _DEFL_RTOL * top
         self.last_qr = None
 
@@ -209,14 +220,10 @@ class _PivotSearch:
         return _rescaled(x, self.exp)
 
     @cached_property
-    def sums(self) -> np.ndarray:
-        return np.einsum("ij,ij->j", self.a, self.a)
-
-    @cached_property
     def lead(self) -> np.ndarray:
         # summed pairwise down contiguous columns: a column gather's norms
-        # bit for bit, as the rank-1 pivots read them; a row-major sum can
-        # differ in the last bit
+        # bit for bit, as an unsettled boundary-1 pick reads them; a
+        # row-major sum can differ in the last bit
         return _col_norms(self.a, order="F")
 
     def leading_packed(self, cols):
@@ -438,6 +445,13 @@ def _downdated_pick(search, order, i, q, c):
     incumbent has one outcome at both corners of the two intervals.
     Exact ties, norms within the swap tolerance and trailing norms past
     the numerical rank, which are round-off, never pass.
+
+    At i = 0 (boundary 1) q is K x 0 and c is 0 x n: t_j = s_j and E_j =
+    2 K eps s_j, and the exact path reads the search's rank-1 norms
+    (`lead`). Their per-column scaling is exact, and their sum of the
+    same K squares and its square root put lead_j^2 within (K + 1) eps
+    s_j of s_j, inside E_j (at K = 1, lead_j is |a_j| exactly), so
+    a certain pick is theirs too.
     """
     k = q.shape[0]
     gram = q.T @ q
@@ -480,28 +494,24 @@ def _strong_exchange(search, order, boundary) -> bool:
     fixed point. Returns whether `order` changed.
 
     The pick is first tried on downdated norms ||a_j||^2 - ||c_j||^2,
-    from c = Q1^T a alone, Q1 the economic Q of the leading columns.
-    Each is within E_j = 2(||Q1^T Q1 - I||_F + (i + sqrt(i) + 1)(K + i)
-    eps) ||a_j||^2 of the squared norm the projection computes
+    from c = Q1^T a alone, Q1 the economic Q of the leading columns (K x
+    0 at boundary 1, which projects nothing and runs no QR). Each is
+    within E_j = 2(||Q1^T Q1 - I||_F + (i + sqrt(i) + 1)(K + i) eps)
+    ||a_j||^2 of the squared norm the exact path computes
     (_downdated_pick derives it), and the pick stands only where those
-    brackets make it certain. Otherwise the whole matrix is projected
-    with the same Q1 and c (_residual_norms). Both routes make the
-    projected norms' pick, so every order is theirs, and _fixed_point's
-    skips, which rest on those norms not depending on where a column
-    sits, still hold. Boundary 1 projects nothing and reads the search's
-    rank-1 norms.
+    brackets make it certain. Otherwise the exact path decides: the whole
+    matrix projected with the same Q1 and c (_residual_norms), or at
+    boundary 1 the search's rank-1 norms. Both routes make the exact
+    path's pick, so every order is its own, and _fixed_point's skips,
+    which rest on those norms not depending on where a column sits, still
+    hold.
     """
-    i = boundary - 1
-    pick = None
-    if not i:
-        trail = search.lead[order]
-    else:
-        q = search.leading_q(order[:i])
-        c = q.T @ search.a
-        pick = _downdated_pick(search, order, i, q, c)
-        if pick is None:
-            trail = _residual_norms(search.a, q, c)[order[i:]]
+    i, a = boundary - 1, search.a
+    q = search.leading_q(order[:i]) if i else a[:, :0]
+    c = q.T @ a
+    pick = _downdated_pick(search, order, i, q, c)
     if pick is None:
+        trail = (_residual_norms(a, q, c) if i else search.lead)[order[i:]]
         trail[trail <= search.tol] = 0.0
         pick = _pick_challenger(trail, 0)
     order[i], order[i + pick] = order[i + pick], order[i]
@@ -664,19 +674,21 @@ def _qr_cp_order(search, steps) -> list[int]:
     `steps`-step greedy loop leaves them.
 
     dgeqp3's first pivot is the first column of largest dnrm2 (it picks
-    with idamax), so one step runs no factorization. The search's rank-1
-    norms pick the candidates: a sum of K squares and its square root
-    are within (K + 2) eps / 4 relative of the exact norm, and a dnrm2
-    whose updates round three times as often within three times that,
-    so dnrm2's first argmax lies among the columns within 4(K + 2) eps
-    of the largest one, twice the sum. dnrm2 decides among those alone,
-    in index order.
+    with idamax), so one step runs no factorization. The square roots of
+    the search's column sums of squares pick the candidates: a sum of K
+    squares, in any order, and its square root are within (K + 2) eps /
+    4 relative of the exact norm, and a dnrm2 whose updates round three
+    times as often within three times that, so dnrm2's first argmax lies
+    among the columns within 4(K + 2) eps of the largest one, twice the
+    sum. Those columns' norms are at least about 1/2 at the search's
+    scale, so the error of a square that underflows is far below that
+    bracket. dnrm2 decides among those alone, in index order.
     """
     a = search.a
     if steps == 1:
-        lead = search.lead
+        norms = np.sqrt(search.sums)
         near = np.flatnonzero(
-            lead >= lead.max() * (1.0 - 4 * (a.shape[0] + 2) * _EPS))
+            norms >= norms.max() * (1.0 - 4 * (a.shape[0] + 2) * _EPS))
         piv = [int(near[np.argmax([dnrm2(a[:, j]) for j in near])])]
     else:
         _, piv = qr(a, mode="r", pivoting=True, check_finite=False)

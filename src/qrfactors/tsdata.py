@@ -96,9 +96,10 @@ def load_csv(path, orientation: str = "rows-are-series",
     Parameters
     ----------
     path : str or Path
-        Comma-separated UTF-8 file; ``"``-quoted cells are unquoted as by
-        ``csv.reader``, and a record ends at ``\\n``, ``\\r\\n`` or
-        ``\\r``. Cells may carry surrounding whitespace.
+        Comma-separated UTF-8 file, with or without a byte-order mark
+        (Excel's "CSV UTF-8" writes one); ``"``-quoted cells are
+        unquoted as by ``csv.reader``, and a record ends at ``\\n``,
+        ``\\r\\n`` or ``\\r``. Cells may carry surrounding whitespace.
     orientation : str
         "rows-are-series" (alias "rows") or "columns-are-series" (alias
         "columns"). With rows-are-series, a non-numeric first column is
@@ -171,7 +172,7 @@ def _c_parse(path, has_header: bool, skip_blank: bool):
     loadtxt skips empty lines and has no field size limit. Both read the
     lines ``open(newline="")`` splits at \\n, \\r\\n and \\r.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             lines = list(fh)
         except UnicodeDecodeError:  # the loop meets it, or a csv error first
@@ -222,7 +223,7 @@ def _cell_loop(path, has_header: bool, labels: bool, skip_blank: bool):
                 f"{path}: cell at row {i}, column {j} is not numeric: "
                 f"{cell.strip()!r}") from None
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         records = list(enumerate(csv.reader(fh), start=1))
     if skip_blank:
         records = [(i, row) for i, row in records if not blank(row)]

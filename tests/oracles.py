@@ -25,11 +25,20 @@ def sign_flip_panels(draw):
     """(panel, lag_hi, d): a K x N panel from one family and the +-1
     signs of a random subset of its series. Families: noisy (r AR(1)
     factors plus noise), exact rank (no noise, so the scan runs past the
-    rank into deflated tails), tied (a series copied onto others) and
-    noisy scaled by 1e+-200."""
-    k = draw(st.integers(3, 12))
-    n = draw(st.integers(30, 90))
-    kind = draw(st.sampled_from(["noisy", "exact rank", "tied", "scaled"]))
+    rank into deflated tails), tied (a series copied onto others), noisy
+    scaled by 1e+-200, and noisy with more series than samples (K from
+    13 to 24, N from lag_hi + 3 to K - 1: M~'s rank is at most N - 1 <
+    K, and fit_evd's and fit_pca's rank cap, min(K, N - 1) - 1, is
+    N - 2)."""
+    kind = draw(st.sampled_from(["noisy", "exact rank", "tied", "scaled",
+                                 "K > N"]))
+    lag_hi = draw(st.integers(1, 3))
+    if kind == "K > N":
+        k = draw(st.integers(13, 24))
+        n = draw(st.integers(lag_hi + 3, k - 1))
+    else:
+        k = draw(st.integers(3, 12))
+        n = draw(st.integers(30, 90))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     r = draw(st.integers(1, min(3, k - 1)))
     f = np.zeros((r, n))
@@ -45,7 +54,7 @@ def sign_flip_panels(draw):
         y *= draw(st.sampled_from([1e-200, 1e200]))
     d = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
                                min_size=k, max_size=k)))
-    return y, draw(st.integers(1, 3)), d
+    return y, lag_hi, d
 
 
 @st.composite
@@ -272,6 +281,24 @@ def old_hybrid3(a, p, init=None):
         if s1 == 0 and s2 == 0:
             return rrqr._blocked_result(search, order, p, passes)
     raise rrqr.RrqrIterationError(f"old hybrid3 made {cap} rounds at rank {p}")
+
+
+def two_pass_scale(mat, exp=0):
+    """(a, exp, tol, sums) of rrqr._PivotSearch(mat, exp) as it was built
+    in two passes: a per-column-scaled norm pass over its own copy of
+    the matrix at the peak's power of two found the scale, and the
+    scaled copy was made from the input after it; the sums of squares
+    were summed from that copy when first read."""
+    mat = np.asarray(mat, dtype=float)
+    shift = -math.frexp(float(np.maximum(mat.max(), -mat.min())))[1]
+    _, col_exp = np.frexp(np.maximum(mat.max(axis=0), -mat.min(axis=0)))
+    scaled = np.ldexp(mat, -col_exp)
+    scaled *= scaled
+    norms = np.ldexp(np.sqrt(np.add.reduce(scaled, axis=0)), col_exp + shift)
+    top, top_exp = math.frexp(float(norms.max()))
+    a = np.ldexp(mat, shift - top_exp)
+    return (a, exp - shift + top_exp, rrqr._DEFL_RTOL * top,
+            np.einsum("ij,ij->j", a, a))
 
 
 def gathered_strong_exchange(search, order, boundary):

@@ -258,6 +258,24 @@ def test_rankscan_of_a_matrix_whose_column_norms_overflow(tmp_path):
     assert scan["candidates"][0]["gamma"] == "inf"
 
 
+@pytest.mark.parametrize("shape", [(1, 4), (3, 1)])
+def test_rankscan_of_one_row_or_one_column_exits_one(tmp_path, capsys, shape):
+    # the message names the shape and what a rank scan needs, not the
+    # fitters' factor-count pin, which rankscan does not have
+    mat = tmp_path / "m.csv"
+    np.savetxt(mat, np.arange(1.0, 1.0 + shape[0] * shape[1]).reshape(shape),
+               delimiter=",")
+    outdir = tmp_path / "out"
+    code = main(["rankscan", "--matrix", str(mat), "--n", "100",
+                 "--outdir", str(outdir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("a rank scan needs at least 2 rows and 2 columns, got a "
+            f"{shape[0]} x {shape[1]} matrix") in err
+    assert "p_override" not in err
+    assert not outdir.exists() or list(outdir.iterdir()) == []
+
+
 # ------------------------------------------------------------------
 # rrqr
 

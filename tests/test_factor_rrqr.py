@@ -440,6 +440,22 @@ def test_fit_is_sign_flip_equivariant(case):
     assert_array_equal(fit.factors, s[:, None] * base.factors)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sign_flip_panels())
+def test_scan_is_sign_flip_equivariant(case):
+    # scan_model_order on D M~ (I (x) D), M~ the lag products of the
+    # normalized panel: each column is its own column with some entries
+    # negated, so every norm, projection and pick is the same bit for
+    # bit, and so are the gammas, ratios, epsilon, passes and orders
+    y, lag_hi, d = case
+    ts = TimeSeries(y)
+    m = covariance._lag_products(ts._normalized[0], range(1, lag_hi + 1))
+    base = scan_model_order(m, n=ts.N)
+    scan = scan_model_order(d[:, None] * m * np.tile(d, lag_hi), n=ts.N)
+    event(f"p_hat {base.p_hat}")
+    assert scan == base
+
+
 # ------------------------------------------------------------------
 # series permutations: y -> Py permutes the rows of M~ and, alike, the
 # columns within each of its blocks
@@ -760,3 +776,18 @@ def test_bad_input_messages(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (3, 1), (1, 1)])
+def test_a_rank_scan_needs_two_rows_and_two_columns(shape):
+    # one row or one column leaves rank 1 without a successor; the scan
+    # says so and names the shape, while a fitter given a single series
+    # still asks for the factor count to be pinned
+    with pytest.raises(ValueError) as err:
+        scan_model_order(np.ones(shape), n=100)
+    assert str(err.value) == ("a rank scan needs at least 2 rows and 2 "
+                              f"columns, got a {shape[0]} x {shape[1]} "
+                              "matrix")
+    one = gen_sim1(k=4, n=100, seed=88).y.values[:1]
+    with pytest.raises(ValueError, match="^no candidate rank to choose"):
+        fit_rrqr(TimeSeries(one))

@@ -22,7 +22,7 @@ from oracles import (abs_r_diag, dnrm2_first_pivot, exact_rank_three,
                      naive_pivot_order, old_hybrid3,
                      plain_hybrid_sweeps, projected_strong_exchange,
                      result_bits, scipy_inverse_row_norms, scipy_qr,
-                     svd2_closed, whole_r_weak_exchange)
+                     svd2_closed, two_pass_scale, whole_r_weak_exchange)
 
 SHAPES = [(9, 4), (6, 6), (4, 10), (5, 8)]
 
@@ -803,6 +803,105 @@ def test_reused_leading_q_is_a_fresh_qrs(case, monkeypatch):
     monkeypatch.setattr(rrqr._PivotSearch, "leading_q",
                         lambda search, cols: _fresh_q(search.a, cols))
     assert got == scan_and_basis()
+
+
+# ------------------------------------------------------------------
+# the pivot search sums each column's squares in one pass, and boundary
+# 1 settles its picks on those sums, as every other boundary does on
+# their downdates
+
+
+def _scale_case(case):
+    """A C-ordered matrix: M~ of the paper cell, as it is or scaled far
+    from unit scale, or a small one with a zero column, a column far
+    below the others, or entries near the largest float."""
+    if case.startswith("paper cell"):
+        m = _scan_panel("paper cell")
+        factor = {"paper cell": 1.0, "paper cell * 1e200": 1e200,
+                  "paper cell * 1e-200": 1e-200}.get(case)
+        return m * factor if factor else np.ldexp(m, -700)
+    rng = np.random.default_rng(71)
+    a = rng.uniform(-1.0, 1.0, (9, 14))
+    if case == "zero column":
+        a[:, 3] = 0.0
+    elif case == "column at 1e-170":
+        a[:, 5] *= 1e-170
+    else:
+        a *= 1.7e308
+    return a
+
+
+@pytest.mark.parametrize("case", [
+    "paper cell", "paper cell * 1e200", "paper cell * 1e-200",
+    "paper cell * 2^-700", "zero column", "column at 1e-170",
+    "near the largest float"])
+def test_one_pass_scale_is_the_two_pass_one(case):
+    # the sums of squares at the peak's scale give the column-norm
+    # scale the per-column-scaled pass gave; the copy, exponent,
+    # tolerance and sums are the two-pass construction's bit for bit
+    mat = _scale_case(case)
+    assert mat.flags.c_contiguous
+    search = rrqr._PivotSearch(mat, 5)
+    a, exp, tol, sums = two_pass_scale(mat, 5)
+    _same_bits(search.a, a)
+    _same_bits(search.sums, sums)
+    assert (search.exp, search.tol) == (exp, tol)
+
+
+@pytest.mark.parametrize("case", SCAN_PANELS + EXACT_PANELS)
+def test_scan_and_basis_sum_no_rank_one_norms(case):
+    # the rank-1 seed takes its candidates from the column sums of
+    # squares and every boundary-1 pick on these panels is certain, so
+    # the per-column-scaled rank-1 norms are never summed
+    search = rrqr._PivotSearch(_scan_panel(case))
+    rows = rrqr._scan_orders(search, min(15, min(search.a.shape) - 1))
+    rrqr._loading_basis(search, 1, list(rows[0][3]))
+    for p in (1, 3):
+        rrqr._loading_basis(search, p, None)
+    assert "lead" not in vars(search)
+
+
+def test_a_tie_at_boundary_one_reads_the_rank_one_norms():
+    # two equal columns at boundary 1: no bracket separates them, so the
+    # exchange falls back to the rank-1 norms, and keeps the first
+    search = rrqr._PivotSearch(_seed_case("tied"))
+    order = rrqr._qr_cp_order(search, 1)
+    assert "lead" not in vars(search)
+    assert not rrqr._strong_exchange(search, order, 1)
+    assert "lead" in vars(search)
+    assert order == [1, 0, 2, 3]
+
+
+def _boundary_one_outputs(case):
+    """What reads boundary-1 picks on a case: the scan, hybrid1-3 at
+    rank 1 and, for a panel, fit_rrqr by default, at p_override=1 and
+    at p_cap=5."""
+    panel = case in SCAN_PANELS + EXACT_PANELS
+    mat = _scan_panel(case) if panel else _seed_case(case)
+    out = [rrqr._scan_orders(rrqr._PivotSearch(mat),
+                             min(15, min(mat.shape) - 1))]
+    out += [result_bits(fn(mat, 1)) for fn in (hybrid1, hybrid2, hybrid3)]
+    ts = _scan_series(case) if panel else None
+    for kw in ({}, {"p_override": 1}, {"p_cap": 5}) if ts is not None else ():
+        fit = fit_rrqr(ts, 1, 5, **kw)
+        out += [fit.p_hat, fit.scan, dict(fit.diagnostics)]
+        out += [(x.flags.f_contiguous, x.tobytes())
+                for x in (fit.q_hat, fit.factors)]
+    return out
+
+
+@pytest.mark.parametrize("case", SCAN_PANELS + EXACT_PANELS + [
+    "tied", "duplicated", "reordered", "near ties", "split ties",
+    "zero columns", "zero matrix"])
+def test_boundary_one_picks_are_the_rank_one_norms(case, monkeypatch):
+    # with every boundary-1 pick left to the rank-1 norms, as before
+    # boundary 1 was downdated, every output is the same bit for bit
+    got = _boundary_one_outputs(case)
+    real = rrqr._downdated_pick
+    monkeypatch.setattr(rrqr, "_downdated_pick",
+                        lambda search, order, i, q, c:
+                        real(search, order, i, q, c) if i else None)
+    assert _boundary_one_outputs(case) == got
 
 
 # ------------------------------------------------------------------

@@ -318,3 +318,31 @@ def test_load_csv_opens_the_file_itself(tmp_path):
     path = tmp_path / "panel.csv.gz"
     path.write_text("1,2,3\n4,5,6\n")
     assert_array_equal(load_csv(path).values, [[1, 2, 3], [4, 5, 6]])
+
+
+BOM_FILES = {
+    "numbers": "1,2,3,4\n5,6,7,8\n9,10,11,13\n",
+    "header": "a,b,c,d\n1,2,3,4\n5,6,7,8\n9,10,11,13\n",
+    "labels": "x,1,2,3\ny,5,6,7\nz,9,10,11\n",
+}
+
+
+@pytest.mark.parametrize("name", BOM_FILES)
+def test_a_byte_order_mark_is_not_part_of_the_first_cell(tmp_path, name):
+    # Excel's "CSV UTF-8" starts the file with EF BB BF; both readers
+    # read such a file as the same file without it
+    # (one path for both files, as error messages name it)
+    path = tmp_path / "panel.csv"
+    text = BOM_FILES[name].encode("utf-8")
+    outcomes = []
+    for data in (text, b"\xef\xbb\xbf" + text):
+        path.write_bytes(data)
+        outcomes.append([_outcome(load_csv, path, **kwargs)
+                         for kwargs in LOADERS.values()]
+                        + [_outcome(read_matrix, path)])
+    assert outcomes[1] == outcomes[0]
+    if name == "numbers":
+        ts = load_csv(path)
+        assert ts.labels is None
+        assert_array_equal(ts.values[:, 0], [1.0, 5.0, 9.0])
+        assert_array_equal(read_matrix(path)[0], [1.0, 2.0, 3.0, 4.0])
