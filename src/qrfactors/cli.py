@@ -180,10 +180,13 @@ def _cmd_rrqr(args) -> int:
     rank = args.rank
     if args.alg != "gsqr" and rank is None:
         args.usage_error(f"--rank is required for --alg {args.alg}")
+    if rank is not None:
+        # hybrid2 and hybrid3 need a column of the triangle past the rank
+        _check_rank("rank", rank,
+                    min(mat.shape) - (args.alg in ("hybrid2", "hybrid3")))
     sv = singular_values(mat)
     if args.alg == "gsqr":
-        block = (min(mat.shape) if rank is None
-                 else _check_rank("rank", rank, min(mat.shape)))
+        block = min(mat.shape) if rank is None else rank
         factors = gs_qr(mat)
         perm = list(range(mat.shape[1]))
         summary = {"algorithm": "gsqr"}

@@ -48,13 +48,12 @@ boundary 1, which projects nothing, the same brackets run on the sums
 themselves, and the per-column-scaled rank-1 norms are summed only for
 a pick they cannot settle. Every pick is the one the projected norms
 make, so every order is. The inverse-row-norm exchange reads R11 from
-the packed factor, inverts it with dtrtri and keeps that pick where a
-forward-error bracket makes it the triangular solve's (``_weak_pick``),
-else it solves. The QRs and
-the triangular solves call LAPACK directly, with the arguments
-``scipy.linalg`` would pass them; a QR of at most 32 columns, which
-LAPACK factors unblocked whatever its workspace, gets the minimum
-workspace and no size query (``_lapack``).
+the packed factor, inverts it with dtrtri and takes each row norm from
+dlauum's diagonal; a deflated pivot, or a row whose norm overflows,
+reads inf (``_inverse_row_norms``). The QRs call LAPACK directly, with
+the arguments ``scipy.linalg.qr`` would pass them; a QR of at most 32
+columns, which LAPACK factors unblocked whatever its workspace, gets
+the minimum workspace and no size query (``_lapack``).
 
 Diagonal entries of R are kept non-negative by flipping the matching
 columns of Q. A pivot at or below the deflation tolerance deflates: its
@@ -76,8 +75,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import qr
-from scipy.linalg.blas import dnrm2, dtrmv
-from scipy.linalg.lapack import dgeqrf, dlauum, dorgqr, dtrtri, dtrtrs
+from scipy.linalg.blas import dnrm2
+from scipy.linalg.lapack import dgeqrf, dlauum, dorgqr, dtrtri
 
 from .tsdata import _frozen, _rescaled
 
@@ -288,15 +287,14 @@ def _first_panel(order, i):
 
 
 def _signed(r, q, defl_tol):
-    """r (and q) as _qr returns them: R's diagonal made non-negative by
+    """r and q as _qr returns them: R's diagonal made non-negative by
     flipping the matching rows of r and columns of q, and diagonal
     entries at or below defl_tol made exactly 0. Both act entrywise, so
-    a leading block's bits are those of the whole R. q may be None."""
+    a leading block's bits are those of the whole R."""
     sign = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     m = sign.size
     r[:m] *= sign[:, None]
-    if q is not None:
-        q[:, :m] *= sign
+    q[:, :m] *= sign
     idx = np.flatnonzero(np.diagonal(r) <= defl_tol)
     r[idx, idx] = 0.0
     return r
@@ -354,39 +352,25 @@ def _full_factors(search, order) -> tuple[QrFactors, np.ndarray]:
     return QrFactors(q=q, r=big, diag=np.diagonal(big)), r
 
 
-def _inverse_row_norms(r11: np.ndarray) -> np.ndarray:
-    """2-norms of the rows of r11^{-1}; deflated (zero) pivots map to inf.
+def _inverse_row_norms(r11: np.ndarray, tol: float) -> np.ndarray:
+    """2-norms of the rows of R^{-1}, R the upper triangle of r11 (dgeqrf's
+    packed output: LAPACK's signs, the reflectors below, unread).
 
-    The inverse-row-norm exchange's exact path, which _weak_pick's
-    certified picks equal. r11^{-T} comes from LAPACK dtrtrs, called as
-    scipy.linalg's solve_triangular(r11, I, trans="T") calls it for
-    r11's layout, and the norms from _col_norms. Their rounding, with u
-    = eps/2 and X = r11^{-1}: column j of the solve R^T Y = I is a
-    substitution, so (R^T + D_j) y_j = e_j with |D_j| <= (b + 1) u |R^T|
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    Thm 8.5, for any order of the inner products; the one u more covers
-    a trsm that multiplies by each pivot's rounded reciprocal). Hence
-    |Y - X^T| <= (b + 1) u |X^T||R^T||Y| and, transposed, the computed
-    inverse X_e obeys |X_e - X| <= (b + 1) u |X_e||R||X| entrywise.
-    _col_norms scales each column exactly and sums b squares, so each
-    norm is within (b/2 + 1) u of the computed row's 2-norm, relative.
+    A row sign flip of R flips a column of R^{-1}, so no norm depends on
+    LAPACK's signs. A pivot with |r_tt| <= tol is deflated: its row reads
+    inf and every other row 0, so the exchange moves the first deflated
+    column back. Otherwise R^{-1} comes from dtrtri and each norm is the
+    square root of a diagonal entry of dlauum(R^{-1}), the row's plain sum
+    of squares; a row whose square overflows (past about 1e154 at unit
+    scale, far beyond the deflation tolerance) reads inf, as a deflated
+    pivot's does, and so does a NaN from an inverse that overflowed.
     """
-    b = r11.shape[0]
-    diag = np.diagonal(r11)
-    if (diag == 0.0).any():
-        out = np.zeros(b)
-        out[diag == 0.0] = np.inf
-        return out
-    eye = np.eye(b, order="F")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if r11.flags.f_contiguous:
-            inv_t, info = dtrtrs(r11, eye, trans=1, overwrite_b=1)
-        else:
-            inv_t, info = dtrtrs(r11.T, eye, lower=1, overwrite_b=1)
-        if info:
-            raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
-        norms = _col_norms(inv_t)
-    return np.nan_to_num(norms, nan=np.inf, posinf=np.inf)
+    weak = np.abs(r11.diagonal()) <= tol
+    if weak.any():
+        return np.where(weak, np.inf, 0.0)
+    norms = np.sqrt(dlauum(dtrtri(r11)[0], overwrite_c=1)[0].diagonal())
+    norms[np.isnan(norms)] = np.inf
+    return norms
 
 
 def _residual_norms(a, q, c) -> np.ndarray:
@@ -518,84 +502,17 @@ def _strong_exchange(search, order, boundary) -> bool:
     return pick != 0
 
 
-def _weak_pick(r11, tol):
-    """The inverse-row-norm exchange's pick on the triangle in r11's
-    upper part (dgeqrf's packed output: LAPACK's signs, the reflectors
-    below), when a forward-error bracket makes it the exact path's, else
-    None. The exact path is _pick_challenger(_inverse_row_norms(R), b-1)
-    on R signed and deflated (_signed); a deflated pivot, |r_tt| <= tol,
-    returns None, so its inf rule decides.
-
-    X_t = dtrtri(R) and n_i, the square root of row i's plain sum of
-    squares (dlauum's diagonal), read only the upper triangles. A row
-    sign flip of R flips columns of R^{-1}, so no inverse-row norm moves
-    and both paths estimate the norms of the rows x_i of X = R^{-1}.
-    With u = eps/2, dtrtri's inverse obeys |X_t - X| <= c u |X||R||X_t|
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    14.2; c about b for the unblocked methods, somewhat more when
-    blocked) and the exact path's |X_e - X| <= (b + 1) u |X_e||R||X|
-    (_inverse_row_norms). To first order both are at most (b + 1) u W,
-    W = |X_t||R||X_t|, so
-
-        | ||x_e,i|| - ||x_t,i|| | <= 2(b + 1) u ||W_i||_2 <= (b + 1) eps w_i,
-
-    w = W 1 >= each row's 2-norm, from three triangular matrix-vector
-    products. Each path's norm adds its rounding, (b/2 + 1) u relative.
-    So the exact path's norm lies within
-
-        rad_i = 4(b + 2) eps (w_i + n_i) + sqrt(b tiny)
-
-    of n_i: over twice the first-order terms, which covers the second
-    order, a blocked dtrtri's larger constant and the rounding of w and
-    rad, and sqrt(b tiny) covers squares that underflow. The pick stands
-    when the argmax j of n clears every other row, n_j - rad_j > n_i +
-    rad_i, and _beats against the incumbent has one outcome at both
-    corners of the two brackets (it is monotone), as in _downdated_pick.
-    Exact ties and challengers within the bound of the swap tolerance
-    fall back; so do norms that overflow, whose inf or nan fails every
-    comparison.
-    """
-    b = r11.shape[0]
-    if min(map(abs, r11.diagonal().tolist())) <= tol:
-        return None
-    x = dtrtri(r11)[0]
-    ax = np.abs(x)
-    w = dtrmv(ax, dtrmv(np.abs(r11), dtrmv(ax, np.ones(b))))
-    norms = np.sqrt(dlauum(x, overwrite_c=1)[0].diagonal())
-    rad = norms + w
-    rad *= 4 * (b + 2) * _EPS
-    slack = math.sqrt(b * _TINY)
-    n, r = norms.tolist(), rad.tolist()
-    best = int(norms.argmax())
-    hi = norms + rad
-    hi[best] = -np.inf
-    best_lo = n[best] - r[best] - slack
-    if not best_lo > float(hi.max()) + slack:
-        return None
-    inc = b - 1
-    if best == inc:
-        return inc
-    swap = _beats(best_lo, n[inc] + r[inc] + slack)
-    if swap != _beats(n[best] + r[best] + slack,
-                      max(n[inc] - r[inc] - slack, 0.0)):
-        return None
-    return best if swap else inc
-
-
 def _weak_exchange(search, order, b) -> bool:
     """Inverse-row-norm exchange: the weakest column of the leading b x b
-    triangle of search.a[:, order] moves into position b-1; a 1 x 1
-    triangle has no challenger. R11 is read from dgeqrf's packed output
-    (search.leading_packed); the certified pick (_weak_pick) stands, else
-    the exact path decides on the signed, deflated triangle. Returns
-    whether `order` changed."""
+    triangle of search.a[:, order], the one whose row of R11^{-1} is
+    longest (_inverse_row_norms, read straight from dgeqrf's packed output
+    through search.leading_packed), moves into position b-1 if it beats
+    the column there; a 1 x 1 triangle has no challenger. Returns whether
+    `order` changed."""
     if b == 1:
         return False
     r11 = search.leading_packed(order[:b])[0][:b]
-    j = _weak_pick(r11, search.tol)
-    if j is None:
-        j = _pick_challenger(
-            _inverse_row_norms(_signed(np.triu(r11), None, search.tol)), b - 1)
+    j = _pick_challenger(_inverse_row_norms(r11, search.tol), b - 1)
     order[j], order[b - 1] = order[b - 1], order[j]
     return j != b - 1
 

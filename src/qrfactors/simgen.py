@@ -47,8 +47,11 @@ class SimConfig:
 
     alpha1/alpha2 are the MA coefficients of the two scenario-2 factors;
     the second is weaker, its loading supported on only half the series.
-    noise_scale multiplies the scenario-2 correlated-noise covariance.
-    half_support zeroes the lower half of scenario 1's loading column.
+    noise_kind "hurst" (scenario 2 only) draws its noise correlated
+    across series, and noise_scale multiplies that covariance.
+    half_support (scenario 1 only) zeroes the lower half of its loading
+    column. A config asking a scenario for a setting it does not draw
+    is refused, so no report records a setting its data lack.
     The lags must satisfy 1 <= lag_lo <= lag_hi <= n - 2, the stacked
     covariance's rule (covariance._lag_range), so that every fit can
     take them.
@@ -81,6 +84,12 @@ class SimConfig:
         _lag_range(self.n, self.lag_lo, self.lag_hi)
         if self.noise_kind not in ("iid_identity", "hurst"):
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
+        if self.scenario == "sim1" and self.noise_kind == "hurst":
+            raise ValueError("scenario sim1 draws iid noise only: drop "
+                             "--noise hurst, or use --scenario sim2")
+        if self.scenario == "sim2" and self.half_support:
+            raise ValueError("scenario sim2 has no half-support option: drop "
+                             "--half-support, or use --scenario sim1")
         if not 0.0 < self.hurst_w < 1.0:
             raise ValueError(f"Hurst parameter must be in (0,1), got {self.hurst_w}")
         if self.noise_scale <= 0.0:

@@ -253,7 +253,9 @@ def scipy_qr(a, cols, mode, defl_tol):
 
 
 def scipy_inverse_row_norms(r11):
-    """rrqr._inverse_row_norms as it was, through solve_triangular."""
+    """2-norms of the rows of r11^{-1}, r11 upper triangular, from
+    scipy's solve_triangular(r11, I, trans="T") and per-column-scaled
+    column norms; a zero pivot gives its row inf and every other row 0."""
     b = r11.shape[0]
     diag = np.diagonal(r11)
     if (diag == 0.0).any():
@@ -444,17 +446,10 @@ def whole_r_weak_exchange(search, order, b):
     """The inverse-row-norm exchange as it was: the leading triangle read
     out of the whole K x b R scipy's R-only QR returns."""
     _, r = scipy_qr(search.a, order[:b], "r", search.tol)
-    j = rrqr._pick_challenger(rrqr._inverse_row_norms(r[:b, :b]), b - 1)
+    j = rrqr._pick_challenger(rrqr._inverse_row_norms(r[:b, :b], search.tol),
+                              b - 1)
     order[j], order[b - 1] = order[b - 1], order[j]
     return j != b - 1
-
-
-def exact_weak_pick(r11, defl_tol):
-    """The inverse-row-norm exchange's pick as it was made on every call:
-    the packed triangle r11 signed and deflated, its inverse-row norms
-    from the triangular solve, the last column the incumbent."""
-    r = rrqr._signed(np.triu(r11), None, defl_tol)
-    return rrqr._pick_challenger(rrqr._inverse_row_norms(r), len(r) - 1)
 
 
 def plain_hybrid_sweeps(search, order, boundary, cap):

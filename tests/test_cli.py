@@ -144,6 +144,36 @@ def test_sim_ratio_curves_csv(tmp_path):
     assert methods == {"rrqr", "evd"}
 
 
+def test_sim_reports_a_method_that_fails_every_trial(tmp_path, monkeypatch):
+    # evd raises in every trial: its entry is trials_ok 0 alone, each
+    # trial records the failure, rrqr aggregates as it does on its own,
+    # and ratio_curves.csv has no evd rows
+    real = simgen.fit_method
+
+    def no_evd(method, *args, **kwargs):
+        if method == "evd":
+            raise RuntimeError("evd fails")
+        return real(method, *args, **kwargs)
+
+    monkeypatch.setattr(simgen, "fit_method", no_evd)
+    config = simgen.SimConfig(scenario="sim1", k=8, n=80, seed=5)
+    outputs = ("errors", "ratios")
+    report = simgen.monte_carlo(config, 2, methods=("rrqr", "evd"),
+                                outputs=outputs)
+    assert report["per_method"]["evd"] == {"trials_ok": 0}
+    assert report["failures"] == [
+        {"trial": t, "method": "evd", "message": "evd fails"} for t in (0, 1)]
+    alone = simgen.monte_carlo(config, 2, methods=("rrqr",), outputs=outputs)
+    assert report["per_method"]["rrqr"] == alone["per_method"]["rrqr"]
+    assert report["per_method"]["rrqr"]["trials_ok"] == 2
+    assert _run_sim(tmp_path, ["--outputs", "errors,ratios"]) == 0
+    payload = _read_json(tmp_path / "sim_report.json")
+    assert payload["report"]["per_method"]["evd"] == {"trials_ok": 0}
+    with open(tmp_path / "ratio_curves.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) > 1 and {row[3] for row in rows[1:]} == {"rrqr"}
+
+
 def test_sim_reports_are_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
@@ -161,6 +191,22 @@ def test_sim_scenario_two_with_hurst_noise(tmp_path):
     assert code == 0
     payload = _read_json(tmp_path / "sim_report.json")
     assert set(payload["report"]["per_method"]) == {"rrqr", "evd", "pca"}
+
+
+@pytest.mark.parametrize("scenario, flags, message", [
+    ("sim1", ["--noise", "hurst"],
+     "scenario sim1 draws iid noise only: drop --noise hurst, or use "
+     "--scenario sim2"),
+    ("sim2", ["--half-support"],
+     "scenario sim2 has no half-support option: drop --half-support, or "
+     "use --scenario sim1"),
+], ids=["sim1 hurst", "sim2 half support"])
+def test_sim_refuses_a_setting_its_scenario_ignores(scenario, flags, message,
+                                                    tmp_path, capsys):
+    assert main(["sim", "--scenario", scenario, "--k", "8", "--n", "60",
+                 "--trials", "2", "--outdir", str(tmp_path)] + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sim_rejects_unknown_noise(tmp_path, capsys):
@@ -343,17 +389,28 @@ def test_rrqr_gsqr_needs_no_rank(tmp_path):
                  "--outdir", str(tmp_path)]) == 0
 
 
-def test_rrqr_gsqr_rank_is_checked(tmp_path, capsys):
-    # as every other --alg refuses a rank past its limit: a 4 x 8 matrix
-    # has no trailing block at rank 9 to report on
+@pytest.mark.parametrize("alg", ["gsqr", "qrcp", "stewart2", "hybrid1",
+                                 "hybrid2", "hybrid3"])
+def test_rrqr_rank_is_checked(alg, tmp_path, capsys):
+    # every --alg names --rank past its limit: min(K, n), one less for
+    # hybrid2 and hybrid3, which need a column past the rank
+    top = 3 if alg in ("hybrid2", "hybrid3") else 4
     mat = tmp_path / "m.csv"
     np.savetxt(mat, np.arange(32.0).reshape(4, 8) ** 2, delimiter=",")
-    assert main(["rrqr", "--matrix", str(mat), "--alg", "gsqr",
-                 "--rank", "9", "--outdir", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "error: rank must be in [1, 4], got 9\n"
-    assert not (tmp_path / "rrqr_report.json").exists()
-    assert main(["rrqr", "--matrix", str(mat), "--alg", "gsqr",
-                 "--rank", "4", "--outdir", str(tmp_path)]) == 0
+    for rank in (9, top + 1):
+        assert main(["rrqr", "--matrix", str(mat), "--alg", alg,
+                     "--rank", str(rank), "--outdir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err \
+            == f"error: rank must be in [1, {top}], got {rank}\n"
+        assert not (tmp_path / "rrqr_report.json").exists()
+    code = main(["rrqr", "--matrix", str(mat), "--alg", alg,
+                 "--rank", str(top), "--outdir", str(tmp_path)])
+    if alg == "stewart2":      # rank 3: its 4 x 4 leading block is singular
+        assert code == 1
+        assert "leading block is numerically singular" \
+            in capsys.readouterr().err
+    else:
+        assert code == 0
 
 
 def test_sim_refuses_lags_no_fit_can_take(tmp_path, capsys):

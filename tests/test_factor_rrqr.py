@@ -579,7 +579,7 @@ def _tie_watch(bounds):
             smin = singular_values(r)[-1]
             rel = math.sqrt(boundary) * d / smin if smin > 0 else 0.0
             if (np.abs(np.abs(np.diagonal(r)) - search.tol) <= d).any() \
-                    or _ties(rrqr._inverse_row_norms(r), 0.0, 0.0, rel):
+                    or _ties(rrqr._inverse_row_norms(r, search.tol), 0.0, 0.0, rel):
                 tied.add(rank[0])
         return weak(search, order, boundary)
 

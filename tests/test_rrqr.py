@@ -17,7 +17,7 @@ from qrfactors.simgen import SimConfig, gen_sim1, gen_sim2
 from qrfactors.tsdata import _rescaled
 
 from oracles import (abs_r_diag, dnrm2_first_pivot, exact_rank_three,
-                     exact_weak_pick, gathered_strong_exchange,
+                     gathered_strong_exchange,
                      interlacing_holds, matrix_with_spectrum,
                      naive_pivot_order, old_hybrid3,
                      plain_hybrid_sweeps, projected_strong_exchange,
@@ -230,25 +230,14 @@ def test_stewart2_rank_bounds():
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
-def test_stewart2_certifies_its_picks_at_extreme_scale(scale, monkeypatch):
-    # stewart2 pivots on the unit-scaled copy of its matrix, so no
-    # inverse-row-norm pick falls back to the triangular solve for the
-    # matrix's scale alone, and the order is the unscaled matrix's
-    picks = []
-    real = rrqr._weak_pick
-
-    def counted(r11, tol):
-        pick = real(r11, tol)
-        picks.append(pick)
-        return pick
-
-    monkeypatch.setattr(rrqr, "_weak_pick", counted)
+def test_stewart2_certifies_its_picks_at_extreme_scale(scale):
+    # stewart2 pivots on the unit-scaled copy of its matrix, so its
+    # inverse-row-norm picks, and its order, are the unscaled matrix's
     rng = np.random.default_rng(35)
     for _ in range(10):
         a = rng.standard_normal((8, 6))
         perm = stewart2(a * scale, 2).perm
         assert perm.order == stewart2(a, 2).perm.order
-    assert len(picks) == 2 * 10 * 4 and None not in picks
 
 
 def test_stewart2_guard_and_first_exchange_share_one_qr(monkeypatch):
@@ -977,8 +966,8 @@ def test_paper_cell_scan_skips_its_confirming_passes(monkeypatch):
 
 
 # ------------------------------------------------------------------
-# the QRs and triangular solves call LAPACK as scipy.linalg does; on a
-# build where the two stop agreeing these fail at once
+# the QRs call LAPACK as scipy.linalg does; on a build where the two
+# stop agreeing these fail at once
 
 # at 180 x 200 dgeqrf runs blocked, so its bits follow the workspace size
 QR_SHAPES = {"K < n": (6, 10), "K > n": (10, 6), "one column": (9, 1),
@@ -1003,16 +992,12 @@ def test_qr_is_scipys(shape, mode, layout):
     tol = rrqr._DEFL_RTOL * rrqr._col_norms(a).max()
     want_q, want_r = scipy_qr(a, cols, mode, tol)
     if mode == "r":
-        # what the weak exchange and the scan read of dgeqrf's packed
-        # output: |r_tt|, 0 at or below tol, is R's diagonal, and the
-        # exchange's exact path gets R's leading square block
+        # what the scan reads of dgeqrf's packed output: |r_tt|, 0 at or
+        # below tol, is R's diagonal
         packed = rrqr._packed(a, cols)[0]
-        lead = min(shape)
         gammas = np.abs(np.diagonal(packed))
         gammas[gammas <= tol] = 0.0
         _same_bits(gammas, np.diagonal(want_r).copy())
-        _same_bits(rrqr._signed(np.triu(packed[:lead, :lead]), None, tol),
-                   np.ascontiguousarray(want_r[:lead, :lead]))
     else:
         q, r = rrqr._qr(a, cols, mode, tol)
         _same_bits(r, want_r)
@@ -1051,63 +1036,17 @@ def test_narrow_qrs_skip_the_workspace_query(layout, monkeypatch):
                                        [:min(k, width)]))
 
 
-@pytest.mark.parametrize("layout", ["C", "F"])
-def test_inverse_row_norms_are_solve_triangulars(layout):
-    rng = np.random.default_rng(66)
-    for b in (1, 2, 5, 16):
-        r11 = np.triu(rng.standard_normal((b, b))) + 3.0 * np.eye(b)
-        tiny, zero = r11.copy(), r11.copy()
-        tiny[-1, -1] = 1e-300       # rows of the inverse overflow
-        zero[0, 0] = 0.0            # a deflated pivot
-        for case in (r11, tiny, zero):
-            case = np.asarray(case, order=layout)
-            _same_bits(rrqr._inverse_row_norms(case),
-                       scipy_inverse_row_norms(case))
-    # the weak exchange's own triangles: the exact path's leading block
-    mat = _scan_panel("K < 128")
-    for b in (1, 3, 16):
-        r = rrqr._signed(np.triu(rrqr._packed(mat, list(range(b)))[0][:b]),
-                         None, 0.0)
-        _same_bits(rrqr._inverse_row_norms(r), scipy_inverse_row_norms(r))
-
-
 # ------------------------------------------------------------------
-# the inverse-row-norm exchange's dtrtri pick stands only where its
-# bracket makes it the exact path's
-
-
-def _two_row_triangle(challenger):
-    """A packed 2 x 2 triangle whose inverse rows have norms `challenger`
-    (row 0) and 1 (the incumbent), and junk below the diagonal."""
-    return np.asfortranarray([[1.0 / challenger, 0.0], [7.0, 1.0]])
-
-
-def test_weak_pick_falls_back_at_the_swap_tolerance():
-    # a challenger 8 ulps past the swap threshold: the two paths' norms
-    # may round it to either side, so only the exact path may decide
-    threshold = 1.0 / (1.0 - rrqr._SWAP_RTOL)
-    for ulps in (-8, 8):
-        r11 = _two_row_triangle(threshold + ulps * rrqr._EPS)
-        assert rrqr._weak_pick(r11, 0.0) is None, ulps
-    # clear of the threshold both ways, the dtrtri pick stands
-    for challenger, want in ((threshold * (1 + 1e-9), 0), (1.0 - 1e-9, 1),
-                             (0.5, 1)):
-        r11 = _two_row_triangle(challenger)
-        assert rrqr._weak_pick(r11, 0.0) == want == exact_weak_pick(r11, 0.0)
-
-
-def test_weak_pick_leaves_deflated_pivots_to_the_inf_rule():
-    r11 = np.asfortranarray(np.triu(np.ones((3, 3))))
-    r11[1, 1] = 1e-13
-    assert rrqr._weak_pick(r11, 1e-12) is None
-    assert exact_weak_pick(r11, 1e-12) == 1
+# the inverse-row-norm exchange's one route: dtrtri and dlauum on the
+# packed triangle, with the inf rule for deflated pivots and overflow
 
 
 def _ill_conditioned_triangle(case):
-    """An upper triangle of condition number 1e4 to 3e8 on which
-    _weak_pick's bracket spans 100 to 800 ulps of the norms or more; on
-    the last, the inverse of a unit triangle with b > 64, dtrtri runs
-    blocked and the two routes' norms differ by up to 56 ulps."""
+    """An upper triangle of condition number 1e4 to 3e8, on which the
+    forward-error bound of its inverse spans 100 to 800 ulps of the row
+    norms or more; on the last, the inverse of a unit triangle with b >
+    64, dtrtri runs blocked and its norms differ from the solve's by up
+    to 56 ulps."""
     rng = np.random.default_rng(63)
     if case == "Kahan":        # diag(s^i) (I - c N), N strictly upper ones
         b, theta = 24, 1.2
@@ -1126,85 +1065,164 @@ def _ill_conditioned_triangle(case):
 
 
 def _bracket(r):
-    """Row norms n of dtrtri's inverse and _weak_pick's documented
-    half-widths rad = 4(b + 2) eps (w + n), w = |X||R||X| 1, with numpy's
-    own products."""
+    """Row norms n of dtrtri's inverse X of the upper triangle R of r and
+    the half-widths rad = 4(b + 2) eps (w + n) + sqrt(b tiny), w = |X||R||X|
+    1, with numpy's own products."""
     b = r.shape[0]
     x = rrqr.dtrtri(np.asfortranarray(np.triu(r)))[0]
     n = np.linalg.norm(x, axis=1)
     w = np.abs(x) @ (np.abs(np.triu(r)) @ (np.abs(x) @ np.ones(b)))
-    return n, 4 * (b + 2) * rrqr._EPS * (w + n)
+    return n, 4 * (b + 2) * rrqr._EPS * (w + n) + np.sqrt(b * rrqr._TINY)
 
 
-def _tied_rows(r, gap):
-    """r with rows 0 and 1 of its inverse tied to `gap` times the sum of
-    their brackets (row 1 the longer for gap > 0) and every other row
-    made at least 256 times shorter. Scaling column j of R by f scales
-    row j of the inverse and its bracket by 1/f, exactly when f is a
-    power of two, as it is for every column but column 1."""
-    n, _ = _bracket(r)
-    shrink = np.exp2(np.ceil(np.log2(np.maximum(n / n[:2].min(), 1.0))) + 8)
-    shrink[:2] = 1.0
-    r = r * shrink
-    n, rad = _bracket(r)
-    # n1/f - n0 = gap (rad0 + rad1/f)
-    r[:, 1] *= (n[1] - gap * rad[1]) / (n[0] + gap * rad[0])
-    r[np.tril_indices(len(r), -1)] = 7.0    # dgeqrf's reflectors, unread
-    return np.asfortranarray(r)
+def _exchange_triangles(case):
+    """Every (packed triangle, tolerance) the inverse-row-norm exchange
+    reads in a scan of the case's panel to rank 15."""
+    seen = []
+    real = rrqr._inverse_row_norms
 
+    def spy(r11, tol):
+        seen.append((np.array(r11, order="F"), tol))
+        return real(r11, tol)
 
-@pytest.mark.parametrize("case", ["Kahan", "graded", "unit inverse"])
-def test_weak_pick_falls_back_inside_its_bracket(case):
-    # two rows of the inverse whose norms lie within their summed
-    # brackets may be ordered either way by the two routes, so the pick
-    # falls back there, and stands outside. A bound that is missing or
-    # 4 times too tight certifies the near ties at half the brackets
-    # (the swap-tolerance test above catches only a missing one).
-    r = _ill_conditioned_triangle(case)
-    if case == "unit inverse":     # the routes are many ulps apart
-        n, _ = _bracket(r)
-        x_t = rrqr.dtrtri(np.asfortranarray(r))[0]
-        n_t = np.sqrt(rrqr.dlauum(x_t, overwrite_c=1)[0].diagonal())
-        n_e = rrqr._inverse_row_norms(np.triu(r))
-        assert (np.abs(n_t - n_e) / (n * rrqr._EPS)).max() >= 10.0
-    for gap in (-3.0, -0.5, 0.5, 3.0):
-        tied = _tied_rows(r, gap)
-        n, rad = _bracket(tied)
-        measured = (n[1] - n[0]) / (rad[0] + rad[1])
-        assert abs(measured - gap) <= 0.05 * abs(gap), (gap, measured)
-        got = rrqr._weak_pick(tied, 0.0)
-        if abs(gap) < 1.0:
-            assert got is None, gap
-        else:
-            assert got == (1 if gap > 0 else 0) == exact_weak_pick(tied, 0.0)
-
-
-# per panel family: the (certified, fallback, deflated) inverse-row-norm
-# picks of a scan to rank 15 (fewer where the matrix is narrower); a
-# deflated triangle goes to the exact path by its inf rule
-WEAK_PICKS = {"golden": (11, 0, 0), "paper cell": (22, 0, 0),
-              "K < 128": (15, 0, 0), "exact rank 180 x 500": (2, 0, 13),
-              "exact rank 50 x 500": (2, 0, 13)}
-
-
-@pytest.mark.parametrize("case", SCAN_PANELS + EXACT_PANELS)
-def test_weak_picks_are_certified_per_panel_family(case, monkeypatch):
-    counts = [0, 0, 0]
-    real = rrqr._weak_pick
-
-    def counted(r11, tol):
-        j = real(r11, tol)
-        if np.abs(np.diagonal(r11)).min() <= tol:
-            counts[2] += 1
-        else:
-            counts[j is None] += 1
-            assert j is None or j == exact_weak_pick(r11, tol)
-        return j
-
-    monkeypatch.setattr(rrqr, "_weak_pick", counted)
     mat = _scan_panel(case)
-    rrqr._scan_orders(rrqr._PivotSearch(mat), min(15, min(mat.shape) - 1))
-    assert tuple(counts) == WEAK_PICKS[case]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rrqr, "_inverse_row_norms", spy)
+        rrqr._scan_orders(rrqr._PivotSearch(mat), min(15, min(mat.shape) - 1))
+    return seen
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_inverse_row_norms_are_solve_triangulars(layout):
+    """The exchange's norms are the triangular solve's up to the forward
+    error of a triangular inverse.
+
+    With u = eps/2 and X = R^{-1}: column j of the solve R^T Y = I is a
+    substitution, so (R^T + D_j) y_j = e_j with |D_j| <= (b + 1) u |R^T|
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    Thm 8.5, for any order of the inner products; the one u more covers
+    a trsm that multiplies by each pivot's rounded reciprocal), so the
+    solve's inverse X_e obeys |X_e - X| <= (b + 1) u |X_e||R||X|. dtrtri's
+    X_t obeys |X_t - X| <= c u |X||R||X_t| (Higham 14.2; c about b for
+    the unblocked methods, somewhat more when blocked). To first order
+    both are at most (b + 1) u W, W = |X_t||R||X_t|, so
+
+        | ||x_e,i|| - ||x_t,i|| | <= 2(b + 1) u ||W_i||_2 <= (b + 1) eps w_i,
+
+    w = W 1 >= each row's 2-norm. Each norm adds its rounding, (b/2 + 1)
+    u relative: the solve's per-column-scaled sum of b squares, and
+    dlauum's plain one. So the solve's norm lies within
+
+        rad_i = 4(b + 2) eps (w_i + n_i) + sqrt(b tiny)
+
+    of n_i, the exchange's: over twice the first-order terms, which
+    covers the second order, a blocked dtrtri's larger constant and the
+    rounding of w, and sqrt(b tiny) covers squares that underflow.
+    """
+    rng = np.random.default_rng(66)
+    cases = []
+    for b in (2, 5, 16):
+        r11 = np.triu(rng.standard_normal((b, b))) + 3.0 * np.eye(b)
+        r11[np.diag_indices(b)] *= rng.choice([-1.0, 1.0], b)  # LAPACK's signs
+        cases.append(r11)
+    cases += [_ill_conditioned_triangle(c)
+              for c in ("Kahan", "graded", "unit inverse")]
+    for case in cases:
+        # dgeqrf's reflectors below the diagonal are never read
+        case[np.tril_indices(len(case), -1)] = 7.0
+    # the exchange's own leading blocks, undeflated
+    own = [r11 for r11, tol in _exchange_triangles("K < 128")
+           if np.abs(r11.diagonal()).min() > tol]
+    assert len(own) >= 15
+    for case in cases + own:
+        case = np.asarray(case, order=layout)
+        got = rrqr._inverse_row_norms(case, 0.0)
+        _, rad = _bracket(case)
+        want = scipy_inverse_row_norms(np.triu(case))
+        assert np.isfinite(got).all() and np.isfinite(want).all()
+        assert (np.abs(got - want) <= rad).all(), len(case)
+    # the bound is needed: on the unit inverse the routes are many ulps
+    # apart
+    r = _ill_conditioned_triangle("unit inverse")
+    n, _ = _bracket(r)
+    gap = np.abs(rrqr._inverse_row_norms(r, 0.0)
+                 - scipy_inverse_row_norms(r)) / (n * rrqr._EPS)
+    assert gap.max() >= 10.0
+
+
+def test_weak_pick_leaves_deflated_pivots_to_the_inf_rule():
+    # a pivot at or below the tolerance reads inf and every other row 0,
+    # whatever the other rows' inverse norms, so the exchange moves the
+    # first deflated column back
+    r11 = np.asfortranarray(np.triu(np.ones((3, 3))))
+    r11[1, 1] = -1e-13               # LAPACK's sign
+    r11[2, 0] = 7.0                  # a reflector entry, unread
+    assert_array_equal(rrqr._inverse_row_norms(r11, 1e-12),
+                       [0.0, np.inf, 0.0])
+    r11[0, 0] = 1e-12
+    assert_array_equal(rrqr._inverse_row_norms(r11, 1e-12),
+                       [np.inf, np.inf, 0.0])
+    # through the exchange: the search halves the matrix, its largest
+    # column norm is sqrt(3)/2, so the pivots 1e-13 and 5e-13 sit below
+    # its tolerance; the triangle's QR is the triangle itself
+    a = np.triu(np.ones((3, 3)))
+    a[1, 1] = 2e-13
+    search = rrqr._PivotSearch(a)
+    order = [0, 1, 2]
+    assert rrqr._weak_exchange(search, order, 3) and order == [0, 2, 1]
+    a[0, 0] = 1e-12
+    search = rrqr._PivotSearch(a)
+    order = [0, 1, 2]
+    assert rrqr._weak_exchange(search, order, 3) and order == [2, 1, 0]
+
+
+def _overflowing_triangle(b, d):
+    """d I - J, J the superdiagonal of ones, and the log10 of its inverse's
+    row norms: row i is d^-1, ..., d^-m, m = b - i, of squared norm d^-2m
+    (1 - d^2m) / (1 - d^2)."""
+    r = np.diag(np.full(b, d)) - np.diag(np.ones(b - 1), 1)
+    m = np.arange(b, 0, -1)
+    return r, -m * np.log10(d) - 0.5 * np.log10(1.0 - d * d)
+
+
+@pytest.mark.parametrize("b", [20, 40])
+def test_overflowing_inverse_rows_read_inf(b):
+    # pivots 5e-11, far above the deflation tolerance: at b = 20 the
+    # leading rows' squares overflow in dlauum, at b = 40 their entries
+    # overflow in dtrtri and inf - inf leaves NaNs; either way those rows
+    # read inf, never NaN, and every other row is its exact norm
+    d = 5e-11
+    r, log_norms = _overflowing_triangle(b, d)
+    got = rrqr._inverse_row_norms(np.asfortranarray(r), 0.5 * d)
+    assert not np.isnan(got).any()
+    big = log_norms > 154.2          # sqrt of the largest float: 1.34e154
+    assert big.sum() >= 4 and np.isinf(got[big]).all()
+    assert_allclose(np.log10(got[~big]), log_norms[~big], rtol=1e-14)
+    # the hybrids terminate on a matrix that leads with the triangle: the
+    # inverse-row-norm exchange reads inf rows of an undeflated R11
+    rng = np.random.default_rng(71)
+    k, n = b + 4, b + 6
+    a = np.zeros((k, n))
+    a[:b, :b] = r
+    a[:, b:] = 0.2 * rng.standard_normal((k, n - b))
+    inf_rows = []
+    real = rrqr._inverse_row_norms
+
+    def spy(r11, tol):
+        norms = real(r11, tol)
+        assert not np.isnan(norms).any()
+        if np.abs(r11.diagonal()).min() > tol:
+            inf_rows.append(int(np.isinf(norms).sum()))
+        return norms
+
+    identity = Permutation(tuple(range(n)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rrqr, "_inverse_row_norms", spy)
+        for fn in (hybrid1, hybrid3):
+            inf_rows.clear()
+            res = fn(a, b, init=identity)
+            assert res.passes <= rrqr._PASS_CAP_FACTOR * n
+            assert max(inf_rows) >= 4, fn.__name__
 
 
 # ------------------------------------------------------------------

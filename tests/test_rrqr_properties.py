@@ -11,13 +11,13 @@ one is exactly 0.
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrfactors import rrqr
 from qrfactors.rrqr import gs_qr, hybrid1, hybrid2, hybrid3, qr_cp, stewart2
 
-from oracles import (exact_weak_pick, plain_hybrid_sweeps,
+from oracles import (plain_hybrid_sweeps,
                      projected_strong_exchange, result_bits,
                      whole_r_weak_exchange)
 
@@ -188,54 +188,3 @@ def test_sweeps_are_the_plain_loops(case, data):
         mp.setattr(rrqr, "_hybrid_sweeps", plain_hybrid_sweeps)
         mp.setattr(rrqr, "_weak_exchange", whole_r_weak_exchange)
         assert got == outputs(plain_hybrid_sweeps)
-
-
-def _weak_picks_agree(r11, tol):
-    """A certified inverse-row-norm pick is the exact path's; the outcome
-    is reported as a hypothesis event (--hypothesis-show-statistics)."""
-    pick = rrqr._weak_pick(r11, tol)
-    event("weak pick: " + ("fallback" if pick is None else "certified"))
-    if pick is not None:
-        assert pick == exact_weak_pick(r11, tol)
-
-
-@_SETTINGS
-@given(awkward(), st.data())
-def test_certified_weak_picks_are_the_exact_picks(case, data):
-    # every leading triangle of a drawn order, on the unit-scaled copy
-    # every strategy pivots on and on the raw matrix (scales 1e+-200)
-    a, _ = case
-    search = rrqr._PivotSearch(a)
-    order = data.draw(st.permutations(range(a.shape[1])))
-    raw_tol = rrqr._DEFL_RTOL * rrqr._col_norms(a).max()
-    for mat, tol in ((search.a, search.tol), (a, raw_tol)):
-        for b in range(2, min(a.shape) + 1):
-            _weak_picks_agree(rrqr._packed(mat, order[:b])[0][:b], tol)
-
-
-@st.composite
-def swap_ties(draw):
-    """A packed b x b triangle, junk below its diagonal, whose inverse has
-    a row that beats the last (the incumbent) by the swap tolerance, give
-    or take up to 64 ulps, where the dtrtri and the solve routes' norms
-    can round to either side of the threshold, or 1e-9, where they
-    cannot."""
-    b = draw(st.integers(2, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = np.triu(rng.uniform(-1.0, 1.0, (b, b)))
-    x[np.diag_indices(b)] = rng.uniform(1.0, 2.0, b)
-    x /= np.linalg.norm(x, axis=1)[:, None] * 2.0    # rows of norm 1/2
-    j = draw(st.integers(0, b - 2))
-    x[b - 1] *= 2.0
-    off = draw(st.one_of(st.integers(-64, 64).map(lambda k: k * rrqr._EPS),
-                         st.sampled_from([-1e-9, 1e-9])))
-    x[j] *= 2.0 / (1.0 - rrqr._SWAP_RTOL) + off
-    r11 = np.linalg.inv(x) * draw(st.sampled_from(_SCALES))
-    r11[np.tril_indices(b, -1)] = rng.standard_normal(b * (b - 1) // 2)
-    return np.asfortranarray(r11)
-
-
-@_SETTINGS
-@given(swap_ties())
-def test_weak_picks_at_the_swap_tolerance_are_the_exact_picks(r11):
-    _weak_picks_agree(r11, 0.0)

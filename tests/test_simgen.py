@@ -181,6 +181,23 @@ def test_sim_config_rejects(kw):
         SimConfig(**base)
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"scenario": "sim1", "noise_kind": "hurst"},
+     "scenario sim1 draws iid noise only: drop --noise hurst, or use "
+     "--scenario sim2"),
+    ({"scenario": "sim2", "half_support": True},
+     "scenario sim2 has no half-support option: drop --half-support, or "
+     "use --scenario sim1"),
+], ids=["sim1 hurst", "sim2 half support"])
+def test_sim_config_rejects_a_setting_its_scenario_ignores(kw, message):
+    # gen_sim1 draws iid noise whatever noise_kind says, and gen_sim2
+    # ignores half_support, so a report would record a setting its data
+    # do not have
+    with pytest.raises(ValueError) as err:
+        SimConfig(k=8, n=100, seed=0, **kw)
+    assert str(err.value) == message
+
+
 # ------------------------------------------------------------------
 # subspace distance
 
