@@ -103,7 +103,7 @@ def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
         p_override = _rank_cap(p_override, ts.K, name="p_override")
     scan = None
     if p_override is None or ts.K > 1:
-        cap = _rank_cap(p_cap, min(ts.K, ts.N - 1) - 1)
+        cap = _rank_cap(p_cap, min(ts.K, ts.N - 1) - 1, n=ts.N)
         scan = ModelOrderScan.from_curve(lam[:cap], lam[1:cap + 1],
                                          spectrum.ratios[:cap], 0.0, (), ())
     p_hat = scan.p_hat if p_override is None else p_override
@@ -151,7 +151,7 @@ def fit_pca(ts: TimeSeries, p_max: int | None = None,
         ic_at_p = _ic_from_eigs(lam, p_hat, ts.K, ts.N)
     else:
         p_max = _rank_cap(p_max, min(ts.K, ts.N - 1) - 1,
-                          default=_PCA_SEARCH_LIMIT, name="p_max")
+                          default=_PCA_SEARCH_LIMIT, name="p_max", n=ts.N)
         scores = [_ic_from_eigs(lam, p, ts.K, ts.N) for p in range(1, p_max + 1)]
         p_hat = int(np.argmin(scores)) + 1
         ic_at_p = scores[p_hat - 1]

@@ -36,15 +36,21 @@ _DEFAULT_RANK_CAP = 15
 
 
 def _rank_cap(p_cap: int | None, limit: int,
-              default: int = _DEFAULT_RANK_CAP, name: str = "p_cap") -> int:
+              default: int = _DEFAULT_RANK_CAP, name: str = "p_cap",
+              n: int | None = None) -> int:
     """The caller's cap, checked to lie in [1, limit], or `default`
     clipped to `limit`, the largest candidate rank. With no candidate
-    rank (a single series) the factor count cannot be chosen, so the
-    caller must pin it. `name` is the cap's parameter name in messages;
-    the fitters check a pinned rank here too, as name="p_override"."""
+    rank (a single series, or, for a limit of min(K, n - 1) - 1, whose
+    caller passes the sample count n, two samples) the factor count
+    cannot be chosen, so the caller must pin it. `name` is the cap's
+    parameter name in messages; the fitters check a pinned rank here
+    too, as name="p_override"."""
     if limit < 1:
+        why = ("a single series has none" if n is None or n > 2 else
+               f"{n} samples have none: demeaned, the panel has rank at most "
+               f"{n - 1}")
         raise ValueError(
-            "no candidate rank to choose from (a single series has none); "
+            f"no candidate rank to choose from ({why}); "
             "pin the factor count with p_override (qrfactors fit --p, "
             "sim --p-override)"
         )

@@ -10,6 +10,15 @@ in one product, and the loading basis maps the factor forecasts to
 observation forecasts. The rolling evaluation refits on a sliding
 window every few days, projects each refit's span once, and scores the
 one-step predictions against the realized values.
+
+Like the fits, this layer works at a power-of-two unit scale: each
+factor path is scaled by the power of two above its peak before its
+autocovariances, and each residual norm is taken at the even power of
+two above the residual's peak and mapped back, saturating. The scaling
+is exact, so a panel times 2^s gives the same ranks and AR coefficients,
+errors times 2^s and rmse, the square root of a sum of norms, times
+2^(s/2), with no autocovariance or square overflowing or underflowing
+on the way.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .baselines import fit_evd, fit_pca
 from .factor_rrqr import FactorModelFit, fit_rrqr
-from .tsdata import TimeSeries
+from .tsdata import TimeSeries, _rescaled
 
 
 @dataclass(frozen=True)
@@ -88,10 +97,13 @@ def _yule_walker_rows(paths: np.ndarray, order: int) -> tuple[np.ndarray, np.nda
     """yule_walker for every row of an (m, n) array at once: coefficients
     (m, order), lag 1 first, and noise variances (m,).
 
-    Each row is centred and padded with order zeros, so one product
-    against its sliding windows gives the 1/N autocovariances at lags
-    0..order (the padding adds exact zeros), and one batched solve
-    takes all m Toeplitz systems.
+    Each row is scaled by the power of two above its peak, centred and
+    padded with order zeros, so one product against its sliding windows
+    gives the 1/N autocovariances at lags 0..order (the padding adds
+    exact zeros) with no product overflowing or underflowing, and one
+    batched solve takes all m Toeplitz systems. The scaling is exact:
+    the coefficients are those of the raw path, and each noise variance
+    maps back by the square of its row's power, saturating.
     """
     x = np.asarray(paths, dtype=float)
     m, n = x.shape
@@ -99,9 +111,11 @@ def _yule_walker_rows(paths: np.ndarray, order: int) -> tuple[np.ndarray, np.nda
         raise ValueError(f"order must be in [1, {n // 2}], got {order}")
     if not np.isfinite(x).all():
         raise ValueError("series contains NaN or Inf")
+    e = np.frexp(np.abs(x).max(axis=1))[1]
     padded = np.zeros((m, n + order))
     xc = padded[:, :n]
-    np.subtract(x, x.sum(axis=1, keepdims=True) / n, out=xc)
+    np.ldexp(x, -e[:, None], out=xc)
+    xc -= xc.sum(axis=1, keepdims=True) / n
     cov = np.einsum("it,itj->ij", xc,
                     sliding_window_view(padded, order + 1, axis=1)) / n
     if (cov[:, 0] <= 0.0).any():
@@ -111,7 +125,7 @@ def _yule_walker_rows(paths: np.ndarray, order: int) -> tuple[np.ndarray, np.nda
     coeffs = np.linalg.solve(toeplitz, cov[:, 1:, None])[:, :, 0]
     noise_var = np.maximum(cov[:, 0] - np.einsum("ij,ij->i", coeffs, cov[:, 1:]),
                            0.0)
-    return coeffs, noise_var
+    return coeffs, _rescaled(noise_var, 2 * e)
 
 
 def forecast_one_step(fit: FactorModelFit, ar: list[ArModel],
@@ -152,6 +166,18 @@ def _ar_steps(coeffs: np.ndarray, paths: np.ndarray, start: int) -> np.ndarray:
     return np.einsum("ijk,ik->ij", lags, coeffs[:, ::-1])
 
 
+def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """a * 2^-e and e, with 2^e the even power of two above a's peak
+    magnitude, so that no square of the scaled entries overflows or
+    underflows a residual to a false zero, and a square root maps back
+    by 2^(e/2); a zero array has e = 0. Power-of-two scaling is exact,
+    so a norm taken here and mapped back has the bits of the raw one
+    wherever that is finite and nonzero."""
+    e = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    e += e & 1
+    return np.ldexp(a, -e), e
+
+
 def _reconstruction_errors(fit: FactorModelFit, loading,
                            factors) -> tuple[float, float]:
     """(rmse, rmse_conventional) of the fit against the common component
@@ -165,10 +191,10 @@ def _reconstruction_errors(fit: FactorModelFit, loading,
             f"truth has shape {truth.shape}, fitted reconstruction {recon.shape}"
         )
     k, n = truth.shape
-    resid = recon - truth
+    resid, e = _unit_scaled(recon - truth)
     total = float(np.linalg.norm(resid, axis=0).sum())
-    return (math.sqrt(total / (k * n)),
-            float(np.linalg.norm(resid)) / math.sqrt(k * n))
+    return (float(_rescaled(math.sqrt(total / (k * n)), e // 2)),
+            float(_rescaled(float(np.linalg.norm(resid)) / math.sqrt(k * n), e)))
 
 
 def rmse(fit: FactorModelFit, truth_loading, truth_factors) -> float:
@@ -195,8 +221,9 @@ def forecast_error(predictions, actuals) -> float:
     if pred.ndim != 2 or pred.shape[1] == 0:
         raise ValueError("need at least one prediction column")
     k = pred.shape[0]
-    norms = np.linalg.norm(pred - act, axis=0)
-    return float(norms.mean() / math.sqrt(k))
+    resid, e = _unit_scaled(pred - act)
+    norms = np.linalg.norm(resid, axis=0)
+    return float(_rescaled(norms.mean() / math.sqrt(k), e))
 
 
 def _insample_forecast_error(fit: FactorModelFit, ts: TimeSeries,
@@ -284,8 +311,10 @@ def rolling_eval(ts: TimeSeries, method: str, window: int = 500,
         del fit
         wmean = values[:, w0:block_start].mean(axis=1, keepdims=True)
         coeffs, _ = _yule_walker_rows(factors, ar_order)
-        resid = (values[:, w0:block_start] - wmean) - q_hat @ factors
-        recon_rmse = float(np.linalg.norm(resid)) / math.sqrt(factors.shape[1] * ts.K)
+        resid, e = _unit_scaled((values[:, w0:block_start] - wmean)
+                                - q_hat @ factors)
+        recon_rmse = float(_rescaled(
+            float(np.linalg.norm(resid)) / math.sqrt(factors.shape[1] * ts.K), e))
         records.append(WindowRecord(start=w0, p_hat=q_hat.shape[1], rmse=recon_rmse))
         block_end = min(block_start + refit_stride, ts.N)
         paths = q_hat.T @ (values[:, w0:block_end - 1] - wmean)

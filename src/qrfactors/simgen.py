@@ -24,7 +24,6 @@ from functools import lru_cache
 from multiprocessing import get_context
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .covariance import _lag_range
 from .forecast_eval import (_insample_forecast_error, _reconstruction_errors,
@@ -156,6 +155,10 @@ def gen_sim1(k: int, n: int, seed: int, half_support: bool = False) -> SimDatase
         raise ValueError(f"need at least 2 series, got {k}")
     if n < 10:
         raise ValueError(f"need at least 10 samples, got {n}")
+    # imported here: scipy.signal, and the scipy.stats it loads, are
+    # most of the package's import time, and only this draw uses them
+    from scipy.signal import lfilter
+
     rng = np.random.default_rng(seed)
     eta = _SIM1_NOISE_STD * rng.standard_normal(_SIM1_BURN_IN + n)
     noise = _SIM1_NOISE_STD * rng.standard_normal((k, n))

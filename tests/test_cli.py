@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -25,6 +28,34 @@ def _write_panel_csv(path, k, n, seed):
     data = gen_sim1(k=k, n=n, seed=seed)
     np.savetxt(path, data.y.values, delimiter=",")
     return path
+
+
+# ------------------------------------------------------------------
+# start-up
+
+_IMPORT_THEN_SIM = """
+import json, sys
+import qrfactors.cli
+loaded = [m for m in ("scipy.signal", "scipy.stats") if m in sys.modules]
+code = qrfactors.cli.main(["sim", "--scenario", "sim1", "--k", "6",
+                           "--n", "60", "--trials", "1",
+                           "--outdir", sys.argv[1]])
+print(json.dumps({"loaded": loaded, "code": code}))
+"""
+
+
+def test_cli_import_loads_no_signal_or_stats_module(tmp_path):
+    # a fresh interpreter, since this one has loaded scipy.signal for the
+    # tests' own filters: importing the CLI loads numpy and scipy.linalg,
+    # not scipy.signal or scipy.stats (and their start-up time), and sim1,
+    # whose factor is scipy.signal's AR(1) filter, still runs
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_THEN_SIM, str(tmp_path)],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == {"loaded": [], "code": 0}
+    assert _read_json(tmp_path / "sim_report.json")["report"]["trials"] == 1
 
 
 # ------------------------------------------------------------------

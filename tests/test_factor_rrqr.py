@@ -791,3 +791,22 @@ def test_a_rank_scan_needs_two_rows_and_two_columns(shape):
     one = gen_sim1(k=4, n=100, seed=88).y.values[:1]
     with pytest.raises(ValueError, match="^no candidate rank to choose"):
         fit_rrqr(TimeSeries(one))
+
+
+_PIN_HINT = ("; pin the factor count with p_override (qrfactors fit --p, "
+             "sim --p-override)")
+
+
+@pytest.mark.parametrize("fit,shape,why", [
+    (fit_rrqr, (1, 100), "a single series has none"),
+    (fit_pca, (6, 2), "2 samples have none: demeaned, the panel has rank "
+                      "at most 1"),
+], ids=["rrqr, one series", "pca, two samples"])
+def test_no_candidate_rank_names_the_limit_that_binds(fit, shape, why):
+    # K = 1 leaves no rank with a successor; N = 2 samples leave six
+    # series rank at most 1 once demeaned, which the criterion cannot
+    # take either: the message names whichever binds
+    y = np.random.default_rng(89).standard_normal(shape)
+    with pytest.raises(ValueError) as err:
+        fit(TimeSeries(y))
+    assert str(err.value) == f"no candidate rank to choose from ({why})" + _PIN_HINT

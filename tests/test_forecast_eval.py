@@ -1,5 +1,6 @@
 """AR fitting, error metrics, and the rolling forecast loop."""
 
+import math
 import warnings
 from pathlib import Path
 
@@ -227,6 +228,23 @@ def test_reconstruction_errors_keep_the_two_metrics_bits():
                 == oracles.old_rmse(fit, data.h, data.x))
 
 
+@pytest.mark.parametrize("s", [-900, 900])
+def test_reconstruction_errors_scale_with_the_truth(s):
+    # panel and truth loading times 2^s: the residual is times 2^s, so
+    # rmse_conventional is times 2^s and rmse, the root of a sum of
+    # norms, times 2^(s/2), exactly; the raw squares would overflow at
+    # 2^900 and underflow to a false perfect fit at 2^-900
+    data = gen_sim2(SimConfig(scenario="sim2", k=16, n=120, seed=219,
+                              noise_kind="hurst"))
+    scaled = TimeSeries(np.ldexp(data.y.values, s))
+    for method in ("rrqr", "evd", "pca"):
+        want = _reconstruction_errors(fit_method(method, data.y, 1, 2),
+                                      data.h, data.x)
+        got = _reconstruction_errors(fit_method(method, scaled, 1, 2),
+                                     np.ldexp(data.h, s), data.x)
+        assert got == (math.ldexp(want[0], s // 2), math.ldexp(want[1], s))
+
+
 def test_rmse_shape_mismatch():
     fit = _unit_fit(1.0)
     with pytest.raises(ValueError, match="shape"):
@@ -303,6 +321,38 @@ def test_insample_forecast_error_matches_per_target_loop(scenario, p, method):
     assert fit.p_hat == p
     assert_allclose(_insample_forecast_error(fit, data.y, 10),
                     old_insample_fe(fit, data.y, 10), rtol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["rrqr", "evd", "pca"])
+@pytest.mark.parametrize("s", [-900, 900])
+def test_rolling_eval_is_scale_equivariant(s, method):
+    # the fits see the same normalized panel at 2^s, and the AR fits and
+    # residual norms work at the power of two above each path's or
+    # residual's peak, so every rank is the same and every error is
+    # exactly 2^s times the unit-scale one: no autocovariance underflows
+    # to a zero variance at 2^-900 or overflows to NaN at 2^900
+    y = gen_sim1(k=20, n=400, seed=223).y.values
+    kwargs = {"window": 200, "refit_stride": 20, "ar_order": 5,
+              "eval_len": 200}
+    want = rolling_eval(TimeSeries(y), method, **kwargs)
+    got = rolling_eval(TimeSeries(np.ldexp(y, s)), method, **kwargs)
+    assert got.fe == math.ldexp(want.fe, s)
+    assert got.rmse_mean == math.ldexp(want.rmse_mean, s)
+    assert len(got.per_window) == len(want.per_window) == 10
+    for g, w in zip(got.per_window, want.per_window):
+        assert (g.start, g.p_hat) == (w.start, w.p_hat)
+        assert g.rmse == math.ldexp(w.rmse, s)
+
+
+@pytest.mark.parametrize("method", ["rrqr", "evd", "pca"])
+@pytest.mark.parametrize("s", [-900, 900])
+def test_insample_forecast_error_is_scale_equivariant(s, method):
+    y = gen_sim1(k=20, n=400, seed=223).y.values
+    want = _insample_forecast_error(fit_method(method, TimeSeries(y)),
+                                    TimeSeries(y), 5)
+    scaled = TimeSeries(np.ldexp(y, s))
+    got = _insample_forecast_error(fit_method(method, scaled), scaled, 5)
+    assert got == math.ldexp(want, s)
 
 
 def test_rolling_eval_methods_and_records():
