@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .factor_rrqr import ModelOrderScan, scan_model_order
 from .forecast_eval import METHODS, fit_method, rolling_eval
-from .rrqr import (_check_rank, gs_qr, hybrid1, hybrid2, hybrid3, qr_cp,
+from .rrqr import (_check_split, gs_qr, hybrid1, hybrid2, hybrid3, qr_cp,
                    singular_values, stewart2)
 from .simgen import SimConfig, monte_carlo
 from .tsdata import load_csv, read_matrix
@@ -132,9 +132,11 @@ def _cmd_sim(args) -> int:
                 zip(agg.get("ratio_mean", []), agg.get("ratio_std", [])),
                 start=1)]
     return _emit(args, "sim_report", {
-        "manifest": _manifest("sim", {**asdict(config), "trials": args.trials,
-                                      "methods": methods, "outputs": outputs},
-                              config.seed),
+        "manifest": _manifest("sim", {
+            **asdict(config), "trials": args.trials, "methods": methods,
+            "outputs": outputs, "p_override": args.p_override,
+            "p_cap": args.p_cap, "threads": args.threads,
+        }, config.seed),
         "report": report,
     }, tables)
 
@@ -154,7 +156,8 @@ def _cmd_fit(args) -> int:
         body["scan"] = _scan_dict(fit.scan, selected=False)
     return _emit(args, "fit_report", {
         "manifest": _manifest("fit", {
-            "data": str(args.data), "method": args.method,
+            "data": str(args.data), "orientation": args.orientation,
+            "header": args.header, "method": args.method,
             "lag_lo": lag_lo, "lag_hi": lag_hi,
             "p_override": args.p, "p_cap": args.p_cap,
         }, None),
@@ -182,8 +185,8 @@ def _cmd_rrqr(args) -> int:
         args.usage_error(f"--rank is required for --alg {args.alg}")
     if rank is not None:
         # hybrid2 and hybrid3 need a column of the triangle past the rank
-        _check_rank("rank", rank,
-                    min(mat.shape) - (args.alg in ("hybrid2", "hybrid3")))
+        _check_split(args.alg, "rank", rank, mat.shape,
+                     args.alg in ("hybrid2", "hybrid3"))
     sv = singular_values(mat)
     if args.alg == "gsqr":
         block = min(mat.shape) if rank is None else rank
@@ -204,12 +207,12 @@ def _cmd_rrqr(args) -> int:
             "sigma_max_r22": res.r22_max_sv,
             "passes": res.passes,
         }
-        if args.alg in ("hybrid1", "hybrid3") and rank <= sv.size:
+        if args.alg in ("hybrid1", "hybrid3"):
             bound = float(sv[rank - 1]) / math.sqrt(rank * (n - rank + 1))
             summary["r11_lower_bound"] = bound
             summary["r11_bound_slack"] = (res.r11_min_sv / bound
                                           if bound > 0 else float("inf"))
-        if args.alg in ("hybrid2", "hybrid3") and rank < sv.size:
+        if args.alg in ("hybrid2", "hybrid3"):
             bound = float(sv[rank]) * math.sqrt((rank + 1) * (n - rank))
             summary["r22_upper_bound"] = bound
             summary["r22_bound_slack"] = (bound / res.r22_max_sv
@@ -238,7 +241,8 @@ def _cmd_roll(args) -> int:
                           lag_hi=lag_hi, p_cap=args.p_cap)
     return _emit(args, "roll_report", {
         "manifest": _manifest("roll", {
-            "data": str(args.data), "method": args.method,
+            "data": str(args.data), "orientation": args.orientation,
+            "header": args.header, "method": args.method,
             "window": args.window, "stride": args.stride, "ar": args.ar,
             "eval_len": args.eval_len, "lag_lo": lag_lo, "lag_hi": lag_hi,
             "p_cap": args.p_cap,

@@ -285,13 +285,24 @@ def rolling_eval(ts: TimeSeries, method: str, window: int = 500,
     mean, which is added back before scoring.
 
     For the PCA method p_cap is passed through as the information
-    criterion's search limit.
+    criterion's search limit. Each refit reads `window` samples, so
+    ar_order must be at most window // 2 and, for rrqr and evd, lag_hi at
+    most window - 2; both are checked before the first fit.
     """
     (method,) = check_methods((method,))
     if window < 3:
         raise ValueError(f"window must be at least 3, got {window}")
     if refit_stride < 1 or eval_len < 1:
         raise ValueError("refit_stride and eval_len must be positive")
+    if not 1 <= ar_order <= window // 2:
+        raise ValueError(
+            f"ar_order (--ar) must be in [1, {window // 2}], half the "
+            f"window={window} (--window) its AR fits read, got {ar_order}")
+    if method != "pca" and lag_hi > window - 2:
+        raise ValueError(
+            f"lag_hi={lag_hi} (--lag-hi or --m) is too large for "
+            f"window={window} (--window): the lags reach at most window - 2 "
+            f"= {window - 2}")
     if ts.N < window + eval_len:
         raise ValueError(
             f"need at least window + eval_len = {window + eval_len} samples, "

@@ -44,10 +44,9 @@ run. The column-pivot exchange downdates the column sums of squares by
 the leading columns' projection, brackets each result with a rigorous
 rounding bound, and projects the whole matrix only when the brackets
 cannot settle its pick (``_strong_exchange``, ``_downdated_pick``); at
-boundary 1, which projects nothing, the same brackets run on the sums
-themselves, and the per-column-scaled rank-1 norms are summed only for
-a pick they cannot settle. Every pick is the one the projected norms
-make, so every order is. The inverse-row-norm exchange reads R11 from
+boundary 1, which projects nothing, it picks on the square roots of the
+sums themselves. Every pick is the one the projected norms make, so
+every order is. The inverse-row-norm exchange reads R11 from
 the packed factor, inverts it with dtrtri and takes each row norm from
 dlauum's diagonal; a deflated pivot, or a row whose norm overflows,
 reads inf (``_inverse_row_norms``). The QRs call LAPACK directly, with
@@ -71,7 +70,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import qr
@@ -161,20 +159,6 @@ class RrqrResult:
     passes: int = 0
 
 
-def _col_norms(a: np.ndarray, order="K") -> np.ndarray:
-    """Column 2-norms of a; no square overflows or underflows.
-
-    Each column is scaled by the power of two that brings its largest
-    entry into [0.5, 1) and its norm is scaled back after. Both scalings
-    are exact and the squares are summed down each column as
-    np.linalg.norm sums them, so in-range norms are its bit for bit.
-    """
-    _, exp = np.frexp(np.maximum(a.max(axis=0), -a.min(axis=0)))
-    scaled = np.ldexp(a, -exp, order=order)
-    scaled *= scaled
-    return np.ldexp(np.sqrt(np.add.reduce(scaled, axis=0)), exp)
-
-
 class _PivotSearch:
     """A checked matrix, as every factorization here reads it, and the one
     owner of its scale.
@@ -188,9 +172,7 @@ class _PivotSearch:
     the second scaling, and both are then brought to it in place. `tol`
     is the deflation tolerance at that scale. Both scalings are exact,
     so R and every pivot decision on the copy are the matrix's, scaled,
-    bit for bit; what bears the scale leaves through `unscaled`. `lead`
-    (per-column-scaled norms, as a rank-1 column-pivot exchange that its
-    downdate cannot settle reads them) is computed on first use. The
+    bit for bit; what bears the scale leaves through `unscaled`. The
     search lives as long as one scan and the basis sweep after it, or one
     strategy call. `last_qr` holds the last (columns, dgeqrf output) of a
     leading triangle until leading_q spends it.
@@ -217,13 +199,6 @@ class _PivotSearch:
     def unscaled(self, x):
         """x, read at the copy's scale, at the matrix's (saturating)."""
         return _rescaled(x, self.exp)
-
-    @cached_property
-    def lead(self) -> np.ndarray:
-        # summed pairwise down contiguous columns: a column gather's norms
-        # bit for bit, as an unsettled boundary-1 pick reads them; a
-        # row-major sum can differ in the last bit
-        return _col_norms(self.a, order="F")
 
     def leading_packed(self, cols):
         """_packed(self.a, cols), kept as last_qr, or last_qr's if it
@@ -392,9 +367,9 @@ def _residual_norms(a, q, c) -> np.ndarray:
 
 
 def _downdated_pick(search, order, i, q, c):
-    """The column-pivot exchange's pick at boundary i+1 (an offset into
-    order[i:], 0 for the incumbent) when downdated norms make it certain,
-    else None.
+    """The column-pivot exchange's pick at boundary i+1, i >= 1 (an
+    offset into order[i:], 0 for the incumbent) when downdated norms make
+    it certain, else None.
 
     With Q1 = q (K x i) and c = fl(Q1^T a), the exact path's squared
     trailing norm x_j = fl(||fl(a_j - fl(Q1 c_j))||^2) and the downdate
@@ -429,13 +404,6 @@ def _downdated_pick(search, order, i, q, c):
     incumbent has one outcome at both corners of the two intervals.
     Exact ties, norms within the swap tolerance and trailing norms past
     the numerical rank, which are round-off, never pass.
-
-    At i = 0 (boundary 1) q is K x 0 and c is 0 x n: t_j = s_j and E_j =
-    2 K eps s_j, and the exact path reads the search's rank-1 norms
-    (`lead`). Their per-column scaling is exact, and their sum of the
-    same K squares and its square root put lead_j^2 within (K + 1) eps
-    s_j of s_j, inside E_j (at K = 1, lead_j is |a_j| exactly), so
-    a certain pick is theirs too.
     """
     k = q.shape[0]
     gram = q.T @ q
@@ -477,25 +445,28 @@ def _strong_exchange(search, order, boundary) -> bool:
     rule those values keep trading places and the loop never reaches a
     fixed point. Returns whether `order` changed.
 
-    The pick is first tried on downdated norms ||a_j||^2 - ||c_j||^2,
-    from c = Q1^T a alone, Q1 the economic Q of the leading columns (K x
-    0 at boundary 1, which projects nothing and runs no QR). Each is
+    At boundary 1 nothing is projected: the trailing norms are the
+    square roots of the search's column sums of squares. Past it the
+    pick is first tried on downdated norms ||a_j||^2 - ||c_j||^2, from
+    c = Q1^T a alone, Q1 the economic Q of the leading columns. Each is
     within E_j = 2(||Q1^T Q1 - I||_F + (i + sqrt(i) + 1)(K + i) eps)
     ||a_j||^2 of the squared norm the exact path computes
     (_downdated_pick derives it), and the pick stands only where those
     brackets make it certain. Otherwise the exact path decides: the whole
-    matrix projected with the same Q1 and c (_residual_norms), or at
-    boundary 1 the search's rank-1 norms. Both routes make the exact
-    path's pick, so every order is its own, and _fixed_point's skips,
-    which rest on those norms not depending on where a column sits, still
-    hold.
+    matrix projected with the same Q1 and c (_residual_norms). Both
+    routes make the exact path's pick, so every order is its own, and
+    _fixed_point's skips, which rest on those norms not depending on
+    where a column sits, still hold.
     """
     i, a = boundary - 1, search.a
-    q = search.leading_q(order[:i]) if i else a[:, :0]
-    c = q.T @ a
-    pick = _downdated_pick(search, order, i, q, c)
+    pick = None
+    if i:
+        q = search.leading_q(order[:i])
+        c = q.T @ a
+        pick = _downdated_pick(search, order, i, q, c)
     if pick is None:
-        trail = (_residual_norms(a, q, c) if i else search.lead)[order[i:]]
+        trail = (_residual_norms(a, q, c)[order[i:]] if i
+                 else np.sqrt(search.sums)[order])
         trail[trail <= search.tol] = 0.0
         pick = _pick_challenger(trail, 0)
     order[i], order[i + pick] = order[i + pick], order[i]
@@ -527,26 +498,20 @@ def _hybrid_sweeps(search, order, boundary, cap):
     whose first argmax is the column the last column-pivot exchange put
     at boundary-1, and then refactorize the same leading block. That
     pass is counted as settled, not run, so the counts are a loop's that
-    runs until a pass makes no swap. Returns (swap count, pass count);
-    `order` is permuted in place.
+    runs until a pass makes no swap, and a sweep that such a loop could
+    not end within `cap` passes raises RrqrIterationError. Returns (swap
+    count, pass count); `order` is permuted in place.
     """
     swaps = 0
-    passes = 0
-    settled = False
-    while True:
-        passes += 1
-        if passes > cap:
-            raise RrqrIterationError(
-                f"no fixed point after {cap} passes at boundary {boundary}"
-            )
-        if settled:
-            return swaps, passes
+    for passes in range(1, cap + 1):
         strong = _strong_exchange(search, order, boundary)
         weak = _weak_exchange(search, order, boundary)
-        if not (strong or weak):
-            return swaps, passes
+        # a column-pivot swap takes the settled pass, if the cap allows it
+        if not weak and passes + strong <= cap:
+            return swaps + strong, passes + strong
         swaps += strong + weak
-        settled = not weak
+    raise RrqrIterationError(
+        f"no fixed point after {cap} passes at boundary {boundary}")
 
 
 def _fixed_point(search, order, p, cap, fixed_at_p=False) -> int:
@@ -643,15 +608,27 @@ def _check_rank(name, value, top) -> int:
     return rank
 
 
-def _hybrid_start(search, p, init, spare, seed, name="p"):
-    """Starting order and pass cap of a hybrid loop on search's matrix.
+def _check_split(alg, name, value, shape, spare) -> int:
+    """`value`, the rank `name` at which algorithm `alg` blocks a `shape`
+    matrix, checked to leave `spare` columns of the leading triangle past
+    it (_check_rank); a matrix with no such rank is refused by its
+    shape."""
+    if min(shape) <= spare:
+        raise ValueError(f"{alg} needs at least {spare + 1} rows and {spare + 1} "
+                         f"columns, got a {shape[0]} x {shape[1]} matrix")
+    return _check_rank(name, value, min(shape) - spare)
+
+
+def _hybrid_start(alg, search, p, init, spare, seed, name="p"):
+    """Starting order and pass cap of algorithm `alg`'s loop on search's
+    matrix.
 
     p, called `name` in messages, must leave `spare` columns of the
-    leading triangle past it; without init the order is qr_cp's after
-    `seed` steps, the identity if seed is None.
+    leading triangle past it (_check_split); without init the order is
+    qr_cp's after `seed` steps, the identity if seed is None.
     """
-    k, n = search.a.shape
-    _check_rank(name, p, min(k, n) - spare)
+    n = search.a.shape[1]
+    _check_split(alg, name, p, search.a.shape, spare)
     if init is None:
         order = list(range(n)) if seed is None else _qr_cp_order(search, seed)
     else:
@@ -665,7 +642,7 @@ def _hybrid_start(search, p, init, spare, seed, name="p"):
 def _scan_orders(search, p_cap) -> list[tuple[float, float, int, tuple]]:
     """The rank scan's hybrid3 runs at ranks 1..p_cap, each warm-started.
 
-    Rank 1 starts from qr_cp's first pivot, as hybrid3(mat, 1) does; rank
+    Rank 1 starts as hybrid3(mat, 1) does (_hybrid_start); rank
     i from rank i-1's final order, which is already a fixed point at
     boundary i, so its loop opens at boundary i+1. gamma_i and gamma_{i+1}
     are |r_tt| of dgeqrf's packed output, read as 0 at or below the
@@ -676,8 +653,7 @@ def _scan_orders(search, p_cap) -> list[tuple[float, float, int, tuple]]:
     gamma_{i+1}, passes, final order) per rank; each order, a tuple of
     column indices, is a fixed point of both of its rank's boundaries.
     """
-    cap = _PASS_CAP_FACTOR * search.a.shape[1]
-    order = _qr_cp_order(search, 1)
+    order, cap = _hybrid_start("hybrid3", search, 1, None, 1, 1)
     rows = []
     for i in range(1, p_cap + 1):
         passes = _fixed_point(search, order, i, cap, fixed_at_p=i > 1)
@@ -701,7 +677,7 @@ def _loading_basis(search, p, order):
     order."""
     passes = 1
     if order is None:
-        order, cap = _hybrid_start(search, p, None, 0, p)
+        order, cap = _hybrid_start("hybrid1", search, p, None, 0, p)
         _, passes = _hybrid_sweeps(search, order, p, cap)
     q, r = _qr(search.a, _first_panel(order, p), "economic", search.tol)
     r11_min = search.unscaled(singular_values(r[:p, :p])[-1])
@@ -768,7 +744,7 @@ def stewart2(a, rank: int, init: Permutation | None = None) -> RrqrResult:
     """
     search = _PivotSearch(a)
     size = min(search.a.shape)
-    order, _ = _hybrid_start(search, rank, init, 0, None, name="rank")
+    order, _ = _hybrid_start("stewart2", search, rank, init, 0, None, name="rank")
     packed = search.leading_packed(order[:size])[0]
     svs = singular_values(np.triu(packed[:size]))
     if svs[-1] <= 1e-13 * svs[0]:
@@ -793,7 +769,7 @@ def hybrid1(a, p: int, init: Permutation | None = None) -> RrqrResult:
     with R11 = R[:p, :p] and R22 = R[p:, p:].
     """
     search = _PivotSearch(a)
-    order, cap = _hybrid_start(search, p, init, 0, p)
+    order, cap = _hybrid_start("hybrid1", search, p, init, 0, p)
     _, passes = _hybrid_sweeps(search, order, p, cap)
     return _blocked_result(search, order, p, passes)
 
@@ -808,7 +784,7 @@ def hybrid2(a, p: int, init: Permutation | None = None) -> RrqrResult:
         sigma_min(R11) >= sigma_max(R22) / sqrt((p+1)(n-p))
     """
     search = _PivotSearch(a)
-    order, cap = _hybrid_start(search, p, init, 1, p + 1)
+    order, cap = _hybrid_start("hybrid2", search, p, init, 1, p + 1)
     _, passes = _hybrid_sweeps(search, order, p + 1, cap)
     return _blocked_result(search, order, p, passes)
 
@@ -830,7 +806,7 @@ def hybrid3(a, p: int, init: Permutation | None = None) -> RrqrResult:
     round; the permutation and factors are the same.
     """
     search = _PivotSearch(a)
-    order, cap = _hybrid_start(search, p, init, 1, p)
+    order, cap = _hybrid_start("hybrid3", search, p, init, 1, p)
     passes = _fixed_point(search, order, p, cap)
     return _blocked_result(search, order, p, passes)
 

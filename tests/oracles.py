@@ -237,6 +237,20 @@ def exact_rank_three(seed, k=30, n=300):
     return TimeSeries(rng.uniform(-2.0, 2.0, size=(k, 3)) @ x)
 
 
+def col_norms(a):
+    """Column 2-norms of a; no square overflows or underflows.
+
+    Each column is scaled by the power of two that brings its largest
+    entry into [0.5, 1) and its norm is scaled back after. Both scalings
+    are exact and the squares are summed down each column as
+    np.linalg.norm sums them, so in-range norms are its bit for bit.
+    """
+    _, exp = np.frexp(np.maximum(a.max(axis=0), -a.min(axis=0)))
+    scaled = np.ldexp(a, -exp)
+    scaled *= scaled
+    return np.ldexp(np.sqrt(np.add.reduce(scaled, axis=0)), exp)
+
+
 def scipy_qr(a, cols, mode, defl_tol):
     """rrqr._qr as it was, through scipy.linalg.qr's wrapper."""
     out = qr(a[:, cols], mode=mode, overwrite_a=True, check_finite=False)
@@ -264,7 +278,7 @@ def scipy_inverse_row_norms(r11):
         return out
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         inv_t = solve_triangular(r11, np.eye(b), trans="T", lower=False)
-        norms = rrqr._col_norms(inv_t)
+        norms = col_norms(inv_t)
     return np.nan_to_num(norms, nan=np.inf, posinf=np.inf)
 
 
@@ -274,7 +288,8 @@ def old_hybrid3(a, p, init=None):
     swap, each round counting its passes. The sweeps run on the
     unit-scaled copy, as hybrid3's do."""
     search = rrqr._PivotSearch(a)
-    order, cap = rrqr._hybrid_start(search, p, init, spare=1, seed=p)
+    order, cap = rrqr._hybrid_start("hybrid3", search, p, init, spare=1,
+                                     seed=p)
     passes = 0
     for _ in range(cap):
         s1, p1 = rrqr._hybrid_sweeps(search, order, p, cap)
@@ -312,7 +327,7 @@ def gathered_strong_exchange(search, order, boundary):
     if i:
         q, _ = rrqr._qr(a, order[:i], "economic", defl_tol)
         rest = rest - q @ (q.T @ rest)
-    trail = rrqr._col_norms(rest)
+    trail = col_norms(rest)
     trail[trail <= defl_tol] = 0.0
     j = rrqr._pick_challenger(trail, 0)
     order[i], order[i + j] = order[i + j], order[i]
@@ -327,7 +342,7 @@ def projected_strong_exchange(search, order, boundary):
     a, defl_tol = search.a, search.tol
     i = boundary - 1
     if not i:
-        trail = rrqr._col_norms(np.asfortranarray(a))[order]
+        trail = col_norms(np.asfortranarray(a))[order]
     else:
         q, _ = rrqr._qr(a, order[:i], "economic", defl_tol)
         proj = q @ (q.T @ a)

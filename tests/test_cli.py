@@ -267,6 +267,57 @@ def test_fit_panel(tmp_path):
     assert factors.shape == (200,)
 
 
+def _fit_argv(config):
+    """The fit command a fit report's manifest config records."""
+    argv = ["fit", "--data", config["data"],
+            "--orientation", config["orientation"], "--method",
+            config["method"], "--lag-lo", str(config["lag_lo"]),
+            "--lag-hi", str(config["lag_hi"])]
+    argv += ["--header"] if config["header"] else []
+    for key, flag in (("p_override", "--p"), ("p_cap", "--p-cap")):
+        if config[key] is not None:
+            argv += [flag, str(config[key])]
+    return argv
+
+
+def test_fit_reruns_from_its_manifest(tmp_path):
+    # a columns-oriented panel with a header row: the manifest records
+    # both settings, so it is enough to run the fit again
+    data = gen_sim1(k=6, n=150, seed=13).y.values
+    path = tmp_path / "panel.csv"
+    np.savetxt(path, data.T, delimiter=",", comments="",
+               header=",".join(f"s{i}" for i in range(6)))
+    assert main(["fit", "--data", str(path), "--orientation", "columns",
+                 "--header", "--p-cap", "4", "--outdir",
+                 str(tmp_path / "first")]) == 0
+    first = _read_json(tmp_path / "first" / "fit_report.json")
+    config = first["manifest"]["config"]
+    assert (config["orientation"], config["header"]) == ("columns", True)
+    assert main([*_fit_argv(config), "--outdir", str(tmp_path / "again")]) == 0
+    again = _read_json(tmp_path / "again" / "fit_report.json")
+    assert again["fit"] == first["fit"]
+    assert again["manifest"]["config"] == config
+    for name in ("q_hat.csv", "factors.csv"):
+        assert (tmp_path / "again" / name).read_bytes() \
+            == (tmp_path / "first" / name).read_bytes()
+
+
+def test_sim_and_roll_manifests_record_their_settings(tmp_path):
+    assert main(["sim", "--scenario", "sim1", "--k", "6", "--n", "80",
+                 "--trials", "1", "--p-override", "1", "--p-cap", "3",
+                 "--outdir", str(tmp_path)]) == 0
+    config = _read_json(tmp_path / "sim_report.json")["manifest"]["config"]
+    assert (config["p_override"], config["p_cap"], config["threads"]) \
+        == (1, 3, 1)
+    data = _write_panel_csv(tmp_path / "panel.csv", k=4, n=120, seed=18)
+    assert main(["roll", "--data", str(data), "--window", "60",
+                 "--stride", "30", "--ar", "2", "--eval-len", "60",
+                 "--outdir", str(tmp_path)]) == 0
+    config = _read_json(tmp_path / "roll_report.json")["manifest"]["config"]
+    assert (config["orientation"], config["header"]) \
+        == ("rows-are-series", False)
+
+
 def test_fit_rank_override(tmp_path):
     data = _write_panel_csv(tmp_path / "panel.csv", k=6, n=150, seed=10)
     assert main(["fit", "--data", str(data), "--p", "3",
@@ -455,6 +506,22 @@ def test_sim_refuses_lags_no_fit_can_take(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("alg", ["hybrid2", "hybrid3"])
+@pytest.mark.parametrize("shape", [(1, 3), (3, 1)])
+def test_rrqr_split_of_one_row_or_one_column_exits_one(tmp_path, capsys, alg,
+                                                       shape):
+    # no rank leaves a column past it: the message names the shape, not
+    # an empty rank range
+    mat = tmp_path / "m.csv"
+    np.savetxt(mat, np.ones(shape), delimiter=",")
+    assert main(["rrqr", "--matrix", str(mat), "--alg", alg, "--rank", "1",
+                 "--outdir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {alg} needs at least 2 rows and 2 columns, "
+        f"got a {shape[0]} x {shape[1]} matrix\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_rrqr_pivoted_algorithms_demand_a_rank(tmp_path, capsys):
     mat = tmp_path / "m.csv"
     np.savetxt(mat, np.eye(4), delimiter=",")
@@ -495,6 +562,24 @@ def test_roll_pca_p_max_spelling(tmp_path):
     assert main(["roll", "--data", str(data), "--method", "pca",
                  "--p-max", "4", "--window", "250", "--stride", "125",
                  "--eval-len", "250", "--outdir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--window", "15"],
+     "ar_order (--ar) must be in [1, 7], half the window=15 (--window) "
+     "its AR fits read, got 10"),
+    (["--window", "3", "--ar", "1"],
+     "lag_hi=2 (--lag-hi or --m) is too large for window=3 (--window): "
+     "the lags reach at most window - 2 = 1"),
+], ids=["ar order", "lags"])
+def test_roll_window_too_short_for_its_fits_exits_one(tmp_path, capsys,
+                                                      flags, message):
+    data = _write_panel_csv(tmp_path / "panel.csv", k=4, n=60, seed=16)
+    out = tmp_path / "out"
+    assert main(["roll", "--data", str(data), "--eval-len", "20", *flags,
+                 "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_roll_short_series_exits_one(tmp_path, capsys):

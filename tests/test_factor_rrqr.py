@@ -21,7 +21,7 @@ from qrfactors.simgen import (SimConfig, gen_sim1, gen_sim2, monte_carlo,
                               subspace_error)
 from qrfactors.tsdata import TimeSeries, demean
 
-from oracles import (exact_rank_three, lag_product_rounding,
+from oracles import (col_norms, exact_rank_three, lag_product_rounding,
                      matrix_with_spectrum, old_scan, permuted_panels,
                      random_orthonormal, sign_flip_panels)
 
@@ -508,7 +508,7 @@ def _permutation_bounds(m, z, lags):
     Returns (e, b, rho, K): e_j and b_j for j = 1..min(K, n).
     """
     k, n = m.shape
-    cov = 2 * lag_product_rounding(z, m, lags) / rrqr._col_norms(m).max()
+    cov = 2 * lag_product_rounding(z, m, lags) / col_norms(m).max()
     j = np.arange(1, min(k, n) + 1)
     e = cov + 8 * k * j ** 1.5 * _U
     return e, 2 * math.sqrt(2) * j * e, 1 / math.sqrt(k * n), k
@@ -567,15 +567,15 @@ def _tie_watch(bounds):
             q = rrqr._qr(a, order[:i], "economic", search.tol)[0]
             norms = rrqr._residual_norms(a, q, q.T @ a)[order[i:]]
         else:
-            norms = search.lead[order]
-        if _ties(norms, search.tol, 2 * b[i] * search.lead.max()):
+            norms = np.sqrt(search.sums)[order]
+        if _ties(norms, search.tol, 2 * b[i] * math.sqrt(search.sums.max())):
             tied.add(rank[0])
         return strong(search, order, boundary)
 
     def watched_weak(search, order, boundary):
         if boundary > 1:
             r = rrqr._qr(search.a, order[:boundary], "economic", search.tol)[1]
-            d = 2 * b[boundary - 1] * search.lead.max()
+            d = 2 * b[boundary - 1] * math.sqrt(search.sums.max())
             smin = singular_values(r)[-1]
             rel = math.sqrt(boundary) * d / smin if smin > 0 else 0.0
             if (np.abs(np.abs(np.diagonal(r)) - search.tol) <= d).any() \

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.signal import lfilter
 
+from qrfactors import forecast_eval
 from qrfactors.factor_rrqr import FactorModelFit
 from qrfactors.forecast_eval import (ArModel, _insample_forecast_error,
                                      _reconstruction_errors,
@@ -436,3 +437,37 @@ def test_rolling_eval_messages(kwargs, message):
     with pytest.raises(ValueError) as err:
         rolling_eval(data.y, "evd", **{"window": 500, **kwargs})
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("method,kwargs,message", [
+    ("rrqr", {"window": 15},
+     "ar_order (--ar) must be in [1, 7], half the window=15 (--window) its "
+     "AR fits read, got 10"),
+    ("pca", {"window": 15, "ar_order": 8},
+     "ar_order (--ar) must be in [1, 7], half the window=15 (--window) its "
+     "AR fits read, got 8"),
+    ("evd", {"window": 3, "ar_order": 1},
+     "lag_hi=2 (--lag-hi or --m) is too large for window=3 (--window): the "
+     "lags reach at most window - 2 = 1"),
+    ("rrqr", {"window": 10, "ar_order": 2, "lag_hi": 9},
+     "lag_hi=9 (--lag-hi or --m) is too large for window=10 (--window): the "
+     "lags reach at most window - 2 = 8"),
+], ids=["rrqr ar order", "pca ar order", "evd lags", "rrqr lags"])
+def test_rolling_eval_checks_its_window_before_any_fit(method, kwargs, message,
+                                                       monkeypatch):
+    def no_fit(*args, **kw):
+        raise AssertionError("fit before the window was checked")
+
+    monkeypatch.setattr(forecast_eval, "fit_method", no_fit)
+    data = gen_sim1(k=5, n=120, seed=213)
+    with pytest.raises(ValueError) as err:
+        rolling_eval(data.y, method, eval_len=20, **kwargs)
+    assert str(err.value) == message
+
+
+def test_rolling_eval_pca_reads_no_lags():
+    # the lag range is unused by pca, so a long one is no error
+    data = gen_sim1(k=5, n=60, seed=214)
+    report = rolling_eval(data.y, "pca", window=10, refit_stride=10,
+                          ar_order=2, eval_len=20, lag_hi=9)
+    assert len(report.per_window) == 2

@@ -16,8 +16,8 @@ from qrfactors.rrqr import (Permutation, RrqrIterationError, gs_qr,
 from qrfactors.simgen import SimConfig, gen_sim1, gen_sim2
 from qrfactors.tsdata import _rescaled
 
-from oracles import (abs_r_diag, dnrm2_first_pivot, exact_rank_three,
-                     gathered_strong_exchange,
+from oracles import (abs_r_diag, col_norms, dnrm2_first_pivot,
+                     exact_rank_three, gathered_strong_exchange,
                      interlacing_holds, matrix_with_spectrum,
                      naive_pivot_order, old_hybrid3,
                      plain_hybrid_sweeps, projected_strong_exchange,
@@ -394,7 +394,7 @@ def test_col_norms_match_numpy_bit_for_bit(layout):
     a = rng.standard_normal((37, 50)) * np.logspace(-100, 100, 50)
     a[:, 7] = 0.0
     a = np.asarray(a, order=layout)
-    assert_array_equal(rrqr._col_norms(a), np.linalg.norm(a, axis=0))
+    assert_array_equal(col_norms(a), np.linalg.norm(a, axis=0))
 
 
 def _assert_same_as_old_hybrid3(a, p, init=None):
@@ -552,7 +552,7 @@ def _scan_panel(case):
 def test_scan_panel_gamma_is_the_full_width_gamma(case):
     mat = _scan_panel(case)
     last = rrqr._UNBLOCKED // 2
-    tol = rrqr._DEFL_RTOL * rrqr._col_norms(mat).max()
+    tol = rrqr._DEFL_RTOL * col_norms(mat).max()
     search = rrqr._PivotSearch(mat)
     rows = rrqr._scan_orders(search, min(last, min(mat.shape)) - 1)
     for i, (gamma, gamma_next, _, order) in enumerate(rows, start=1):
@@ -627,10 +627,11 @@ def test_rank_one_seed_is_the_dnrm2_loops(case):
 
 def _trailing_norms(search, order, i):
     """The norms the column-pivot exchange at boundary i+1 picks by: the
-    search's rank-1 norms at i = 0, else those of its matrix less the
-    projection on the first i columns of the order."""
+    square roots of the search's column sums of squares at i = 0, else
+    the norms of its matrix less the projection on the first i columns
+    of the order."""
     if not i:
-        return search.lead[order]
+        return np.sqrt(search.sums)[order]
     q, _ = rrqr._qr(search.a, order[:i], "economic", search.tol)
     return rrqr._residual_norms(search.a, q, q.T @ search.a)[order[i:]]
 
@@ -638,10 +639,12 @@ def _trailing_norms(search, order, i):
 @pytest.mark.parametrize("case", SCAN_PANELS)
 def test_trailing_norms_are_a_gathers_wherever_a_column_sits(case):
     # each column's norm is computed at its own position, so reordering
-    # the trailing columns changes no bit; against a gather, whose rounding
-    # moves with the order, boundary 1 is exact and the others agree to
-    # the last bit or two
-    search = rrqr._PivotSearch(_scan_panel(case))
+    # the trailing columns changes no bit; boundary 1's are the square
+    # roots of the scaled copy's column sums of squares bit for bit, and
+    # against a gather, whose rounding moves with the order, every
+    # boundary agrees to the last bit or two
+    panel = _scan_panel(case)
+    search = rrqr._PivotSearch(panel)
     mat, tol = search.a, search.tol
     rng = np.random.default_rng(63)
     for i in (0, 1, 2, 7):
@@ -655,9 +658,10 @@ def test_trailing_norms_are_a_gathers_wherever_a_column_sits(case):
         if i:
             q, _ = rrqr._qr(mat, order[:i], "economic", tol)
             rest = rest - q @ (q.T @ rest)
-        gathered = rrqr._col_norms(rest)
+        gathered = col_norms(rest)
         if i == 0:
-            assert_array_equal(norms, gathered)
+            assert_array_equal(norms,
+                               np.sqrt(two_pass_scale(panel)[3])[order])
         assert_allclose(norms, gathered, rtol=4 * np.finfo(float).eps,
                         atol=tol)
 
@@ -837,27 +841,12 @@ def test_one_pass_scale_is_the_two_pass_one(case):
     assert (search.exp, search.tol) == (exp, tol)
 
 
-@pytest.mark.parametrize("case", SCAN_PANELS + EXACT_PANELS)
-def test_scan_and_basis_sum_no_rank_one_norms(case):
-    # the rank-1 seed takes its candidates from the column sums of
-    # squares and every boundary-1 pick on these panels is certain, so
-    # the per-column-scaled rank-1 norms are never summed
-    search = rrqr._PivotSearch(_scan_panel(case))
-    rows = rrqr._scan_orders(search, min(15, min(search.a.shape) - 1))
-    rrqr._loading_basis(search, 1, list(rows[0][3]))
-    for p in (1, 3):
-        rrqr._loading_basis(search, p, None)
-    assert "lead" not in vars(search)
-
-
-def test_a_tie_at_boundary_one_reads_the_rank_one_norms():
-    # two equal columns at boundary 1: no bracket separates them, so the
-    # exchange falls back to the rank-1 norms, and keeps the first
+def test_a_tie_at_boundary_one_keeps_the_first():
+    # two equal columns at boundary 1 have equal sums of squares, so the
+    # exchange keeps the first of them where it is
     search = rrqr._PivotSearch(_seed_case("tied"))
     order = rrqr._qr_cp_order(search, 1)
-    assert "lead" not in vars(search)
     assert not rrqr._strong_exchange(search, order, 1)
-    assert "lead" in vars(search)
     assert order == [1, 0, 2, 3]
 
 
@@ -883,14 +872,30 @@ def _boundary_one_outputs(case):
     "tied", "duplicated", "reordered", "near ties", "split ties",
     "zero columns", "zero matrix"])
 def test_boundary_one_picks_are_the_rank_one_norms(case, monkeypatch):
-    # with every boundary-1 pick left to the rank-1 norms, as before
-    # boundary 1 was downdated, every output is the same bit for bit
+    # with every boundary-1 pick made on the per-column-scaled rank-1
+    # norms, summed down contiguous columns as a gather sums them, every
+    # output is the same bit for bit as on the square roots of the sums
     got = _boundary_one_outputs(case)
-    real = rrqr._downdated_pick
-    monkeypatch.setattr(rrqr, "_downdated_pick",
-                        lambda search, order, i, q, c:
-                        real(search, order, i, q, c) if i else None)
+    real = rrqr._strong_exchange
+    monkeypatch.setattr(rrqr, "_strong_exchange",
+                        lambda search, order, boundary:
+                        (real if boundary > 1 else projected_strong_exchange)(
+                            search, order, boundary))
     assert _boundary_one_outputs(case) == got
+
+
+@pytest.mark.parametrize("case", SCAN_PANELS)
+def test_boundary_one_runs_no_downdate(case, monkeypatch):
+    # boundary 1 projects nothing: the scan, hybrid1-3 at rank 1 and the
+    # three fits pick on the sums alone, with no certificate
+    real = rrqr._downdated_pick
+
+    def boundary_one_raises(search, order, i, q, c):
+        assert i >= 1
+        return real(search, order, i, q, c)
+
+    monkeypatch.setattr(rrqr, "_downdated_pick", boundary_one_raises)
+    _boundary_one_outputs(case)
 
 
 # ------------------------------------------------------------------
@@ -917,15 +922,20 @@ def _sweep_outputs(mat, ts):
     return out
 
 
+def _sweep_starts(search):
+    """The rank-1 seed and a shuffled order of search's matrix."""
+    n = search.a.shape[1]
+    return [rrqr._qr_cp_order(search, 1),
+            np.random.default_rng(68).permutation(n).tolist()]
+
+
 def _sweep_runs(sweeps, mat):
     """(swaps, passes) and the final order of one sweep at boundaries 1,
-    2, 3 and 5, from the rank-1 seed and from a shuffled order."""
+    2, 3 and 5, from each of _sweep_starts."""
     search = rrqr._PivotSearch(mat)
     cap = rrqr._PASS_CAP_FACTOR * mat.shape[1]
-    starts = [rrqr._qr_cp_order(search, 1),
-              np.random.default_rng(68).permutation(mat.shape[1]).tolist()]
     out = []
-    for start in starts:
+    for start in _sweep_starts(search):
         for boundary in (1, 2, 3, 5):
             order = list(start)
             out.append((sweeps(search, order, boundary, cap), order))
@@ -943,6 +953,26 @@ def test_sweeps_are_the_plain_loops(case, monkeypatch):
     monkeypatch.setattr(rrqr, "_weak_exchange", whole_r_weak_exchange)
     assert got == (_sweep_outputs(mat, ts),
                    _sweep_runs(plain_hybrid_sweeps, mat))
+
+
+@pytest.mark.parametrize("case", SCAN_PANELS + EXACT_PANELS)
+def test_sweeps_meet_the_plain_loops_pass_cap(case):
+    # a cap of the plain loop's own pass count P is enough for both loops,
+    # the settled pass included, and P - 1 is too few for both
+    search = rrqr._PivotSearch(_scan_panel(case))
+    for start in _sweep_starts(search):
+        for boundary in (1, 2, 3, 5):
+            want = plain_hybrid_sweeps(search, list(start), boundary,
+                                       rrqr._PASS_CAP_FACTOR * len(start))
+            cap = want[1]
+            messages = []
+            for sweeps in (rrqr._hybrid_sweeps, plain_hybrid_sweeps):
+                assert sweeps(search, list(start), boundary, cap) == want
+                with pytest.raises(RrqrIterationError) as err:
+                    sweeps(search, list(start), boundary, cap - 1)
+                messages.append(str(err.value))
+            assert messages == [f"no fixed point after {cap - 1} passes at "
+                                f"boundary {boundary}"] * 2
 
 
 def test_paper_cell_scan_skips_its_confirming_passes(monkeypatch):
@@ -989,7 +1019,7 @@ def test_qr_is_scipys(shape, mode, layout):
     a = np.asarray(rng.standard_normal(shape), order=layout)
     a[:, -1] *= 1e-13                 # one pivot deflates
     cols = rng.permutation(shape[1]).tolist()
-    tol = rrqr._DEFL_RTOL * rrqr._col_norms(a).max()
+    tol = rrqr._DEFL_RTOL * col_norms(a).max()
     want_q, want_r = scipy_qr(a, cols, mode, tol)
     if mode == "r":
         # what the scan reads of dgeqrf's packed output: |r_tt|, 0 at or
@@ -1023,7 +1053,7 @@ def test_narrow_qrs_skip_the_workspace_query(layout, monkeypatch):
         a = np.asarray(rng.standard_normal((k, 40)), order=layout)
         for width in range(1, 34):
             cols = rng.permutation(40)[:width].tolist()
-            tol = rrqr._DEFL_RTOL * rrqr._col_norms(a).max()
+            tol = rrqr._DEFL_RTOL * col_norms(a).max()
             lworks.clear()
             q, r = rrqr._qr(a, cols, "economic", tol)
             want_q, want_r = scipy_qr(a, cols, "economic", tol)
@@ -1254,7 +1284,7 @@ def _basis_orders(mat):
 @pytest.mark.parametrize("case", BASIS_PANELS)
 def test_basis_panel_q_and_r11_are_the_full_qrs(case):
     mat = _basis_panel(case)
-    tol = rrqr._DEFL_RTOL * rrqr._col_norms(mat).max()
+    tol = rrqr._DEFL_RTOL * col_norms(mat).max()
     for p, order in _basis_orders(mat):
         q, r = rrqr._qr(mat, rrqr._first_panel(order, p), "economic", tol)
         full_q, full_r = rrqr._qr(mat, order, "full", tol)
@@ -1343,7 +1373,7 @@ PLAIN_NORM_SHAPES = {
 @pytest.mark.parametrize("shape", PLAIN_NORM_SHAPES)
 def test_plain_trailing_norms_are_the_scaled_ones(shape):
     # on the unit-scaled copy of M~ the residual's squares neither
-    # overflow nor underflow, so summing them plainly gives _col_norms'
+    # overflow nor underflow, so summing them plainly gives col_norms'
     # bits, at every boundary the scan reads
     for seed in range(8):
         ts, lag_hi = PLAIN_NORM_SHAPES[shape](seed)
@@ -1357,7 +1387,7 @@ def test_plain_trailing_norms_are_the_scaled_ones(shape):
             resid = unit - q @ c
             assert resid.flags.c_contiguous
             assert_array_equal(rrqr._residual_norms(unit, q, c)[order[i:]],
-                               rrqr._col_norms(resid)[order[i:]]), (seed, i)
+                               col_norms(resid)[order[i:]]), (seed, i)
 
 
 # ------------------------------------------------------------------
@@ -1388,8 +1418,14 @@ def test_permutation_rejects_non_bijections():
      "rank must be in [1, 4], got 0"),
     (lambda: hybrid1(np.eye(4), 5), "p must be in [1, 4], got 5"),
     (lambda: hybrid3(np.eye(4), 4), "p must be in [1, 3], got 4"),
+    # no rank leaves a column of a one-row or one-column triangle past it
+    (lambda: hybrid2(np.ones((1, 3)), 1),
+     "hybrid2 needs at least 2 rows and 2 columns, got a 1 x 3 matrix"),
+    (lambda: hybrid3(np.ones((3, 1)), 1),
+     "hybrid3 needs at least 2 rows and 2 columns, got a 3 x 1 matrix"),
 ], ids=["svd of 1-D", "svd of NaN", "empty matrix", "init length",
-        "qr_cp steps", "stewart2 rank", "hybrid1 p", "hybrid3 p"])
+        "qr_cp steps", "stewart2 rank", "hybrid1 p", "hybrid3 p",
+        "hybrid2 one row", "hybrid3 one column"])
 def test_bad_input_messages(call, message):
     with pytest.raises(ValueError) as err:
         call()
