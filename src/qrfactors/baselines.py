@@ -82,6 +82,18 @@ def evd_spectrum(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2) -> EvdSpectru
                        eigenvectors=u, ratios=_eig_ratios(lam))
 
 
+def _evd_ranks(k: int, n: int, p_override: int | None,
+               p_cap: int | None) -> tuple[int | None, int | None]:
+    """fit_evd's rank settings on a K x n panel, checked: a pinned rank
+    in [1, K], and the ratio curve's cap, at most min(K, n - 1) - 1,
+    which a single series under a pin has no curve to read (None)."""
+    if p_override is not None:
+        p_override = _rank_cap(p_override, k, name="p_override")
+        if k == 1:
+            return p_override, None
+    return p_override, _rank_cap(p_cap, min(k, n - 1) - 1, n=n)
+
+
 def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
             p_override: int | None = None,
             p_cap: int | None = None) -> FactorModelFit:
@@ -97,13 +109,11 @@ def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     has no curve. p_hat, q_hat and the ratios do not depend on the
     panel's scale. A panel of constant series is rejected.
     """
+    p_override, cap = _evd_ranks(ts.K, ts.N, p_override, p_cap)
     spectrum = evd_spectrum(ts, lag_lo, lag_hi)
     lam = spectrum.eigenvalues
-    if p_override is not None:
-        p_override = _rank_cap(p_override, ts.K, name="p_override")
     scan = None
-    if p_override is None or ts.K > 1:
-        cap = _rank_cap(p_cap, min(ts.K, ts.N - 1) - 1, n=ts.N)
+    if cap is not None:
         scan = ModelOrderScan.from_curve(lam[:cap], lam[1:cap + 1],
                                          spectrum.ratios[:cap], 0.0, (), ())
     p_hat = scan.p_hat if p_override is None else p_override
@@ -130,6 +140,17 @@ def _ic_from_eigs(lam: np.ndarray, p: int, k: int, n: int) -> float:
     return math.log(v) + penalty
 
 
+def _pca_ranks(k: int, n: int, p_override: int | None, p_cap: int | None,
+               name: str = "p_cap") -> tuple[int | None, int | None]:
+    """fit_pca's rank settings on a K x n panel, checked: a pinned rank
+    in [1, min(K, n)], which leaves the cap unread (None), else the
+    criterion's search limit `name`, at most min(K, n - 1) - 1."""
+    if p_override is not None:
+        return _rank_cap(p_override, min(k, n), name="p_override"), None
+    return None, _rank_cap(p_cap, min(k, n - 1) - 1,
+                           default=_PCA_SEARCH_LIMIT, name=name, n=n)
+
+
 def fit_pca(ts: TimeSeries, p_max: int | None = None,
             p_override: int | None = None) -> FactorModelFit:
     """PCA factor fit with information-criterion rank selection.
@@ -144,14 +165,12 @@ def fit_pca(ts: TimeSeries, p_max: int | None = None,
     and q_hat do not depend on the panel's scale. A panel of constant
     series is rejected.
     """
+    p_hat, p_max = _pca_ranks(ts.K, ts.N, p_override, p_max, name="p_max")
     cov = sample_autocov(ts, 0)
     lam, u = _sym_eig_desc(cov.scaled)
-    if p_override is not None:
-        p_hat = _rank_cap(p_override, min(ts.K, ts.N), name="p_override")
+    if p_hat is not None:
         ic_at_p = _ic_from_eigs(lam, p_hat, ts.K, ts.N)
     else:
-        p_max = _rank_cap(p_max, min(ts.K, ts.N - 1) - 1,
-                          default=_PCA_SEARCH_LIMIT, name="p_max", n=ts.N)
         scores = [_ic_from_eigs(lam, p, ts.K, ts.N) for p in range(1, p_max + 1)]
         p_hat = int(np.argmin(scores)) + 1
         ic_at_p = scores[p_hat - 1]

@@ -113,9 +113,8 @@ def _cmd_sim(args) -> int:
     lag_lo, lag_hi = _lag_range(args)
     config = SimConfig(
         scenario=args.scenario, k=args.k, n=args.n, seed=args.seed,
-        lag_lo=lag_lo, lag_hi=lag_hi, alpha1=args.alpha1, alpha2=args.alpha2,
+        lag_lo=lag_lo, lag_hi=lag_hi,
         noise_kind="hurst" if args.noise == "hurst" else "iid_identity",
-        hurst_w=args.w, noise_scale=args.noise_scale,
         half_support=args.half_support,
     )
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -315,10 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--methods", default="rrqr,evd")
     sim.add_argument("--outputs", default="errors")
     sim.add_argument("--noise", choices=["iid", "hurst"], default="iid")
-    sim.add_argument("--w", type=float, default=0.6)
-    sim.add_argument("--noise-scale", type=float, default=0.1)
-    sim.add_argument("--alpha1", type=float, default=0.5)
-    sim.add_argument("--alpha2", type=float, default=0.5)
     sim.add_argument("--half-support", action="store_true")
     sim.add_argument("--p-override", type=_positive("--p-override"), default=None)
     sim.add_argument("--p-cap", type=_positive("--p-cap"), default=None)

@@ -33,6 +33,9 @@ from .tsdata import TimeSeries, _frozen, _rescaled
 # Widest rank scanned when the caller does not say; generous for factor
 # counts seen in practice while keeping the scan loop cheap.
 _DEFAULT_RANK_CAP = 15
+# The command-line flags behind each rank setting, for its range errors.
+_RANK_FLAGS = {"p_cap": "--p-cap", "p_max": "--p-max",
+               "p_override": "fit --p, sim --p-override"}
 
 
 def _rank_cap(p_cap: int | None, limit: int,
@@ -43,8 +46,9 @@ def _rank_cap(p_cap: int | None, limit: int,
     rank (a single series, or, for a limit of min(K, n - 1) - 1, whose
     caller passes the sample count n, two samples) the factor count
     cannot be chosen, so the caller must pin it. `name` is the cap's
-    parameter name in messages; the fitters check a pinned rank here
-    too, as name="p_override"."""
+    parameter name in messages, which a range error follows with its
+    command-line flags (_RANK_FLAGS); the fitters check a pinned rank
+    here too, as name="p_override"."""
     if limit < 1:
         why = ("a single series has none" if n is None or n > 2 else
                f"{n} samples have none: demeaned, the panel has rank at most "
@@ -56,7 +60,17 @@ def _rank_cap(p_cap: int | None, limit: int,
         )
     if p_cap is None:
         return min(limit, default)
-    return _check_rank(name, p_cap, limit)
+    return _check_rank(name, p_cap, limit, _RANK_FLAGS[name])
+
+
+def _rrqr_ranks(k: int, n: int, p_override: int | None,
+                p_cap: int | None) -> tuple[int | None, int | None]:
+    """fit_rrqr's rank settings on a K x n panel, checked: a pinned rank
+    in [1, K], which leaves the cap unread (None), else the scan's cap,
+    at most K - 1, the stacked covariances being K x mK."""
+    if p_override is not None:
+        return _rank_cap(p_override, k, name="p_override"), None
+    return None, _rank_cap(p_cap, k - 1)
 
 
 @dataclass(frozen=True)
@@ -240,7 +254,8 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     rank and gives the basis, read from one QR of LAPACK's first panel
     (rrqr._loading_basis). When p_override pins the rank there is no
     scan, and hybrid1's sweep starts from qr_cp's pivots; p_override may
-    be min(K, n), where hybrid3, and so the scan's loop, is undefined.
+    be K, where hybrid3, and so the scan's loop, is undefined. Both rank
+    settings are checked first (_rrqr_ranks).
     p_hat, q_hat and the ratio curve do not depend on the panel's scale;
     factor paths, gammas, epsilon and the block singular values are
     mapped back to it. A panel of constant series is rejected.
@@ -250,13 +265,12 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     nor a copy of M~, and callers that never read it, as rolling_eval
     and monte_carlo do not, never pay.
     """
+    p_hat, p_cap = _rrqr_ranks(ts.K, ts.N, p_override, p_cap)
     aug = build_augmented(ts, lag_lo, lag_hi)
     search = _PivotSearch(aug.scaled, aug.exponent)
     del aug  # the search holds its own unit-scaled copy
     scan = order = None
-    if p_override is not None:
-        p_hat = _rank_cap(p_override, min(search.a.shape), name="p_override")
-    else:
+    if p_hat is None:
         scan = _scan(search, p_cap, ts.N)
         p_hat = scan.p_hat
         order = scan.orders[p_hat - 1]

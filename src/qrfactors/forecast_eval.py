@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .baselines import fit_evd, fit_pca
-from .factor_rrqr import FactorModelFit, fit_rrqr
+from .baselines import _evd_ranks, _pca_ranks, fit_evd, fit_pca
+from .factor_rrqr import FactorModelFit, _rrqr_ranks, fit_rrqr
 from .tsdata import TimeSeries, _rescaled
 
 
@@ -254,19 +254,33 @@ def check_methods(methods) -> tuple[str, ...]:
     return tuple(method.lower() for method in methods)
 
 
+def check_ranks(method: str, k: int, n: int, p_override: int | None = None,
+                p_cap: int | None = None) -> None:
+    """Refuse the rank settings a `method` fit of a K x n panel would
+    refuse, by that fit's own rule and message, before any fit is made.
+
+    A cap the fit does not read under p_override (rrqr, pca) is accepted.
+    """
+    (method,) = check_methods((method,))
+    rule = {"rrqr": _rrqr_ranks, "evd": _evd_ranks, "pca": _pca_ranks}[method]
+    rule(k, n, p_override, p_cap)
+
+
 def fit_method(method: str, ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
                p_override: int | None = None,
                p_cap: int | None = None) -> FactorModelFit:
     """Fit `ts` with the named method, one of METHODS in any case.
 
-    For pca, p_cap is the information criterion's search limit and the
-    lag range is unused.
+    For pca, p_cap is the information criterion's search limit, checked
+    under that name as the other fits check theirs, and the lag range is
+    unused.
     """
     (method,) = check_methods((method,))
     if method == "rrqr":
         return fit_rrqr(ts, lag_lo, lag_hi, p_override=p_override, p_cap=p_cap)
     if method == "evd":
         return fit_evd(ts, lag_lo, lag_hi, p_override=p_override, p_cap=p_cap)
+    _pca_ranks(ts.K, ts.N, p_override, p_cap)
     return fit_pca(ts, p_max=p_cap, p_override=p_override)
 
 

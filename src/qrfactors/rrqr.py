@@ -597,14 +597,17 @@ def _blocked_result(search, order, p, passes) -> RrqrResult:
         r11_min_sv=r11_min_sv, r22_max_sv=r22_max_sv, passes=passes)
 
 
-def _check_rank(name, value, top) -> int:
-    """`value`, an integer rank (numpy's too) checked to be in [1, top]."""
+def _check_rank(name, value, top, flag=None) -> int:
+    """`value`, an integer rank (numpy's too) checked to be in [1, top];
+    a rank out of range names `flag` too, the command-line flag behind
+    `name`, when there is one."""
     try:
         rank = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if not 1 <= rank <= top:
-        raise ValueError(f"{name} must be in [1, {top}], got {rank}")
+        raise ValueError(f"{name} must be in [1, {top}], got {rank}"
+                         + (f" ({flag})" if flag else ""))
     return rank
 
 

@@ -6,7 +6,9 @@ Scenario 1 is a single cosine-profile factor following an AR(1); its
 observations get independent Gaussian noise. Scenario 2 has two moving-
 average factors, the second loading only the first half of the series
 (a weak factor), with either white noise or correlated noise drawn from
-a scaled fractional-Brownian-motion covariance.
+a scaled fractional-Brownian-motion covariance. Scenario 2's settings
+are the paper's constants: MA coefficient 0.5 for both factors, and for
+the correlated noise Hurst exponent 0.6 and scale 0.1.
 
 All generators are pure functions of their configuration: one generator
 instance per trial, a documented draw order, and no global state, so a
@@ -27,13 +29,16 @@ import numpy as np
 
 from .covariance import _lag_range
 from .forecast_eval import (_insample_forecast_error, _reconstruction_errors,
-                            check_methods, fit_method)
+                            check_methods, check_ranks, fit_method)
 from .tsdata import TimeSeries, _frozen
 
 _SIM1_AR_COEFF = 0.9
 _SIM1_NOISE_STD = 2.0
 _SIM1_BURN_IN = 1000
 _LOADING_HALF_WIDTH = 4.0  # loadings are U(-4, 4)
+_SIM2_MA_COEFF = 0.5
+_SIM2_HURST = 0.6
+_SIM2_NOISE_SCALE = 0.1
 _FE_AR_ORDER = 10
 # Read by the BLAS libraries numpy may load, once, when they load.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -44,10 +49,10 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 class SimConfig:
     """Everything a scenario needs to produce one dataset.
 
-    alpha1/alpha2 are the MA coefficients of the two scenario-2 factors;
-    the second is weaker, its loading supported on only half the series.
+    The scenario-2 factors are MA(1) and MA(2) at coefficient 0.5, the
+    second weaker, its loading supported on only half the series.
     noise_kind "hurst" (scenario 2 only) draws its noise correlated
-    across series, and noise_scale multiplies that covariance.
+    across series: 0.1 times the fBm covariance at Hurst exponent 0.6.
     half_support (scenario 1 only) zeroes the lower half of its loading
     column. A config asking a scenario for a setting it does not draw
     is refused, so no report records a setting its data lack.
@@ -62,11 +67,7 @@ class SimConfig:
     seed: int
     lag_lo: int = 1
     lag_hi: int = 2
-    alpha1: float = 0.5
-    alpha2: float = 0.5
     noise_kind: str = "iid_identity"
-    hurst_w: float = 0.6
-    noise_scale: float = 0.1
     half_support: bool = False
 
     def __post_init__(self):
@@ -89,10 +90,6 @@ class SimConfig:
         if self.scenario == "sim2" and self.half_support:
             raise ValueError("scenario sim2 has no half-support option: drop "
                              "--half-support, or use --scenario sim1")
-        if not 0.0 < self.hurst_w < 1.0:
-            raise ValueError(f"Hurst parameter must be in (0,1), got {self.hurst_w}")
-        if self.noise_scale <= 0.0:
-            raise ValueError("noise_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -127,16 +124,17 @@ def hurst_cov(k: int, w: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _hurst_root(k: int, w: float, scale: float) -> np.ndarray:
+def _hurst_root(k: int) -> np.ndarray:
     """Symmetric square root of the scenario-2 correlated-noise covariance.
 
-    The covariance is the fBm covariance on the unit grid {1/k, ..., 1}
-    (hurst_cov rescaled by k^{-2w}) times noise_scale. The unit-grid
-    normalization keeps the noise floor comparable across panel widths;
-    with raw integer sites the top noise eigenvalue grows like k^{2w+1}
-    and drowns the half-support factor entirely.
+    The covariance is the fBm covariance at Hurst exponent w = 0.6 on
+    the unit grid {1/k, ..., 1} (hurst_cov rescaled by k^{-2w}) times
+    0.1. The unit-grid normalization keeps the noise floor comparable
+    across panel widths; with raw integer sites the top noise eigenvalue
+    grows like k^{2w+1} and drowns the half-support factor entirely.
     """
-    cov = scale * hurst_cov(k, w) / float(k) ** (2 * w)
+    w = _SIM2_HURST
+    cov = _SIM2_NOISE_SCALE * hurst_cov(k, w) / float(k) ** (2 * w)
     lam, u = np.linalg.eigh((cov + cov.T) / 2.0)
     root = u @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ u.T
     root.setflags(write=False)
@@ -176,8 +174,8 @@ def gen_sim1(k: int, n: int, seed: int, half_support: bool = False) -> SimDatase
 def gen_sim2(config: SimConfig) -> SimDataset:
     """Two MA factors, the second supported on only half the series.
 
-    Factor 1 is x[t] = e[t] + alpha1*e[t-1]; factor 2 is
-    x[t] = e[t] + alpha2*e[t-2], each from its own unit-normal
+    Factor 1 is x[t] = e[t] + 0.5*e[t-1]; factor 2 is
+    x[t] = e[t] + 0.5*e[t-2], each from its own unit-normal
     innovation stream. Loading 1 is U(-4,4) everywhere; loading 2 is
     U(-4,4) on the first k/2 entries and exactly zero after. Noise is
     either iid unit-normal or correlated via the fBm covariance root.
@@ -195,11 +193,11 @@ def gen_sim2(config: SimConfig) -> SimDataset:
     h2[:k // 2] = rng.uniform(-_LOADING_HALF_WIDTH, _LOADING_HALF_WIDTH, k // 2)
     gauss = rng.standard_normal((k, n))
     if config.noise_kind == "hurst":
-        noise = _hurst_root(k, config.hurst_w, config.noise_scale) @ gauss
+        noise = _hurst_root(k) @ gauss
     else:
         noise = gauss
-    x1 = e1[1:] + config.alpha1 * e1[:-1]
-    x2 = e2[2:] + config.alpha2 * e2[:-2]
+    x1 = e1[1:] + _SIM2_MA_COEFF * e1[:-1]
+    x2 = e2[2:] + _SIM2_MA_COEFF * e2[:-2]
     h = np.column_stack([h1, h2])
     x = np.vstack([x1, x2])
     return SimDataset(y=TimeSeries(values=h @ x + noise), h=h, x=x, p=2)
@@ -359,8 +357,10 @@ def monte_carlo(config: SimConfig, trials: int,
     rank-scan or eigenvalue ratio curve), "rmse" (reconstruction error
     against the true common component, both definitions), "forecast"
     (mean one-step factor-forecast error, which needs n > 20). An empty
-    or unknown method list raises before any trial runs; individual
-    trial failures are recorded in the report, not raised.
+    or unknown method list, or a p_override or p_cap that a method's
+    fit of a k x n panel refuses (forecast_eval.check_ranks), raises
+    before any trial runs; individual trial failures are recorded in
+    the report, not raised.
 
     threads > 1 distributes trials across that many worker processes,
     each with single-threaded BLAS (_single_thread_blas_pool), and
@@ -372,6 +372,8 @@ def monte_carlo(config: SimConfig, trials: int,
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     methods = check_methods(methods)
+    for method in methods:
+        check_ranks(method, config.k, config.n, p_override, p_cap)
     outputs = frozenset(outputs)
     known = {"errors", "ratios", "rmse", "forecast"}
     if not outputs <= known:

@@ -80,7 +80,7 @@ def test_criterion_2_model_order_accuracy():
     rep_iid = monte_carlo(base, trials=100, methods=("rrqr", "evd", "pca"),
                           outputs=(), threads=THREADS)
     hurst = SimConfig(scenario="sim2", k=100, n=200, seed=2000,
-                      noise_kind="hurst", hurst_w=0.6, noise_scale=0.1)
+                      noise_kind="hurst")
     rep_h = monte_carlo(hurst, trials=100, methods=("rrqr", "evd", "pca"),
                         outputs=(), threads=THREADS)
     elapsed = time.monotonic() - t0

@@ -217,7 +217,7 @@ def test_sim_reports_are_reproducible(tmp_path):
 
 def test_sim_scenario_two_with_hurst_noise(tmp_path):
     code = main(["sim", "--scenario", "sim2", "--k", "8", "--n", "60",
-                 "--trials", "2", "--noise", "hurst", "--w", "0.6",
+                 "--trials", "2", "--noise", "hurst",
                  "--methods", "rrqr,evd,pca", "--outdir", str(tmp_path)])
     assert code == 0
     payload = _read_json(tmp_path / "sim_report.json")
@@ -506,6 +506,40 @@ def test_sim_refuses_lags_no_fit_can_take(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--p-cap", "40"], "p_cap must be in [1, 3], got 40 (--p-cap)"),
+    (["--p-override", "9"],
+     "p_override must be in [1, 4], got 9 (fit --p, sim --p-override)"),
+], ids=["cap", "pin"])
+def test_sim_refuses_a_rank_no_fit_can_take(tmp_path, capsys, flags, message):
+    # every trial's fits would fail: refused before the first draw
+    assert main(["sim", "--scenario", "sim1", "--k", "4", "--n", "30",
+                 "--trials", "1", *flags, "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--alpha1", "--alpha2", "--w",
+                                  "--noise-scale"])
+def test_sim_has_no_flag_for_a_scenario_constant(tmp_path, capsys, flag):
+    assert _run_sim(tmp_path, [flag, "0.5"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [["--scenario", "sim1"],
+                                   ["--scenario", "sim2", "--noise", "hurst"]],
+                         ids=["sim1", "sim2 hurst"])
+def test_sim_manifest_config_keys(tmp_path, flags):
+    # the eight SimConfig fields and the run's own settings, nothing else
+    assert main(["sim", *flags, "--k", "8", "--n", "60", "--trials", "1",
+                 "--outdir", str(tmp_path)]) == 0
+    config = _read_json(tmp_path / "sim_report.json")["manifest"]["config"]
+    assert list(config) == ["scenario", "k", "n", "seed", "lag_lo", "lag_hi",
+                            "noise_kind", "half_support", "trials", "methods",
+                            "outputs", "p_override", "p_cap", "threads"]
+
+
 @pytest.mark.parametrize("alg", ["hybrid2", "hybrid3"])
 @pytest.mark.parametrize("shape", [(1, 3), (3, 1)])
 def test_rrqr_split_of_one_row_or_one_column_exits_one(tmp_path, capsys, alg,
@@ -580,6 +614,17 @@ def test_roll_window_too_short_for_its_fits_exits_one(tmp_path, capsys,
                  "--outdir", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["rrqr", "evd", "pca"])
+def test_roll_rank_cap_message_names_its_flag(tmp_path, capsys, method):
+    # pca's search limit too is the cap, named as the other fits name it
+    data = _write_panel_csv(tmp_path / "panel.csv", k=4, n=80, seed=16)
+    assert main(["roll", "--data", str(data), "--method", method,
+                 "--window", "60", "--eval-len", "20", "--p-cap", "40",
+                 "--outdir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err \
+        == "error: p_cap must be in [1, 3], got 40 (--p-cap)\n"
 
 
 def test_roll_short_series_exits_one(tmp_path, capsys):

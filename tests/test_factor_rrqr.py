@@ -768,9 +768,9 @@ def test_fit_container_validates_rank_consistency():
                             factors=np.zeros((2, 10))),
      "p_hat=3 but q_hat has 2 columns"),
     (lambda: fit_rrqr(gen_sim1(k=6, n=100, seed=88).y, p_override=7),
-     "p_override must be in [1, 6], got 7"),
+     "p_override must be in [1, 6], got 7 (fit --p, sim --p-override)"),
     (lambda: scan_model_order(np.eye(4), p_cap=4, n=100),
-     "p_cap must be in [1, 3], got 4"),
+     "p_cap must be in [1, 3], got 4 (--p-cap)"),
 ], ids=["p_hat not q_hat's width", "p_override", "p_cap"])
 def test_bad_input_messages(call, message):
     with pytest.raises(ValueError) as err:

@@ -171,14 +171,21 @@ def test_hurst_cov_rejects_bad_exponent(w):
     {"lag_lo": 3, "lag_hi": 2},
     {"k": 1},
     {"noise_kind": "pink"},
-    {"hurst_w": 1.0},
-    {"noise_scale": 0.0},
 ])
 def test_sim_config_rejects(kw):
     base = dict(scenario="sim1", k=8, n=100, seed=0)
     base.update(kw)
     with pytest.raises(ValueError):
         SimConfig(**base)
+
+
+@pytest.mark.parametrize("name", ["alpha1", "alpha2", "hurst_w",
+                                  "noise_scale"])
+def test_sim_config_takes_no_scenario_constant(name):
+    # scenario 2's MA coefficient, Hurst exponent and noise scale are the
+    # paper's constants, not settings a config (or its manifest) carries
+    with pytest.raises(TypeError):
+        SimConfig(scenario="sim2", k=8, n=100, seed=0, **{name: 0.5})
 
 
 @pytest.mark.parametrize("kw, message", [
@@ -345,6 +352,36 @@ def test_monte_carlo_rejects_forecast_without_targets():
                       trials=2, outputs=("forecast",))
     assert rep["failures"] == []
     assert np.isfinite(rep["per_method"]["rrqr"]["fe_mean"])
+
+
+@pytest.mark.parametrize("methods, ranks, message", [
+    (("rrqr", "evd", "pca"), {"p_cap": 40},
+     "p_cap must be in [1, 3], got 40 (--p-cap)"),
+    (("pca",), {"p_override": 9},
+     "p_override must be in [1, 4], got 9 (fit --p, sim --p-override)"),
+    # the evd fit reads its cap under a pinned rank, for its ratio curve
+    (("rrqr", "evd"), {"p_override": 2, "p_cap": 40},
+     "p_cap must be in [1, 3], got 40 (--p-cap)"),
+], ids=["cap", "pin", "evd cap under a pin"])
+def test_monte_carlo_refuses_ranks_before_the_first_draw(monkeypatch, methods,
+                                                         ranks, message):
+    def no_draw(config):
+        raise AssertionError("a trial drew data")
+    monkeypatch.setattr(simgen, "_gen_dataset", no_draw)
+    cfg = SimConfig(scenario="sim1", k=4, n=30, seed=0)
+    with pytest.raises(ValueError) as err:
+        monte_carlo(cfg, trials=2, methods=methods, **ranks)
+    assert str(err.value) == message
+
+
+def test_monte_carlo_accepts_a_cap_its_pinned_fits_ignore():
+    # under p_override the rrqr and pca fits never read the cap
+    cfg = SimConfig(scenario="sim1", k=4, n=30, seed=0)
+    rep = monte_carlo(cfg, trials=2, methods=("rrqr", "pca"), p_override=2,
+                      p_cap=40)
+    assert rep["failures"] == []
+    assert [agg["p_hat_counts"] for agg in rep["per_method"].values()] \
+        == [{2: 2}, {2: 2}]
 
 
 def test_monte_carlo_rejects_bad_arguments():
