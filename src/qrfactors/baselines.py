@@ -17,12 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import _lag_range, sample_autocov
-from .factor_rrqr import (FactorModelFit, ModelOrderScan, _fit_record,
-                          _rank_cap)
+from .factor_rrqr import (FactorModelFit, ModelOrderScan, _fit_ranks,
+                          _fit_record)
 from .tsdata import TimeSeries, _frozen, _rescaled
-
-# Default information-criterion search limit for fit_pca.
-_PCA_SEARCH_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -82,18 +79,6 @@ def evd_spectrum(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2) -> EvdSpectru
                        eigenvectors=u, ratios=_eig_ratios(lam))
 
 
-def _evd_ranks(k: int, n: int, p_override: int | None,
-               p_cap: int | None) -> tuple[int | None, int | None]:
-    """fit_evd's rank settings on a K x n panel, checked: a pinned rank
-    in [1, K], and the ratio curve's cap, at most min(K, n - 1) - 1,
-    which a single series under a pin has no curve to read (None)."""
-    if p_override is not None:
-        p_override = _rank_cap(p_override, k, name="p_override")
-        if k == 1:
-            return p_override, None
-    return p_override, _rank_cap(p_cap, min(k, n - 1) - 1, n=n)
-
-
 def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
             p_override: int | None = None,
             p_cap: int | None = None) -> FactorModelFit:
@@ -105,11 +90,11 @@ def fit_evd(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     the same range. The sample matrix has rank at most min(K, N-1),
     past which a ratio x/0 = inf would always win, so p_cap is at most
     min(K, N-1) - 1. The eigenvalue-ratio curve over that range is
-    returned as scan (epsilon 0), also under p_override; a single series
-    has no curve. p_hat, q_hat and the ratios do not depend on the
-    panel's scale. A panel of constant series is rejected.
+    returned as scan (epsilon 0), also under p_override where that range
+    has a rank (_fit_ranks). p_hat, q_hat and the ratios do not depend on
+    the panel's scale. A panel of constant series is rejected.
     """
-    p_override, cap = _evd_ranks(ts.K, ts.N, p_override, p_cap)
+    p_override, cap = _fit_ranks("evd", ts.K, ts.N, p_override, p_cap)
     spectrum = evd_spectrum(ts, lag_lo, lag_hi)
     lam = spectrum.eigenvalues
     scan = None
@@ -140,38 +125,28 @@ def _ic_from_eigs(lam: np.ndarray, p: int, k: int, n: int) -> float:
     return math.log(v) + penalty
 
 
-def _pca_ranks(k: int, n: int, p_override: int | None, p_cap: int | None,
-               name: str = "p_cap") -> tuple[int | None, int | None]:
-    """fit_pca's rank settings on a K x n panel, checked: a pinned rank
-    in [1, min(K, n)], which leaves the cap unread (None), else the
-    criterion's search limit `name`, at most min(K, n - 1) - 1."""
-    if p_override is not None:
-        return _rank_cap(p_override, min(k, n), name="p_override"), None
-    return None, _rank_cap(p_cap, min(k, n - 1) - 1,
-                           default=_PCA_SEARCH_LIMIT, name=name, n=n)
-
-
-def fit_pca(ts: TimeSeries, p_max: int | None = None,
+def fit_pca(ts: TimeSeries, p_cap: int | None = None,
             p_override: int | None = None) -> FactorModelFit:
     """PCA factor fit with information-criterion rank selection.
 
     Eigendecomposes the lag-0 covariance, picks the rank minimizing the
-    information criterion over 1..p_max (lowest rank on ties), and takes
+    information criterion over 1..p_cap (lowest rank on ties), and takes
     the top eigenvectors as loadings. The demeaned panel has rank at
     most min(K, N-1), where the residual is exactly zero and its -inf
-    criterion would win unconditionally, so p_max is at most
-    min(K, N-1) - 1. The sigma2_hat diagnostic is the plain sum of the
-    trailing eigenvalues (a total, not a per-coordinate average). p_hat
-    and q_hat do not depend on the panel's scale. A panel of constant
-    series is rejected.
+    criterion would win unconditionally, so p_cap is at most
+    min(K, N-1) - 1; it defaults to Bai and Ng's search limit, 40,
+    clipped to that (_fit_ranks). The sigma2_hat diagnostic is the plain
+    sum of the trailing eigenvalues (a total, not a per-coordinate
+    average). p_hat and q_hat do not depend on the panel's scale. A
+    panel of constant series is rejected.
     """
-    p_hat, p_max = _pca_ranks(ts.K, ts.N, p_override, p_max, name="p_max")
+    p_hat, p_cap = _fit_ranks("pca", ts.K, ts.N, p_override, p_cap)
     cov = sample_autocov(ts, 0)
     lam, u = _sym_eig_desc(cov.scaled)
     if p_hat is not None:
         ic_at_p = _ic_from_eigs(lam, p_hat, ts.K, ts.N)
     else:
-        scores = [_ic_from_eigs(lam, p, ts.K, ts.N) for p in range(1, p_max + 1)]
+        scores = [_ic_from_eigs(lam, p, ts.K, ts.N) for p in range(1, p_cap + 1)]
         p_hat = int(np.argmin(scores)) + 1
         ic_at_p = scores[p_hat - 1]
     diagnostics = {

@@ -36,7 +36,7 @@ from .forecast_eval import METHODS, fit_method, rolling_eval
 from .rrqr import (_check_split, gs_qr, hybrid1, hybrid2, hybrid3, qr_cp,
                    singular_values, stewart2)
 from .simgen import SimConfig, monte_carlo
-from .tsdata import load_csv, read_matrix
+from .tsdata import _ORIENTATIONS, load_csv, read_matrix
 
 
 def _manifest(subcommand: str, config: dict, seed: int | None) -> dict:
@@ -98,7 +98,11 @@ def _scan_dict(scan: ModelOrderScan, selected: bool) -> dict:
 def _lag_range(args) -> tuple[int, int]:
     """Lags 1..m from --m, else --lag-lo..--lag-hi (1..2 by default)."""
     if args.m is None:
-        return args.lag_lo or 1, args.lag_hi or 2
+        lag_lo, lag_hi = args.lag_lo or 1, args.lag_hi or 2
+        if args.lag_hi is None and lag_lo > lag_hi:
+            args.usage_error(f"--lag-lo {lag_lo} needs --lag-hi >= {lag_lo} "
+                             f"(--lag-hi defaults to {lag_hi})")
+        return lag_lo, lag_hi
     if args.lag_lo is not None or args.lag_hi is not None:
         args.usage_error("--m cannot be combined with --lag-lo or --lag-hi "
                          "(--m M means lags 1..M)")
@@ -285,7 +289,8 @@ def _add_outdir_flag(sub) -> None:
 def _add_panel_flags(sub) -> None:
     """Flags shared by the subcommands that fit a CSV panel."""
     sub.add_argument("--data", required=True)
-    sub.add_argument("--orientation", default="rows-are-series")
+    sub.add_argument("--orientation", choices=_ORIENTATIONS,
+                     default="rows-are-series")
     sub.add_argument("--header", action="store_true")
     sub.add_argument("--method", choices=METHODS, default="rrqr")
     sub.add_argument("--p-cap", "--p-max", dest="p_cap",

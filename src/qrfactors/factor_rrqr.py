@@ -30,27 +30,39 @@ from .rrqr import (_check_rank, _loading_basis, _PivotSearch, _r22_max_sv,
 from .rrqr import hybrid3  # noqa: F401
 from .tsdata import TimeSeries, _frozen, _rescaled
 
-# Widest rank scanned when the caller does not say; generous for factor
-# counts seen in practice while keeping the scan loop cheap.
-_DEFAULT_RANK_CAP = 15
-# The command-line flags behind each rank setting, for its range errors.
-_RANK_FLAGS = {"p_cap": "--p-cap", "p_max": "--p-max",
-               "p_override": "fit --p, sim --p-override"}
+# Each fit's rank rules, by method: the largest pinned rank and the
+# largest cap, both functions of (K, n); the cap when the caller gives
+# none; and whether a pinned fit still reads its cap. The scan of the
+# K x mK stacked covariances reaches rank K - 1. A demeaned panel has rank
+# at most min(K, n - 1), where evd's ratio x/0 = inf and pca's -inf
+# criterion would always win, so their caps stop one below it. 15 keeps
+# the scan loop cheap; 40 is Bai and Ng's (2002) search limit. evd
+# returns its ratio curve under a pin too.
+_RANK_RULES = {
+    "rrqr": (lambda k, n: k, lambda k, n: k - 1, 15, False),
+    "evd": (lambda k, n: k, lambda k, n: min(k, n - 1) - 1, 15, True),
+    "pca": (lambda k, n: min(k, n), lambda k, n: min(k, n - 1) - 1, 40, False),
+}
 
 
-def _rank_cap(p_cap: int | None, limit: int,
-              default: int = _DEFAULT_RANK_CAP, name: str = "p_cap",
-              n: int | None = None) -> int:
-    """The caller's cap, checked to lie in [1, limit], or `default`
-    clipped to `limit`, the largest candidate rank. With no candidate
-    rank (a single series, or, for a limit of min(K, n - 1) - 1, whose
-    caller passes the sample count n, two samples) the factor count
-    cannot be chosen, so the caller must pin it. `name` is the cap's
-    parameter name in messages, which a range error follows with its
-    command-line flags (_RANK_FLAGS); the fitters check a pinned rank
-    here too, as name="p_override"."""
-    if limit < 1:
-        why = ("a single series has none" if n is None or n > 2 else
+def _fit_ranks(method: str, k: int, n: int, p_override: int | None,
+               p_cap: int | None) -> tuple[int | None, int | None]:
+    """A `method` fit's rank settings on a K x n panel, checked by its row
+    of _RANK_RULES: the pinned rank, if any, and the cap of the curve or
+    criterion the fit reads, None where it reads none. A range error
+    names the command-line flags behind the setting. With no candidate
+    rank (a single series, or n samples, whose demeaned panel has rank at
+    most n - 1) an unpinned fit cannot choose its factor count, and a
+    pinned one has no curve to read."""
+    pin_limit, cap_limit, default, pinned_reads_cap = _RANK_RULES[method]
+    limit = cap_limit(k, n)
+    if p_override is not None:
+        p_override = _check_rank("p_override", p_override, pin_limit(k, n),
+                                 "fit --p, sim --p-override")
+        if not pinned_reads_cap or limit < 1:
+            return p_override, None
+    elif limit < 1:
+        why = ("a single series has none" if k == 1 else
                f"{n} samples have none: demeaned, the panel has rank at most "
                f"{n - 1}")
         raise ValueError(
@@ -59,18 +71,8 @@ def _rank_cap(p_cap: int | None, limit: int,
             "sim --p-override)"
         )
     if p_cap is None:
-        return min(limit, default)
-    return _check_rank(name, p_cap, limit, _RANK_FLAGS[name])
-
-
-def _rrqr_ranks(k: int, n: int, p_override: int | None,
-                p_cap: int | None) -> tuple[int | None, int | None]:
-    """fit_rrqr's rank settings on a K x n panel, checked: a pinned rank
-    in [1, K], which leaves the cap unread (None), else the scan's cap,
-    at most K - 1, the stacked covariances being K x mK."""
-    if p_override is not None:
-        return _rank_cap(p_override, k, name="p_override"), None
-    return None, _rank_cap(p_cap, k - 1)
+        return p_override, min(limit, default)
+    return p_override, _check_rank("p_cap", p_cap, limit, "--p-cap")
 
 
 @dataclass(frozen=True)
@@ -210,8 +212,8 @@ def scan_model_order(m_tilde, p_cap: int | None = None,
         rank-scan), with at least 2 rows and 2 columns, so that rank 1
         has a successor.
     p_cap : int, optional
-        Largest candidate rank, at most min(K, n) - 1; _rank_cap's
-        default when omitted.
+        Largest candidate rank, at most min(K, n) - 1; when omitted, the
+        rrqr fit's default cap (_RANK_RULES) clipped to that limit.
     n : int
         Sample count behind the matrix, used only to scale eps.
     """
@@ -219,17 +221,18 @@ def scan_model_order(m_tilde, p_cap: int | None = None,
     if min(search.a.shape) < 2:
         raise ValueError("a rank scan needs at least 2 rows and 2 columns, "
                          "got a {} x {} matrix".format(*search.a.shape))
+    if n is None or n <= 0:
+        raise ValueError("sample count n is required to scale the ratio floor")
+    _, p_cap = _fit_ranks("rrqr", min(search.a.shape), n, None, p_cap)
     return _scan(search, p_cap, n)
 
 
 def _scan(search, p_cap, n) -> ModelOrderScan:
-    """scan_model_order on a pivot search (rrqr._PivotSearch): the curve
-    at the search's unit scale, where nothing overflows, its gammas and
-    epsilon mapped back; no power of two can move the ratios."""
+    """scan_model_order on a pivot search (rrqr._PivotSearch) with a
+    checked cap: the curve at the search's unit scale, where nothing
+    overflows, its gammas and epsilon mapped back; no power of two can
+    move the ratios."""
     rows, cols = search.a.shape
-    if n is None or n <= 0:
-        raise ValueError("sample count n is required to scale the ratio floor")
-    p_cap = _rank_cap(p_cap, min(rows, cols) - 1)
     gammas, gammas_next, passes, orders = zip(*_scan_orders(search, p_cap))
     if gammas[0] <= 0.0:
         raise ValueError("matrix is numerically zero; no rank to reveal")
@@ -255,7 +258,7 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     (rrqr._loading_basis). When p_override pins the rank there is no
     scan, and hybrid1's sweep starts from qr_cp's pivots; p_override may
     be K, where hybrid3, and so the scan's loop, is undefined. Both rank
-    settings are checked first (_rrqr_ranks).
+    settings are checked first (_fit_ranks).
     p_hat, q_hat and the ratio curve do not depend on the panel's scale;
     factor paths, gammas, epsilon and the block singular values are
     mapped back to it. A panel of constant series is rejected.
@@ -265,7 +268,7 @@ def fit_rrqr(ts: TimeSeries, lag_lo: int = 1, lag_hi: int = 2,
     nor a copy of M~, and callers that never read it, as rolling_eval
     and monte_carlo do not, never pay.
     """
-    p_hat, p_cap = _rrqr_ranks(ts.K, ts.N, p_override, p_cap)
+    p_hat, p_cap = _fit_ranks("rrqr", ts.K, ts.N, p_override, p_cap)
     aug = build_augmented(ts, lag_lo, lag_hi)
     search = _PivotSearch(aug.scaled, aug.exponent)
     del aug  # the search holds its own unit-scaled copy

@@ -28,8 +28,9 @@ from multiprocessing import get_context
 import numpy as np
 
 from .covariance import _lag_range
+from .factor_rrqr import _fit_ranks
 from .forecast_eval import (_insample_forecast_error, _reconstruction_errors,
-                            check_methods, check_ranks, fit_method)
+                            check_methods, fit_method)
 from .tsdata import TimeSeries, _frozen
 
 _SIM1_AR_COEFF = 0.9
@@ -357,10 +358,10 @@ def monte_carlo(config: SimConfig, trials: int,
     rank-scan or eigenvalue ratio curve), "rmse" (reconstruction error
     against the true common component, both definitions), "forecast"
     (mean one-step factor-forecast error, which needs n > 20). An empty
-    or unknown method list, or a p_override or p_cap that a method's
-    fit of a k x n panel refuses (forecast_eval.check_ranks), raises
-    before any trial runs; individual trial failures are recorded in
-    the report, not raised.
+    or unknown method list, a p_override or p_cap that a method's fit of
+    a k x n panel refuses (factor_rrqr._fit_ranks), or threads below 1
+    raises before any trial runs; individual trial failures are recorded
+    in the report, not raised. threads None runs the trials serially.
 
     threads > 1 distributes trials across that many worker processes,
     each with single-threaded BLAS (_single_thread_blas_pool), and
@@ -371,9 +372,11 @@ def monte_carlo(config: SimConfig, trials: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads (--threads) must be >= 1, got {threads}")
     methods = check_methods(methods)
     for method in methods:
-        check_ranks(method, config.k, config.n, p_override, p_cap)
+        _fit_ranks(method, config.k, config.n, p_override, p_cap)
     outputs = frozenset(outputs)
     known = {"errors", "ratios", "rmse", "forecast"}
     if not outputs <= known:

@@ -80,6 +80,11 @@ class TimeSeries:
         return z, e
 
 
+# The orientations load_csv accepts, which the CLI's --orientation choices
+# read too.
+_ORIENTATIONS = ("rows-are-series", "rows", "columns-are-series", "columns")
+
+
 def load_csv(path, orientation: str = "rows-are-series",
              has_header: bool = False) -> TimeSeries:
     """Read a numeric CSV file into a TimeSeries.
@@ -115,14 +120,12 @@ def load_csv(path, orientation: str = "rows-are-series",
         ragged rows (an interior blank line among them; trailing blank
         lines are ignored), or a shape too small to be a time series.
     """
-    orientation = {"rows": "rows-are-series",
-                   "columns": "columns-are-series"}.get(orientation, orientation)
-    if orientation not in ("rows-are-series", "columns-are-series"):
+    if orientation not in _ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}")
-
-    header, labels, data = _read_numeric(
-        path, has_header=has_header, labels=orientation == "rows-are-series")
-    if orientation == "rows-are-series":
+    rows = orientation.startswith("rows")
+    header, labels, data = _read_numeric(path, has_header=has_header,
+                                         labels=rows)
+    if rows:
         return TimeSeries(data, labels=labels)
     names = header if (header and len(header) == data.shape[1]) else None
     return TimeSeries(data.T, labels=names)

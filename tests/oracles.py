@@ -380,6 +380,53 @@ def old_scan(mat, p_cap, n, k=None):
             tuple(perms))
 
 
+_OLD_RANK_FLAGS = {"p_cap": "--p-cap", "p_max": "--p-max",
+                   "p_override": "fit --p, sim --p-override"}
+
+
+def _old_rank_cap(p_cap, limit, default=15, name="p_cap", n=None):
+    """The shared cap check of the three rank rules below, as it was."""
+    if limit < 1:
+        why = ("a single series has none" if n is None or n > 2 else
+               f"{n} samples have none: demeaned, the panel has rank at most "
+               f"{n - 1}")
+        raise ValueError(
+            f"no candidate rank to choose from ({why}); "
+            "pin the factor count with p_override (qrfactors fit --p, "
+            "sim --p-override)"
+        )
+    if p_cap is None:
+        return min(limit, default)
+    return rrqr._check_rank(name, p_cap, limit, _OLD_RANK_FLAGS[name])
+
+
+def _old_rrqr_ranks(k, n, p_override, p_cap):
+    if p_override is not None:
+        return _old_rank_cap(p_override, k, name="p_override"), None
+    return None, _old_rank_cap(p_cap, k - 1)
+
+
+def _old_evd_ranks(k, n, p_override, p_cap):
+    if p_override is not None:
+        p_override = _old_rank_cap(p_override, k, name="p_override")
+        if k == 1:
+            return p_override, None
+    return p_override, _old_rank_cap(p_cap, min(k, n - 1) - 1, n=n)
+
+
+def _old_pca_ranks(k, n, p_override, p_cap):
+    if p_override is not None:
+        return _old_rank_cap(p_override, min(k, n), name="p_override"), None
+    return None, _old_rank_cap(p_cap, min(k, n - 1) - 1, default=40, n=n)
+
+
+# Each fit's rank settings on a K x n panel, checked, by the one helper
+# per method of (K, n, p_override, p_cap) the fits once called: the
+# pinned rank and the cap the fit reads (None where it reads none).
+OLD_RANK_RULES = {"rrqr": _old_rrqr_ranks, "evd": _old_evd_ranks,
+                  "pca": _old_pca_ranks}
+
+
 def yule_walker(series, order):
     """The package's yule_walker as it was: one dot product per lag,
     then a Levinson solve of the Toeplitz system."""

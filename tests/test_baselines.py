@@ -375,10 +375,10 @@ def test_fit_pca_override_and_validation():
     ts = _panel(114, k=6, n=40)
     assert fit_pca(ts, p_override=3).p_hat == 3
     with pytest.raises(ValueError):
-        fit_pca(ts, p_max=0)
+        fit_pca(ts, p_cap=0)
     with pytest.raises(ValueError):
-        fit_pca(ts, p_max=6)
+        fit_pca(ts, p_cap=6)
     with pytest.raises(ValueError):
-        fit_pca(ts, p_max=7)
+        fit_pca(ts, p_cap=7)
     with pytest.raises(ValueError):
         fit_pca(ts, p_override=7)

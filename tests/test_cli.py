@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrfactors import cli, simgen
+from qrfactors import cli, simgen, tsdata
 from qrfactors.cli import main
 from qrfactors.factor_rrqr import scan_model_order
 from qrfactors.rrqr import singular_values
@@ -662,6 +662,40 @@ def test_m_with_a_lag_bound_is_a_usage_error(tmp_path, capsys, sub, flag):
     err = capsys.readouterr().err
     assert "--m cannot be combined with --lag-lo or --lag-hi" in err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("sub", ["sim", "fit", "roll"])
+def test_lag_lo_above_the_default_lag_hi_is_a_usage_error(tmp_path, capsys,
+                                                          sub):
+    # --lag-hi defaults to 2, so --lag-lo 3 alone names an empty range
+    data = _write_panel_csv(tmp_path / "panel.csv", k=4, n=600, seed=17)
+    base = {"sim": ["sim", "--scenario", "sim1", "--k", "5", "--n", "100",
+                    "--trials", "1"],
+            "fit": ["fit", "--data", str(data)],
+            "roll": ["roll", "--data", str(data)]}[sub]
+    outdir = tmp_path / "out"
+    assert main([*base, "--lag-lo", "3", "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "--lag-lo 3 needs --lag-hi >= 3 (--lag-hi defaults to 2)" in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("sub", ["fit", "roll"])
+def test_unknown_orientation_is_a_usage_error(tmp_path, capsys, sub):
+    data = _write_panel_csv(tmp_path / "panel.csv", k=4, n=600, seed=17)
+    outdir = tmp_path / "out"
+    assert main([sub, "--data", str(data), "--orientation", "sideways",
+                 "--outdir", str(outdir)]) == 2
+    assert "invalid choice: 'sideways'" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_orientation_choices_are_the_spellings_load_csv_takes(tmp_path):
+    # the parser's choices are the one tuple load_csv checks against
+    data = _write_panel_csv(tmp_path / "panel.csv", k=4, n=60, seed=17)
+    for orientation in tsdata._ORIENTATIONS:
+        assert main(["fit", "--data", str(data), "--orientation", orientation,
+                     "--outdir", str(tmp_path / orientation)]) == 0
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):

@@ -21,9 +21,9 @@ from qrfactors.simgen import (SimConfig, gen_sim1, gen_sim2, monte_carlo,
                               subspace_error)
 from qrfactors.tsdata import TimeSeries, demean
 
-from oracles import (col_norms, exact_rank_three, lag_product_rounding,
-                     matrix_with_spectrum, old_scan, permuted_panels,
-                     random_orthonormal, sign_flip_panels)
+from oracles import (OLD_RANK_RULES, col_norms, exact_rank_three,
+                     lag_product_rounding, matrix_with_spectrum, old_scan,
+                     permuted_panels, random_orthonormal, sign_flip_panels)
 
 
 def test_diag_18_5_08_worked_example():
@@ -384,7 +384,7 @@ _FIT_RANKS = {
     "fit_evd p_override": lambda ts, v: fit_evd(ts, p_override=v),
     "fit_evd p_cap": lambda ts, v: fit_evd(ts, p_cap=v),
     "fit_pca p_override": lambda ts, v: fit_pca(ts, p_override=v),
-    "fit_pca p_max": lambda ts, v: fit_pca(ts, p_max=v),
+    "fit_pca p_cap": lambda ts, v: fit_pca(ts, p_cap=v),
 }
 
 
@@ -810,3 +810,58 @@ def test_no_candidate_rank_names_the_limit_that_binds(fit, shape, why):
     with pytest.raises(ValueError) as err:
         fit(TimeSeries(y))
     assert str(err.value) == f"no candidate rank to choose from ({why})" + _PIN_HINT
+
+
+def _rank_outcome(rule, *args):
+    try:
+        return rule(*args)
+    except ValueError as err:
+        return str(err)
+
+
+def test_fit_ranks_are_the_three_old_rules():
+    # one table row per method against the three helpers it replaced,
+    # over 3 methods x 6 K x 6 N x 5 pins x 10 caps = 5,400 cases; only
+    # two groups may differ, each in one stated way
+    outcomes = {"same": 0, "evd pin, N=2": 0, "K=1, N=2": 0}
+    for method in ("rrqr", "evd", "pca"):
+        for k in range(1, 7):
+            for n in range(2, 8):
+                for p_override in (None, 0, 1, 2, 6):
+                    for p_cap in (None, 0, 1, 2, 3, 4, 5, 6, 15, 40):
+                        args = (k, n, p_override, p_cap)
+                        old = _rank_outcome(OLD_RANK_RULES[method], *args)
+                        new = _rank_outcome(factor_rrqr._fit_ranks, method,
+                                            *args)
+                        if new == old:
+                            outcomes["same"] += 1
+                        elif (method == "evd" and n == 2 and k > 1
+                              and p_override in range(1, k + 1)):
+                            # a pinned evd fit of 2 samples has no curve
+                            # to cap; it no longer asks to pin its rank
+                            assert old.startswith("no candidate rank")
+                            assert new == (p_override, None)
+                            outcomes["evd pin, N=2"] += 1
+                        else:
+                            # one series at 2 samples: the series binds
+                            assert method != "rrqr"
+                            assert (k, n, p_override) == (1, 2, None)
+                            assert old == ("no candidate rank to choose from "
+                                           "(2 samples have none: demeaned, "
+                                           "the panel has rank at most 1)"
+                                           + _PIN_HINT)
+                            assert new == ("no candidate rank to choose from "
+                                           "(a single series has none)"
+                                           + _PIN_HINT)
+                            outcomes["K=1, N=2"] += 1
+    # pins 1, 2 (and 6 at K=6) at K = 2..6, and evd and pca, each at 10 caps
+    assert outcomes == {"same": 5270, "evd pin, N=2": 110, "K=1, N=2": 20}
+
+
+def test_pinned_evd_of_two_samples_fails_on_its_lags():
+    # two samples leave no ratio to cap; the pinned fit goes on to its
+    # lag covariances, which two samples cannot give either
+    y = np.random.default_rng(90).standard_normal((3, 2))
+    with pytest.raises(ValueError) as err:
+        fit_evd(TimeSeries(y), p_override=1)
+    assert str(err.value) == "lag_hi=2 too large for N=2 (max 0)"

@@ -384,6 +384,27 @@ def test_monte_carlo_accepts_a_cap_its_pinned_fits_ignore():
         == [{2: 2}, {2: 2}]
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_monte_carlo_refuses_fewer_than_one_thread(monkeypatch, threads):
+    def no_draw(config):
+        raise AssertionError("a trial drew data")
+    monkeypatch.setattr(simgen, "_gen_dataset", no_draw)
+    cfg = SimConfig(scenario="sim1", k=4, n=30, seed=0)
+    with pytest.raises(ValueError) as err:
+        monte_carlo(cfg, trials=2, threads=threads)
+    assert str(err.value) == f"threads (--threads) must be >= 1, got {threads}"
+
+
+def test_monte_carlo_runs_serially_without_a_thread_count(monkeypatch):
+    # os.cpu_count() may be None, which callers pass on as threads
+    def no_pool(threads):
+        raise AssertionError(f"a pool of {threads} workers was started")
+    monkeypatch.setattr(simgen, "_single_thread_blas_pool", no_pool)
+    cfg = SimConfig(scenario="sim1", k=4, n=30, seed=0)
+    assert monte_carlo(cfg, trials=2, threads=None) \
+        == monte_carlo(cfg, trials=2, threads=1)
+
+
 def test_monte_carlo_rejects_bad_arguments():
     cfg = SimConfig(scenario="sim1", k=6, n=100, seed=36)
     with pytest.raises(ValueError):
