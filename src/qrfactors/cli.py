@@ -99,9 +99,10 @@ def _lag_range(args) -> tuple[int, int]:
     """Lags 1..m from --m, else --lag-lo..--lag-hi (1..2 by default)."""
     if args.m is None:
         lag_lo, lag_hi = args.lag_lo or 1, args.lag_hi or 2
-        if args.lag_hi is None and lag_lo > lag_hi:
+        if lag_lo > lag_hi:
+            given = "defaults to" if args.lag_hi is None else "is"
             args.usage_error(f"--lag-lo {lag_lo} needs --lag-hi >= {lag_lo} "
-                             f"(--lag-hi defaults to {lag_hi})")
+                             f"(--lag-hi {given} {lag_hi})")
         return lag_lo, lag_hi
     if args.lag_lo is not None or args.lag_hi is not None:
         args.usage_error("--m cannot be combined with --lag-lo or --lag-hi "

@@ -45,8 +45,14 @@ the leading columns' projection, brackets each result with a rigorous
 rounding bound, and projects the whole matrix only when the brackets
 cannot settle its pick (``_strong_exchange``, ``_downdated_pick``); at
 boundary 1, which projects nothing, it picks on the square roots of the
-sums themselves. Every pick is the one the projected norms make, so
-every order is. The inverse-row-norm exchange reads R11 from
+sums themselves. Past an exact rank the downdate cannot settle
+anything, since the trailing norms are round-off, so the first
+projection that reads every trailing norm as 0 is kept on the search
+(``_PivotSearch.tail``), and a later exchange whose leading span holds
+the recorded basis to within a bound certifies from it that it would
+read 0 too, and keeps its incumbent without projecting
+(``_tail_certified``). Every pick is the one the projected norms make,
+so every order is. The inverse-row-norm exchange reads R11 from
 the packed factor, inverts it with dtrtri and takes each row norm from
 dlauum's diagonal; a deflated pivot, or a row whose norm overflows,
 reads inf (``_inverse_row_norms``). The QRs call LAPACK directly, with
@@ -172,10 +178,22 @@ class _PivotSearch:
     the second scaling, and both are then brought to it in place. `tol`
     is the deflation tolerance at that scale. Both scalings are exact,
     so R and every pivot decision on the copy are the matrix's, scaled,
-    bit for bit; what bears the scale leaves through `unscaled`. The
-    search lives as long as one scan and the basis sweep after it, or one
-    strategy call. `last_qr` holds the last (columns, dgeqrf output) of a
-    leading triangle until leading_q spends it.
+    bit for bit; what bears the scale leaves through `unscaled`;
+    `sum_max` is the largest sum. The search lives as long as one scan
+    and the basis sweep after it, or one strategy call. `last_qr` holds
+    the last (columns, dgeqrf output) of a leading triangle until
+    leading_q spends it. `tail` holds the last column-pivot exchange
+    whose projection read every trailing norm as 0: (Q0, x0, delta0),
+    its K x i0 Q1, the residual norms of every column and
+    ||fl(Q0^T Q0) - I||_F. A later exchange certifies from it, with no
+    projection, that it too would read 0 (_tail_certified, whose bound
+    is
+
+        (1 + 2 delta) x0_j + (tau + 2 delta + rho) sqrt(s_j) <= tol,
+
+    tau the part of Q0 outside the new leading span, delta the two Q's
+    measured non-orthogonality and rho a rounding term of order (K + i)
+    sqrt(i i0) eps).
     """
 
     def __init__(self, a, exp=0):
@@ -192,9 +210,11 @@ class _PivotSearch:
         # from the input again, so each entry is rounded once, at its scale
         np.ldexp(mat, shift - top_exp, out=self.a)
         np.ldexp(self.sums, -2 * top_exp, out=self.sums)
+        self.sum_max = float(self.sums.max())
         self.exp = exp - shift + top_exp
         self.tol = _DEFL_RTOL * top
         self.last_qr = None
+        self.tail = None
 
     def unscaled(self, x):
         """x, read at the copy's scale, at the matrix's (saturating)."""
@@ -366,6 +386,85 @@ def _residual_norms(a, q, c) -> np.ndarray:
     return np.sqrt(np.add.reduce(resid, axis=0))
 
 
+def _defect(q) -> float:
+    """||fl(q^T q) - I||_F, q's measured departure from orthonormality."""
+    gram = q.T @ q
+    gram.flat[::q.shape[1] + 1] -= 1.0
+    return math.sqrt(np.vdot(gram, gram))
+
+
+def _tail_certified(search, order, i, q) -> bool:
+    """Whether the column-pivot exchange at boundary i+1, i >= 1, with
+    Q1 = q (K x i) the economic Q of order[:i], would read every
+    trailing norm as 0, certified from the search's tail record
+    (search.tail) with no projection.
+
+    The record (Q0, x0, delta0) comes from an earlier exchange on the
+    search whose exact path read every trailing norm as 0: its Q1, K x
+    i0; x0_j = fl(||fl(a_j - fl(Q0 c0_j))||), c0 = fl(Q0^T a), the
+    residual norm of every column j; and delta0 = ||fl(Q0^T Q0) - I||_F.
+    With tau = ||fl(Q0 - fl(Q1 fl(Q1^T Q0)))||_F, the part of the
+    recorded basis outside the new leading span, delta =
+    ||fl(Q1^T Q1) - I||_F + delta0 and s_j = fl(||a_j||^2)
+    (search.sums), the norm the exact path computes, x_j =
+    fl(||fl(a_j - fl(Q1 c_j))||) with c = fl(Q1^T a), is at most
+
+        B_j = (1 + 2 delta) x0_j + (tau + 2 delta + rho) sqrt(s_j),
+        rho = ((K + i)(sqrt(i) + sqrt(i i0)) + 3 K (i0 + 2) / 4
+               + i0^1.5 + 9) eps,
+
+    whenever tau <= 1/2; the check is made only then. Write a_j =
+    Q0 c0_j + e_j exactly. Then a_j - Q1 Q1^T a_j = (I - Q1 Q1^T) Q0
+    c0_j + (I - Q1 Q1^T) e_j, where I - Q1 Q1^T has 2-norm max(1,
+    ||Q1^T Q1 - I||) <= 1 + 2 delta (its eigenvalues are 1 and those of
+    I - Q1^T Q1) and ||(I - Q1 Q1^T) Q0||_2 is at most the exact value
+    of tau. To first order in u = eps/2, where a dot product of length m
+    errs by at most m u times that of the absolute values (Higham,
+    section 3.1), in units of u sqrt(s_j):
+
+    * c's dot products, d_j = c_j - Q1^T a_j: ||Q1 d_j|| <= K sqrt(i),
+      as ||Q1||_F ~ sqrt(i); the product fl(Q1 c_j): i^1.5; the
+      difference: 1; the sum of K squares and its square root: K/2 + 2,
+      relative to a norm at most ||a_j||;
+    * e_j against x0_j: the record's product and difference, i0^1.5 +
+      1, and its sum of squares, K/2 + 3 relative to x0_j, itself at
+      most about ||a_j||;
+    * tau's exact value against tau: the products fl(Q1^T Q0) and Q1
+      times it, (K + i) sqrt(i i0) (each entry of fl(Q1^T Q0) errs by
+      at most K u); the difference and the sum of K i0 squares, K i0 / 2
+      + 2 relative to tau <= 1/2, so K i0 / 4 + 1;
+    * ||c0_j|| <= (1 + ||Q0^T Q0 - I|| / 2 + K sqrt(i0) u) ||a_j|| and
+      ||a_j|| <= (1 + (K/2 + 1) u) sqrt(s_j): at tau <= 1/2, K sqrt(i0)
+      / 2 + K/4 + 1/2, and tau ||Q0^T Q0 - I|| / 2, which is at most
+      2 delta plus K i0 / 4 for delta0's own rounding.
+
+    Their sum is at most (K + i)(sqrt(i) + sqrt(i i0)) + K (5/4 + i0/2
+    + sqrt(i0)/2) + i0^1.5 + 9 <= rho / (2u), half of rho; the other
+    half covers second-order terms and the rounding of B_j itself. A
+    square that underflows errs by at most 2^-1075, so a norm by at most
+    sqrt(K) 2^-537, about 1e-160: that matters only where B_j is that
+    close to tol (at least 5e-13 on a nonzero matrix), so for a column
+    with sqrt(s_j) above 1e-140, where the other half of rho covers it.
+    So where B_j <= tol for every trailing column, each x_j is at or
+    below tol, the exact path reads every trailing norm as 0, and its
+    pick is the incumbent's: no swap. Leading columns neither win nor
+    block, so their bounds are not read.
+    """
+    q0, x0, defect0 = search.tail
+    k, i0 = q0.shape
+    gap = q0 - q @ (q.T @ q0)
+    tau = math.sqrt(np.vdot(gap, gap))
+    if tau > 0.5:
+        return False
+    delta = _defect(q) + defect0
+    rho = ((k + i) * (math.sqrt(i) + math.sqrt(i * i0))
+           + 0.75 * k * (i0 + 2) + i0 ** 1.5 + 9) * _EPS
+    bound = (1.0 + 2.0 * delta) * x0
+    bound += (tau + 2.0 * delta + rho) * np.sqrt(search.sums)
+    bound[order[:i]] = 0.0
+    return bool(bound.max() <= search.tol)
+
+
 def _downdated_pick(search, order, i, q, c):
     """The column-pivot exchange's pick at boundary i+1, i >= 1 (an
     offset into order[i:], 0 for the incumbent) when downdated norms make
@@ -404,31 +503,48 @@ def _downdated_pick(search, order, i, q, c):
     incumbent has one outcome at both corners of the two intervals.
     Exact ties, norms within the swap tolerance and trailing norms past
     the numerical rank, which are round-off, never pass.
+
+    The brackets are screened first on the two largest downdates alone:
+    E_j grows with s_j, and rounding is monotone, so no column's hi
+    exceeds the square root of the runner-up's t plus the widest
+    bracket, rel max(s) + tiny. Where that lies below lo_j*, no other
+    column can block the pick, and the bracket ends are computed for the
+    winner and the incumbent only, with the whole-vector operations' bits
+    (a negative sum, which the bound excludes, reads 0 as its NaN did);
+    the per-column test runs only where the screen cannot decide, so
+    every return is the one it makes.
     """
-    k = q.shape[0]
-    gram = q.T @ q
-    gram.flat[::i + 1] -= 1.0
-    defect = math.sqrt(np.vdot(gram, gram))
-    rel = 2.0 * (defect + (i + math.sqrt(i) + 1) * (k + i) * _EPS)
+    k, sums = q.shape[0], search.sums
+    rel = 2.0 * (_defect(q) + (i + math.sqrt(i) + 1) * (k + i) * _EPS)
     # Every column at once, in the matrix's own order; the leading ones,
     # projected out, can neither win nor block.
-    trail = search.sums - np.einsum("ij,ij->j", c, c)
-    err = rel * search.sums + _TINY
-    hi = np.sqrt(trail + err)
-    trail[order[:i]] = -np.inf
-    hi[order[:i]] = 0.0
+    trail = sums - np.einsum("ij,ij->j", c, c)
+    lead = order[:i]
+    kept, trail[lead] = trail[lead], -np.inf
     best = int(trail.argmax())
-    best_lo = math.sqrt(max(trail[best] - err[best], 0.0))
-    if best_lo <= search.tol or np.count_nonzero(hi >= best_lo) > 1:
+    top, trail[best] = trail[best], -np.inf
+    runner_up = float(trail.max())
+    trail[best] = top
+    best_err = rel * sums[best] + _TINY
+    best_lo = math.sqrt(max(top - best_err, 0.0))
+    if best_lo <= search.tol:
         return None
+    widest = runner_up + (rel * search.sum_max + _TINY)
+    if not math.sqrt(max(widest, 0.0)) < best_lo:
+        trail[lead] = kept
+        hi = np.sqrt(trail + (rel * sums + _TINY))
+        hi[lead] = 0.0
+        if np.count_nonzero(hi >= best_lo) > 1:
+            return None
     inc = order[i]
     if best == inc:
         return 0
-    inc_lo = math.sqrt(max(trail[inc] - err[inc], 0.0))
-    inc_lo, inc_hi = (x if x > search.tol else 0.0
-                      for x in (inc_lo, float(hi[inc])))
+    inc_err = rel * sums[inc] + _TINY
+    inc_lo = math.sqrt(max(trail[inc] - inc_err, 0.0))
+    inc_hi = math.sqrt(max(trail[inc] + inc_err, 0.0))
+    inc_lo, inc_hi = (x if x > search.tol else 0.0 for x in (inc_lo, inc_hi))
     swap = _beats(best_lo, inc_hi)
-    if swap != _beats(float(hi[best]), inc_lo):
+    if swap != _beats(math.sqrt(top + best_err), inc_lo):
         return None
     return order.index(best, i) - i if swap else 0
 
@@ -446,28 +562,46 @@ def _strong_exchange(search, order, boundary) -> bool:
     fixed point. Returns whether `order` changed.
 
     At boundary 1 nothing is projected: the trailing norms are the
-    square roots of the search's column sums of squares. Past it the
-    pick is first tried on downdated norms ||a_j||^2 - ||c_j||^2, from
-    c = Q1^T a alone, Q1 the economic Q of the leading columns. Each is
-    within E_j = 2(||Q1^T Q1 - I||_F + (i + sqrt(i) + 1)(K + i) eps)
-    ||a_j||^2 of the squared norm the exact path computes
-    (_downdated_pick derives it), and the pick stands only where those
-    brackets make it certain. Otherwise the exact path decides: the whole
-    matrix projected with the same Q1 and c (_residual_norms). Both
-    routes make the exact path's pick, so every order is its own, and
-    _fixed_point's skips, which rest on those norms not depending on
-    where a column sits, still hold.
+    square roots of the search's column sums of squares. Past it, Q1 is
+    the economic Q of the i = boundary-1 leading columns. Where the
+    search holds a tail record (Q0, x0, delta0), left by an earlier
+    exact path that read every trailing norm as 0, the exchange first
+    tries to certify that this one would too: with tau = ||Q0 - Q1 (Q1^T
+    Q0)||_F and delta = ||Q1^T Q1 - I||_F + delta0, where tau <= 1/2 and
+
+        (1 + 2 delta) x0_j + (tau + 2 delta + rho) sqrt(s_j) <= tol
+
+    for every trailing column j, rho = ((K + i)(sqrt(i) + sqrt(i i0))
+    + 3 K (i0 + 2) / 4 + i0^1.5 + 9) eps, the exact path's norm of each
+    is at or below tol, so its pick is the incumbent and nothing is
+    projected (_tail_certified derives the bound: the recorded basis
+    carries each column to within x0_j, the new span misses it by tau,
+    and rho covers the rounding of both projections and of tau). Next
+    the pick is tried on downdated norms ||a_j||^2 - ||c_j||^2, from c =
+    Q1^T a alone. Each is within E_j = 2(||Q1^T Q1 - I||_F + (i +
+    sqrt(i) + 1)(K + i) eps) ||a_j||^2 of the squared norm the exact
+    path computes (_downdated_pick derives it), and the pick stands only
+    where those brackets make it certain. Otherwise the exact path
+    decides: the whole matrix projected with the same Q1 and c
+    (_residual_norms), whose norms become the tail record when every
+    trailing one reads 0. All three routes make the exact path's pick,
+    so every order is its own, and _fixed_point's skips, which rest on
+    those norms not depending on where a column sits, still hold.
     """
     i, a = boundary - 1, search.a
     pick = None
     if i:
         q = search.leading_q(order[:i])
+        if search.tail is not None and _tail_certified(search, order, i, q):
+            return False
         c = q.T @ a
         pick = _downdated_pick(search, order, i, q, c)
     if pick is None:
-        trail = (_residual_norms(a, q, c)[order[i:]] if i
-                 else np.sqrt(search.sums)[order])
+        norms = _residual_norms(a, q, c) if i else np.sqrt(search.sums)
+        trail = norms[order[i:]]
         trail[trail <= search.tol] = 0.0
+        if i and not trail.any():
+            search.tail = q, norms, _defect(q)
         pick = _pick_challenger(trail, 0)
     order[i], order[i + pick] = order[i + pick], order[i]
     return pick != 0

@@ -680,6 +680,22 @@ def test_lag_lo_above_the_default_lag_hi_is_a_usage_error(tmp_path, capsys,
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("sub", ["sim", "fit", "roll"])
+def test_lag_lo_above_lag_hi_is_a_usage_error(tmp_path, capsys, sub):
+    # a reversed pair names an empty range; the message names both flags
+    data = _write_panel_csv(tmp_path / "panel.csv", k=4, n=600, seed=17)
+    base = {"sim": ["sim", "--scenario", "sim1", "--k", "5", "--n", "100",
+                    "--trials", "1"],
+            "fit": ["fit", "--data", str(data)],
+            "roll": ["roll", "--data", str(data)]}[sub]
+    outdir = tmp_path / "out"
+    assert main([*base, "--lag-lo", "3", "--lag-hi", "2",
+                 "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "--lag-lo 3 needs --lag-hi >= 3 (--lag-hi is 2)" in err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("sub", ["fit", "roll"])
 def test_unknown_orientation_is_a_usage_error(tmp_path, capsys, sub):
     data = _write_panel_csv(tmp_path / "panel.csv", k=4, n=600, seed=17)

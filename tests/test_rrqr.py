@@ -14,13 +14,13 @@ from qrfactors.rrqr import (Permutation, RrqrIterationError, gs_qr,
                             hybrid1, hybrid2, hybrid3, qr_cp, singular_values,
                             stewart2)
 from qrfactors.simgen import SimConfig, gen_sim1, gen_sim2
-from qrfactors.tsdata import _rescaled
+from qrfactors.tsdata import TimeSeries, _rescaled
 
 from oracles import (abs_r_diag, col_norms, dnrm2_first_pivot,
                      exact_rank_three, gathered_strong_exchange,
                      interlacing_holds, matrix_with_spectrum,
-                     naive_pivot_order, old_hybrid3,
-                     plain_hybrid_sweeps, projected_strong_exchange,
+                     naive_pivot_order, old_downdated_pick, old_hybrid3,
+                     old_scan, plain_hybrid_sweeps, projected_strong_exchange,
                      result_bits, scipy_inverse_row_norms, scipy_qr,
                      svd2_closed, two_pass_scale, whole_r_weak_exchange)
 
@@ -704,8 +704,9 @@ def test_scan_and_fit_are_the_projecting_ones(case, monkeypatch):
 def test_downdated_picks_are_live_both_ways(monkeypatch):
     # on the paper cell the downdated norms settle every exchange that
     # projects something; on a noise-free panel of rank 3 every exchange
-    # behind three or more projected columns reads round-off and falls
-    # back to the projection
+    # behind three or more projected columns that reaches the downdate
+    # (the first: the tail certificate settles the rest) reads round-off
+    # and falls back to the projection
     seen = []
     real = rrqr._downdated_pick
 
@@ -796,6 +797,201 @@ def test_reused_leading_q_is_a_fresh_qrs(case, monkeypatch):
     monkeypatch.setattr(rrqr._PivotSearch, "leading_q",
                         lambda search, cols: _fresh_q(search.a, cols))
     assert got == scan_and_basis()
+
+
+@pytest.mark.parametrize("case", SCAN_PANELS + EXACT_PANELS)
+def test_downdated_pick_is_the_per_column_tests(case, monkeypatch):
+    # the screen on the two largest downdates settles only what counting
+    # every column's bracket settles: each call's return is the old
+    # function's, over the scan and a basis sweep from qr_cp's pivots
+    picks = []
+    real = rrqr._downdated_pick
+
+    def both(search, order, i, q, c):
+        pick = real(search, order, i, q, c)
+        assert pick == old_downdated_pick(search, order, i, q, c)
+        picks.append(pick)
+        return pick
+
+    monkeypatch.setattr(rrqr, "_downdated_pick", both)
+    mat = _scan_panel(case)
+    rrqr._scan_orders(rrqr._PivotSearch(mat), min(15, min(mat.shape) - 1))
+    ts = _scan_series(case)
+    if ts is not None:
+        fit_rrqr(ts, 1, 5, p_override=3)
+    assert picks
+
+
+# ------------------------------------------------------------------
+# past an exact rank the exact path's projection is recorded; a later
+# column-pivot exchange whose tail bound clears the deflation tolerance
+# reads no swap without projecting, and that is the projection's pick
+
+
+# noise-free, tied, duplicated, zeroed and far from unit scale, each with
+# an exact rank below the scan's cap
+TAIL_CASES = EXACT_PANELS + [
+    "exact rank * 2^900", "exact rank * 2^-900", "zero matrix",
+    "zero columns", "tied", "duplicated"]
+
+
+def _tail_case(case):
+    """(matrix, panel behind it or None) of a TAIL_CASES case."""
+    if case in EXACT_PANELS:
+        return _scan_panel(case), _scan_series(case)
+    base = _scan_panel(EXACT_PANELS[1])
+    if case.startswith("exact rank * 2^"):
+        e = int(case.rsplit("^", 1)[1])
+        series = _scan_series(EXACT_PANELS[1])
+        return np.ldexp(base, e), TimeSeries(np.ldexp(series.values, e))
+    if case == "zero matrix":
+        return np.zeros((6, 9)), None
+    if case == "tied":
+        # rank 3: each of three columns six times over, exactly tied
+        basis = np.random.default_rng(74).standard_normal((12, 3))
+        return basis[:, np.arange(18) % 3], None
+    a = base.copy()
+    if case == "zero columns":
+        a[:, [3, 10, 40]] = 0.0
+    else:
+        a[:, [60, 90]] = a[:, [5, 17]]
+    return a, None
+
+
+def _tail_outputs(mat, ts):
+    """The scan, hybrid1-3 at ranks 2-4 and, for a panel, fit_rrqr by
+    default, at p_override=2 and at p_cap=5."""
+    out = [rrqr._scan_orders(rrqr._PivotSearch(mat),
+                             min(15, min(mat.shape) - 1))]
+    out += [result_bits(fn(mat, p)) for fn in (hybrid1, hybrid2, hybrid3)
+            for p in (2, 3, 4)]
+    for kw in ({}, {"p_override": 2}, {"p_cap": 5}) if ts is not None else ():
+        fit = fit_rrqr(ts, 1, 5, **kw)
+        out += [fit.p_hat, fit.scan, dict(fit.diagnostics)]
+        out += [(x.flags.f_contiguous, x.tobytes())
+                for x in (fit.q_hat, fit.factors)]
+    return out
+
+
+@pytest.mark.parametrize("case", TAIL_CASES)
+def test_tail_certified_outputs_are_the_projecting_ones(case, monkeypatch):
+    # the certificate skips exchanges on every case, and every scan
+    # field, order, factor and fit is the projecting exchange's bit for
+    # bit; p_hat and every order are the old per-rank loop's
+    mat, ts = _tail_case(case)
+    certified = []
+    real = rrqr._tail_certified
+
+    def counted(search, order, i, q):
+        certified.append(real(search, order, i, q))
+        return certified[-1]
+
+    monkeypatch.setattr(rrqr, "_tail_certified", counted)
+    got = _tail_outputs(mat, ts)
+    assert any(certified)
+    p_cap = min(15, min(mat.shape) - 1)
+    scan = None if case == "zero matrix" else scan_model_order(mat, p_cap, 100)
+    monkeypatch.setattr(rrqr, "_strong_exchange", projected_strong_exchange)
+    assert _tail_outputs(mat, ts) == got
+    if scan is not None:
+        p_hat, _, _, _, perms = old_scan(mat, p_cap, 100)
+        assert scan.p_hat == p_hat
+        assert scan.orders == tuple(perm.order for perm in perms)
+
+
+def test_hybrid3_refuses_a_record_from_a_wider_span(monkeypatch):
+    # on a rank-p matrix from a poor start, old_hybrid3's first round
+    # records the tail at boundary p+1 (i0 = p); its second round's sweep
+    # at boundary p projects p-1 columns, which miss a direction of the
+    # recorded basis, so tau refuses the certificate there
+    seen = []
+    real = rrqr._tail_certified
+
+    def logged(search, order, i, q):
+        ok = real(search, order, i, q)
+        seen.append((i, search.tail[0].shape[1], ok))
+        return ok
+
+    monkeypatch.setattr(rrqr, "_tail_certified", logged)
+    rng = np.random.default_rng(73)
+    for p in (2, 3, 4):
+        a = matrix_with_spectrum(rng, 8, 16, rng.uniform(1.0, 2.0, size=p))
+        a[:, :p] *= 1e-2
+        seen.clear()
+        _assert_same_as_old_hybrid3(a, p, init=Permutation(tuple(range(16))))
+        assert (p - 1, p, False) in seen, p
+
+
+def _moved_span_case(eta, eps):
+    """4 x 4: e1, e2, 4 e2 + eta e3 and e2 - eps e3. Its deflation
+    tolerance is 1e-12 of the largest column norm, 4 to a rounding."""
+    a = np.zeros((4, 4))
+    a[0, 0] = a[1, 1] = a[1, 3] = 1.0
+    a[1, 2], a[2, 2], a[2, 3] = 4.0, eta, -eps
+    return a
+
+
+@pytest.mark.parametrize("eta,eps", [(0.0, 0.5), (0.6, 0.15)],
+                         ids=["tau", "x0"])
+def test_a_tail_record_is_refused_where_the_projection_swaps(eta, eps):
+    # behind e1 and e2 every trailing norm is at most 0.6 tol, so the
+    # exchange records the tail; behind e1 and e2 - eps e3 the column
+    # 4 e2 + eta e3 has norm about (eta + 4 eps) tol > tol, which only tau
+    # (eta = 0) or the recorded residual norms with it (eta = 0.6) see
+    tol = 4e-12
+    search = rrqr._PivotSearch(_moved_span_case(eta * tol, eps * tol))
+    order = [0, 1, 2, 3]
+    assert not rrqr._strong_exchange(search, order, 3)
+    assert search.tail is not None
+    got, want = [0, 3, 1, 2], [0, 3, 1, 2]
+    assert rrqr._strong_exchange(search, got, 3)
+    projected_strong_exchange(search, want, 3)
+    assert got == want == [0, 3, 2, 1]
+
+
+def _bench_shaped(case):
+    """(panel, lag_hi) of the benchmark's fit shapes, noise-free at exact
+    rank 3 or noisy."""
+    if case == "paper cell exact":
+        return exact_rank_three(0, k=180, n=500), 5
+    if case == "rolling exact":
+        return exact_rank_three(1, k=50, n=500), 2
+    if case == "montecarlo exact":
+        return exact_rank_three(2, k=100, n=200), 2
+    if case == "paper cell":
+        return gen_sim1(180, 500, 0).y, 5
+    if case == "rolling":
+        return gen_sim1(50, 500, 1).y, 2
+    return gen_sim2(SimConfig(scenario="sim2", k=100, n=200, seed=2,
+                              noise_kind="hurst")).y, 2
+
+
+@pytest.mark.parametrize("case,projections", [
+    ("paper cell exact", 1), ("rolling exact", 1), ("montecarlo exact", 1),
+    ("paper cell", 0), ("rolling", 0), ("montecarlo", 0)])
+def test_a_fit_projects_the_whole_matrix_at_most_once(case, projections,
+                                                      monkeypatch):
+    # past an exact rank the first projection reads every trailing norm
+    # as 0 and every later exchange is certified from it; without the
+    # certificate each of them projects again. A noisy panel's downdates
+    # settle every exchange.
+    ts, lag_hi = _bench_shaped(case)
+    count = [0]
+    real = rrqr._residual_norms
+
+    def counted(a, q, c):
+        count[0] += 1
+        return real(a, q, c)
+
+    monkeypatch.setattr(rrqr, "_residual_norms", counted)
+    fit = fit_rrqr(ts, 1, lag_hi)
+    assert count[0] == projections
+    if projections:
+        assert fit.p_hat == 3
+        monkeypatch.setattr(rrqr, "_tail_certified", lambda *args: False)
+        count[0] = 0
+        fit_rrqr(ts, 1, lag_hi)
+        assert count[0] >= 12
 
 
 # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from qrfactors import rrqr
 from qrfactors.rrqr import gs_qr, hybrid1, hybrid2, hybrid3, qr_cp, stewart2
 
-from oracles import (plain_hybrid_sweeps,
+from oracles import (old_downdated_pick, plain_hybrid_sweeps,
                      projected_strong_exchange, result_bits,
                      whole_r_weak_exchange)
 
@@ -155,12 +155,31 @@ def test_downdated_picks_are_the_projected_picks(case, data):
     for i in range(1, min(a.shape)):
         q, _ = rrqr._qr(search.a, order[:i], "economic", search.tol)
         pick = rrqr._downdated_pick(search, order, i, q, q.T @ search.a)
+        assert pick == old_downdated_pick(search, order, i, q,
+                                          q.T @ search.a), i
         if pick is None:
             continue
         got, want = list(order), list(order)
         got[i], got[i + pick] = got[i + pick], got[i]
         projected_strong_exchange(search, want, i + 1)
         assert got == want, i
+
+
+@_SETTINGS
+@given(awkward(), st.data())
+def test_tail_certified_exchanges_are_the_projected_ones(case, data):
+    # exchanges at drawn boundaries and orders on one search, so a tail
+    # recorded by one exchange certifies or is refused by the next: each
+    # leaves the order projecting the whole matrix leaves
+    a, _ = case
+    search = rrqr._PivotSearch(a)
+    for _ in range(6):
+        order = data.draw(st.permutations(range(a.shape[1])))
+        boundary = data.draw(st.integers(1, min(a.shape)))
+        got, want = list(order), list(order)
+        rrqr._strong_exchange(search, got, boundary)
+        projected_strong_exchange(search, want, boundary)
+        assert got == want, boundary
 
 
 @_SETTINGS
