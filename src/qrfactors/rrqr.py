@@ -178,22 +178,15 @@ class _PivotSearch:
     the second scaling, and both are then brought to it in place. `tol`
     is the deflation tolerance at that scale. Both scalings are exact,
     so R and every pivot decision on the copy are the matrix's, scaled,
-    bit for bit; what bears the scale leaves through `unscaled`;
-    `sum_max` is the largest sum. The search lives as long as one scan
-    and the basis sweep after it, or one strategy call. `last_qr` holds
-    the last (columns, dgeqrf output) of a leading triangle until
-    leading_q spends it. `tail` holds the last column-pivot exchange
-    whose projection read every trailing norm as 0: (Q0, x0, delta0),
-    its K x i0 Q1, the residual norms of every column and
-    ||fl(Q0^T Q0) - I||_F. A later exchange certifies from it, with no
-    projection, that it too would read 0 (_tail_certified, whose bound
-    is
-
-        (1 + 2 delta) x0_j + (tau + 2 delta + rho) sqrt(s_j) <= tol,
-
-    tau the part of Q0 outside the new leading span, delta the two Q's
-    measured non-orthogonality and rho a rounding term of order (K + i)
-    sqrt(i i0) eps).
+    bit for bit; what bears the scale leaves through `unscaled`. The
+    search lives as long as one scan and the basis sweep after it, or one
+    strategy call. `last_qr` holds the last (columns, dgeqrf output) of a
+    leading triangle until leading_q spends it. `tail` holds the last
+    column-pivot exchange whose projection read every trailing norm as
+    0: (Q0, x0, delta0), its K x i0 Q1, the residual norms of every
+    column and ||fl(Q0^T Q0) - I||_F. A later exchange certifies from it,
+    with no projection, that it too would read 0 (_tail_certified holds
+    the bound).
     """
 
     def __init__(self, a, exp=0):
@@ -210,7 +203,6 @@ class _PivotSearch:
         # from the input again, so each entry is rounded once, at its scale
         np.ldexp(mat, shift - top_exp, out=self.a)
         np.ldexp(self.sums, -2 * top_exp, out=self.sums)
-        self.sum_max = float(self.sums.max())
         self.exp = exp - shift + top_exp
         self.tol = _DEFL_RTOL * top
         self.last_qr = None
@@ -503,48 +495,28 @@ def _downdated_pick(search, order, i, q, c):
     incumbent has one outcome at both corners of the two intervals.
     Exact ties, norms within the swap tolerance and trailing norms past
     the numerical rank, which are round-off, never pass.
-
-    The brackets are screened first on the two largest downdates alone:
-    E_j grows with s_j, and rounding is monotone, so no column's hi
-    exceeds the square root of the runner-up's t plus the widest
-    bracket, rel max(s) + tiny. Where that lies below lo_j*, no other
-    column can block the pick, and the bracket ends are computed for the
-    winner and the incumbent only, with the whole-vector operations' bits
-    (a negative sum, which the bound excludes, reads 0 as its NaN did);
-    the per-column test runs only where the screen cannot decide, so
-    every return is the one it makes.
     """
-    k, sums = q.shape[0], search.sums
+    k = q.shape[0]
     rel = 2.0 * (_defect(q) + (i + math.sqrt(i) + 1) * (k + i) * _EPS)
     # Every column at once, in the matrix's own order; the leading ones,
     # projected out, can neither win nor block.
-    trail = sums - np.einsum("ij,ij->j", c, c)
-    lead = order[:i]
-    kept, trail[lead] = trail[lead], -np.inf
+    trail = search.sums - np.einsum("ij,ij->j", c, c)
+    err = rel * search.sums + _TINY
+    hi = np.sqrt(trail + err)
+    trail[order[:i]] = -np.inf
+    hi[order[:i]] = 0.0
     best = int(trail.argmax())
-    top, trail[best] = trail[best], -np.inf
-    runner_up = float(trail.max())
-    trail[best] = top
-    best_err = rel * sums[best] + _TINY
-    best_lo = math.sqrt(max(top - best_err, 0.0))
-    if best_lo <= search.tol:
+    best_lo = math.sqrt(max(trail[best] - err[best], 0.0))
+    if best_lo <= search.tol or np.count_nonzero(hi >= best_lo) > 1:
         return None
-    widest = runner_up + (rel * search.sum_max + _TINY)
-    if not math.sqrt(max(widest, 0.0)) < best_lo:
-        trail[lead] = kept
-        hi = np.sqrt(trail + (rel * sums + _TINY))
-        hi[lead] = 0.0
-        if np.count_nonzero(hi >= best_lo) > 1:
-            return None
     inc = order[i]
     if best == inc:
         return 0
-    inc_err = rel * sums[inc] + _TINY
-    inc_lo = math.sqrt(max(trail[inc] - inc_err, 0.0))
-    inc_hi = math.sqrt(max(trail[inc] + inc_err, 0.0))
-    inc_lo, inc_hi = (x if x > search.tol else 0.0 for x in (inc_lo, inc_hi))
+    inc_lo = math.sqrt(max(trail[inc] - err[inc], 0.0))
+    inc_lo, inc_hi = (x if x > search.tol else 0.0
+                      for x in (inc_lo, float(hi[inc])))
     swap = _beats(best_lo, inc_hi)
-    if swap != _beats(math.sqrt(top + best_err), inc_lo):
+    if swap != _beats(float(hi[best]), inc_lo):
         return None
     return order.index(best, i) - i if swap else 0
 
@@ -564,29 +536,22 @@ def _strong_exchange(search, order, boundary) -> bool:
     At boundary 1 nothing is projected: the trailing norms are the
     square roots of the search's column sums of squares. Past it, Q1 is
     the economic Q of the i = boundary-1 leading columns. Where the
-    search holds a tail record (Q0, x0, delta0), left by an earlier
-    exact path that read every trailing norm as 0, the exchange first
-    tries to certify that this one would too: with tau = ||Q0 - Q1 (Q1^T
-    Q0)||_F and delta = ||Q1^T Q1 - I||_F + delta0, where tau <= 1/2 and
-
-        (1 + 2 delta) x0_j + (tau + 2 delta + rho) sqrt(s_j) <= tol
-
-    for every trailing column j, rho = ((K + i)(sqrt(i) + sqrt(i i0))
-    + 3 K (i0 + 2) / 4 + i0^1.5 + 9) eps, the exact path's norm of each
-    is at or below tol, so its pick is the incumbent and nothing is
-    projected (_tail_certified derives the bound: the recorded basis
-    carries each column to within x0_j, the new span misses it by tau,
-    and rho covers the rounding of both projections and of tau). Next
-    the pick is tried on downdated norms ||a_j||^2 - ||c_j||^2, from c =
-    Q1^T a alone. Each is within E_j = 2(||Q1^T Q1 - I||_F + (i +
-    sqrt(i) + 1)(K + i) eps) ||a_j||^2 of the squared norm the exact
-    path computes (_downdated_pick derives it), and the pick stands only
-    where those brackets make it certain. Otherwise the exact path
-    decides: the whole matrix projected with the same Q1 and c
-    (_residual_norms), whose norms become the tail record when every
-    trailing one reads 0. All three routes make the exact path's pick,
-    so every order is its own, and _fixed_point's skips, which rest on
-    those norms not depending on where a column sits, still hold.
+    search holds a tail record, left by an earlier exact path that read
+    every trailing norm as 0, the exchange first tries to certify from
+    it that this one would too; where it can, it keeps its incumbent
+    and projects nothing (_tail_certified holds the bound: the recorded
+    basis carries each column to within its recorded residual norm, and
+    the new span must hold the recorded basis). Next the pick is tried
+    on downdated norms ||a_j||^2 - ||c_j||^2, from c = Q1^T a alone.
+    Each is within E_j = 2(||Q1^T Q1 - I||_F + (i + sqrt(i) + 1)(K + i)
+    eps) ||a_j||^2 of the squared norm the exact path computes
+    (_downdated_pick derives it), and the pick stands only where those
+    brackets make it certain. Otherwise the exact path decides: the
+    whole matrix projected with the same Q1 and c (_residual_norms),
+    whose norms become the tail record when every trailing one reads 0.
+    All three routes make the exact path's pick, so every order is its
+    own, and _fixed_point's skips, which rest on those norms not
+    depending on where a column sits, still hold.
     """
     i, a = boundary - 1, search.a
     pick = None

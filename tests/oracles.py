@@ -355,37 +355,6 @@ def projected_strong_exchange(search, order, boundary):
     return j != 0
 
 
-def old_downdated_pick(search, order, i, q, c):
-    """rrqr._downdated_pick as it was before it screened on the two
-    largest downdates: every column's bracket is built and the
-    columns whose upper end reaches the winner's lower end are
-    counted."""
-    k = q.shape[0]
-    gram = q.T @ q
-    gram.flat[::i + 1] -= 1.0
-    defect = math.sqrt(np.vdot(gram, gram))
-    rel = 2.0 * (defect + (i + math.sqrt(i) + 1) * (k + i) * rrqr._EPS)
-    trail = search.sums - np.einsum("ij,ij->j", c, c)
-    err = rel * search.sums + rrqr._TINY
-    hi = np.sqrt(trail + err)
-    trail[order[:i]] = -np.inf
-    hi[order[:i]] = 0.0
-    best = int(trail.argmax())
-    best_lo = math.sqrt(max(trail[best] - err[best], 0.0))
-    if best_lo <= search.tol or np.count_nonzero(hi >= best_lo) > 1:
-        return None
-    inc = order[i]
-    if best == inc:
-        return 0
-    inc_lo = math.sqrt(max(trail[inc] - err[inc], 0.0))
-    inc_lo, inc_hi = (x if x > search.tol else 0.0
-                      for x in (inc_lo, float(hi[inc])))
-    swap = rrqr._beats(best_lo, inc_hi)
-    if swap != rrqr._beats(float(hi[best]), inc_lo):
-        return None
-    return order.index(best, i) - i if swap else 0
-
-
 def old_scan(mat, p_cap, n, k=None):
     """The rank scan as it was: old_hybrid3 once per rank, seeded with the
     previous rank's permutation, ratios read off the full R diagonal.

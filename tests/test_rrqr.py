@@ -19,7 +19,7 @@ from qrfactors.tsdata import TimeSeries, _rescaled
 from oracles import (abs_r_diag, col_norms, dnrm2_first_pivot,
                      exact_rank_three, gathered_strong_exchange,
                      interlacing_holds, matrix_with_spectrum,
-                     naive_pivot_order, old_downdated_pick, old_hybrid3,
+                     naive_pivot_order, old_hybrid3,
                      old_scan, plain_hybrid_sweeps, projected_strong_exchange,
                      result_bits, scipy_inverse_row_norms, scipy_qr,
                      svd2_closed, two_pass_scale, whole_r_weak_exchange)
@@ -675,30 +675,82 @@ def test_scan_is_the_gathering_scans(case, monkeypatch):
     assert rrqr._scan_orders(rrqr._PivotSearch(mat), p_cap) == rows
 
 
-def _assert_same_fit(fit, want):
-    assert fit.p_hat == want.p_hat
-    assert fit.scan == want.scan
-    assert fit.diagnostics == want.diagnostics
-    for got, exp in ((fit.q_hat, want.q_hat), (fit.factors, want.factors)):
-        assert got.flags.f_contiguous == exp.flags.f_contiguous
-        assert_array_equal(got, exp)
+# noise-free, tied, duplicated, zeroed and far from unit scale, each with
+# an exact rank below the scan's cap, so past it the exact path's
+# projection is recorded and later exchanges are certified from it
+TAIL_CASES = EXACT_PANELS + [
+    "exact rank * 2^900", "exact rank * 2^-900", "zero matrix",
+    "zero columns", "tied", "duplicated"]
 
 
-@pytest.mark.parametrize("case", SCAN_PANELS + EXACT_PANELS)
+def _projecting_case(case):
+    """(matrix, panel behind it or None) of a scan panel or TAIL_CASES
+    case."""
+    if case in SCAN_PANELS + EXACT_PANELS:
+        return _scan_panel(case), _scan_series(case)
+    base = _scan_panel(EXACT_PANELS[1])
+    if case.startswith("exact rank * 2^"):
+        e = int(case.rsplit("^", 1)[1])
+        series = _scan_series(EXACT_PANELS[1])
+        return np.ldexp(base, e), TimeSeries(np.ldexp(series.values, e))
+    if case == "zero matrix":
+        return np.zeros((6, 9)), None
+    if case == "tied":
+        # rank 3: each of three columns six times over, exactly tied
+        basis = np.random.default_rng(74).standard_normal((12, 3))
+        return basis[:, np.arange(18) % 3], None
+    a = base.copy()
+    if case == "zero columns":
+        a[:, [3, 10, 40]] = 0.0
+    else:
+        a[:, [60, 90]] = a[:, [5, 17]]
+    return a, None
+
+
+def _projecting_outputs(mat, ts):
+    """The scan, hybrid1-3 at ranks 2-4 and, for a panel, fit_rrqr by
+    default, at p_override=2 and at p_cap 5 and 12."""
+    out = [rrqr._scan_orders(rrqr._PivotSearch(mat),
+                             min(15, min(mat.shape) - 1))]
+    out += [result_bits(fn(mat, p)) for fn in (hybrid1, hybrid2, hybrid3)
+            for p in (2, 3, 4)]
+    for kw in ({}, {"p_override": 2}, {"p_cap": 5}, {"p_cap": 12}) \
+            if ts is not None else ():
+        fit = fit_rrqr(ts, 1, 5, **kw)
+        out += [fit.p_hat, fit.scan, dict(fit.diagnostics)]
+        out += [(x.flags.f_contiguous, x.tobytes())
+                for x in (fit.q_hat, fit.factors)]
+    return out
+
+
+@pytest.mark.parametrize("case", SCAN_PANELS + TAIL_CASES)
 def test_scan_and_fit_are_the_projecting_ones(case, monkeypatch):
-    # the downdated exchange picks what projecting the whole matrix on
-    # every pass picked, so every scan field, basis and factor path is
-    # that exchange's bit for bit
-    mat = _scan_panel(case)
+    # the downdated exchange, and past an exact rank the tail
+    # certificate, pick what projecting the whole matrix on every pass
+    # picked, so every scan field, order, basis and factor path is that
+    # exchange's bit for bit. The certificate skips exchanges on every
+    # exact-rank case and is never tried on a noisy one; there p_hat and
+    # every order are also the old per-rank loop's
+    mat, ts = _projecting_case(case)
+    certified = []
+    real = rrqr._tail_certified
+
+    def counted(search, order, i, q):
+        certified.append(real(search, order, i, q))
+        return certified[-1]
+
+    monkeypatch.setattr(rrqr, "_tail_certified", counted)
+    got = _projecting_outputs(mat, ts)
+    assert any(certified) == (case in TAIL_CASES)
     p_cap = min(15, min(mat.shape) - 1)
-    rows = rrqr._scan_orders(rrqr._PivotSearch(mat), p_cap)
-    ts = _scan_series(case)
-    caps = [] if ts is None else [None, 12]
-    fits = [fit_rrqr(ts, 1, 5, p_cap=cap) for cap in caps]
+    scan = (scan_model_order(mat, p_cap, 100)
+            if case in TAIL_CASES and case != "zero matrix" else None)
     monkeypatch.setattr(rrqr, "_strong_exchange", projected_strong_exchange)
-    assert rrqr._scan_orders(rrqr._PivotSearch(mat), p_cap) == rows
-    for cap, fit in zip(caps, fits):
-        _assert_same_fit(fit, fit_rrqr(ts, 1, 5, p_cap=cap))
+    assert _projecting_outputs(mat, ts) == got
+    if scan is not None:
+        p_hat, _, _, _, perms = old_scan(mat, p_cap, 100)
+        assert scan.p_hat == p_hat
+        assert scan.orders == tuple(perm.order for perm in perms)
 
 
 def test_downdated_picks_are_live_both_ways(monkeypatch):
@@ -799,104 +851,10 @@ def test_reused_leading_q_is_a_fresh_qrs(case, monkeypatch):
     assert got == scan_and_basis()
 
 
-@pytest.mark.parametrize("case", SCAN_PANELS + EXACT_PANELS)
-def test_downdated_pick_is_the_per_column_tests(case, monkeypatch):
-    # the screen on the two largest downdates settles only what counting
-    # every column's bracket settles: each call's return is the old
-    # function's, over the scan and a basis sweep from qr_cp's pivots
-    picks = []
-    real = rrqr._downdated_pick
-
-    def both(search, order, i, q, c):
-        pick = real(search, order, i, q, c)
-        assert pick == old_downdated_pick(search, order, i, q, c)
-        picks.append(pick)
-        return pick
-
-    monkeypatch.setattr(rrqr, "_downdated_pick", both)
-    mat = _scan_panel(case)
-    rrqr._scan_orders(rrqr._PivotSearch(mat), min(15, min(mat.shape) - 1))
-    ts = _scan_series(case)
-    if ts is not None:
-        fit_rrqr(ts, 1, 5, p_override=3)
-    assert picks
-
-
 # ------------------------------------------------------------------
 # past an exact rank the exact path's projection is recorded; a later
 # column-pivot exchange whose tail bound clears the deflation tolerance
 # reads no swap without projecting, and that is the projection's pick
-
-
-# noise-free, tied, duplicated, zeroed and far from unit scale, each with
-# an exact rank below the scan's cap
-TAIL_CASES = EXACT_PANELS + [
-    "exact rank * 2^900", "exact rank * 2^-900", "zero matrix",
-    "zero columns", "tied", "duplicated"]
-
-
-def _tail_case(case):
-    """(matrix, panel behind it or None) of a TAIL_CASES case."""
-    if case in EXACT_PANELS:
-        return _scan_panel(case), _scan_series(case)
-    base = _scan_panel(EXACT_PANELS[1])
-    if case.startswith("exact rank * 2^"):
-        e = int(case.rsplit("^", 1)[1])
-        series = _scan_series(EXACT_PANELS[1])
-        return np.ldexp(base, e), TimeSeries(np.ldexp(series.values, e))
-    if case == "zero matrix":
-        return np.zeros((6, 9)), None
-    if case == "tied":
-        # rank 3: each of three columns six times over, exactly tied
-        basis = np.random.default_rng(74).standard_normal((12, 3))
-        return basis[:, np.arange(18) % 3], None
-    a = base.copy()
-    if case == "zero columns":
-        a[:, [3, 10, 40]] = 0.0
-    else:
-        a[:, [60, 90]] = a[:, [5, 17]]
-    return a, None
-
-
-def _tail_outputs(mat, ts):
-    """The scan, hybrid1-3 at ranks 2-4 and, for a panel, fit_rrqr by
-    default, at p_override=2 and at p_cap=5."""
-    out = [rrqr._scan_orders(rrqr._PivotSearch(mat),
-                             min(15, min(mat.shape) - 1))]
-    out += [result_bits(fn(mat, p)) for fn in (hybrid1, hybrid2, hybrid3)
-            for p in (2, 3, 4)]
-    for kw in ({}, {"p_override": 2}, {"p_cap": 5}) if ts is not None else ():
-        fit = fit_rrqr(ts, 1, 5, **kw)
-        out += [fit.p_hat, fit.scan, dict(fit.diagnostics)]
-        out += [(x.flags.f_contiguous, x.tobytes())
-                for x in (fit.q_hat, fit.factors)]
-    return out
-
-
-@pytest.mark.parametrize("case", TAIL_CASES)
-def test_tail_certified_outputs_are_the_projecting_ones(case, monkeypatch):
-    # the certificate skips exchanges on every case, and every scan
-    # field, order, factor and fit is the projecting exchange's bit for
-    # bit; p_hat and every order are the old per-rank loop's
-    mat, ts = _tail_case(case)
-    certified = []
-    real = rrqr._tail_certified
-
-    def counted(search, order, i, q):
-        certified.append(real(search, order, i, q))
-        return certified[-1]
-
-    monkeypatch.setattr(rrqr, "_tail_certified", counted)
-    got = _tail_outputs(mat, ts)
-    assert any(certified)
-    p_cap = min(15, min(mat.shape) - 1)
-    scan = None if case == "zero matrix" else scan_model_order(mat, p_cap, 100)
-    monkeypatch.setattr(rrqr, "_strong_exchange", projected_strong_exchange)
-    assert _tail_outputs(mat, ts) == got
-    if scan is not None:
-        p_hat, _, _, _, perms = old_scan(mat, p_cap, 100)
-        assert scan.p_hat == p_hat
-        assert scan.orders == tuple(perm.order for perm in perms)
 
 
 def test_hybrid3_refuses_a_record_from_a_wider_span(monkeypatch):
